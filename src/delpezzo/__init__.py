@@ -11,6 +11,7 @@ from .errors import (
     DegenerateConfiguration,
     GeometryError,
     IncompatibleSurfaces,
+    InternalInconsistency,
     InvalidSurfaceData,
     NotContractible,
     NotSimpleNormalCrossings,
@@ -29,6 +30,7 @@ from .lattice import (
     solve_linear,
 )
 from .pairs import (
+    AnticanonicalAnalysis,
     BoundaryDivisor,
     ClassVerdict,
     KLT_CLASSES,

@@ -2,8 +2,9 @@
 
 Subcommands: analyze, decompose, classify, witness, blowup, corpus.
 Exit codes: 0 success, 1 asserted verdict false, 2 input error, 3 internal
-inconsistency (a theorem-equality violation).  All rationals cross the
-interface as "p/q" strings; reports are deterministic for a given input.
+inconsistency (a theorem-equality violation or a failed machine check).
+All rationals cross the interface as "p/q" strings; reports are
+deterministic for a given input.
 """
 from __future__ import annotations
 
@@ -14,15 +15,12 @@ import sys
 
 from . import pairs, singular, zariski
 from .corpus import run_corpus
-from .errors import GeometryError, InvalidSurfaceData
+from .errors import GeometryError, InternalInconsistency, InvalidSurfaceData
 from .lattice import DivisorClass, format_rational, rational
 from .pairs import (
     KLT_CLASSES,
     WEAK_CLASSES,
-    certify_class_equalities,
-    cox_finitely_generated,
-    decide_klt_pair_exists,
-    decide_weak_lc_pair_exists,
+    AnticanonicalAnalysis,
     find_redundant_points,
     redundant_blow_up,
 )
@@ -82,16 +80,13 @@ def _verdict_json(v) -> dict:
 
 
 def _analysis(s: SurfaceModel) -> dict:
-    z = zariski_decompose(s, s.anticanonical)
-    null = null_locus(s, z)
+    analysis = AnticanonicalAnalysis(s)
+    z = analysis.decomposition
+    null = analysis.null
     snc = singular.is_snc_configuration(s, null)
-    report = certify_class_equalities(s)
-    klt_verdict = decide_klt_pair_exists(s)
-    weak_verdict = decide_weak_lc_pair_exists(s)
-    big = z.positive_square > 0
-    model_set = null.curve_ids if big else tuple(cid for cid, _ in z.negative)
+    report = analysis.certify
     try:
-        model = singular.contract(s, model_set)
+        model = analysis.model
         model_json = {
             "exceptional": list(model.exceptional),
             "discrepancies": _pairs_json(model.discrepancies),
@@ -109,11 +104,9 @@ def _analysis(s: SurfaceModel) -> dict:
         }
     except GeometryError as exc:
         model_json = {"error": str(exc)}
-    classes = {}
-    for (name, value) in report.klt + report.weak:
-        classes[name] = value
+    classes = dict(report.klt + report.weak)
     try:
-        cox_ok, cox_reason = cox_finitely_generated(s)
+        cox_ok, cox_reason = analysis.cox
         cox = {"finitely_generated": cox_ok, "reason": cox_reason}
     except GeometryError as exc:
         cox = {"finitely_generated": None, "reason": str(exc)}
@@ -125,7 +118,7 @@ def _analysis(s: SurfaceModel) -> dict:
             "point": p.point_id,
             "description": p.describe(),
         }
-        for p in find_redundant_points(s)
+        for p in analysis.redundant_points
     ]
     out = {
         "surface": to_description(s),
@@ -139,14 +132,14 @@ def _analysis(s: SurfaceModel) -> dict:
             "positive": _class_strings(z.positive),
             "negative": _pairs_json(z.negative),
             "positive_square": format_rational(z.positive_square),
-            "big": big,
+            "big": analysis.big,
         },
         "null_locus": {"curves": list(null.curve_ids), "snc": snc},
         "model": model_json,
         "classes": classes,
         "verdicts": {
-            "klt_any_boundary": _verdict_json(klt_verdict),
-            "weak_lc_any_boundary": _verdict_json(weak_verdict),
+            "klt_any_boundary": _verdict_json(analysis.klt_verdict),
+            "weak_lc_any_boundary": _verdict_json(analysis.weak_verdict),
         },
         "consistent": report.consistent,
         "failures": list(report.failures),
@@ -260,14 +253,10 @@ def cmd_decompose(args) -> int:
 
 def cmd_classify(args) -> int:
     s = _load(args.file)
-    z = zariski_decompose(s, s.anticanonical)
-    null = null_locus(s, z)
-    big = z.positive_square > 0
-    model_set = null.curve_ids if big else tuple(cid for cid, _ in z.negative)
-    model = singular.contract(s, model_set)
-    graph = singular.dual_graph(s, model_set)
+    analysis = AnticanonicalAnalysis(s)
+    model = analysis.model
     if args.format == "dot":
-        print(graph.to_dot())
+        print(singular.dual_graph(s, analysis.model_set).to_dot())
         return EXIT_OK
     data = {
         "exceptional": list(model.exceptional),
@@ -279,7 +268,7 @@ def cmd_classify(args) -> int:
         "caveat": CATALOG_CAVEAT,
     }
     if not s.rational:
-        report = pairs.classify_nonrational(s)
+        report = analysis.nonrational
         data["nonrational"] = {
             "ok": report.ok,
             "case": report.case,
@@ -422,6 +411,9 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InternalInconsistency as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

@@ -12,9 +12,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import GeometryError
-from .pairs import certify_class_equalities
+from .pairs import AnticanonicalAnalysis
 from .surface import BlowUpRecord, SurfaceModel, blow_up, build_base, declare_curve
-from .zariski import zariski_decompose
 
 
 @dataclass(frozen=True)
@@ -96,12 +95,9 @@ def random_surface(rng: random.Random, max_rank: int = 12) -> SurfaceModel | Non
     for index in range(rng.randrange(room + 1)):
         s = _random_blow_up(rng, s, index + 1)
     try:
-        z = zariski_decompose(s, s.anticanonical)
+        return s if AnticanonicalAnalysis(s).big else None
     except GeometryError:
         return None
-    if z.positive_square <= 0:
-        return None
-    return s
 
 
 def run_corpus(seed: int, count: int, max_rank: int = 12, max_attempts: int | None = None) -> CorpusSummary:
@@ -118,7 +114,7 @@ def run_corpus(seed: int, count: int, max_rank: int = 12, max_attempts: int | No
             continue
         base = s.base.kind if s.base.kind == "P2" else f"{s.base.kind}(e={s.base.e})"
         try:
-            report = certify_class_equalities(s)
+            report = AnticanonicalAnalysis(s).certify
         except GeometryError as exc:
             entries.append(CorpusEntry(index, base, s.rank, "error", str(exc)))
             index += 1

@@ -5,6 +5,11 @@ class GeometryError(Exception):
     """Base class for all domain-level failures."""
 
 
+class InternalInconsistency(Exception):
+    """A machine check of a computed result failed: a bug, never a verdict.
+    Not a GeometryError, so no decider can turn it into a negative answer."""
+
+
 class IncompatibleSurfaces(GeometryError):
     """Divisor classes living on different Picard bases were combined."""
 

@@ -60,13 +60,6 @@ class PicardLattice:
     def rank(self) -> int:
         return len(self.labels)
 
-    @property
-    def basis_id(self) -> str:
-        pairing = ";".join(
-            ",".join(format_rational(x) for x in row) for row in self.gram
-        )
-        return "|".join(self.labels) + "#" + pairing
-
     def zero(self) -> "DivisorClass":
         return DivisorClass(self, (Q(0),) * self.rank)
 
@@ -126,10 +119,6 @@ class DivisorClass:
         if len(self.coords) != self.lattice.rank:
             raise ValueError("coordinate length does not match Picard rank")
 
-    @property
-    def basis_id(self) -> str:
-        return self.lattice.basis_id
-
     def _check(self, other: "DivisorClass") -> None:
         if self.lattice != other.lattice:
             raise IncompatibleSurfaces("incompatible surfaces")
@@ -153,11 +142,6 @@ class DivisorClass:
         f = rational(factor)
         return DivisorClass(self.lattice, tuple(f * a for a in self.coords))
 
-    __mul__ = scale
-
-    def __rmul__(self, factor):
-        return self.scale(factor)
-
     def dot(self, other: "DivisorClass") -> Q:
         self._check(other)
         return self.lattice.pair(self.coords, other.coords)
@@ -168,24 +152,6 @@ class DivisorClass:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
-
-    def __str__(self) -> str:
-        terms = []
-        for label, a in zip(self.lattice.labels, self.coords):
-            if a == 0:
-                continue
-            if a == 1:
-                terms.append(f"+ {label}")
-            elif a == -1:
-                terms.append(f"- {label}")
-            elif a > 0:
-                terms.append(f"+ {format_rational(a)}*{label}")
-            else:
-                terms.append(f"- {format_rational(-a)}*{label}")
-        if not terms:
-            return "0"
-        head = terms[0].lstrip("+ ").replace("- ", "-", 1) if terms[0][0] == "-" else terms[0][2:]
-        return " ".join([head] + terms[1:])
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,13 @@ decomposition -K = P + N relative to the catalog:
 Every verdict is relative to the declared catalog and says so.  A verdict
 with member=True always carries a witness that was machine-verified before
 being returned.
+
+The decomposition is unique, so ``AnticanonicalAnalysis`` computes it once
+per surface and every decider reads it from there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -29,11 +32,10 @@ from .lattice import DivisorClass, Q, format_rational, solve_linear
 from .singular import (
     KLT_TAGS,
     LC_TAGS,
-    ContractionData,
+    _as_ids,
     connected_components,
     contract,
     discrepancies_with_boundary,
-    dual_graph,
     is_snc_configuration,
 )
 from .surface import BlowUpRecord, SurfaceModel, blow_up, extend_to
@@ -166,8 +168,10 @@ def _interior_multipliers(
     return tuple(zip(null_ids, solved))
 
 
-def _witness(s: SurfaceModel, via_cone: bool) -> tuple[BoundaryDivisor, WitnessParams]:
-    z = zariski_decompose(s, s.anticanonical)
+def _witness(s: SurfaceModel, via_cone: bool, z=None) -> tuple[BoundaryDivisor, WitnessParams]:
+    """The klt witness N + eps*L; ``z`` is -K = P + N if the caller has it."""
+    if z is None:
+        z = zariski_decompose(s, s.anticanonical)
     if z.positive_square <= 0:
         raise PreconditionFailure("not a big anticanonical surface")
     if z.max_coefficient >= 1:
@@ -230,7 +234,7 @@ def _witness(s: SurfaceModel, via_cone: bool) -> tuple[BoundaryDivisor, WitnessP
 
 def construct_klt_boundary(s: SurfaceModel) -> BoundaryDivisor:
     """The direct witness: L solves (L . E) = -1 on every Null(P) curve."""
-    return _witness(s, via_cone=False)[0]
+    return AnticanonicalAnalysis(s).witness[0]
 
 
 def construct_klt_boundary_via_cone(s: SurfaceModel) -> BoundaryDivisor:
@@ -248,60 +252,13 @@ def decide_klt_pair_exists(s: SurfaceModel) -> ClassVerdict:
     the negative part is < 1; the returned witness is the validated snc
     boundary supported on Null(P).
     """
-    tag = "klt_any_boundary"
-    try:
-        z = zariski_decompose(s, s.anticanonical)
-    except CatalogInsufficient as exc:
-        return ClassVerdict(tag, False, reason=str(exc), applicable=False)
-    if z.positive_square <= 0:
-        return ClassVerdict(
-            tag, False, reason="not a big anticanonical surface", applicable=False
-        )
-    if z.max_coefficient >= 1:
-        worst = max(z.negative, key=lambda item: item[1])
-        return ClassVerdict(
-            tag,
-            False,
-            reason=(
-                f"negative part has coefficient {format_rational(worst[1])} >= 1 "
-                f"on {worst[0]!r}"
-            ),
-        )
-    try:
-        boundary, params = _witness(s, via_cone=False)
-    except GeometryError as exc:
-        return ClassVerdict(tag, False, reason=str(exc))
-    return ClassVerdict(
-        tag, True, witness=boundary, reason="validated boundary", params=params
-    )
+    return AnticanonicalAnalysis(s).klt_verdict
 
 
 def decide_weak_lc_pair_exists(s: SurfaceModel) -> ClassVerdict:
     """Does some effective boundary make the surface a weak lc del Pezzo
     pair?  Member iff every N-coefficient is <= 1; the witness is N."""
-    tag = "weak_lc_any_boundary"
-    try:
-        z = zariski_decompose(s, s.anticanonical)
-    except CatalogInsufficient as exc:
-        return ClassVerdict(tag, False, reason=str(exc), applicable=False)
-    if z.max_coefficient > 1:
-        worst = max(z.negative, key=lambda item: item[1])
-        return ClassVerdict(
-            tag,
-            False,
-            reason=(
-                f"negative part has coefficient {format_rational(worst[1])} > 1 "
-                f"on {worst[0]!r}"
-            ),
-        )
-    boundary = make_boundary(s, z.negative)
-    ok, why = validate_weak_lc_del_pezzo(s, boundary)
-    if not ok:
-        return ClassVerdict(tag, False, reason=why)
-    caveat = CATALOG_CAVEAT
-    if z.positive_square <= 0:
-        caveat += "; anticanonical class is not big on this catalog"
-    return ClassVerdict(tag, True, witness=boundary, reason="boundary N validated", caveat=caveat)
+    return AnticanonicalAnalysis(s).weak_verdict
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +360,13 @@ def construct_good_boundary(
     Null(P)); its pushforward drops the contracted components.  Returns the
     downstairs boundary and the verification report.
     """
-    z = zariski_decompose(s, s.anticanonical)
-    null = null_locus(s, z)
-    contracted_ids = set(s.ordered(contracted if not isinstance(contracted, CurveSet) else contracted.curve_ids))
-    if not contracted_ids.issubset(set(null.curve_ids)):
+    analysis = AnticanonicalAnalysis(s)
+    contracted_ids = set(s.ordered(_as_ids(contracted)))
+    if not contracted_ids.issubset(set(analysis.null.curve_ids)):
         raise PreconditionFailure(
             "contracted curves must have P-degree zero (anticanonical morphism)"
         )
-    upstairs = construct_klt_boundary(s)
+    upstairs = analysis.witness[0]
     downstairs = tuple(
         (cid, c) for cid, c in upstairs.components if cid not in contracted_ids
     )
@@ -445,7 +401,7 @@ def pushforward_pair(s: SurfaceModel, contracted, boundary) -> PushforwardResult
     read off the total discrepancies, ampleness off the pulled-back
     log-anticanonical class evaluated on the surviving catalog.
     """
-    ids = s.ordered(_ids_of(contracted))
+    ids = s.ordered(_as_ids(contracted))
     boundary = tuple((cid, Fraction(c)) for cid, c in boundary if Fraction(c) != 0)
     down = tuple((cid, c) for cid, c in boundary if cid not in ids)
     if ids:
@@ -473,12 +429,6 @@ def pushforward_pair(s: SurfaceModel, contracted, boundary) -> PushforwardResult
     else:
         reason = "log anticanonical class not ample on the catalog image"
     return PushforwardResult(down, discs, klt, ample, klt and ample, reason)
-
-
-def _ids_of(curves) -> tuple[str, ...]:
-    if isinstance(curves, CurveSet):
-        return curves.curve_ids
-    return tuple(curves)
 
 
 # ---------------------------------------------------------------------------
@@ -512,22 +462,7 @@ def find_redundant_points(s: SurfaceModel) -> tuple[RedundantPoint, ...]:
     at singular points of an N-curve are not representable — no singular
     point is ever recorded — and are deliberately not enumerated.
     """
-    z = zariski_decompose(s, s.anticanonical)
-    coeff = dict(z.negative)
-    found = []
-    for cid, c in z.negative:
-        if c >= 1:
-            found.append(RedundantPoint("generic", (cid,), c))
-    support = [cid for cid, _ in z.negative]
-    for i, a in enumerate(support):
-        for b in support[i + 1:]:
-            total = coeff[a] + coeff[b]
-            if total < 1:
-                continue
-            for point_id, _, _ in s.shared_points(a, b):
-                pair = tuple(x for x in (a, b))
-                found.append(RedundantPoint("shared", pair, total, point_id))
-    return tuple(found)
+    return AnticanonicalAnalysis(s).redundant_points
 
 
 @dataclass(frozen=True)
@@ -544,16 +479,10 @@ def redundant_blow_up(s: SurfaceModel, location: RedundantPoint) -> RedundantBlo
     the new positive part is the pullback of the old, and the new negative
     part is the pullback of the old minus the exceptional curve."""
     z_before = zariski_decompose(s, s.anticanonical)
-    if location.kind == "generic":
-        rec = BlowUpRecord(
-            point_id=f"r{len(s.blowups) + 1}",
-            incidences=((location.curve_ids[0], 1),),
-        )
-    else:
-        rec = BlowUpRecord(
-            point_id=f"r{len(s.blowups) + 1}",
-            incidences=tuple((cid, 1) for cid in location.curve_ids),
-        )
+    rec = BlowUpRecord(
+        point_id=f"r{len(s.blowups) + 1}",
+        incidences=tuple((cid, 1) for cid in location.curve_ids),
+    )
     s_new = blow_up(s, rec)
     exc_id = s_new.blowups[-1].exceptional_id
     z_after = zariski_decompose(s_new, s_new.anticanonical)
@@ -602,7 +531,7 @@ class NonRationalReport:
     message: str
 
 
-def _blow_down_simulation(s: SurfaceModel, z: ZariskiDecomposition):
+def _blow_down_simulation(s: SurfaceModel, null_ids: tuple[str, ...]):
     """Iteratively blow down redundant (-1)-curves inside Null(P).
 
     Works on coordinate vectors: a curve whose current class is a pure
@@ -610,19 +539,12 @@ def _blow_down_simulation(s: SurfaceModel, z: ZariskiDecomposition):
     pushforward is coordinate deletion (the basis is orthogonal).  Returns
     (factorization order, final coordinates per null curve, active axes).
     """
-    null_ids = [
-        r.curve_id for r in s.catalog if z.positive.dot(r.divisor_class) == 0
-    ]
     coords = {cid: list(s.curve(cid).divisor_class.coords) for cid in null_ids}
     p_a = {cid: s.curve(cid).p_a for cid in null_ids}
     diag = [s.lattice.gram[i][i] for i in range(s.rank)]
     base_rank = 1 if s.base.kind == "P2" else 2
     active = list(range(s.rank))
     dropped_curves: list[str] = []
-
-    def self_int(cid):
-        return sum(coords[cid][i] ** 2 * diag[i] for i in active)
-
     changed = True
     while changed:
         changed = False
@@ -654,89 +576,85 @@ def classify_nonrational(
     of (-2)-curves, reached from the minimal resolution by redundant
     blow-ups.  ``contracted`` picks which curves define the model under
     judgment (default: all of Null(P), the anticanonical model)."""
+    return _classify_nonrational(AnticanonicalAnalysis(s), contracted)
+
+
+def _classify_nonrational(
+    analysis: AnticanonicalAnalysis, contracted
+) -> NonRationalReport:
+    s = analysis.s
+
+    def reject(message, chains=(), factorization=()):
+        return NonRationalReport(False, None, None, chains, factorization, message)
+
     if s.base.kind != "ruled" or s.base.genus < 1:
-        return NonRationalReport(
-            False, None, None, (), (), "requires a ruled surface over a curve of genus >= 1"
-        )
+        return reject("requires a ruled surface over a curve of genus >= 1")
     if s.base.genus >= 2:
-        return NonRationalReport(
-            False,
-            None,
-            None,
-            (),
-            (),
+        return reject(
             "inconsistent with the non-rational classification: the base must "
-            "be a smooth elliptic curve (genus 1)",
+            "be a smooth elliptic curve (genus 1)"
         )
     try:
-        z = zariski_decompose(s, s.anticanonical)
+        z = analysis.decomposition
     except CatalogInsufficient as exc:
-        return NonRationalReport(False, None, None, (), (), str(exc))
-    if z.positive_square <= 0:
-        return NonRationalReport(
-            False, None, None, (), (), "not a big anticanonical surface"
-        )
-    null = null_locus(s, z)
-    factorization, coords, active, survivors, diag = _blow_down_simulation(s, z)
-
-    def reduced_self(cid):
-        return sum(coords[cid][i] ** 2 * diag[i] for i in active)
+        return reject(str(exc))
+    if not analysis.big:
+        return reject("not a big anticanonical surface")
+    null = analysis.null
+    factorization, coords, active, survivors, diag = _blow_down_simulation(
+        s, null.curve_ids
+    )
 
     def reduced_dot(a, b):
         return sum(coords[a][i] * coords[b][i] * diag[i] for i in active)
 
     elliptics = [cid for cid in survivors if s.curve(cid).p_a == 1]
     if len(elliptics) != 1:
-        return NonRationalReport(
-            False,
-            None,
-            None,
-            (),
-            factorization,
+        return reject(
             f"inconsistent with the classification: expected exactly one "
             f"genus-one section on the minimal resolution, found {len(elliptics)}",
+            factorization=factorization,
         )
     section = elliptics[0]
     if not s.curve(section).smooth:
-        return NonRationalReport(
-            False, None, None, (), factorization,
+        return reject(
             "the genus-one curve is not smooth; it cannot be contracted to a "
             "simple elliptic point",
+            factorization=factorization,
         )
-    if reduced_self(section) >= 0:
-        return NonRationalReport(
-            False, None, None, (), factorization,
+    if reduced_dot(section, section) >= 0:
+        return reject(
             "the genus-one section has non-negative self-intersection on the "
             "minimal resolution",
+            factorization=factorization,
         )
     others = [cid for cid in survivors if cid != section]
     for cid in others:
-        record = s.curve(cid)
-        if record.p_a != 0 or reduced_self(cid) != -2:
-            return NonRationalReport(
-                False, None, None, (), factorization,
+        if s.curve(cid).p_a != 0 or reduced_dot(cid, cid) != -2:
+            return reject(
                 f"exceptional curve {cid!r} is not a (-2)-curve on the minimal "
                 "resolution",
+                factorization=factorization,
             )
         if reduced_dot(cid, section) != 0:
-            return NonRationalReport(
-                False, None, None, (), factorization,
+            return reject(
                 f"(-2)-curve {cid!r} meets the elliptic section; inconsistent "
                 "with the classification",
+                factorization=factorization,
             )
     chains = connected_components(s, others) if others else ()
     if any(cid != section for cid, _ in z.negative):
-        return NonRationalReport(
-            False, None, None, chains, factorization,
+        return reject(
             "negative part is not the strict transform of the section alone",
+            chains,
+            factorization,
         )
     if z.coefficient(section) != 1:
-        return NonRationalReport(
-            False, None, None, chains, factorization,
-            "section coefficient in the negative part is not 1",
+        return reject(
+            "section coefficient in the negative part is not 1", chains, factorization
         )
     contracted_ids = set(
-        _ids_of(contracted) if contracted is not None else null.curve_ids
+        _as_ids(contracted) if contracted is not None else null.curve_ids
     )
     case = 1 if section in contracted_ids else 2
     message = (
@@ -754,14 +672,18 @@ def cox_finitely_generated(s: SurfaceModel, contracted=None) -> tuple[bool, str]
     simple elliptic singularity.  Precondition: the surface carries a weak
     lc del Pezzo pair (decide_weak_lc_pair_exists is true).
     """
-    verdict = decide_weak_lc_pair_exists(s)
+    return _cox(AnticanonicalAnalysis(s), contracted)
+
+
+def _cox(analysis: AnticanonicalAnalysis, contracted) -> tuple[bool, str]:
+    verdict = analysis.weak_verdict
     if not verdict.member:
         raise PreconditionFailure(
             f"no weak lc del Pezzo pair on this surface: {verdict.reason}"
         )
-    if s.rational:
+    if analysis.s.rational:
         return True, "rational surface: Cox ring finitely generated"
-    report = classify_nonrational(s, contracted)
+    report = analysis.nonrational if contracted is None else _classify_nonrational(analysis, contracted)
     if report.ok and report.case == 1:
         return True, (
             "exactly one simple elliptic singularity on the model (case 1): "
@@ -801,111 +723,250 @@ def certify_class_equalities(s: SurfaceModel) -> CertifyReport:
     (coefficient criteria plus validated witnesses) are computed
     independently; any disagreement is reported, never reconciled.
     """
-    failures: list[str] = []
-    try:
-        z = zariski_decompose(s, s.anticanonical)
-    except CatalogInsufficient as exc:
-        empty_klt = tuple((name, False) for name in KLT_CLASSES)
-        empty_weak = tuple((name, False) for name in WEAK_CLASSES)
+    return AnticanonicalAnalysis(s).certify
+
+
+# ---------------------------------------------------------------------------
+# the per-surface analysis
+
+def _field(compute):
+    """A lazy field: the first read runs ``compute``; later reads return its
+    value, or re-raise its GeometryError, without computing again."""
+
+    def read(self):
+        if compute not in self._memo:
+            try:
+                self._memo[compute] = (compute(self), None)
+            except GeometryError as exc:
+                self._memo[compute] = (None, exc)
+        value, error = self._memo[compute]
+        if error is not None:
+            raise error
+        return value
+
+    return property(read, doc=compute.__doc__)
+
+
+def _worst_coefficient(z: ZariskiDecomposition, relation: str) -> str:
+    cid, coeff = max(z.negative, key=lambda item: item[1])
+    return f"negative part has coefficient {format_rational(coeff)} {relation} 1 on {cid!r}"
+
+
+class AnticanonicalAnalysis:
+    """Everything read off -K = P + N on one surface.
+
+    Create one per surface and pass it on.  Every field is computed lazily
+    and at most once per surface, success or failure: later reads return
+    the same value or re-raise the same GeometryError.  No state outlives
+    the object.
+    """
+
+    def __init__(self, s: SurfaceModel):
+        self.s = s
+        self._memo: dict = {}
+
+    @_field
+    def decomposition(self) -> ZariskiDecomposition:
+        """-K = P + N relative to the catalog (one zariski_decompose call)."""
+        return zariski_decompose(self.s, self.s.anticanonical)
+
+    @_field
+    def null(self) -> CurveSet:
+        """Null(P): the catalog curves of P-degree zero."""
+        return null_locus(self.s, self.decomposition)
+
+    @_field
+    def big(self) -> bool:
+        """-K is big on the catalog: P^2 > 0."""
+        return self.decomposition.positive_square > 0
+
+    @_field
+    def model_set(self) -> tuple[str, ...]:
+        """The curves the anticanonical model contracts: Null(P) when -K is
+        big, else the support of N."""
+        if self.big:
+            return self.null.curve_ids
+        return tuple(cid for cid, _ in self.decomposition.negative)
+
+    @_field
+    def model(self):
+        """The contraction of the model set, with its discrepancies."""
+        return contract(self.s, self.model_set)
+
+    @_field
+    def witness(self) -> tuple[BoundaryDivisor, WitnessParams]:
+        """The direct klt witness N + eps*L and its parameters."""
+        return _witness(self.s, via_cone=False, z=self.decomposition)
+
+    @_field
+    def klt_verdict(self) -> ClassVerdict:
+        """Member iff -K is big and every N-coefficient is < 1."""
+        tag = "klt_any_boundary"
+        try:
+            z = self.decomposition
+        except CatalogInsufficient as exc:
+            return ClassVerdict(tag, False, reason=str(exc), applicable=False)
+        if not self.big:
+            return ClassVerdict(
+                tag, False, reason="not a big anticanonical surface", applicable=False
+            )
+        if z.max_coefficient >= 1:
+            return ClassVerdict(tag, False, reason=_worst_coefficient(z, ">="))
+        try:
+            boundary, params = self.witness
+        except GeometryError as exc:
+            return ClassVerdict(tag, False, reason=str(exc))
+        return ClassVerdict(
+            tag, True, witness=boundary, reason="validated boundary", params=params
+        )
+
+    @_field
+    def weak_verdict(self) -> ClassVerdict:
+        """Member iff every N-coefficient is <= 1; the witness is N."""
+        tag = "weak_lc_any_boundary"
+        try:
+            z = self.decomposition
+        except CatalogInsufficient as exc:
+            return ClassVerdict(tag, False, reason=str(exc), applicable=False)
+        if z.max_coefficient > 1:
+            return ClassVerdict(tag, False, reason=_worst_coefficient(z, ">"))
+        boundary = make_boundary(self.s, z.negative)
+        ok, why = validate_weak_lc_del_pezzo(self.s, boundary)
+        if not ok:
+            return ClassVerdict(tag, False, reason=why)
+        caveat = CATALOG_CAVEAT
+        if not self.big:
+            caveat += "; anticanonical class is not big on this catalog"
+        return ClassVerdict(tag, True, witness=boundary, reason="boundary N validated", caveat=caveat)
+
+    @_field
+    def redundant_points(self) -> tuple[RedundantPoint, ...]:
+        """Catalog-expressible points where N has multiplicity >= 1."""
+        z = self.decomposition
+        coeff = dict(z.negative)
+        found = []
+        for cid, c in z.negative:
+            if c >= 1:
+                found.append(RedundantPoint("generic", (cid,), c))
+        support = [cid for cid, _ in z.negative]
+        for i, a in enumerate(support):
+            for b in support[i + 1:]:
+                total = coeff[a] + coeff[b]
+                if total < 1:
+                    continue
+                for point_id, _, _ in self.s.shared_points(a, b):
+                    found.append(RedundantPoint("shared", (a, b), total, point_id))
+        return tuple(found)
+
+    @_field
+    def nonrational(self) -> NonRationalReport:
+        """The non-rational shape check for the anticanonical model."""
+        return _classify_nonrational(self, None)
+
+    @_field
+    def cox(self) -> tuple[bool, str]:
+        """The Cox verdict for the anticanonical model."""
+        return _cox(self, None)
+
+    @_field
+    def certify(self) -> CertifyReport:
+        """The ten class deciders and the two theorem equalities."""
+        s = self.s
+        failures: list[str] = []
+        try:
+            z = self.decomposition
+        except CatalogInsufficient as exc:
+            empty_klt = tuple((name, False) for name in KLT_CLASSES)
+            empty_weak = tuple((name, False) for name in WEAK_CLASSES)
+            return CertifyReport(
+                False, empty_klt, empty_weak, True, True, (str(exc),), False, False
+            )
+
+        big = self.big
+        model_set = self.model_set
+        model_error = None
+        model = None
+        try:
+            model = self.model
+        except GeometryError as exc:
+            model_error = str(exc)
+
+        if model is not None:
+            # independent identity: N-coefficients are minus the discrepancies
+            discs = dict(model.discrepancies)
+            for cid, coeff in z.negative:
+                if cid in discs and discs[cid] != -coeff:
+                    failures.append(
+                        f"negative-part coefficient of {cid!r} does not equal minus "
+                        "its discrepancy"
+                    )
+            n_support = dict(z.negative)
+            for cid in model_set:
+                if cid not in n_support and discs.get(cid, Q(0)) != 0:
+                    failures.append(
+                        f"curve {cid!r} has nonzero discrepancy but zero N-coefficient"
+                    )
+
+        klt_decision = self.klt_verdict
+        weak_decision = self.weak_verdict
+
+        klt_model = bool(
+            big and model is not None and all(t in KLT_TAGS for t in model.tags)
+        )
+        klt_any = klt_decision.member
+        klt_snc = bool(
+            klt_any
+            and klt_decision.witness is not None
+            and validate_klt_del_pezzo(s, klt_decision.witness)[0]
+        )
+        if klt_any and klt_decision.witness is not None:
+            identity = check_EP_condition(s, klt_decision.witness.components, ())
+            klt_log_res = identity.effective and klt_snc
+        else:
+            klt_log_res = False
+        klt_min_res = klt_snc
+
+        weak_model = bool(model is not None and all(t in LC_TAGS for t in model.tags))
+        if model_error is not None:
+            weak_model = False
+        weak_any = weak_decision.member
+        weak_snc = bool(
+            weak_any
+            and weak_decision.witness is not None
+            and validate_weak_lc_del_pezzo(s, weak_decision.witness)[0]
+        )
+        if weak_any and weak_decision.witness is not None:
+            identity = check_EP_condition(s, weak_decision.witness.components, ())
+            weak_log_res = identity.effective and weak_snc
+        else:
+            weak_log_res = False
+        weak_min_res = weak_snc
+
+        klt = tuple(
+            zip(KLT_CLASSES, (klt_model, klt_any, klt_snc, klt_log_res, klt_min_res))
+        )
+        weak = tuple(
+            zip(WEAK_CLASSES, (weak_model, weak_any, weak_snc, weak_log_res, weak_min_res))
+        )
+        klt_consistent = len({v for _, v in klt}) == 1
+        weak_consistent = len({v for _, v in weak}) == 1
+        if model_error is not None:
+            failures.append(f"model contraction failed: {model_error}")
+        if not klt_consistent:
+            failures.append(
+                "klt quintet disagrees: " + ", ".join(f"{k}={v}" for k, v in klt)
+            )
+        if not weak_consistent:
+            failures.append(
+                "weak quintet disagrees: " + ", ".join(f"{k}={v}" for k, v in weak)
+            )
+        # coefficient criteria cross-check
+        coeff_klt = big and z.max_coefficient < 1
+        if coeff_klt != klt_any:
+            failures.append("klt coefficient criterion disagrees with the decider")
+        coeff_weak = z.max_coefficient <= 1
+        if coeff_weak != weak_any:
+            failures.append("weak coefficient criterion disagrees with the decider")
         return CertifyReport(
-            False, empty_klt, empty_weak, True, True, (str(exc),), False, False
+            True, klt, weak, klt_consistent, weak_consistent, tuple(failures), klt_any, weak_any
         )
-
-    big = z.positive_square > 0
-    null = null_locus(s, z)
-    model_set = null.curve_ids if big else tuple(cid for cid, _ in z.negative)
-    model_error = None
-    model = None
-    try:
-        model = contract(s, model_set)
-    except GeometryError as exc:
-        model_error = str(exc)
-
-    if model is not None:
-        # independent identity: N-coefficients are minus the discrepancies
-        discs = dict(model.discrepancies)
-        for cid, coeff in z.negative:
-            if cid in discs and discs[cid] != -coeff:
-                failures.append(
-                    f"negative-part coefficient of {cid!r} does not equal minus "
-                    "its discrepancy"
-                )
-        n_support = dict(z.negative)
-        for cid in model_set:
-            if cid not in n_support and discs.get(cid, Q(0)) != 0:
-                failures.append(
-                    f"curve {cid!r} has nonzero discrepancy but zero N-coefficient"
-                )
-
-    klt_decision = decide_klt_pair_exists(s)
-    weak_decision = decide_weak_lc_pair_exists(s)
-
-    klt_model = bool(
-        big and model is not None and all(t in KLT_TAGS for t in model.tags)
-    )
-    klt_any = klt_decision.member
-    klt_snc = bool(
-        klt_any
-        and klt_decision.witness is not None
-        and validate_klt_del_pezzo(s, klt_decision.witness)[0]
-    )
-    if klt_any and klt_decision.witness is not None:
-        identity = check_EP_condition(
-            s, klt_decision.witness.components, ()
-        )
-        klt_log_res = identity.effective and klt_snc
-    else:
-        klt_log_res = False
-    klt_min_res = klt_snc
-
-    weak_model = bool(model is not None and all(t in LC_TAGS for t in model.tags))
-    if model_error is not None:
-        weak_model = False
-    weak_any = weak_decision.member
-    weak_snc = bool(
-        weak_any
-        and weak_decision.witness is not None
-        and validate_weak_lc_del_pezzo(s, weak_decision.witness)[0]
-    )
-    if weak_any and weak_decision.witness is not None:
-        identity = check_EP_condition(s, weak_decision.witness.components, ())
-        weak_log_res = identity.effective and weak_snc
-    else:
-        weak_log_res = False
-    weak_min_res = weak_snc
-
-    klt = tuple(
-        zip(KLT_CLASSES, (klt_model, klt_any, klt_snc, klt_log_res, klt_min_res))
-    )
-    weak = tuple(
-        zip(WEAK_CLASSES, (weak_model, weak_any, weak_snc, weak_log_res, weak_min_res))
-    )
-    klt_consistent = len({v for _, v in klt}) == 1
-    weak_consistent = len({v for _, v in weak}) == 1
-    if model_error is not None:
-        failures.append(f"model contraction failed: {model_error}")
-    if not klt_consistent:
-        failures.append(
-            "klt quintet disagrees: " + ", ".join(f"{k}={v}" for k, v in klt)
-        )
-    if not weak_consistent:
-        failures.append(
-            "weak quintet disagrees: " + ", ".join(f"{k}={v}" for k, v in weak)
-        )
-    # coefficient criteria cross-check
-    coeff_klt = big and z.max_coefficient < 1
-    if coeff_klt != klt_any:
-        failures.append("klt coefficient criterion disagrees with the decider")
-    coeff_weak = z.max_coefficient <= 1
-    if coeff_weak != weak_any:
-        failures.append("weak coefficient criterion disagrees with the decider")
-    return CertifyReport(
-        True,
-        klt,
-        weak,
-        klt_consistent,
-        weak_consistent,
-        tuple(failures),
-        klt_any,
-        weak_any,
-    )

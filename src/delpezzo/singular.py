@@ -27,15 +27,6 @@ from .lattice import IntersectionMatrix, Q, format_rational, is_negative_definit
 from .surface import SurfaceModel
 from .zariski import CurveSet
 
-SINGULARITY_TAGS = (
-    "Smooth",
-    "DuVal",
-    "KltNonCanonical",
-    "LcNotKlt",
-    "SimpleElliptic",
-    "WorseThanLc",
-)
-
 KLT_TAGS = frozenset({"Smooth", "DuVal", "KltNonCanonical"})
 LC_TAGS = KLT_TAGS | {"LcNotKlt", "SimpleElliptic"}
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidSurfaceData
 from .lattice import (
@@ -30,15 +30,6 @@ from .lattice import (
     Q,
     format_rational,
     rational,
-)
-
-PROVENANCES = (
-    "base-line",
-    "base-fiber",
-    "base-section",
-    "declared-base-curve",
-    "exceptional",
-    "strict-transform",
 )
 
 
@@ -148,14 +139,18 @@ class SurfaceModel:
     def rational(self) -> bool:
         return self.base.rational
 
+    @cached_property
+    def _curves_by_id(self) -> dict[str, CurveRecord]:
+        return {r.curve_id: r for r in self.catalog}
+
     def curve(self, curve_id: str) -> CurveRecord:
-        for record in self.catalog:
-            if record.curve_id == curve_id:
-                return record
-        raise KeyError(f"no curve {curve_id!r} in catalog")
+        try:
+            return self._curves_by_id[curve_id]
+        except KeyError:
+            raise KeyError(f"no curve {curve_id!r} in catalog") from None
 
     def has_curve(self, curve_id: str) -> bool:
-        return any(r.curve_id == curve_id for r in self.catalog)
+        return curve_id in self._curves_by_id
 
     def curve_ids(self) -> tuple[str, ...]:
         return tuple(r.curve_id for r in self.catalog)

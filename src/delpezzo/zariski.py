@@ -13,10 +13,9 @@ Every positivity verdict produced here is relative to the declared catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import CatalogInsufficient
-from .lattice import DivisorClass, IntersectionMatrix, Q, format_rational, is_negative_definite, solve_linear
+from .errors import CatalogInsufficient, InternalInconsistency
+from .lattice import DivisorClass, IntersectionMatrix, Q, is_negative_definite, solve_linear
 from .surface import SurfaceModel
 
 CATALOG_CAVEAT = "relative to declared catalog"
@@ -43,30 +42,12 @@ class ZariskiDecomposition:
     def max_coefficient(self) -> Q:
         return max((c for _, c in self.negative), default=Q(0))
 
-    def negative_class(self) -> DivisorClass:
-        return self.original - self.positive
-
-    def describe(self) -> str:
-        if not self.negative:
-            return "N = 0"
-        parts = ", ".join(
-            f"{format_rational(c)}*{cid}" for cid, c in self.negative
-        )
-        return f"N = {parts}"
-
 
 @dataclass(frozen=True)
 class CurveSet:
-    """A set of catalog curves; snc status is filled in by the caller."""
+    """A set of catalog curves."""
 
     curve_ids: tuple[str, ...]
-    snc: bool | None = None
-
-    def __iter__(self):
-        return iter(self.curve_ids)
-
-    def __len__(self):
-        return len(self.curve_ids)
 
 
 def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
@@ -119,13 +100,19 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
 
 
 def _verify(s: SurfaceModel, z: ZariskiDecomposition) -> None:
-    reconstructed = z.positive + s.class_of(z.negative)
-    assert reconstructed == z.original
-    for cid, _ in z.negative:
-        assert z.positive.dot(s.curve(cid).divisor_class) == 0
-    for record in s.catalog:
-        assert z.positive.dot(record.divisor_class) >= 0
-    assert is_negative_definite(z.support_matrix)
+    """Re-check the defining properties of a decomposition.  A failure is a
+    bug, so it raises InternalInconsistency, which ``python -O`` keeps."""
+    if z.positive + s.class_of(z.negative) != z.original:
+        problem = "P + N != D"
+    elif any(z.positive.dot(s.curve(cid).divisor_class) != 0 for cid, _ in z.negative):
+        problem = "P is not orthogonal to the support of N"
+    elif not nef_on_catalog(s, z.positive):
+        problem = "P is negative on a catalog curve"
+    elif not is_negative_definite(z.support_matrix):
+        problem = "the support of N is not negative definite"
+    else:
+        return
+    raise InternalInconsistency(f"Zariski decomposition: {problem}")
 
 
 def null_locus(s: SurfaceModel, z: ZariskiDecomposition) -> CurveSet:
