@@ -16,7 +16,7 @@ import sys
 from . import pairs, singular, zariski
 from .corpus import run_corpus
 from .errors import GeometryError, InternalInconsistency, InvalidSurfaceData
-from .lattice import DivisorClass, format_rational, rational
+from .lattice import DivisorClass, format_rational
 from .pairs import (
     KLT_CLASSES,
     WEAK_CLASSES,
@@ -24,7 +24,7 @@ from .pairs import (
     find_redundant_points,
     redundant_blow_up,
 )
-from .surface import SurfaceModel, dumps, from_description, to_description
+from .surface import SurfaceModel, dumps, from_description, input_rational, to_description
 from .zariski import CATALOG_CAVEAT, null_locus, zariski_decompose
 
 EXIT_OK = 0
@@ -215,7 +215,7 @@ def cmd_analyze(args) -> int:
 def cmd_decompose(args) -> int:
     s = _load(args.file)
     if args.divisor:
-        coords = [rational(x) for x in args.divisor.split(",")]
+        coords = [input_rational(x, "--divisor coordinate") for x in args.divisor.split(",")]
         if len(coords) != s.rank:
             raise InvalidSurfaceData(
                 f"--divisor needs {s.rank} comma-separated coordinates"

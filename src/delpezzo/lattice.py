@@ -1,13 +1,18 @@
 """Exact rational intersection theory on a fixed Picard basis.
 
-Everything is computed over `fractions.Fraction`; no floating point enters
-anywhere.  Negative definiteness is decided by Sylvester's criterion on
-exact leading principal minors, and linear systems are solved by Gaussian
-elimination with a first-nonzero pivot rule so the witnesses built on top
-of this module are bit-for-bit reproducible.
+Everything is computed over `fractions.Fraction` and `int`; no floating
+point enters anywhere.  Both questions asked of an intersection matrix --
+is it negative definite, and what solves it -- are answered by one
+fraction-free Bareiss elimination over the integers (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22 (1968)).  Its pivot rule is first-nonzero row, so the witnesses
+built on top of this module are bit-for-bit reproducible, and it runs at
+most once per `IntersectionMatrix`: every later test or solve on the same
+matrix replays the recorded steps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -174,66 +179,109 @@ class IntersectionMatrix:
     def size(self) -> int:
         return len(self.curve_ids)
 
+    @cached_property
+    def _elimination(self) -> "_Elimination":
+        return _bareiss(self.entries)
+
 
 def intersect(d1: DivisorClass, d2: DivisorClass) -> Q:
     """Bilinear pairing of two classes on the same surface."""
     return d1.dot(d2)
 
 
-def determinant(rows: list[list[Q]]) -> Q:
-    """Exact determinant by elimination with first-nonzero pivoting."""
-    n = len(rows)
-    work = [list(row) for row in rows]
-    det = Q(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            return Q(0)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        pivot = work[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            factor = work[r][col] / pivot
-            if factor:
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det
+@dataclass(frozen=True)
+class _Elimination:
+    """The recorded steps of one fraction-free elimination of a matrix.
+
+    ``scale`` is the positive lcm of the entry denominators.  Step k holds
+    the offset of the row swapped into place (0 for none), the pivot row of
+    the upper triangular factor (its first entry is the pivot) and the
+    column below the pivot.  There are fewer steps than rows when a column
+    has no nonzero pivot left: the matrix is singular.
+    """
+
+    size: int
+    scale: int
+    steps: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+
+    @property
+    def negative_definite(self) -> bool:
+        # with no swap, pivot k is the k-th leading minor of the scaled
+        # matrix, and a positive scale keeps every minor's sign
+        return len(self.steps) == self.size and all(
+            swap == 0 and (top[0] < 0) == (k % 2 == 0)
+            for k, (swap, top, _) in enumerate(self.steps)
+        )
+
+    def solve(self, rhs: list[Q]) -> tuple[Q, ...]:
+        """Replay the steps on the scaled right-hand side, then back-substitute
+        in integers: y = det * x is integral by Cramer's rule."""
+        if len(self.steps) < self.size:
+            raise DegenerateConfiguration("degenerate configuration")
+        if not self.steps:
+            return ()
+        rhs_scale = math.lcm(*(x.denominator for x in rhs))
+        b = [x.numerator * (rhs_scale // x.denominator) for x in rhs]
+        previous = 1
+        for k, (swap, top, column) in enumerate(self.steps):
+            b[k], b[k + swap] = b[k + swap], b[k]
+            pivot, bk = top[0], b[k]
+            for i, f in enumerate(column, k + 1):
+                b[i] = (b[i] * pivot - f * bk) // previous
+            previous = pivot
+        det = self.steps[-1][1][0]
+        y = [0] * self.size
+        for k in reversed(range(self.size)):
+            top = self.steps[k][1]
+            tail = sum(u * v for u, v in zip(top[1:], y[k + 1:]))
+            y[k] = (det * b[k] - tail) // top[0]
+        return tuple(Fraction(v * self.scale, det * rhs_scale) for v in y)
+
+
+def _bareiss(entries) -> _Elimination:
+    """Fraction-free elimination over the integers, first-nonzero row pivot.
+
+    Each step divides exactly by the previous pivot (Sylvester's identity),
+    so every entry stays an integer minor of the scaled matrix.
+    """
+    scale = math.lcm(*(x.denominator for row in entries for x in row))
+    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
+    steps = []
+    previous = 1
+    while rows:
+        swap = next((r for r, row in enumerate(rows) if row[0]), None)
+        if swap is None:
+            break
+        rows[0], rows[swap] = rows[swap], rows[0]
+        top = rows[0]
+        pivot = top[0]
+        column = tuple(row[0] for row in rows[1:])
+        steps.append((swap, tuple(top), column))
+        rows = [
+            [(x * pivot - f * y) // previous for x, y in zip(row[1:], top[1:])]
+            for f, row in zip(column, rows[1:])
+        ]
+        previous = pivot
+    return _Elimination(len(entries), scale, tuple(steps))
 
 
 def is_negative_definite(matrix: IntersectionMatrix) -> bool:
-    """Sylvester's criterion: (-1)^k det(leading k-minor) > 0 for all k.
+    """Sylvester's criterion, read off the pivots of the matrix's one
+    elimination: no row swap, and pivot k (the k-th leading minor) has sign
+    (-1)^k.  The elimination runs at most once per matrix.
 
     The empty matrix is vacuously negative definite.
     """
-    rows = [list(row) for row in matrix.entries]
-    for k in range(1, matrix.size + 1):
-        minor = determinant([row[:k] for row in rows[:k]])
-        if minor == 0:
-            return False
-        if (minor > 0) != (k % 2 == 0):
-            return False
-    return True
+    return matrix._elimination.negative_definite
 
 
 def solve_linear(matrix: IntersectionMatrix, rhs: list[Q] | tuple[Q, ...]) -> tuple[Q, ...]:
-    """Exact solution of matrix @ x = rhs (Gauss-Jordan, first-nonzero pivot)."""
-    n = matrix.size
-    if len(rhs) != n:
+    """Exact solution of matrix @ x = rhs.
+
+    Replays the matrix's one elimination (computed at most once per matrix)
+    on the right-hand side and back-substitutes; raises
+    DegenerateConfiguration when the matrix is singular.
+    """
+    if len(rhs) != matrix.size:
         raise ValueError("right-hand side length does not match matrix size")
-    if n == 0:
-        return ()
-    aug = [list(row) + [rational(rhs[i])] for i, row in enumerate(matrix.entries)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise DegenerateConfiguration("degenerate configuration")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [a / pivot for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
+    return matrix._elimination.solve([rational(x) for x in rhs])

@@ -163,10 +163,12 @@ class SurfaceModel:
     def gram_of(self, curve_ids) -> IntersectionMatrix:
         ids = tuple(curve_ids)
         classes = [self.curve(c).divisor_class for c in ids]
-        entries = tuple(
-            tuple(a.dot(b) for b in classes) for a in classes
-        )
-        return IntersectionMatrix(ids, entries)
+        # the pairing is symmetric: compute each unordered pair once
+        rows = [[None] * len(ids) for _ in ids]
+        for i, a in enumerate(classes):
+            for j in range(i, len(ids)):
+                rows[i][j] = rows[j][i] = a.dot(classes[j])
+        return IntersectionMatrix(ids, tuple(map(tuple, rows)))
 
     def class_of(self, components) -> DivisorClass:
         """Sum of coefficient * curve class over (curve_id, Q) pairs."""
@@ -416,6 +418,15 @@ def to_description(s: SurfaceModel) -> dict:
     return {"base": base, "curves": curves, "blowups": blowups}
 
 
+def input_rational(value, where: str) -> Q:
+    """``rational`` for a number read from input: a malformed one is an
+    input error that names the value."""
+    try:
+        return rational(value)
+    except (ValueError, ZeroDivisionError, TypeError):
+        raise InvalidSurfaceData(f"{where} {value!r} is not a rational number") from None
+
+
 def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
     try:
         base = data["base"]
@@ -435,7 +446,8 @@ def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
         nonlocal s
         for entry in curves:
             if int(entry.get("after", 0)) == after:
-                coords = tuple(rational(x) for x in entry["class"])
+                where = f"curve {entry.get('id')!r}: class coordinate"
+                coords = tuple(input_rational(x, where) for x in entry["class"])
                 if len(coords) != s.rank:
                     raise InvalidSurfaceData(
                         f"curve {entry.get('id')!r}: class has {len(coords)} "

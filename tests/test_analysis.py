@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,11 @@ REPORT_DIGESTS = {
         "b0087d821f6a0e77a12fb57754ab3f4f938da31da1d26f361c08c36f05f401cc",
     ),
 }
+
+# SHA-256 of `analyze --format json` on line_star(30, 16, 2), at rank 63 the
+# largest family member under the default cap; recorded with the earlier
+# per-minor Fraction elimination, which took about 10 s for it
+RANK_CAP_DIGEST = "5755d998d5e91039494d04c9efb82c62b9605e73c5c06c8445334b1dffe5f910"
 
 
 def line_star(n, arms, length):
@@ -210,3 +216,15 @@ def test_verification_survives_optimize_flag():
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_rank_cap_finishes_in_bounded_time(tmp_path):
+    path = tmp_path / "line_star_30_16_2.json"
+    path.write_text(json.dumps(line_star(30, 16, 2)))
+    start = time.perf_counter()
+    code, out, _ = run_cli("analyze", str(path), "--format", "json")
+    seconds = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["rank"] == 63
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RANK_CAP_DIGEST
+    assert seconds < 5

@@ -93,6 +93,33 @@ def test_missing_field_exit_two(capsys, tmp_path):
     assert "input error" in err
 
 
+
+@pytest.mark.parametrize("bad", ["1/0", "abc", [1]])
+def test_malformed_class_coordinate_exit_two(capsys, tmp_path, bad):
+    path = tmp_path / "bad_class.json"
+    path.write_text(json.dumps({
+        "base": {"kind": "P2"},
+        "curves": [{"id": "l", "class": [bad], "pa": 0}],
+        "blowups": [],
+    }))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"input error: {path}: curve 'l': class coordinate {bad!r} "
+        "is not a rational number\n"
+    )
+
+
+@pytest.mark.parametrize("bad", ["1/0", "abc", ""])
+def test_malformed_divisor_coordinate_exit_two(capsys, bad):
+    code, out, err = run(
+        capsys, "decompose", str(FIXTURES / "f2.json"), "--divisor", f"1,{bad}"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: --divisor coordinate {bad!r} is not a rational number\n"
+
 def test_decompose_custom_divisor(capsys):
     code, out, _ = run(
         capsys, "decompose", str(FIXTURES / "p2.json"), "--divisor", "3"

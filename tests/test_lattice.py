@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from delpezzo import lattice
 from delpezzo.errors import DegenerateConfiguration, IncompatibleSurfaces
 from delpezzo.lattice import (
     DivisorClass,
@@ -154,3 +155,80 @@ def test_solve_verified_by_back_substitution(raw, rhs):
         assert sum(sym[i][j] * solution[j] for j in range(4)) == rhs[i]
     # cross-check against the independent Cramer-rule oracle
     assert solution == oracles.cramer_solve(sym, [Q(x) for x in rhs])
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against the independent cofactor and Cramer oracles
+
+small_ints = st.integers(min_value=-4, max_value=4).map(Q)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices of size 0-6 with integer or small-rational entries;
+    some are shifted to be negative definite, some repeat a row to be
+    singular, so every branch of the kernel is reached."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    entry = draw(st.sampled_from([small_ints, small_rationals]))
+    rows = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    shape = draw(st.sampled_from(["plain", "dominant", "repeated"]))
+    if shape == "dominant":
+        for i in range(n):
+            rows[i][i] = -1 - sum(abs(x) for x in rows[i])
+    elif shape == "repeated" and n >= 2:
+        for j in range(n - 1):
+            rows[n - 1][j] = rows[j][n - 1] = rows[0][j]
+        rows[n - 1][n - 1] = rows[0][0]
+    return rows
+
+
+def _sylvester(rows):
+    return all(
+        (-1) ** k * oracles.cofactor_det([row[:k] for row in rows[:k]]) > 0
+        for k in range(1, len(rows) + 1)
+    )
+
+
+@given(symmetric_matrices())
+@settings(max_examples=200, deadline=None)
+def test_definiteness_agrees_with_cofactor_sylvester(rows):
+    assert is_negative_definite(_matrix(rows)) == _sylvester(rows)
+
+
+@given(symmetric_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_agrees_with_cramer(rows, data):
+    rhs = data.draw(st.lists(small_rationals, min_size=len(rows), max_size=len(rows)))
+    matrix = _matrix(rows)
+    if oracles.cofactor_det(rows) == 0:
+        with pytest.raises(DegenerateConfiguration, match="degenerate configuration"):
+            solve_linear(matrix, rhs)
+    else:
+        assert solve_linear(matrix, rhs) == oracles.cramer_solve(rows, rhs)
+
+
+def test_swap_path_is_not_definite_but_solves():
+    matrix = _matrix([[0, 1], [1, 0]])
+    assert not is_negative_definite(matrix)
+    assert solve_linear(matrix, [Q(2), Q(-3, 2)]) == (Q(-3, 2), Q(2))
+
+
+def test_one_elimination_serves_every_solve(monkeypatch):
+    entries = [[-2, 1, 0], [1, Q(-7, 2), 1], [0, 1, -2]]
+    first, second = [Q(1), Q(0), Q(-1, 3)], [Q(5), Q(2, 7), Q(0)]
+    calls = []
+    original = lattice._bareiss
+    monkeypatch.setattr(lattice, "_bareiss", lambda e: calls.append(e) or original(e))
+    matrix = _matrix(entries)
+    assert is_negative_definite(matrix)
+    x1 = solve_linear(matrix, first)
+    x2 = solve_linear(matrix, second)
+    assert solve_linear(matrix, first) == x1
+    assert len(calls) == 1
+    # the cached elimination is not mutated by a solve
+    assert x1 == solve_linear(_matrix(entries), first)
+    assert x2 == solve_linear(_matrix(entries), second)
+    assert x2 == oracles.cramer_solve(entries, second)
