@@ -93,7 +93,6 @@ def test_missing_field_exit_two(capsys, tmp_path):
     assert "input error" in err
 
 
-
 @pytest.mark.parametrize("bad", ["1/0", "abc", [1]])
 def test_malformed_class_coordinate_exit_two(capsys, tmp_path, bad):
     path = tmp_path / "bad_class.json"
@@ -119,6 +118,7 @@ def test_malformed_divisor_coordinate_exit_two(capsys, bad):
     assert code == 2
     assert out == ""
     assert err == f"input error: --divisor coordinate {bad!r} is not a rational number\n"
+
 
 def test_decompose_custom_divisor(capsys):
     code, out, _ = run(

@@ -4,14 +4,18 @@ Run from the root of a checkout:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --out BENCH_N.json
 
+BENCH_3.json was made with, in addition, ``--claim-workload wide_support
+--claim-metric analyze_ms_p50 --claim-threshold -0.4 --held-out-seed 11
+--line-star 20,10,2 --line-star 30,16,2``.
+
 The parent commit (``git archive``) and the change (the working tree's
 tracked and unignored files) are copied into a temporary directory, so
 both sides start alike: no bytecode caches, no leftovers.  For each workload and each seed
-``first_seed .. first_seed + pairs - 1`` it runs ``perfbench/run.py`` once on
-each side, the parent first in odd pairs and the change first in even
-pairs, so that a drift of the machine's speed hits both sides alike.  Then
-it runs one traced pass (``--trace 1``) per side, optionally one held-out
-pair on the claimed workload, and optionally single timed calls of
+``1 .. pairs`` it runs ``perfbench/run.py --seconds 20`` once on each side,
+the parent first in odd pairs and the change first in even pairs, so that a
+drift of the machine's speed hits both sides alike.  Then it runs one traced
+pass (``--trace 1``, seed 1) per side, optionally one held-out pair on the
+claimed workload, and optionally three single timed calls per side of
 ``analyze --format json`` on ``line_star`` inputs.  Per metric it writes
 the quartiles of each side, the relative change of the medians, how many
 pairs the change won, and whether the gap of the medians exceeds the
@@ -36,6 +40,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 WORKLOADS = ("fixtures", "wide_support", "high_rank", "corpus")
+SECONDS = 20  # the run length BENCHMARK.json gives perfbench/run.py
+TRACE_SEED = 1
+LINE_STAR_REPEATS = 3
 
 # Times one in-process `analyze --format json` on a line_star input built by
 # the benchmark's own generator; prints seconds, exit code and stdout digest.
@@ -86,10 +93,10 @@ def copy_working_tree(target: Path) -> None:
             shutil.copy2(source, target / name)
 
 
-def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_bench(root: Path, workload: str, seed: int, trace: int) -> dict:
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -134,11 +141,13 @@ def claim(args, roots: dict, metrics: dict) -> dict:
     m = metrics[args.claim_metric]
     wins = int(m["change_wins"].split("/")[0])
     change = m["relative_change_of_median"]
-    reached = change <= args.claim_threshold if m["better"] == "lower" else change >= args.claim_threshold
+    lower = m["better"] == "lower"
+    reached = change <= args.claim_threshold if lower else change >= args.claim_threshold
     out = {
         "metric": args.claim_metric,
         "workload": args.claim_workload,
-        "target": args.claim_target,
+        "target": f"at least {abs(args.claim_threshold):.0%} "
+        f"{'lower' if lower else 'higher'} than the parent",
         "parent_median": m["parent"]["median"],
         "change_median": m["change"]["median"],
         "relative_change_of_median": change,
@@ -148,7 +157,7 @@ def claim(args, roots: dict, metrics: dict) -> dict:
     }
     if args.held_out_seed is not None:
         held = {
-            side: run_bench(roots[side], args.claim_workload, args.held_out_seed, args.seconds, 0)
+            side: run_bench(roots[side], args.claim_workload, args.held_out_seed, 0)
             for side in SIDES
         }
         values = {side: held[side]["metrics"][args.claim_metric]["value"] for side in SIDES}
@@ -161,13 +170,13 @@ def claim(args, roots: dict, metrics: dict) -> dict:
     return out
 
 
-def single_calls(roots: dict, specs: list[str], repeats: int) -> dict:
+def single_calls(roots: dict, specs: list[str]) -> dict:
     out = {}
     for spec in specs:
         n, arms, length = spec.split(",")
         seconds = {side: [] for side in SIDES}
         digests = {side: set() for side in SIDES}
-        for i in range(repeats):
+        for i in range(LINE_STAR_REPEATS):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 proc = subprocess.run(
                     [sys.executable, "-c", SINGLE_CALL, str(roots[side]), n, arms, length],
@@ -192,44 +201,33 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--trace-seed", type=int, default=1)
     parser.add_argument("--claim-workload", choices=WORKLOADS)
     parser.add_argument("--claim-metric")
-    parser.add_argument("--claim-target", default="", help="the claim, in words")
     parser.add_argument(
         "--claim-threshold", type=float, default=0.0,
         help="relative change of the medians the claim needs, e.g. -0.4 for 40%% lower",
     )
     parser.add_argument("--held-out-seed", type=int, help="one more pair on the claimed workload")
     parser.add_argument("--line-star", action="append", default=[], metavar="N,ARMS,LEN")
-    parser.add_argument("--line-star-repeats", type=int, default=3)
-    parser.add_argument("--workdir", help="where to unpack the parent (default: system temp)")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     parent = git("rev-parse", args.parent)
-    scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.workdir))
+    scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         roots = {side: scratch / side for side in SIDES}
         unpack(parent, roots["parent"])
         copy_working_tree(roots["change"])
         workloads = {}
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             print(f"{workload}:", file=sys.stderr)
             runs = {side: [] for side in SIDES}
             for i in range(args.pairs):
-                seed = args.first_seed + i
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    runs[side].append(run_bench(roots[side], workload, seed, args.seconds, 0))
-            traced = {
-                side: run_bench(roots[side], workload, args.trace_seed, args.seconds, 1)
-                for side in SIDES
-            }
+                    runs[side].append(run_bench(roots[side], workload, i + 1, 0))
+            traced = {side: run_bench(roots[side], workload, TRACE_SEED, 1) for side in SIDES}
             workloads[workload] = {
                 "pairs": args.pairs,
                 "correct_all": all(r["correct"] for side in SIDES for r in runs[side]),
@@ -243,7 +241,7 @@ def main(argv=None) -> int:
                     )
                     for name, m in metrics.items()
                 },
-                f"traced_seed{args.trace_seed}": {
+                f"traced_seed{TRACE_SEED}": {
                     "correct": {side: traced[side]["correct"] for side in SIDES},
                     **{
                         name: {side: traced[side]["metrics"][name]["value"] for side in SIDES}
@@ -253,21 +251,20 @@ def main(argv=None) -> int:
             }
         report = {
             "benchmark": "python3 perfbench/run.py --workload W --seed i "
-            f"--seconds {args.seconds:g} --trace 0",
+            f"--seconds {SECONDS} --trace 0",
             "machine": f"{os.cpu_count()}-CPU {platform.machine()} machine, Python "
             f"{platform.python_version()}; times are scaled by the benchmark's Fraction "
             "probe (perfbench/README.md)",
-            "method": f"{args.pairs} pairs per workload, seeds {args.first_seed}-"
-            f"{args.first_seed + args.pairs - 1}; odd pairs run parent first, even pairs "
-            f"run change first; one traced run (--trace 1, seed {args.trace_seed}) per side "
-            "per workload; made by tools/bench_pairs.py",
+            "method": f"{args.pairs} pairs per workload, seeds 1-{args.pairs}; odd pairs "
+            "run parent first, even pairs run change first; one traced run (--trace 1, "
+            f"seed {TRACE_SEED}) per side per workload; made by tools/bench_pairs.py",
             "parent": parent,
         }
         if args.claim_workload and args.claim_metric:
             report["claim"] = claim(args, roots, workloads[args.claim_workload]["metrics"])
         report["workloads"] = workloads
         if args.line_star:
-            report["single_calls"] = single_calls(roots, args.line_star, args.line_star_repeats)
+            report["single_calls"] = single_calls(roots, args.line_star)
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
