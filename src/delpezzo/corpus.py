@@ -86,18 +86,26 @@ def _random_blow_up(rng: random.Random, s: SurfaceModel, index: int) -> SurfaceM
     return blow_up(s, rec)
 
 
-def random_surface(rng: random.Random, max_rank: int = 12) -> SurfaceModel | None:
-    """One candidate surface, or None if it is not big anticanonical."""
+def _random_analysis(rng: random.Random, max_rank: int) -> AnticanonicalAnalysis | None:
+    """The analysis of one candidate surface, or None if it is not big
+    anticanonical; the analysis keeps the decomposition its filter made."""
     s = _random_base(rng)
     room = max_rank - s.rank
     if room < 0:
         return None
     for index in range(rng.randrange(room + 1)):
         s = _random_blow_up(rng, s, index + 1)
+    analysis = AnticanonicalAnalysis(s)
     try:
-        return s if AnticanonicalAnalysis(s).big else None
+        return analysis if analysis.big else None
     except GeometryError:
         return None
+
+
+def random_surface(rng: random.Random, max_rank: int = 12) -> SurfaceModel | None:
+    """One candidate surface, or None if it is not big anticanonical."""
+    analysis = _random_analysis(rng, max_rank)
+    return None if analysis is None else analysis.s
 
 
 def run_corpus(seed: int, count: int, max_rank: int = 12, max_attempts: int | None = None) -> CorpusSummary:
@@ -109,12 +117,13 @@ def run_corpus(seed: int, count: int, max_rank: int = 12, max_attempts: int | No
     index = 0
     while index < count and attempts < max_attempts:
         attempts += 1
-        s = random_surface(rng, max_rank)
-        if s is None:
+        analysis = _random_analysis(rng, max_rank)
+        if analysis is None:
             continue
+        s = analysis.s
         base = s.base.kind if s.base.kind == "P2" else f"{s.base.kind}(e={s.base.e})"
         try:
-            report = AnticanonicalAnalysis(s).certify
+            report = analysis.certify
         except GeometryError as exc:
             entries.append(CorpusEntry(index, base, s.rank, "error", str(exc)))
             index += 1

@@ -1,5 +1,10 @@
 """Exact rational intersection theory on a fixed Picard basis.
 
+A Picard lattice is stored as what it is: the Gram block of the minimal
+base, then one orthogonal (-1)-axis per blow-up.  A blow-up appends a label
+and nothing else, and a pairing costs the base block plus one product per
+axis the two classes share.
+
 Everything is computed over `fractions.Fraction` and `int`; no floating
 point enters anywhere.  Both questions asked of an intersection matrix --
 is it negative definite, and what solves it -- are answered by one
@@ -47,14 +52,21 @@ def format_rational(value: Q) -> str:
 
 @dataclass(frozen=True)
 class PicardLattice:
-    """A free abelian group with named basis and symmetric pairing."""
+    """A free abelian group with named basis and symmetric pairing.
+
+    Every surface here is an iterated blow-up of a minimal base, and each
+    blow-up adds one class E with E^2 = -1 orthogonal to everything before
+    it.  So ``gram`` holds only the base block: the pairing on the first
+    ``len(gram)`` labels (1x1 for P2, 2x2 for Hirzebruch and ruled bases).
+    Every label after the block is an orthogonal (-1)-axis.
+    """
 
     labels: tuple[str, ...]
     gram: tuple[tuple[Q, ...], ...]
 
     def __post_init__(self):
-        n = len(self.labels)
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
+        n = len(self.gram)
+        if n > len(self.labels) or any(len(row) != n for row in self.gram):
             raise ValueError("gram matrix does not match basis size")
         for i in range(n):
             for j in range(i):
@@ -77,39 +89,20 @@ class PicardLattice:
         """Orthogonal rank-one extension by a (-1)-class (a blow-up)."""
         if label in self.labels:
             raise ValueError(f"basis label {label!r} already in use")
-        n = self.rank
-        rows = [row + (Q(0),) for row in self.gram]
-        rows.append(tuple(Q(0) if j < n else Q(-1) for j in range(n + 1)))
-        return PicardLattice(self.labels + (label,), tuple(rows))
-
-    @cached_property
-    def _sparse_gram(self):
-        # the pairing is diagonal outside a small base block; split it so
-        # dot products cost O(shared support) instead of O(rank^2)
-        diag = []
-        off = []
-        for i in range(self.rank):
-            row = self.gram[i]
-            if row[i]:
-                diag.append((i, row[i]))
-            for j in range(i + 1, self.rank):
-                if row[j]:
-                    off.append((i, j, row[j]))
-        return tuple(diag), tuple(off)
+        return PicardLattice(self.labels + (label,), self.gram)
 
     def pair(self, a: tuple[Q, ...], b: tuple[Q, ...]) -> Q:
-        diag, off = self._sparse_gram
+        n = len(self.gram)
         total = Q(0)
-        for i, g in diag:
+        for i, row in enumerate(self.gram):
             ai = a[i]
             if ai:
-                bi = b[i]
-                if bi:
-                    total += ai * g * bi
-        for i, j, g in off:
-            cross = a[i] * b[j] + a[j] * b[i]
-            if cross:
-                total += g * cross
+                for g, bj in zip(row, b):
+                    if g and bj:
+                        total += ai * g * bj
+        for ai, bi in zip(a[n:], b[n:]):
+            if ai and bi:
+                total -= ai * bi
         return total
 
 

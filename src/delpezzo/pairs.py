@@ -541,8 +541,9 @@ def _blow_down_simulation(s: SurfaceModel, null_ids: tuple[str, ...]):
     """
     coords = {cid: list(s.curve(cid).divisor_class.coords) for cid in null_ids}
     p_a = {cid: s.curve(cid).p_a for cid in null_ids}
-    diag = [s.lattice.gram[i][i] for i in range(s.rank)]
-    base_rank = 1 if s.base.kind == "P2" else 2
+    block = s.lattice.gram
+    base_rank = len(block)
+    diag = [block[i][i] for i in range(base_rank)] + [Q(-1)] * (s.rank - base_rank)
     active = list(range(s.rank))
     dropped_curves: list[str] = []
     changed = True

@@ -304,37 +304,26 @@ def blow_up(s: SurfaceModel, rec: BlowUpRecord) -> SurfaceModel:
                 )
 
     new_lattice = s.lattice.extended(exc_id)
-    exc_class = new_lattice.basis_class(exc_id)
     incident_map = dict(incident)
 
+    # the new axis is orthogonal: a class lifts by one coordinate, its
+    # multiplicity at the point with the sign of a strict transform
     new_catalog = []
     for record in s.catalog:
-        lifted = DivisorClass(new_lattice, record.divisor_class.coords + (Q(0),))
         mult = incident_map.get(record.curve_id, 0)
+        lifted = DivisorClass(new_lattice, record.divisor_class.coords + (Q(-mult),))
+        p_a, provenance = record.p_a, record.provenance
         if mult:
-            lifted = lifted - exc_class.scale(mult)
-            provenance = (
-                "exceptional"
-                if record.provenance == "exceptional"
-                else "strict-transform"
-            )
-            new_catalog.append(
-                replace(
-                    record,
-                    divisor_class=lifted,
-                    p_a=record.p_a - mult * (mult - 1) // 2,
-                    provenance=provenance,
-                )
-            )
-        else:
-            new_catalog.append(replace(record, divisor_class=lifted))
+            p_a -= mult * (mult - 1) // 2
+            if provenance != "exceptional":
+                provenance = "strict-transform"
+        new_catalog.append(CurveRecord(record.curve_id, lifted, p_a, record.smooth, provenance))
+    exc_class = DivisorClass(new_lattice, (Q(0),) * s.rank + (Q(1),))
     new_catalog.append(CurveRecord(exc_id, exc_class, 0, True, "exceptional"))
 
-    canonical = DivisorClass(new_lattice, s.canonical.coords + (Q(0),)) + exc_class
+    canonical = DivisorClass(new_lattice, s.canonical.coords + (Q(1),))
 
-    incidence = {
-        key: entries for key, entries in s.incidence.items()
-    }
+    incidence = dict(s.incidence)
     # the blown-up point separates the incident curves from each other
     for i, (cid_a, mult_a) in enumerate(incident):
         for cid_b, mult_b in incident[i + 1:]:
@@ -427,50 +416,108 @@ def input_rational(value, where: str) -> Q:
         raise InvalidSurfaceData(f"{where} {value!r} is not a rational number") from None
 
 
+def input_int(value, where: str) -> int:
+    """An integer read from input; anything else, a bool included, is an
+    input error that names the value."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidSurfaceData(f"{where} {value!r} is not an integer")
+
+
+def _input_name(value, where: str, optional: bool = False) -> str | None:
+    """A curve or point id read from input."""
+    if isinstance(value, str) or (optional and value is None):
+        return value
+    raise InvalidSurfaceData(f"{where} {value!r} is not a string")
+
+
+def _input_list(value, where: str, of_objects: bool = False) -> list:
+    """A JSON array read from input, optionally one of JSON objects."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidSurfaceData(f"{where} {value!r} is not a list")
+    if of_objects:
+        for entry in value:
+            if not isinstance(entry, dict):
+                raise InvalidSurfaceData(f"{where}: entry {entry!r} is not an object")
+    return list(value)
+
+
 def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
     try:
         base = data["base"]
         kind = base["kind"]
     except (KeyError, TypeError) as exc:
         raise InvalidSurfaceData(f"missing base description: {exc}") from None
-    s = build_base(kind, e=int(base.get("e", 0)), genus=int(base.get("genus", 0)))
+    s = build_base(
+        kind,
+        e=input_int(base.get("e", 0), "base: e"),
+        genus=input_int(base.get("genus", 0), "base: genus"),
+    )
 
-    curves = list(data.get("curves", ()))
-    blowups = list(data.get("blowups", ()))
+    curves = _input_list(data.get("curves", []), "curves", of_objects=True)
+    blowups = _input_list(data.get("blowups", []), "blowups", of_objects=True)
     if s.rank + len(blowups) > max_rank:
         raise InvalidSurfaceData(
             f"Picard rank {s.rank + len(blowups)} exceeds the cap {max_rank}"
         )
+    afters = []
+    for entry in curves:
+        after = input_int(entry.get("after", 0), f"curve {entry.get('id')!r}: after")
+        if not 0 <= after <= len(blowups):
+            raise InvalidSurfaceData(
+                f"curve {entry.get('id')!r}: after {after} is outside "
+                f"0..{len(blowups)}, the number of blow-ups"
+            )
+        afters.append(after)
 
     def declare_pending(after: int):
         nonlocal s
-        for entry in curves:
-            if int(entry.get("after", 0)) == after:
-                where = f"curve {entry.get('id')!r}: class coordinate"
-                coords = tuple(input_rational(x, where) for x in entry["class"])
+        for entry, declared_after in zip(curves, afters):
+            if declared_after == after:
+                where = f"curve {entry.get('id')!r}:"
+                coords = tuple(
+                    input_rational(x, f"{where} class coordinate")
+                    for x in _input_list(entry["class"], f"{where} class")
+                )
                 if len(coords) != s.rank:
                     raise InvalidSurfaceData(
-                        f"curve {entry.get('id')!r}: class has {len(coords)} "
+                        f"{where} class has {len(coords)} "
                         f"coordinates, surface has rank {s.rank}"
                     )
+                smooth = entry.get("smooth", True)
+                if not isinstance(smooth, bool):
+                    raise InvalidSurfaceData(f"{where} smooth {smooth!r} is not true or false")
                 s = declare_curve(
                     s,
-                    entry["id"],
+                    _input_name(entry["id"], f"{where} id"),
                     DivisorClass(s.lattice, coords),
-                    int(entry["pa"]),
-                    bool(entry.get("smooth", True)),
+                    input_int(entry["pa"], f"{where} pa"),
+                    smooth,
                 )
 
     try:
         declare_pending(0)
         for i, entry in enumerate(blowups):
+            point = _input_name(entry.get("point"), f"blow-up {i + 1}: point", True)
+            point_id = point or f"p{i + 1}"
+            where = f"blow-up {point_id!r}:"
+            incidences = []
+            for pair in _input_list(entry.get("on", []), f"{where} on"):
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise InvalidSurfaceData(
+                        f"{where} incidence {pair!r} is not a [curve, multiplicity] pair"
+                    )
+                cid, mult = pair
+                incidences.append(
+                    (_input_name(cid, f"{where} curve"), input_int(mult, f"{where} multiplicity"))
+                )
             rec = BlowUpRecord(
-                point_id=entry.get("point") or f"p{i + 1}",
-                incidences=tuple(
-                    (str(cid), int(mult)) for cid, mult in entry.get("on", ())
+                point_id=point_id,
+                incidences=tuple(incidences),
+                near=_input_name(entry.get("near"), f"{where} near", True),
+                exceptional_id=_input_name(
+                    entry.get("exceptional"), f"{where} exceptional", True
                 ),
-                near=entry.get("near"),
-                exceptional_id=entry.get("exceptional"),
             )
             s = blow_up(s, rec)
             declare_pending(i + 1)

@@ -84,6 +84,31 @@ def grid_vectors(n: int, radius: int = 2):
             yield combo
 
 
+def dense_gram(kind: str, e: int, blowups: int) -> list[list[Q]]:
+    """The full Gram matrix of a base surface blown up ``blowups`` times.
+
+    The base block is written out from the surface conventions (a line on
+    P2 squares to 1; on a Hirzebruch or ruled base c0^2 = -e, c0.f = 1,
+    f^2 = 0), and each exceptional class is a -1 on the diagonal.
+    """
+    block = [[Q(1)]] if kind == "P2" else [[Q(-e), Q(1)], [Q(1), Q(0)]]
+    n = len(block) + blowups
+    rows = [[Q(0)] * n for _ in range(n)]
+    for i, row in enumerate(block):
+        rows[i][: len(row)] = row
+    for i in range(len(block), n):
+        rows[i][i] = Q(-1)
+    return rows
+
+
+def dense_pairing(rows, a, b) -> Q:
+    """a^T G b summed over every entry of the Gram matrix."""
+    return sum(
+        (Q(a[i]) * Q(rows[i][j]) * Q(b[j]) for i in range(len(a)) for j in range(len(b))),
+        Q(0),
+    )
+
+
 def quadratic_form(rows, vec) -> Q:
     total = Q(0)
     for i, vi in enumerate(vec):

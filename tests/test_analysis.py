@@ -108,6 +108,12 @@ def line_star(n, arms, length):
     }
 
 
+def test_blown_up_lattice_keeps_only_the_base_block():
+    s = from_description(line_star(56, 2, 3))
+    assert s.rank == 63
+    assert len(s.lattice.gram) == 1
+
+
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -110,6 +110,58 @@ def test_malformed_class_coordinate_exit_two(capsys, tmp_path, bad):
     )
 
 
+def _line_with_one_blow_up(curve=None, blowup=None, **top):
+    data = {
+        "base": {"kind": "P2"},
+        "curves": [{"id": "l", "class": ["1"], "pa": 0, **(curve or {})}],
+        "blowups": [{"point": "p1", "exceptional": "e1", "on": [["l", 1]], **(blowup or {})}],
+    }
+    return {**data, **top}
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (_line_with_one_blow_up({"pa": "x"}), "curve 'l': pa 'x' is not an integer"),
+        (_line_with_one_blow_up({"pa": True}), "curve 'l': pa True is not an integer"),
+        (
+            _line_with_one_blow_up({"smooth": "false"}),
+            "curve 'l': smooth 'false' is not true or false",
+        ),
+        (_line_with_one_blow_up({"after": "x"}), "curve 'l': after 'x' is not an integer"),
+        (
+            _line_with_one_blow_up({"after": 99}),
+            "curve 'l': after 99 is outside 0..1, the number of blow-ups",
+        ),
+        (
+            _line_with_one_blow_up(blowup={"on": [["l", "x"]]}),
+            "blow-up 'p1': multiplicity 'x' is not an integer",
+        ),
+        (
+            _line_with_one_blow_up(blowup={"on": [["l"]]}),
+            "blow-up 'p1': incidence ['l'] is not a [curve, multiplicity] pair",
+        ),
+        (
+            _line_with_one_blow_up(blowup={"exceptional": ["e"]}),
+            "blow-up 'p1': exceptional ['e'] is not a string",
+        ),
+        (
+            _line_with_one_blow_up(base={"kind": "hirzebruch", "e": "x"}),
+            "base: e 'x' is not an integer",
+        ),
+        (_line_with_one_blow_up(curves="x"), "curves 'x' is not a list"),
+        (_line_with_one_blow_up(blowups=[1]), "blowups: entry 1 is not an object"),
+    ],
+)
+def test_malformed_surface_field_exit_two(capsys, tmp_path, data, message):
+    path = tmp_path / "bad_field.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("bad", ["1/0", "abc", ""])
 def test_malformed_divisor_coordinate_exit_two(capsys, bad):
     code, out, err = run(

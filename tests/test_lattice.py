@@ -18,6 +18,7 @@ from delpezzo.lattice import (
     rational,
     solve_linear,
 )
+from delpezzo.surface import build_base
 
 P2 = PicardLattice(("h",), ((Q(1),),))
 BL1 = P2.extended("e1")
@@ -43,6 +44,51 @@ def test_intersect_blow_up():
     assert intersect(h.scale(3) - e, e) == 1
     assert e.dot(e) == -1
     assert h.dot(e) == 0
+
+
+@pytest.mark.parametrize(
+    "labels,gram",
+    [
+        (("c0", "f"), ((Q(0), Q(1)), (Q(2), Q(0)))),   # asymmetric block
+        (("h",), ((Q(1), Q(0)), (Q(0), Q(1)))),        # block larger than basis
+        (("c0", "f"), ((Q(0), Q(1)), (Q(1),))),        # ragged block
+    ],
+)
+def test_malformed_base_block_rejected(labels, gram):
+    with pytest.raises(ValueError, match="gram matrix"):
+        PicardLattice(labels, gram)
+
+
+def test_extension_appends_a_minus_one_axis():
+    lattice = build_base("hirzebruch", e=3).lattice.extended("e1").extended("e2")
+    assert lattice.labels == ("c0", "f", "e1", "e2")
+    assert len(lattice.gram) == 2
+    e1, e2 = lattice.basis_class("e1"), lattice.basis_class("e2")
+    assert (e1.square, e2.square, e1.dot(e2)) == (-1, -1, 0)
+    with pytest.raises(ValueError, match="already in use"):
+        lattice.extended("e1")
+
+
+@st.composite
+def classes_on_a_blown_up_base(draw):
+    kind = draw(st.sampled_from(("P2", "hirzebruch", "ruled")))
+    e = 0 if kind == "P2" else draw(st.integers(min_value=0, max_value=4))
+    genus = draw(st.integers(min_value=0, max_value=2)) if kind == "ruled" else 0
+    blowups = draw(st.integers(min_value=0, max_value=8))
+    lattice = build_base(kind, e=e, genus=genus).lattice
+    for i in range(blowups):
+        lattice = lattice.extended(f"e{i + 1}")
+    vector = st.lists(small_rationals, min_size=lattice.rank, max_size=lattice.rank)
+    a, b = draw(vector), draw(vector)
+    return oracles.dense_gram(kind, e, blowups), lattice, a, b
+
+
+@given(classes_on_a_blown_up_base())
+def test_pairing_agrees_with_dense_gram_oracle(case):
+    rows, lattice, a, b = case
+    d1, d2 = DivisorClass(lattice, tuple(a)), DivisorClass(lattice, tuple(b))
+    assert d1.dot(d2) == oracles.dense_pairing(rows, a, b)
+    assert d1.square == oracles.dense_pairing(rows, a, a)
 
 
 def test_incompatible_bases_rejected():

@@ -1,10 +1,11 @@
 """Surface construction, blow-up calculus, and serialization."""
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 import oracles
-from delpezzo import fixtures
+from delpezzo import corpus, fixtures
 from delpezzo.errors import InvalidSurfaceData
 from delpezzo.surface import (
     BlowUpRecord,
@@ -225,3 +226,27 @@ def test_curve_declared_after_blow_up_round_trips():
     reparsed = loads(text)
     assert to_description(reparsed) == to_description(s)
     assert reparsed.curve("conic").divisor_class.coords == (Q(2), Q(-1), Q(-1))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_blow_up_lifts_classes_by_one_coordinate(seed):
+    # random blow-up sequences drawn the way the corpus draws them; each
+    # step is checked against DivisorClass arithmetic on the new lattice
+    rng = random.Random(seed)
+    s = corpus._random_base(rng)
+    for index in range(1, 9):
+        t = corpus._random_blow_up(rng, s, index)
+        if t is s:
+            continue
+        rec = t.blowups[-1]
+        exc = t.lattice.basis_class(rec.exceptional_id)
+        mults = dict(rec.incidences)
+        for old in s.catalog:
+            lifted = extend_to(old.divisor_class, t)
+            expected = lifted - exc.scale(mults.get(old.curve_id, 0))
+            assert t.curve(old.curve_id).divisor_class == expected
+        assert t.curve(rec.exceptional_id).divisor_class == exc
+        assert t.canonical == extend_to(s.canonical, t) + exc
+        for record in t.catalog:
+            assert arithmetic_genus(t, record.divisor_class) == record.p_a
+        s = t
