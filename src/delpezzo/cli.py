@@ -21,7 +21,6 @@ from .pairs import (
     KLT_CLASSES,
     WEAK_CLASSES,
     AnticanonicalAnalysis,
-    find_redundant_points,
     redundant_blow_up,
 )
 from .surface import SurfaceModel, dumps, from_description, input_rational, to_description
@@ -214,7 +213,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_decompose(args) -> int:
     s = _load(args.file)
-    if args.divisor:
+    if args.divisor is not None:
         coords = [input_rational(x, "--divisor coordinate") for x in args.divisor.split(",")]
         if len(coords) != s.rank:
             raise InvalidSurfaceData(
@@ -315,7 +314,8 @@ def cmd_witness(args) -> int:
 
 def cmd_blowup(args) -> int:
     s = _load(args.file)
-    points = find_redundant_points(s)
+    analysis = AnticanonicalAnalysis(s)
+    points = analysis.redundant_points
     target = None
     for p in points:
         if args.at == ",".join(p.curve_ids) or (
@@ -328,7 +328,7 @@ def cmd_blowup(args) -> int:
         raise InvalidSurfaceData(
             f"no redundant point matches {args.at!r} (known: {known})"
         )
-    result = redundant_blow_up(s, target)
+    result = redundant_blow_up(s, target, z=analysis.decomposition)
     sys.stdout.write(dumps(result.model))
     return EXIT_OK
 

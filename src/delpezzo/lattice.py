@@ -1,12 +1,15 @@
 """Exact rational intersection theory on a fixed Picard basis.
 
-A Picard lattice is stored as what it is: the Gram block of the minimal
-base, then one orthogonal (-1)-axis per blow-up.  A blow-up appends a label
-and nothing else, and a pairing costs the base block plus one product per
-axis the two classes share.
+A Picard lattice is stored as what it is: the integral Gram block of the
+minimal base, then one orthogonal (-1)-axis per blow-up.  A blow-up appends
+a label and nothing else.
 
-Everything is computed over `fractions.Fraction` and `int`; no floating
-point enters anywhere.  Both questions asked of an intersection matrix --
+A divisor class is a tuple of integer numerators over one positive
+denominator, in lowest terms.  Catalog curves and K are integral, so class
+arithmetic runs on Python ints, and a pairing is one integer dot product
+over the base block and the axes, divided once by the two denominators.
+Results leave this module as `fractions.Fraction`; no floating point enters
+anywhere.  Both questions asked of an intersection matrix --
 is it negative definite, and what solves it -- are answered by one
 fraction-free Bareiss elimination over the integers (Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math.
@@ -18,6 +21,7 @@ matrix replays the recorded steps.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -52,38 +56,42 @@ def format_rational(value: Q) -> str:
 
 @dataclass(frozen=True)
 class PicardLattice:
-    """A free abelian group with named basis and symmetric pairing.
+    """A free abelian group with named basis and symmetric integral pairing.
 
     Every surface here is an iterated blow-up of a minimal base, and each
     blow-up adds one class E with E^2 = -1 orthogonal to everything before
     it.  So ``gram`` holds only the base block: the pairing on the first
-    ``len(gram)`` labels (1x1 for P2, 2x2 for Hirzebruch and ruled bases).
-    Every label after the block is an orthogonal (-1)-axis.
+    ``len(gram)`` labels (1x1 for P2, 2x2 for Hirzebruch and ruled bases),
+    as integers.  Every label after the block is an orthogonal (-1)-axis.
     """
 
     labels: tuple[str, ...]
-    gram: tuple[tuple[Q, ...], ...]
+    gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         n = len(self.gram)
         if n > len(self.labels) or any(len(row) != n for row in self.gram):
             raise ValueError("gram matrix does not match basis size")
+        block = [[rational(x) for x in row] for row in self.gram]
+        if any(x.denominator != 1 for row in block for x in row):
+            raise ValueError("gram matrix entries must be integers")
         for i in range(n):
             for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
+                if block[i][j] != block[j][i]:
                     raise ValueError("gram matrix must be symmetric")
+        ints = tuple(tuple(x.numerator for x in row) for row in block)
+        object.__setattr__(self, "gram", ints)
 
     @property
     def rank(self) -> int:
         return len(self.labels)
 
     def zero(self) -> "DivisorClass":
-        return DivisorClass(self, (Q(0),) * self.rank)
+        return _divisor(self, (0,) * self.rank, 1)
 
     def basis_class(self, label: str) -> "DivisorClass":
         i = self.labels.index(label)
-        coords = tuple(Q(1) if j == i else Q(0) for j in range(self.rank))
-        return DivisorClass(self, coords)
+        return _divisor(self, (0,) * i + (1,) + (0,) * (self.rank - i - 1), 1)
 
     def extended(self, label: str) -> "PicardLattice":
         """Orthogonal rank-one extension by a (-1)-class (a blow-up)."""
@@ -91,65 +99,126 @@ class PicardLattice:
             raise ValueError(f"basis label {label!r} already in use")
         return PicardLattice(self.labels + (label,), self.gram)
 
-    def pair(self, a: tuple[Q, ...], b: tuple[Q, ...]) -> Q:
-        n = len(self.gram)
-        total = Q(0)
+    def pair(self, a: "DivisorClass", b: "DivisorClass") -> Q:
+        x, y = a.nums, b.nums
+        # pair every axis as a (-1)-axis, then correct the base block by
+        # its own rows plus the x_i * y_i taken off it
+        total = -sum(map(operator.mul, x, y))
         for i, row in enumerate(self.gram):
-            ai = a[i]
-            if ai:
-                for g, bj in zip(row, b):
-                    if g and bj:
-                        total += ai * g * bj
-        for ai, bi in zip(a[n:], b[n:]):
-            if ai and bi:
-                total -= ai * bi
-        return total
+            if x[i]:
+                total += x[i] * (sum(map(operator.mul, row, y)) + y[i])
+        den = a.den * b.den
+        return Fraction(total) if den == 1 else Fraction(total, den)
 
 
-@dataclass(frozen=True)
 class DivisorClass:
-    """An exact-rational vector in the Picard basis of one surface."""
+    """A rational class in the Picard basis of one surface.
 
-    lattice: PicardLattice
-    coords: tuple[Q, ...]
+    Stored as integer numerators ``nums`` over one positive denominator
+    ``den``, in lowest terms (no prime divides ``den`` and every numerator),
+    so two classes are equal exactly when their values are.  Catalog curves
+    and K are integral (``den == 1``); only Zariski parts need a
+    denominator.  Treat instances as immutable, like ``Fraction``s; the
+    read-only ``coords`` gives the values as ``Fraction``s.
+    """
 
-    def __post_init__(self):
-        if len(self.coords) != self.lattice.rank:
+    __slots__ = ("lattice", "nums", "den")
+
+    def __init__(self, lattice: PicardLattice, coords):
+        values = [rational(x) for x in coords]
+        if len(values) != lattice.rank:
             raise ValueError("coordinate length does not match Picard rank")
+        den = math.lcm(*(x.denominator for x in values))
+        nums = tuple(x.numerator * (den // x.denominator) for x in values)
+        self.lattice, self.nums, self.den = lattice, nums, den
+
+    @property
+    def coords(self) -> tuple[Q, ...]:
+        den = self.den
+        if den == 1:
+            return tuple(map(Fraction, self.nums))
+        return tuple(Fraction(v, den) for v in self.nums)
+
+    def __eq__(self, other):
+        if other.__class__ is not DivisorClass:
+            return NotImplemented
+        return (
+            self.den == other.den
+            and self.nums == other.nums
+            and self.lattice == other.lattice
+        )
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def __repr__(self):
+        return f"DivisorClass(lattice={self.lattice!r}, coords={self.coords!r})"
 
     def _check(self, other: "DivisorClass") -> None:
-        if self.lattice != other.lattice:
+        if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise IncompatibleSurfaces("incompatible surfaces")
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+    def _combine(self, other: "DivisorClass", op) -> "DivisorClass":
         self._check(other)
-        return DivisorClass(
-            self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        x, y, den = self.nums, other.nums, self.den
+        if den != other.den:
+            g = math.gcd(den, other.den)
+            x = [v * (other.den // g) for v in x]
+            y = [v * (den // g) for v in y]
+            den = den // g * other.den
+        return _reduced(self.lattice, tuple(map(op, x, y)), den)
+
+    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check(other)
-        return DivisorClass(
-            self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.lattice, tuple(-a for a in self.coords))
+        return _divisor(self.lattice, tuple(-v for v in self.nums), self.den)
 
     def scale(self, factor: int | Q) -> "DivisorClass":
         f = rational(factor)
-        return DivisorClass(self.lattice, tuple(f * a for a in self.coords))
+        p, q = f.numerator, f.denominator
+        return _reduced(self.lattice, tuple(p * v for v in self.nums), self.den * q)
+
+    def lift(self, lattice: PicardLattice, tail: tuple[int, ...]) -> "DivisorClass":
+        """This class on ``lattice``, which extends its own by ``len(tail)``
+        axes, with the integer coordinates ``tail`` appended."""
+        if len(self.nums) + len(tail) != len(lattice.labels):
+            raise ValueError("coordinate length does not match Picard rank")
+        den = self.den
+        if den != 1:
+            tail = tuple(v * den for v in tail)
+        return _divisor(lattice, self.nums + tail, den)
 
     def dot(self, other: "DivisorClass") -> Q:
         self._check(other)
-        return self.lattice.pair(self.coords, other.coords)
+        return self.lattice.pair(self, other)
 
     @property
     def square(self) -> Q:
-        return self.lattice.pair(self.coords, self.coords)
+        return self.lattice.pair(self, self)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
+        return not any(self.nums)
+
+
+def _divisor(lattice: PicardLattice, nums: tuple[int, ...], den: int) -> DivisorClass:
+    """The class nums/den, which the caller guarantees is in lowest terms."""
+    d = object.__new__(DivisorClass)
+    d.lattice, d.nums, d.den = lattice, nums, den
+    return d
+
+
+def _reduced(lattice: PicardLattice, nums: tuple[int, ...], den: int) -> DivisorClass:
+    """The class nums/den brought to lowest terms; den must be positive."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple(v // g for v in nums)
+            den //= g
+    return _divisor(lattice, nums, den)
 
 
 @dataclass(frozen=True)

@@ -474,11 +474,12 @@ class RedundantBlowUp:
     negative_after: tuple[tuple[str, Q], ...]
 
 
-def redundant_blow_up(s: SurfaceModel, location: RedundantPoint) -> RedundantBlowUp:
+def redundant_blow_up(s: SurfaceModel, location: RedundantPoint, z=None) -> RedundantBlowUp:
     """Blow up a redundant point and verify the decomposition pullback law:
     the new positive part is the pullback of the old, and the new negative
-    part is the pullback of the old minus the exceptional curve."""
-    z_before = zariski_decompose(s, s.anticanonical)
+    part is the pullback of the old minus the exceptional curve.  ``z`` is
+    -K = P + N on ``s`` if the caller has it."""
+    z_before = zariski_decompose(s, s.anticanonical) if z is None else z
     rec = BlowUpRecord(
         point_id=f"r{len(s.blowups) + 1}",
         incidences=tuple((cid, 1) for cid in location.curve_ids),

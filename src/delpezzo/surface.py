@@ -58,8 +58,8 @@ class BaseSurface:
 
     def lattice(self) -> PicardLattice:
         if self.kind == "P2":
-            return PicardLattice(("h",), ((Q(1),),))
-        gram = ((Q(-self.e), Q(1)), (Q(1), Q(0)))
+            return PicardLattice(("h",), ((1,),))
+        gram = ((-self.e, 1), (1, 0))
         return PicardLattice(("c0", "f"), gram)
 
     def canonical_coords(self) -> tuple[Q, ...]:
@@ -311,17 +311,17 @@ def blow_up(s: SurfaceModel, rec: BlowUpRecord) -> SurfaceModel:
     new_catalog = []
     for record in s.catalog:
         mult = incident_map.get(record.curve_id, 0)
-        lifted = DivisorClass(new_lattice, record.divisor_class.coords + (Q(-mult),))
+        lifted = record.divisor_class.lift(new_lattice, (-mult,))
         p_a, provenance = record.p_a, record.provenance
         if mult:
             p_a -= mult * (mult - 1) // 2
             if provenance != "exceptional":
                 provenance = "strict-transform"
         new_catalog.append(CurveRecord(record.curve_id, lifted, p_a, record.smooth, provenance))
-    exc_class = DivisorClass(new_lattice, (Q(0),) * s.rank + (Q(1),))
+    exc_class = new_lattice.basis_class(exc_id)
     new_catalog.append(CurveRecord(exc_id, exc_class, 0, True, "exceptional"))
 
-    canonical = DivisorClass(new_lattice, s.canonical.coords + (Q(1),))
+    canonical = s.canonical.lift(new_lattice, (1,))
 
     incidence = dict(s.incidence)
     # the blown-up point separates the incident curves from each other
@@ -369,8 +369,7 @@ def extend_to(d: DivisorClass, child: SurfaceModel) -> DivisorClass:
     labels = child.lattice.labels
     if labels[: d.lattice.rank] != d.lattice.labels:
         raise InvalidSurfaceData("target surface is not a blow-up of the source")
-    pad = (Q(0),) * (child.rank - d.lattice.rank)
-    return DivisorClass(child.lattice, d.coords + pad)
+    return d.lift(child.lattice, (0,) * (child.rank - d.lattice.rank))
 
 
 # ---------------------------------------------------------------------------

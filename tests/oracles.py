@@ -109,6 +109,27 @@ def dense_pairing(rows, a, b) -> Q:
     )
 
 
+def class_sum(a, b) -> tuple[Q, ...]:
+    """Class arithmetic done coordinate by coordinate over Fractions."""
+    return tuple(Q(x) + Q(y) for x, y in zip(a, b))
+
+
+def class_difference(a, b) -> tuple[Q, ...]:
+    return tuple(Q(x) - Q(y) for x, y in zip(a, b))
+
+
+def class_negation(a) -> tuple[Q, ...]:
+    return tuple(-Q(x) for x in a)
+
+
+def class_scaled(a, factor) -> tuple[Q, ...]:
+    return tuple(Q(factor) * Q(x) for x in a)
+
+
+def class_is_zero(a) -> bool:
+    return all(Q(x) == 0 for x in a)
+
+
 def quadratic_form(rows, vec) -> Q:
     total = Q(0)
     for i, vi in enumerate(vec):

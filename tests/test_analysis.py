@@ -161,6 +161,18 @@ def test_analyze_reports_are_byte_identical(name):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, fmt
 
 
+# SHA-256 of the stdout of `blowup cubic10.json --at c`, recorded when the
+# command decomposed -K three times
+BLOWUP_DIGEST = "c2518ddfa7fe9084243c5f26ed4ff873794df44f9e8c1fb327674457930e1241"
+
+
+def test_blowup_decomposes_each_surface_once(calls):
+    code, out, err = run_cli("blowup", str(FIXTURES / "cubic10.json"), "--at", "c")
+    assert (code, err) == (0, "")
+    assert calls["zariski_decompose"] == 2
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BLOWUP_DIGEST
+
+
 def test_not_pseudo_effective_surface(tmp_path, calls):
     path = tmp_path / "line_star_10_6_3.json"
     path.write_text(json.dumps(line_star(10, 6, 3)))

@@ -172,6 +172,13 @@ def test_malformed_divisor_coordinate_exit_two(capsys, bad):
     assert err == f"input error: --divisor coordinate {bad!r} is not a rational number\n"
 
 
+def test_empty_divisor_exit_two(capsys):
+    code, out, err = run(capsys, "decompose", str(FIXTURES / "f2.json"), "--divisor", "")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: --divisor coordinate '' is not a rational number\n"
+
+
 def test_decompose_custom_divisor(capsys):
     code, out, _ = run(
         capsys, "decompose", str(FIXTURES / "p2.json"), "--divisor", "3"

@@ -1,4 +1,5 @@
-"""Exact linear algebra: pairing, definiteness, solving."""
+"""Exact linear algebra: class arithmetic, pairing, definiteness, solving."""
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -114,6 +115,40 @@ def test_pairing_is_bilinear(a, b, vecs):
     right = a * intersect(d1, d3) + b * intersect(d2, d3)
     assert left == right
     assert intersect(d1, d2) == intersect(d2, d1)
+
+
+@given(classes_on_a_blown_up_base(), small_rationals)
+def test_class_arithmetic_agrees_with_elementwise_oracle(case, factor):
+    _, lattice, a, b = case
+    d1, d2 = DivisorClass(lattice, tuple(a)), DivisorClass(lattice, tuple(b))
+    assert d1.coords == tuple(a)
+    assert all(type(x) is Q for x in d1.coords)
+    assert (d1 + d2).coords == oracles.class_sum(a, b)
+    assert (d1 - d2).coords == oracles.class_difference(a, b)
+    assert (-d1).coords == oracles.class_negation(a)
+    assert d1.scale(factor).coords == oracles.class_scaled(a, factor)
+    assert d1.is_zero() == oracles.class_is_zero(a)
+    assert d1.scale(0).is_zero() and (d1 - d1).is_zero()
+    blown_up = lattice.extended("x")
+    assert d1.lift(blown_up, (-2,)).coords == tuple(a) + (Q(-2),)
+
+
+nonzero_rationals = small_rationals.filter(bool)
+
+
+@given(classes_on_a_blown_up_base(), nonzero_rationals)
+def test_class_arithmetic_keeps_one_canonical_form(case, q):
+    _, lattice, a, b = case
+    d1, d2 = DivisorClass(lattice, tuple(a)), DivisorClass(lattice, tuple(b))
+    assert d1.den > 0 and math.gcd(d1.den, *d1.nums) == 1
+    for same in ((d1 + d2) - d2, d1.scale(q).scale(1 / q), DivisorClass(lattice, d1.coords)):
+        assert same == d1
+        assert hash(same) == hash(d1)
+
+
+def test_non_integral_base_block_rejected():
+    with pytest.raises(ValueError, match="gram matrix"):
+        PicardLattice(("c0", "f"), ((Q(-1), Q(1, 2)), (Q(1, 2), Q(0))))
 
 
 def _matrix(entries):
