@@ -334,6 +334,13 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if args.count < 0:
+        raise InvalidSurfaceData(f"--count {args.count} is below 0")
+    cap = _max_rank()
+    if not 0 <= args.max_rank <= cap:
+        raise InvalidSurfaceData(
+            f"--max-rank {args.max_rank} is outside 0..{cap}, the DELPEZZO_MAX_RANK cap"
+        )
     summary = run_corpus(args.seed, args.count, max_rank=args.max_rank)
     print(summary.render())
     if summary.inconsistencies:

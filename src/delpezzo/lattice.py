@@ -72,7 +72,8 @@ class PicardLattice:
         n = len(self.gram)
         if n > len(self.labels) or any(len(row) != n for row in self.gram):
             raise ValueError("gram matrix does not match basis size")
-        block = [[rational(x) for x in row] for row in self.gram]
+        # an int is already exact (and has numerator and denominator)
+        block = [[x if type(x) is int else rational(x) for x in row] for row in self.gram]
         if any(x.denominator != 1 for row in block for x in row):
             raise ValueError("gram matrix entries must be integers")
         for i in range(n):
@@ -100,15 +101,29 @@ class PicardLattice:
         return PicardLattice(self.labels + (label,), self.gram)
 
     def pair(self, a: "DivisorClass", b: "DivisorClass") -> Q:
-        x, y = a.nums, b.nums
-        # pair every axis as a (-1)-axis, then correct the base block by
-        # its own rows plus the x_i * y_i taken off it
-        total = -sum(map(operator.mul, x, y))
-        for i, row in enumerate(self.gram):
-            if x[i]:
-                total += x[i] * (sum(map(operator.mul, row, y)) + y[i])
+        total = pair_numerators(self.gram, a.nums, b.nums)
         den = a.den * b.den
         return Fraction(total) if den == 1 else Fraction(total, den)
+
+
+def pair_numerators(gram, x, y) -> int:
+    """The integer pairing of two numerator vectors on a lattice with base
+    block ``gram``.  Both cover the base block; past it, a shorter vector
+    reads as padded with zeros, so a class on a blow-up pairs with one on
+    an earlier stage as their common prefix does."""
+    # pair every axis as a (-1)-axis, then correct the base block by its
+    # own rows plus the x_i * y_i taken off it
+    total = -sum(map(operator.mul, x, y))
+    for i, row in enumerate(gram):
+        if x[i]:
+            total += x[i] * (sum(map(operator.mul, row, y)) + y[i])
+    return total
+
+
+def numerators(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    den = math.lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
 
 
 class DivisorClass:
@@ -128,9 +143,8 @@ class DivisorClass:
         values = [rational(x) for x in coords]
         if len(values) != lattice.rank:
             raise ValueError("coordinate length does not match Picard rank")
-        den = math.lcm(*(x.denominator for x in values))
-        nums = tuple(x.numerator * (den // x.denominator) for x in values)
-        self.lattice, self.nums, self.den = lattice, nums, den
+        self.lattice = lattice
+        self.nums, self.den = numerators(values)
 
     @property
     def coords(self) -> tuple[Q, ...]:

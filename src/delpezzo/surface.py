@@ -7,6 +7,11 @@ this catalog.  Point data exists only as blow-up records — "general
 position" is encoded as the absence of declared incidences, and the tool
 trusts the declaration.
 
+Models are built by one mutable ``_Stage`` (integer class numerators,
+genera, K, incidences) that each declaration or blow-up validates and
+updates in place.  ``from_description`` runs a whole file through one stage
+and builds one model; ``blow_up`` and ``declare_curve`` apply one step.
+
 Conventions for the seeded bases:
 
 * projective plane: basis ``h`` (a line), K = -3h;
@@ -19,7 +24,7 @@ Conventions for the seeded bases:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidSurfaceData
@@ -28,7 +33,10 @@ from .lattice import (
     IntersectionMatrix,
     PicardLattice,
     Q,
+    _divisor,
     format_rational,
+    numerators,
+    pair_numerators,
     rational,
 )
 
@@ -56,16 +64,17 @@ class BaseSurface:
         else:
             raise InvalidSurfaceData(f"unknown base kind {self.kind!r}")
 
-    def lattice(self) -> PicardLattice:
+    def seed(self):
+        """The basis labels, the integral Gram block, K's coordinates and the
+        seed curves as (id, p_a, provenance)."""
         if self.kind == "P2":
-            return PicardLattice(("h",), ((1,),))
-        gram = ((-self.e, 1), (1, 0))
-        return PicardLattice(("c0", "f"), gram)
-
-    def canonical_coords(self) -> tuple[Q, ...]:
-        if self.kind == "P2":
-            return (Q(-3),)
-        return (Q(-2), Q(2 * self.genus - 2 - self.e))
+            return ("h",), ((1,),), (-3,), (("h", 0, "base-line"),)
+        return (
+            ("c0", "f"),
+            ((-self.e, 1), (1, 0)),
+            (-2, 2 * self.genus - 2 - self.e),
+            (("c0", self.genus, "base-section"), ("f", 0, "base-fiber")),
+        )
 
     @property
     def rational(self) -> bool:
@@ -189,27 +198,7 @@ def arithmetic_genus(s: SurfaceModel, divisor_class: DivisorClass) -> Q:
 
 def build_base(kind: str, e: int = 0, genus: int = 0) -> SurfaceModel:
     """A fresh model of the named minimal surface with its seed catalog."""
-    base = BaseSurface(kind, e=e, genus=genus)
-    lattice = base.lattice()
-    canonical = DivisorClass(lattice, base.canonical_coords())
-    if kind == "P2":
-        catalog = (
-            CurveRecord("h", lattice.basis_class("h"), 0, True, "base-line"),
-        )
-    else:
-        catalog = (
-            CurveRecord("c0", lattice.basis_class("c0"), genus, True, "base-section"),
-            CurveRecord("f", lattice.basis_class("f"), 0, True, "base-fiber"),
-        )
-    return SurfaceModel(
-        base=base,
-        blowups=(),
-        catalog=catalog,
-        canonical=canonical,
-        lattice=lattice,
-        incidence={},
-        declarations=(),
-    )
+    return _Stage(BaseSurface(kind, e=e, genus=genus)).model()
 
 
 def declare_curve(
@@ -220,148 +209,194 @@ def declare_curve(
     smooth: bool = True,
 ) -> SurfaceModel:
     """Add a user-declared curve; adjunction must match the stated genus."""
-    if s.has_curve(curve_id):
-        raise InvalidSurfaceData(f"curve id {curve_id!r} already in catalog")
     if not isinstance(divisor_class, DivisorClass):
-        coords = tuple(rational(x) for x in divisor_class)
-        divisor_class = DivisorClass(s.lattice, coords)
+        divisor_class = DivisorClass(s.lattice, tuple(rational(x) for x in divisor_class))
     if divisor_class.lattice != s.lattice:
         raise InvalidSurfaceData("declared class lives on a different surface")
-    expected = arithmetic_genus(s, divisor_class)
-    if expected != p_a:
-        raise InvalidSurfaceData(
-            f"adjunction violation for {curve_id!r}: declared p_a={p_a}, "
-            f"computed p_a={format_rational(expected)}"
-        )
-    if p_a < 0:
-        raise InvalidSurfaceData(f"negative arithmetic genus for {curve_id!r}")
-    for other in s.catalog:
-        if divisor_class.dot(other.divisor_class) < 0 and divisor_class != other.divisor_class:
-            raise InvalidSurfaceData(
-                f"{curve_id!r} would meet {other.curve_id!r} negatively; "
-                "two distinct curves cannot do that"
-            )
-    record = CurveRecord(curve_id, divisor_class, p_a, smooth, "declared-base-curve")
-    decl = _CurveDecl(curve_id, divisor_class.coords, p_a, smooth, len(s.blowups))
-    return replace(
-        s,
-        catalog=s.catalog + (record,),
-        declarations=s.declarations + (decl,),
-    )
-
-
-def _normalized_incidences(s: SurfaceModel, rec: BlowUpRecord) -> list[tuple[str, int]]:
-    seen: dict[str, int] = {}
-    for curve_id, mult in rec.incidences:
-        if not s.has_curve(curve_id):
-            raise InvalidSurfaceData(f"blow-up references unknown curve {curve_id!r}")
-        if not isinstance(mult, int) or mult < 1:
-            raise InvalidSurfaceData("multiplicities must be integers >= 1")
-        if curve_id in seen:
-            raise InvalidSurfaceData(f"curve {curve_id!r} listed twice in one record")
-        seen[curve_id] = mult
-    if rec.near is not None:
-        if not s.has_curve(rec.near):
-            raise InvalidSurfaceData(f"infinitely-near target {rec.near!r} not in catalog")
-        if s.curve(rec.near).provenance not in ("exceptional", "strict-transform"):
-            raise InvalidSurfaceData("infinitely-near points must sit on an exceptional curve")
-        seen.setdefault(rec.near, 1)
-    # catalog order for determinism
-    return [(r.curve_id, seen[r.curve_id]) for r in s.catalog if r.curve_id in seen]
+    stage = _Stage.of(s)
+    stage.declare(curve_id, divisor_class.coords, p_a, smooth)
+    return stage.model()
 
 
 def blow_up(s: SurfaceModel, rec: BlowUpRecord) -> SurfaceModel:
     """Blow up one point; every incident curve is replaced by its strict
     transform and the new exceptional curve joins the catalog."""
-    incident = _normalized_incidences(s, rec)
-    point_id = rec.point_id or f"p{len(s.blowups) + 1}"
-    if any(b.point_id == point_id for b in s.blowups):
-        raise InvalidSurfaceData(f"point id {point_id!r} already used")
-    exc_id = rec.exceptional_id or f"e{len(s.blowups) + 1}"
-    if s.has_curve(exc_id) or exc_id in s.lattice.labels:
-        raise InvalidSurfaceData(f"exceptional id {exc_id!r} already in use")
+    stage = _Stage.of(s)
+    stage.blow_up(rec)
+    return stage.model()
 
-    for curve_id, mult in incident:
-        record = s.curve(curve_id)
-        if mult >= 2:
-            if record.smooth:
+
+class _Curve:
+    """A catalog curve in a ``_Stage``.  Its class is ``nums`` over ``den``;
+    ``nums`` covers the base block and reads as padded with zeros."""
+
+    __slots__ = ("position", "nums", "den", "p_a", "smooth", "provenance")
+
+    def __init__(self, position, nums, den, p_a, smooth, provenance):
+        self.position, self.nums, self.den = position, nums, den
+        self.p_a, self.smooth, self.provenance = p_a, smooth, provenance
+
+
+class _Stage:
+    """A surface under construction, validated and updated in place by
+    ``declare`` and ``blow_up``.  ``curves`` is in catalog order."""
+
+    def __init__(self, base: BaseSurface):
+        labels, self.gram, canonical, seeds = base.seed()
+        self.base, self.labels, self.canonical = base, list(labels), list(canonical)
+        self.curves = {
+            cid: _Curve(i, [int(j == i) for j in range(len(labels))], 1, p_a, True, provenance)
+            for i, (cid, p_a, provenance) in enumerate(seeds)
+        }
+        self.incidence, self.declarations = {}, []
+        self.blowups, self.points = [], set()
+
+    @classmethod
+    def of(cls, s: SurfaceModel) -> "_Stage":
+        stage = cls.__new__(cls)
+        stage.base, stage.gram = s.base, s.lattice.gram
+        stage.labels, stage.canonical = list(s.lattice.labels), list(s.canonical.nums)
+        curves = stage.curves = {}
+        for i, r in enumerate(s.catalog):
+            d = r.divisor_class
+            curves[r.curve_id] = _Curve(i, list(d.nums), d.den, r.p_a, r.smooth, r.provenance)
+        stage.incidence, stage.declarations = dict(s.incidence), list(s.declarations)
+        stage.blowups, stage.points = list(s.blowups), {b.point_id for b in s.blowups}
+        return stage
+
+    def declare(self, curve_id: str, coords: tuple[Q, ...], p_a: int, smooth: bool) -> None:
+        """Add a curve whose class has the stage's rank; the checks pair it
+        with K and with every catalog class at this stage."""
+        if curve_id in self.curves:
+            raise InvalidSurfaceData(f"curve id {curve_id!r} already in catalog")
+        nums, den = numerators(coords)
+        nums, gram, curves = list(nums), self.gram, self.curves
+        # adjunction times 2 den^2, over the integers (K is integral)
+        twice = pair_numerators(gram, nums, nums)
+        twice += den * pair_numerators(gram, self.canonical, nums)
+        if twice != 2 * (p_a - 1) * den * den:
+            expected = Q(twice, 2 * den * den) + 1
+            raise InvalidSurfaceData(
+                f"adjunction violation for {curve_id!r}: declared p_a={p_a}, "
+                f"computed p_a={format_rational(expected)}"
+            )
+        if p_a < 0:
+            raise InvalidSurfaceData(f"negative arithmetic genus for {curve_id!r}")
+        for other_id, other in curves.items():
+            if pair_numerators(gram, nums, other.nums) < 0 and not (
+                other.den == den and other.nums + [0] * (len(nums) - len(other.nums)) == nums
+            ):
+                raise InvalidSurfaceData(
+                    f"{curve_id!r} would meet {other_id!r} negatively; "
+                    "two distinct curves cannot do that"
+                )
+        curves[curve_id] = _Curve(len(curves), nums, den, p_a, smooth, "declared-base-curve")
+        self.declarations.append(_CurveDecl(curve_id, coords, p_a, smooth, len(self.blowups)))
+
+    def blow_up(self, rec: BlowUpRecord) -> None:
+        curves = self.curves
+        seen: dict[str, int] = {}
+        for curve_id, mult in rec.incidences:
+            if curve_id not in curves:
+                raise InvalidSurfaceData(f"blow-up references unknown curve {curve_id!r}")
+            if not isinstance(mult, int) or mult < 1:
+                raise InvalidSurfaceData("multiplicities must be integers >= 1")
+            if curve_id in seen:
+                raise InvalidSurfaceData(f"curve {curve_id!r} listed twice in one record")
+            seen[curve_id] = mult
+        if rec.near is not None:
+            if rec.near not in curves:
+                raise InvalidSurfaceData(f"infinitely-near target {rec.near!r} not in catalog")
+            if curves[rec.near].provenance not in ("exceptional", "strict-transform"):
+                raise InvalidSurfaceData("infinitely-near points must sit on an exceptional curve")
+            seen.setdefault(rec.near, 1)
+        # catalog order for determinism
+        incident = sorted(seen.items(), key=lambda item: curves[item[0]].position)
+        point_id = rec.point_id or f"p{len(self.blowups) + 1}"
+        if point_id in self.points:
+            raise InvalidSurfaceData(f"point id {point_id!r} already used")
+        exc_id = rec.exceptional_id or f"e{len(self.blowups) + 1}"
+        if exc_id in curves:
+            raise InvalidSurfaceData(f"exceptional id {exc_id!r} already in use")
+
+        for curve_id, mult in incident:
+            if mult >= 2 and curves[curve_id].smooth:
                 raise InvalidSurfaceData(
                     f"curve {curve_id!r} is declared smooth; multiplicity {mult} "
                     "requires a singular point"
                 )
-            if record.p_a < mult * (mult - 1) // 2:
+            if mult >= 2 and curves[curve_id].p_a < mult * (mult - 1) // 2:
                 raise InvalidSurfaceData(
                     f"multiplicity {mult} exceeds what the genus of {curve_id!r} permits"
                 )
-    for i, (cid_a, mult_a) in enumerate(incident):
-        class_a = s.curve(cid_a).divisor_class
-        for cid_b, mult_b in incident[i + 1:]:
-            available = class_a.dot(s.curve(cid_b).divisor_class)
-            if mult_a * mult_b > available:
-                raise InvalidSurfaceData(
-                    f"multiplicity exceeds what intersection numbers permit: "
-                    f"{cid_a!r}.{cid_b!r} = {format_rational(available)} < {mult_a * mult_b}"
-                )
+        for i, (cid_a, mult_a) in enumerate(incident):
+            a = curves[cid_a]
+            for cid_b, mult_b in incident[i + 1:]:
+                b = curves[cid_b]
+                total, den = pair_numerators(self.gram, a.nums, b.nums), a.den * b.den
+                if mult_a * mult_b * den > total:
+                    raise InvalidSurfaceData(
+                        f"multiplicity exceeds what intersection numbers permit: "
+                        f"{cid_a!r}.{cid_b!r} = {format_rational(Q(total, den))} "
+                        f"< {mult_a * mult_b}"
+                    )
 
-    new_lattice = s.lattice.extended(exc_id)
-    incident_map = dict(incident)
+        # the new axis is orthogonal: a curve through the point gains one
+        # coordinate, its multiplicity with the sign of a strict transform
+        axis = len(self.labels)
+        for curve_id, mult in incident:
+            curve = curves[curve_id]
+            curve.nums += [0] * (axis - len(curve.nums))
+            curve.nums.append(-mult * curve.den)
+            curve.p_a -= mult * (mult - 1) // 2
+            if curve.provenance != "exceptional":
+                curve.provenance = "strict-transform"
+        curves[exc_id] = _Curve(len(curves), [0] * axis + [1], 1, 0, True, "exceptional")
+        self.labels.append(exc_id)
+        self.canonical.append(1)
 
-    # the new axis is orthogonal: a class lifts by one coordinate, its
-    # multiplicity at the point with the sign of a strict transform
-    new_catalog = []
-    for record in s.catalog:
-        mult = incident_map.get(record.curve_id, 0)
-        lifted = record.divisor_class.lift(new_lattice, (-mult,))
-        p_a, provenance = record.p_a, record.provenance
-        if mult:
-            p_a -= mult * (mult - 1) // 2
-            if provenance != "exceptional":
-                provenance = "strict-transform"
-        new_catalog.append(CurveRecord(record.curve_id, lifted, p_a, record.smooth, provenance))
-    exc_class = new_lattice.basis_class(exc_id)
-    new_catalog.append(CurveRecord(exc_id, exc_class, 0, True, "exceptional"))
-
-    canonical = s.canonical.lift(new_lattice, (1,))
-
-    incidence = dict(s.incidence)
-    # the blown-up point separates the incident curves from each other
-    for i, (cid_a, mult_a) in enumerate(incident):
-        for cid_b, mult_b in incident[i + 1:]:
-            key = (cid_a, cid_b) if cid_a <= cid_b else (cid_b, cid_a)
-            entries = list(incidence.get(key, ()))
-            if entries:
-                pid, m1, m2 = entries[-1]
-                da, db = (mult_a, mult_b) if key == (cid_a, cid_b) else (mult_b, mult_a)
-                m1, m2 = m1 - da, m2 - db
-                if m1 > 0 and m2 > 0:
-                    entries[-1] = (pid, m1, m2)
+        incidence = self.incidence
+        # the blown-up point separates the incident curves from each other
+        for i, (cid_a, mult_a) in enumerate(incident):
+            for cid_b, mult_b in incident[i + 1:]:
+                key = (cid_a, cid_b) if cid_a <= cid_b else (cid_b, cid_a)
+                entries = list(incidence.get(key, ()))
+                if entries:
+                    pid, m1, m2 = entries[-1]
+                    da, db = (mult_a, mult_b) if key == (cid_a, cid_b) else (mult_b, mult_a)
+                    m1, m2 = m1 - da, m2 - db
+                    if m1 > 0 and m2 > 0:
+                        entries[-1] = (pid, m1, m2)
+                    else:
+                        entries.pop()
+                if entries:
+                    incidence[key] = tuple(entries)
                 else:
-                    entries.pop()
-            if entries:
-                incidence[key] = tuple(entries)
-            else:
-                incidence.pop(key, None)
-    # every incident curve now meets the new exceptional over this point
-    for cid, mult in incident:
-        key = (cid, exc_id) if cid <= exc_id else (exc_id, cid)
-        entry = (point_id, mult, 1) if key == (cid, exc_id) else (point_id, 1, mult)
-        incidence[key] = incidence.get(key, ()) + (entry,)
+                    incidence.pop(key, None)
+        # every incident curve now meets the new exceptional over this point
+        for cid, mult in incident:
+            key = (cid, exc_id) if cid <= exc_id else (exc_id, cid)
+            entry = (point_id, mult, 1) if key == (cid, exc_id) else (point_id, 1, mult)
+            incidence[key] = incidence.get(key, ()) + (entry,)
 
-    stored = BlowUpRecord(
-        point_id=point_id,
-        incidences=tuple(incident),
-        near=rec.near,
-        exceptional_id=exc_id,
-    )
-    return SurfaceModel(
-        base=s.base,
-        blowups=s.blowups + (stored,),
-        catalog=tuple(new_catalog),
-        canonical=canonical,
-        lattice=new_lattice,
-        incidence=incidence,
-        declarations=s.declarations,
-    )
+        self.blowups.append(BlowUpRecord(point_id, tuple(incident), rec.near, exc_id))
+        self.points.add(point_id)
+
+    def model(self) -> SurfaceModel:
+        lattice = PicardLattice(tuple(self.labels), self.gram)
+        rank, catalog = lattice.rank, []
+        for cid, c in self.curves.items():
+            d = _divisor(lattice, (*c.nums, *(0,) * (rank - len(c.nums))), c.den)
+            catalog.append(CurveRecord(cid, d, c.p_a, c.smooth, c.provenance))
+        return SurfaceModel(
+            base=self.base,
+            blowups=tuple(self.blowups),
+            catalog=tuple(catalog),
+            canonical=_divisor(lattice, tuple(self.canonical), 1),
+            lattice=lattice,
+            incidence=self.incidence,
+            declarations=tuple(self.declarations),
+        )
 
 
 def extend_to(d: DivisorClass, child: SurfaceModel) -> DivisorClass:
@@ -442,24 +477,28 @@ def _input_list(value, where: str, of_objects: bool = False) -> list:
 
 
 def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
+    """The model a surface description declares, read in one pass.
+
+    A blow-up adds an orthogonal (-1)-axis, so after k blow-ups a curve's
+    class is the first ``base + k`` coordinates of its final class.  Each
+    check at step k (adjunction and meetings of a curve declared there, the
+    multiplicity bounds of the next blow-up) pairs stage-k prefixes.
+    """
     try:
         base = data["base"]
         kind = base["kind"]
     except (KeyError, TypeError) as exc:
         raise InvalidSurfaceData(f"missing base description: {exc}") from None
-    s = build_base(
-        kind,
-        e=input_int(base.get("e", 0), "base: e"),
-        genus=input_int(base.get("genus", 0), "base: genus"),
-    )
+    e = input_int(base.get("e", 0), "base: e")
+    stage = _Stage(BaseSurface(kind, e=e, genus=input_int(base.get("genus", 0), "base: genus")))
 
     curves = _input_list(data.get("curves", []), "curves", of_objects=True)
     blowups = _input_list(data.get("blowups", []), "blowups", of_objects=True)
-    if s.rank + len(blowups) > max_rank:
+    if len(stage.labels) + len(blowups) > max_rank:
         raise InvalidSurfaceData(
-            f"Picard rank {s.rank + len(blowups)} exceeds the cap {max_rank}"
+            f"Picard rank {len(stage.labels) + len(blowups)} exceeds the cap {max_rank}"
         )
-    afters = []
+    pending: dict[int, list[dict]] = {}  # curves by the stage they join, in file order
     for entry in curves:
         after = input_int(entry.get("after", 0), f"curve {entry.get('id')!r}: after")
         if not 0 <= after <= len(blowups):
@@ -467,32 +506,29 @@ def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
                 f"curve {entry.get('id')!r}: after {after} is outside "
                 f"0..{len(blowups)}, the number of blow-ups"
             )
-        afters.append(after)
+        pending.setdefault(after, []).append(entry)
 
     def declare_pending(after: int):
-        nonlocal s
-        for entry, declared_after in zip(curves, afters):
-            if declared_after == after:
-                where = f"curve {entry.get('id')!r}:"
-                coords = tuple(
-                    input_rational(x, f"{where} class coordinate")
-                    for x in _input_list(entry["class"], f"{where} class")
+        for entry in pending.get(after, ()):
+            where = f"curve {entry.get('id')!r}:"
+            coords = tuple(
+                input_rational(x, f"{where} class coordinate")
+                for x in _input_list(entry["class"], f"{where} class")
+            )
+            if len(coords) != len(stage.labels):
+                raise InvalidSurfaceData(
+                    f"{where} class has {len(coords)} "
+                    f"coordinates, surface has rank {len(stage.labels)}"
                 )
-                if len(coords) != s.rank:
-                    raise InvalidSurfaceData(
-                        f"{where} class has {len(coords)} "
-                        f"coordinates, surface has rank {s.rank}"
-                    )
-                smooth = entry.get("smooth", True)
-                if not isinstance(smooth, bool):
-                    raise InvalidSurfaceData(f"{where} smooth {smooth!r} is not true or false")
-                s = declare_curve(
-                    s,
-                    _input_name(entry["id"], f"{where} id"),
-                    DivisorClass(s.lattice, coords),
-                    input_int(entry["pa"], f"{where} pa"),
-                    smooth,
-                )
+            smooth = entry.get("smooth", True)
+            if not isinstance(smooth, bool):
+                raise InvalidSurfaceData(f"{where} smooth {smooth!r} is not true or false")
+            stage.declare(
+                _input_name(entry["id"], f"{where} id"),
+                coords,
+                input_int(entry["pa"], f"{where} pa"),
+                smooth,
+            )
 
     try:
         declare_pending(0)
@@ -518,11 +554,11 @@ def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
                     entry.get("exceptional"), f"{where} exceptional", True
                 ),
             )
-            s = blow_up(s, rec)
+            stage.blow_up(rec)
             declare_pending(i + 1)
     except KeyError as exc:
         raise InvalidSurfaceData(f"malformed surface description: missing {exc}") from None
-    return s
+    return stage.model()
 
 
 def dumps(s: SurfaceModel) -> str:

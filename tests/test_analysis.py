@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from delpezzo import cli, pairs, singular, zariski
+from delpezzo import cli, pairs, singular, surface, zariski
 from delpezzo.errors import CatalogInsufficient, InternalInconsistency
+from delpezzo.lattice import PicardLattice
 from delpezzo.pairs import (
     AnticanonicalAnalysis,
     certify_class_equalities,
@@ -130,7 +131,12 @@ def calls(monkeypatch):
         m for name, m in list(sys.modules.items())
         if name == "delpezzo" or name.startswith("delpezzo.")
     ]
-    for home, attr in ((zariski, "zariski_decompose"), (singular, "contract"), (pairs, "_witness")):
+    for home, attr in (
+        (zariski, "zariski_decompose"),
+        (singular, "contract"),
+        (pairs, "_witness"),
+        (surface, "blow_up"),
+    ):
         original = getattr(home, attr)
         counts[attr] = 0
 
@@ -142,6 +148,20 @@ def calls(monkeypatch):
             if vars(module).get(attr) is original:
                 monkeypatch.setattr(module, attr, wrapper)
     return counts
+
+
+def test_loading_builds_one_lattice_and_no_intermediate_model(monkeypatch, calls):
+    lattices = []
+    original = PicardLattice.__post_init__
+
+    def counting(self):
+        lattices.append(self)
+        original(self)
+
+    monkeypatch.setattr(PicardLattice, "__post_init__", counting)
+    s = from_description(line_star(56, 2, 3))
+    assert calls["blow_up"] == 0
+    assert len(lattices) == 1 and lattices[0] is s.lattice
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))

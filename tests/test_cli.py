@@ -261,6 +261,28 @@ def test_corpus_empty(capsys):
     assert "total=0" in out
 
 
+@pytest.mark.parametrize(
+    "argv,cap,message",
+    [
+        (("--count", "-3"), "64", "--count -3 is below 0"),
+        (
+            ("--count", "3", "--max-rank", "40"),
+            "10",
+            "--max-rank 40 is outside 0..10, the DELPEZZO_MAX_RANK cap",
+        ),
+        (
+            ("--count", "3", "--max-rank", "-1"),
+            "64",
+            "--max-rank -1 is outside 0..64, the DELPEZZO_MAX_RANK cap",
+        ),
+    ],
+)
+def test_corpus_limits_exit_two(capsys, monkeypatch, argv, cap, message):
+    monkeypatch.setenv("DELPEZZO_MAX_RANK", cap)
+    code, out, err = run(capsys, "corpus", "--seed", "1", *argv)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_max_rank_env(capsys, monkeypatch):
     monkeypatch.setenv("DELPEZZO_MAX_RANK", "5")
     code, _, err = run(capsys, "analyze", str(FIXTURES / "cubic10.json"))

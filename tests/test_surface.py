@@ -1,14 +1,19 @@
 """Surface construction, blow-up calculus, and serialization."""
+import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
 import oracles
 from delpezzo import corpus, fixtures
 from delpezzo.errors import InvalidSurfaceData
+from delpezzo.lattice import DivisorClass, format_rational
 from delpezzo.surface import (
     BlowUpRecord,
+    _input_list,
+    _input_name,
     arithmetic_genus,
     blow_up,
     build_base,
@@ -16,9 +21,12 @@ from delpezzo.surface import (
     dumps,
     extend_to,
     from_description,
+    input_int,
+    input_rational,
     loads,
     to_description,
 )
+from test_analysis import line_star
 
 
 def test_projective_plane_base():
@@ -250,3 +258,278 @@ def test_blow_up_lifts_classes_by_one_coordinate(seed):
         for record in t.catalog:
             assert arithmetic_genus(t, record.divisor_class) == record.p_a
         s = t
+
+
+def _plane(curves=(), blowups=()):
+    return {"base": {"kind": "P2"}, "curves": list(curves), "blowups": list(blowups)}
+
+
+LINE = {"id": "l", "class": ["1"], "pa": 0}
+HALF = {"id": "x", "class": ["3/2", "-1/2"], "pa": 0, "after": 1}
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (_plane([LINE, LINE]), "curve id 'l' already in catalog"),
+        (
+            _plane([{"id": "q", "class": ["2"], "pa": 1}]),
+            "adjunction violation for 'q': declared p_a=1, computed p_a=0",
+        ),
+        (
+            _plane([{"id": "q", "class": ["1/2"], "pa": 0}]),
+            "adjunction violation for 'q': declared p_a=0, computed p_a=3/8",
+        ),
+        (
+            _plane([{"id": "x", "class": ["0", "2"], "pa": -2, "after": 1}], [{}]),
+            "negative arithmetic genus for 'x'",
+        ),
+        (
+            _plane([{"id": "x", "class": ["3", "1"], "pa": 0, "after": 1}], [{}]),
+            "'x' would meet 'e1' negatively; two distinct curves cannot do that",
+        ),
+        (_plane([], [{"on": [["z", 1]]}]), "blow-up references unknown curve 'z'"),
+        (_plane([], [{"on": [["h", 0]]}]), "multiplicities must be integers >= 1"),
+        (_plane([], [{"on": [["h", 1], ["h", 1]]}]), "curve 'h' listed twice in one record"),
+        (_plane([], [{"near": "z"}]), "infinitely-near target 'z' not in catalog"),
+        (_plane([], [{"near": "h"}]), "infinitely-near points must sit on an exceptional curve"),
+        (_plane([], [{"point": "p"}, {"point": "p"}]), "point id 'p' already used"),
+        (_plane([], [{"exceptional": "h"}]), "exceptional id 'h' already in use"),
+        (
+            _plane([], [{"on": [["h", 2]]}]),
+            "curve 'h' is declared smooth; multiplicity 2 requires a singular point",
+        ),
+        (
+            _plane([{"id": "c", "class": ["3"], "pa": 1, "smooth": False}], [{"on": [["c", 3]]}]),
+            "multiplicity 3 exceeds what the genus of 'c' permits",
+        ),
+        (
+            _plane([HALF], [{}, {"on": [["x", 1], ["e1", 1]]}]),
+            "multiplicity exceeds what intersection numbers permit: 'e1'.'x' = 1/2 < 1",
+        ),
+    ],
+)
+def test_rejected_description_names_its_fault(data, message):
+    with pytest.raises(InvalidSurfaceData) as info:
+        from_description(data)
+    assert str(info.value) == message
+
+
+def test_class_with_denominator_is_lifted_by_its_numerators():
+    # the loader takes a declared class as given, integral or not; a blow-up
+    # through it appends -mult * den to its numerators
+    s = from_description(_plane([HALF], [{}, {"on": [["x", 1], ["h", 1]]}]))
+    x = s.curve("x").divisor_class
+    assert x.coords == (Q(3, 2), Q(-1, 2), Q(-1))
+    assert (x.nums, x.den) == ((3, -1, -2), 2)
+    assert s.curve("x").p_a == 0 and arithmetic_genus(s, x) == 0
+
+
+def _stepwise_from_description(data, max_rank=64):
+    """The reference route: a description replayed one step at a time
+    through the public ``build_base``, ``declare_curve`` and ``blow_up``,
+    with a whole model after every step.  It reads fields with the loader's
+    own input helpers, so both routes fail alike on a malformed field."""
+    try:
+        base = data["base"]
+        kind = base["kind"]
+    except (KeyError, TypeError) as exc:
+        raise InvalidSurfaceData(f"missing base description: {exc}") from None
+    s = build_base(
+        kind,
+        e=input_int(base.get("e", 0), "base: e"),
+        genus=input_int(base.get("genus", 0), "base: genus"),
+    )
+    curves = _input_list(data.get("curves", []), "curves", of_objects=True)
+    blowups = _input_list(data.get("blowups", []), "blowups", of_objects=True)
+    if s.rank + len(blowups) > max_rank:
+        raise InvalidSurfaceData(
+            f"Picard rank {s.rank + len(blowups)} exceeds the cap {max_rank}"
+        )
+    afters = []
+    for entry in curves:
+        after = input_int(entry.get("after", 0), f"curve {entry.get('id')!r}: after")
+        if not 0 <= after <= len(blowups):
+            raise InvalidSurfaceData(
+                f"curve {entry.get('id')!r}: after {after} is outside "
+                f"0..{len(blowups)}, the number of blow-ups"
+            )
+        afters.append(after)
+
+    def declare_pending(after):
+        nonlocal s
+        for entry, declared_after in zip(curves, afters):
+            if declared_after == after:
+                where = f"curve {entry.get('id')!r}:"
+                coords = tuple(
+                    input_rational(x, f"{where} class coordinate")
+                    for x in _input_list(entry["class"], f"{where} class")
+                )
+                if len(coords) != s.rank:
+                    raise InvalidSurfaceData(
+                        f"{where} class has {len(coords)} "
+                        f"coordinates, surface has rank {s.rank}"
+                    )
+                smooth = entry.get("smooth", True)
+                if not isinstance(smooth, bool):
+                    raise InvalidSurfaceData(f"{where} smooth {smooth!r} is not true or false")
+                s = declare_curve(
+                    s,
+                    _input_name(entry["id"], f"{where} id"),
+                    DivisorClass(s.lattice, coords),
+                    input_int(entry["pa"], f"{where} pa"),
+                    smooth,
+                )
+
+    try:
+        declare_pending(0)
+        for i, entry in enumerate(blowups):
+            point = _input_name(entry.get("point"), f"blow-up {i + 1}: point", True)
+            point_id = point or f"p{i + 1}"
+            where = f"blow-up {point_id!r}:"
+            incidences = []
+            for pair in _input_list(entry.get("on", []), f"{where} on"):
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise InvalidSurfaceData(
+                        f"{where} incidence {pair!r} is not a [curve, multiplicity] pair"
+                    )
+                cid, mult = pair
+                incidences.append(
+                    (_input_name(cid, f"{where} curve"), input_int(mult, f"{where} multiplicity"))
+                )
+            rec = BlowUpRecord(
+                point_id=point_id,
+                incidences=tuple(incidences),
+                near=_input_name(entry.get("near"), f"{where} near", True),
+                exceptional_id=_input_name(
+                    entry.get("exceptional"), f"{where} exceptional", True
+                ),
+            )
+            s = blow_up(s, rec)
+            declare_pending(i + 1)
+    except KeyError as exc:
+        raise InvalidSurfaceData(f"malformed surface description: missing {exc}") from None
+    return s
+
+
+def _model_fields(s):
+    """Everything a model holds, with the incidence map in insertion order."""
+    return (
+        [
+            (r.curve_id, r.divisor_class.nums, r.divisor_class.den, r.p_a, r.smooth, r.provenance)
+            for r in s.catalog
+        ],
+        (s.canonical.nums, s.canonical.den),
+        list(s.incidence.items()),
+        s.lattice,
+        s.blowups,
+        s.declarations,
+        to_description(s),
+    )
+
+
+def _outcome(load, data):
+    try:
+        return _model_fields(load(data))
+    except InvalidSurfaceData as exc:
+        return str(exc)
+
+
+def _random_description(seed):
+    """A corpus surface, sometimes over a nodal cubic blown up at its node
+    and a curve of class (3h - E)/2, plus copies of catalog curves declared
+    ``after`` some blow-ups with their class at that stage."""
+    rng = random.Random(seed)
+    s = corpus._random_base(rng)
+    if s.base.kind == "P2" and rng.randrange(3) == 0:
+        s = declare_curve(s, "nodal", (3,), 1, smooth=False)
+        s = blow_up(s, BlowUpRecord("node", (("nodal", 2),)))
+        s = declare_curve(s, "half", ("3/2", "-1/2"), 0)
+        if rng.randrange(2):
+            s = blow_up(s, BlowUpRecord("on_half", (("half", 1), ("h", 1))))
+    stages = [s]
+    for index in range(rng.randrange(10)):
+        s = corpus._random_blow_up(rng, s, index + 1)
+        stages.append(s)
+    data = to_description(s)
+    for copy in range(rng.randrange(4)):
+        stage = stages[rng.randrange(len(stages))]
+        record = stage.catalog[rng.randrange(len(stage.catalog))]
+        data["curves"].append({
+            "id": f"copy{copy}",
+            "class": [format_rational(x) for x in record.divisor_class.coords],
+            "pa": record.p_a,
+            "smooth": record.smooth,
+            "after": len(stage.blowups),
+        })
+    return data
+
+
+def _mutated(rng, document):
+    """``document`` with one to three fields, at any depth, deleted or
+    replaced by a value from a small pool of plausible and implausible ones."""
+    pool = [None, True, 0, 1, 2, -1, 3, 99, 1.5, "h", "c", "l", "e1", "p1", "x", "",
+            "1/2", "1/0", "abc", [], {}, ["l", 2], ["1"], [["h", 1]]]
+    document = json.loads(json.dumps(document))
+    for _ in range(rng.randint(1, 3)):
+        paths = []
+        stack = [((), document)]
+        while stack:
+            path, node = stack.pop()
+            for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+                paths.append(path + (key,))
+                if isinstance(value, (dict, list)):
+                    stack.append((path + (key,), value))
+        if not paths:
+            break
+        path = rng.choice(paths)
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        if rng.randrange(3) == 0:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = rng.choice(pool)
+    return document
+
+
+FIXTURE_DOCUMENTS = [
+    json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted((Path(__file__).parent.parent / "fixtures").glob("*.json"))
+]
+LINE_STARS = ((6, 4, 2), (10, 5, 1), (36, 2, 2), (56, 2, 3), (20, 10, 2), (30, 16, 2), (10, 6, 3))
+
+
+def test_one_pass_loader_matches_stepwise_replay():
+    documents = FIXTURE_DOCUMENTS + [line_star(*spec) for spec in LINE_STARS]
+    documents += [_random_description(seed) for seed in range(60)]
+    features = set()
+    for data in documents:
+        expected = _outcome(_stepwise_from_description, data)
+        assert _outcome(from_description, data) == expected
+        if isinstance(expected, str):
+            continue
+        features.update(
+            feature
+            for feature, present in (
+                ("after", any(c.get("after") for c in data["curves"])),
+                ("near", any("near" in b for b in data["blowups"])),
+                ("multiplicity 2", any(m == 2 for b in data["blowups"] for _, m in b["on"])),
+                ("denominator", any("/" in x for c in data["curves"] for x in c["class"])),
+            )
+            if present
+        )
+    assert features == {"after", "near", "multiplicity 2", "denominator"}
+
+
+def test_both_loaders_reject_mutated_fixtures_alike():
+    rng = random.Random(6)
+    messages = set()
+    for _ in range(400):
+        data = _mutated(rng, rng.choice(FIXTURE_DOCUMENTS))
+        expected = _outcome(_stepwise_from_description, data)
+        assert _outcome(from_description, data) == expected
+        if isinstance(expected, str):
+            messages.add(expected.split(" ")[0])
+    # the mutations reach more than one kind of fault
+    assert len(messages) > 5

@@ -8,10 +8,12 @@ BENCH_3.json was made with, in addition, ``--claim-workload wide_support
 --claim-metric analyze_ms_p50 --claim-threshold -0.4 --held-out-seed 11
 --line-star 20,10,2 --line-star 30,16,2``, BENCH_4.json with
 ``--claim-workload high_rank --claim-metric analyze_ms_p50
---claim-threshold -0.3 --held-out-seed 11 --line-star 30,16,2``, and
+--claim-threshold -0.3 --held-out-seed 11 --line-star 30,16,2``,
 BENCH_5.json with ``--claim-workload high_rank --claim-metric
 analyze_ms_p50 --claim-threshold -0.4 --held-out-seed 11 --line-star
-30,16,2``.
+30,16,2``, and BENCH_6.json with ``--claim-workload high_rank
+--claim-metric analyze_ms_p50 --claim-threshold -0.2 --held-out-seed 11
+--line-star 30,16,2``.
 
 The parent commit (``git archive``) and the change (the working tree's
 tracked and unignored files) are copied into a temporary directory, so
