@@ -9,29 +9,21 @@ catalog is always iterated in order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import GeometryError
 from .pairs import AnticanonicalAnalysis
 from .surface import BlowUpRecord, SurfaceModel, blow_up, build_base, declare_curve
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    index: int
-    base: str
-    rank: int
-    status: str  # "ok" | "inconsistent" | "error"
-    detail: str
+# status is "ok", "inconsistent" or "error"
+CorpusEntry = namedtuple("CorpusEntry", "index base rank status detail")
 
 
-@dataclass(frozen=True)
-class CorpusSummary:
-    seed: int
-    count: int
-    entries: tuple[CorpusEntry, ...]
-    inconsistencies: int
-    errors: int
+class CorpusSummary(
+    namedtuple("CorpusSummary", "seed count entries inconsistencies errors")
+):
+    __slots__ = ()
 
     def render(self) -> str:
         lines = [f"corpus seed={self.seed} count={self.count}"]

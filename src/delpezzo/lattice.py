@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import DegenerateConfiguration, IncompatibleSurfaces
 
@@ -54,8 +53,20 @@ def format_rational(value: Q) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class PicardLattice:
+class Frozen:
+    """Refuses attribute assignment after construction, as a frozen record
+    does; an ``__init__`` sets its slots through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PicardLattice(Frozen):
     """A free abelian group with named basis and symmetric integral pairing.
 
     Every surface here is an iterated blow-up of a minimal base, and each
@@ -65,23 +76,33 @@ class PicardLattice:
     as integers.  Every label after the block is an orthogonal (-1)-axis.
     """
 
-    labels: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
+    __slots__ = ("labels", "gram")
 
-    def __post_init__(self):
-        n = len(self.gram)
-        if n > len(self.labels) or any(len(row) != n for row in self.gram):
+    def __init__(self, labels: tuple[str, ...], gram: tuple[tuple[int, ...], ...]):
+        n = len(gram)
+        if n > len(labels) or any(len(row) != n for row in gram):
             raise ValueError("gram matrix does not match basis size")
         # an int is already exact (and has numerator and denominator)
-        block = [[x if type(x) is int else rational(x) for x in row] for row in self.gram]
+        block = [[x if type(x) is int else rational(x) for x in row] for row in gram]
         if any(x.denominator != 1 for row in block for x in row):
             raise ValueError("gram matrix entries must be integers")
         for i in range(n):
             for j in range(i):
                 if block[i][j] != block[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        ints = tuple(tuple(x.numerator for x in row) for row in block)
-        object.__setattr__(self, "gram", ints)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "gram", tuple(tuple(x.numerator for x in row) for row in block))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels and self.gram == other.gram
+
+    def __hash__(self):
+        return hash((self.labels, self.gram))
+
+    def __repr__(self):
+        return f"PicardLattice(labels={self.labels!r}, gram={self.gram!r})"
 
     @property
     def rank(self) -> int:
@@ -235,29 +256,44 @@ def _reduced(lattice: PicardLattice, nums: tuple[int, ...], den: int) -> Divisor
     return _divisor(lattice, nums, den)
 
 
-@dataclass(frozen=True)
-class IntersectionMatrix:
+class IntersectionMatrix(Frozen):
     """Symmetric pairing matrix of a finite list of catalog curves."""
 
-    curve_ids: tuple[str, ...]
-    entries: tuple[tuple[Q, ...], ...]
+    __slots__ = ("curve_ids", "entries", "_eliminated")
 
-    def __post_init__(self):
-        n = len(self.curve_ids)
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+    def __init__(self, curve_ids: tuple[str, ...], entries: tuple[tuple[Q, ...], ...]):
+        n = len(curve_ids)
+        if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("entries do not form a square matrix over curve_ids")
         for i in range(n):
             for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
+                if entries[i][j] != entries[j][i]:
                     raise ValueError("intersection matrix must be symmetric")
+        object.__setattr__(self, "curve_ids", curve_ids)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_eliminated", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.curve_ids == other.curve_ids and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.curve_ids, self.entries))
+
+    def __repr__(self):
+        return f"IntersectionMatrix(curve_ids={self.curve_ids!r}, entries={self.entries!r})"
 
     @property
     def size(self) -> int:
         return len(self.curve_ids)
 
-    @cached_property
+    @property
     def _elimination(self) -> "_Elimination":
-        return _bareiss(self.entries)
+        """The matrix's one elimination, computed on first use."""
+        if self._eliminated is None:
+            object.__setattr__(self, "_eliminated", _bareiss(self.entries))
+        return self._eliminated
 
 
 def intersect(d1: DivisorClass, d2: DivisorClass) -> Q:
@@ -265,8 +301,7 @@ def intersect(d1: DivisorClass, d2: DivisorClass) -> Q:
     return d1.dot(d2)
 
 
-@dataclass(frozen=True)
-class _Elimination:
+class _Elimination(namedtuple("_Elimination", "size scale steps")):
     """The recorded steps of one fraction-free elimination of a matrix.
 
     ``scale`` is the positive lcm of the entry denominators.  Step k holds
@@ -276,9 +311,7 @@ class _Elimination:
     has no nonzero pivot left: the matrix is singular.
     """
 
-    size: int
-    scale: int
-    steps: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+    __slots__ = ()
 
     @property
     def negative_definite(self) -> bool:

@@ -18,7 +18,7 @@ per surface and every decider reads it from there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -65,11 +65,8 @@ WEAK_CLASSES = (
 )
 
 
-@dataclass(frozen=True)
-class BoundaryDivisor:
-    components: tuple[tuple[str, Q], ...]
-    floor_is_zero: bool
-    snc: bool
+class BoundaryDivisor(namedtuple("BoundaryDivisor", "components floor_is_zero snc")):
+    __slots__ = ()
 
     def coefficient(self, curve_id: str) -> Q:
         for cid, coeff in self.components:
@@ -108,21 +105,14 @@ def make_boundary(s: SurfaceModel, components) -> BoundaryDivisor:
     return BoundaryDivisor(pairs, floor_zero, snc)
 
 
-@dataclass(frozen=True)
-class WitnessParams:
-    epsilon: Q
-    multipliers: tuple[tuple[str, Q], ...]  # the class L on Null(P)
+# multipliers: the class L on Null(P), as (curve_id, coefficient) pairs
+WitnessParams = namedtuple("WitnessParams", "epsilon multipliers")
 
-
-@dataclass(frozen=True)
-class ClassVerdict:
-    class_tag: str
-    member: bool
-    witness: BoundaryDivisor | None = None
-    reason: str = ""
-    caveat: str = CATALOG_CAVEAT
-    applicable: bool = True
-    params: WitnessParams | None = None
+ClassVerdict = namedtuple(
+    "ClassVerdict",
+    "class_tag member witness reason caveat applicable params",
+    defaults=(None, "", CATALOG_CAVEAT, True, None),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +254,11 @@ def decide_weak_lc_pair_exists(s: SurfaceModel) -> ClassVerdict:
 # ---------------------------------------------------------------------------
 # log-resolution route (downstairs surface smooth)
 
-@dataclass(frozen=True)
-class ResolutionCheck:
-    effective: bool
-    snc_ok: bool
-    discrepancies: tuple[tuple[str, Q], ...]
-    divisor: tuple[tuple[str, Q], ...]  # coefficients of the comparison divisor
-    pair_is_klt: bool
-    pair_is_lc: bool
-    resolved: SurfaceModel
+# divisor: the coefficients of the comparison divisor
+ResolutionCheck = namedtuple(
+    "ResolutionCheck",
+    "effective snc_ok discrepancies divisor pair_is_klt pair_is_lc resolved",
+)
 
 
 def check_EP_condition(
@@ -341,13 +327,10 @@ def check_EP_for_contraction(
 # ---------------------------------------------------------------------------
 # good boundaries and pushforward (Proposition-style pipeline)
 
-@dataclass(frozen=True)
-class GoodBoundaryReport:
-    boundary_upstairs: BoundaryDivisor
-    boundary_downstairs: tuple[tuple[str, Q], ...]
-    ep_divisor: tuple[tuple[str, Q], ...]
-    effective: bool
-    recertified: bool
+GoodBoundaryReport = namedtuple(
+    "GoodBoundaryReport",
+    "boundary_upstairs boundary_downstairs ep_divisor effective recertified",
+)
 
 
 def construct_good_boundary(
@@ -384,14 +367,9 @@ def construct_good_boundary(
     return downstairs, report
 
 
-@dataclass(frozen=True)
-class PushforwardResult:
-    boundary_downstairs: tuple[tuple[str, Q], ...]
-    discrepancies: tuple[tuple[str, Q], ...]
-    klt: bool
-    ample: bool
-    klt_del_pezzo: bool
-    reason: str
+PushforwardResult = namedtuple(
+    "PushforwardResult", "boundary_downstairs discrepancies klt ample klt_del_pezzo reason"
+)
 
 
 def pushforward_pair(s: SurfaceModel, contracted, boundary) -> PushforwardResult:
@@ -434,12 +412,12 @@ def pushforward_pair(s: SurfaceModel, contracted, boundary) -> PushforwardResult
 # ---------------------------------------------------------------------------
 # redundant points
 
-@dataclass(frozen=True)
-class RedundantPoint:
-    kind: str  # "generic" | "shared"
-    curve_ids: tuple[str, ...]
-    multiplicity: Q
-    point_id: str | None = None
+class RedundantPoint(
+    namedtuple("RedundantPoint", "kind curve_ids multiplicity point_id", defaults=(None,))
+):
+    """``kind`` is "generic" or "shared"."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.kind == "generic":
@@ -465,13 +443,10 @@ def find_redundant_points(s: SurfaceModel) -> tuple[RedundantPoint, ...]:
     return AnticanonicalAnalysis(s).redundant_points
 
 
-@dataclass(frozen=True)
-class RedundantBlowUp:
-    model: SurfaceModel
-    exceptional_id: str
-    pulled_back_positive: DivisorClass
-    negative_before: tuple[tuple[str, Q], ...]
-    negative_after: tuple[tuple[str, Q], ...]
+RedundantBlowUp = namedtuple(
+    "RedundantBlowUp",
+    "model exceptional_id pulled_back_positive negative_before negative_after",
+)
 
 
 def redundant_blow_up(s: SurfaceModel, location: RedundantPoint, z=None) -> RedundantBlowUp:
@@ -522,14 +497,9 @@ def redundant_blow_up(s: SurfaceModel, location: RedundantPoint, z=None) -> Redu
 # ---------------------------------------------------------------------------
 # non-rational classification and the Cox verdict
 
-@dataclass(frozen=True)
-class NonRationalReport:
-    ok: bool
-    case: int | None
-    elliptic_curve: str | None
-    an_chains: tuple[tuple[str, ...], ...]
-    factorization: tuple[str, ...]
-    message: str
+NonRationalReport = namedtuple(
+    "NonRationalReport", "ok case elliptic_curve an_chains factorization message"
+)
 
 
 def _blow_down_simulation(s: SurfaceModel, null_ids: tuple[str, ...]):
@@ -702,16 +672,13 @@ def _cox(analysis: AnticanonicalAnalysis, contracted) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # the cross-check of the two theorem quintets
 
-@dataclass(frozen=True)
-class CertifyReport:
-    applicable: bool
-    klt: tuple[tuple[str, bool], ...]
-    weak: tuple[tuple[str, bool], ...]
-    klt_consistent: bool
-    weak_consistent: bool
-    failures: tuple[str, ...]
-    klt_member: bool
-    weak_member: bool
+class CertifyReport(
+    namedtuple(
+        "CertifyReport",
+        "applicable klt weak klt_consistent weak_consistent failures klt_member weak_member",
+    )
+):
+    __slots__ = ()
 
     @property
     def consistent(self) -> bool:

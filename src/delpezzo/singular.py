@@ -19,11 +19,11 @@ nodal genus-one curve must be distinguishable from a simple elliptic point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvalidSurfaceData, NotContractible
-from .lattice import IntersectionMatrix, Q, format_rational, is_negative_definite, solve_linear
+from .lattice import Q, format_rational, is_negative_definite, solve_linear
 from .surface import SurfaceModel
 from .zariski import CurveSet
 
@@ -31,22 +31,18 @@ KLT_TAGS = frozenset({"Smooth", "DuVal", "KltNonCanonical"})
 LC_TAGS = KLT_TAGS | {"LcNotKlt", "SimpleElliptic"}
 
 
-@dataclass(frozen=True)
-class SingularityVerdict:
-    tag: str
-    component: tuple[str, ...]
-    extremal_curve: str
-    extremal_discrepancy: Q
+SingularityVerdict = namedtuple(
+    "SingularityVerdict", "tag component extremal_curve extremal_discrepancy"
+)
 
 
-@dataclass(frozen=True)
-class ContractionData:
-    exceptional: tuple[str, ...]
-    matrix: IntersectionMatrix
-    discrepancies: tuple[tuple[str, Q], ...]
-    components: tuple[tuple[str, ...], ...]
-    verdicts: tuple[SingularityVerdict, ...]
-    contracted_canonical_square: Q
+class ContractionData(
+    namedtuple(
+        "ContractionData",
+        "exceptional matrix discrepancies components verdicts contracted_canonical_square",
+    )
+):
+    __slots__ = ()
 
     def discrepancy(self, curve_id: str) -> Q:
         for cid, a in self.discrepancies:
@@ -178,10 +174,11 @@ def is_snc_configuration(s: SurfaceModel, curves) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    nodes: tuple[tuple[str, Q, int], ...]  # (curve_id, self-intersection, p_a)
-    edges: tuple[tuple[str, str, Q], ...]  # (curve_id, curve_id, weight)
+class DualGraph(namedtuple("DualGraph", "nodes edges")):
+    """``nodes`` holds (curve_id, self-intersection, p_a) triples, ``edges``
+    (curve_id, curve_id, weight) triples."""
+
+    __slots__ = ()
 
     def to_dot(self) -> str:
         lines = ["graph dual {"]

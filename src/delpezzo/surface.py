@@ -24,12 +24,14 @@ Conventions for the seeded bases:
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidSurfaceData
 from .lattice import (
     DivisorClass,
+    Frozen,
     IntersectionMatrix,
     PicardLattice,
     Q,
@@ -41,28 +43,40 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class BaseSurface:
-    """The minimal surface a model starts from."""
+class BaseSurface(Frozen):
+    """The minimal surface a model starts from: ``kind`` is "P2",
+    "hirzebruch" or "ruled"."""
 
-    kind: str  # "P2" | "hirzebruch" | "ruled"
-    e: int = 0
-    genus: int = 0
+    __slots__ = ("kind", "e", "genus")
 
-    def __post_init__(self):
-        if self.kind == "P2":
-            if self.e or self.genus:
+    def __init__(self, kind: str, e: int = 0, genus: int = 0):
+        if kind == "P2":
+            if e or genus:
                 raise InvalidSurfaceData("P2 takes no parameters")
-        elif self.kind == "hirzebruch":
-            if self.e < 0:
+        elif kind == "hirzebruch":
+            if e < 0:
                 raise InvalidSurfaceData("Hirzebruch invariant e must be >= 0")
-            if self.genus:
+            if genus:
                 raise InvalidSurfaceData("Hirzebruch surfaces have genus 0")
-        elif self.kind == "ruled":
-            if self.genus < 0:
+        elif kind == "ruled":
+            if genus < 0:
                 raise InvalidSurfaceData("base curve genus must be >= 0")
         else:
-            raise InvalidSurfaceData(f"unknown base kind {self.kind!r}")
+            raise InvalidSurfaceData(f"unknown base kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "genus", genus)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.e, self.genus) == (other.kind, other.e, other.genus)
+
+    def __hash__(self):
+        return hash((self.kind, self.e, self.genus))
+
+    def __repr__(self):
+        return f"BaseSurface(kind={self.kind!r}, e={self.e!r}, genus={self.genus!r})"
 
     def seed(self):
         """The basis labels, the integral Gram block, K's coordinates and the
@@ -81,33 +95,29 @@ class BaseSurface:
         return self.kind in ("P2", "hirzebruch") or self.genus == 0
 
 
-@dataclass(frozen=True)
-class CurveRecord:
+class CurveRecord(namedtuple("CurveRecord", "curve_id divisor_class p_a smooth provenance")):
     """One tracked curve: class, arithmetic genus, smoothness, origin."""
 
-    curve_id: str
-    divisor_class: DivisorClass
-    p_a: int
-    smooth: bool
-    provenance: str
+    __slots__ = ()
 
     @property
     def self_intersection(self) -> Q:
         return self.divisor_class.square
 
 
-@dataclass(frozen=True)
-class BlowUpRecord:
+class BlowUpRecord(
+    namedtuple(
+        "BlowUpRecord", "point_id incidences near exceptional_id", defaults=((), None, None)
+    )
+):
     """A point to blow up, located by its multiplicities on tracked curves.
 
-    ``near`` marks an infinitely-near point on a previous exceptional curve;
-    it is treated as an extra multiplicity-1 incidence on that curve.
+    ``incidences`` holds (curve id, multiplicity) pairs.  ``near`` marks an
+    infinitely-near point on a previous exceptional curve; it is treated as
+    an extra multiplicity-1 incidence on that curve.
     """
 
-    point_id: str
-    incidences: tuple[tuple[str, int], ...] = ()
-    near: str | None = None
-    exceptional_id: str | None = None
+    __slots__ = ()
 
 
 # One recorded shared point between a pair of curves: (point id, local
@@ -115,15 +125,11 @@ class BlowUpRecord:
 SharedPoint = tuple[str, int, int]
 
 
-@dataclass(frozen=True)
-class _CurveDecl:
-    """Replay data for a user-declared curve (for lossless round-trips)."""
+class _CurveDecl(namedtuple("_CurveDecl", "curve_id coords p_a smooth after")):
+    """Replay data for a user-declared curve (for lossless round-trips);
+    ``after`` is the number of blow-ups already applied when declared."""
 
-    curve_id: str
-    coords: tuple[Q, ...]
-    p_a: int
-    smooth: bool
-    after: int  # number of blow-ups already applied when declared
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,9 +289,8 @@ class _Stage:
         if p_a < 0:
             raise InvalidSurfaceData(f"negative arithmetic genus for {curve_id!r}")
         for other_id, other in curves.items():
-            if pair_numerators(gram, nums, other.nums) < 0 and not (
-                other.den == den and other.nums + [0] * (len(nums) - len(other.nums)) == nums
-            ):
+            # a copy of a negative curve meets it negatively too
+            if pair_numerators(gram, nums, other.nums) < 0:
                 raise InvalidSurfaceData(
                     f"{curve_id!r} would meet {other_id!r} negatively; "
                     "two distinct curves cannot do that"

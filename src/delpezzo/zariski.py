@@ -12,6 +12,7 @@ Every positivity verdict produced here is relative to the declared catalog.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import CatalogInsufficient, InternalInconsistency
@@ -43,11 +44,10 @@ class ZariskiDecomposition:
         return max((c for _, c in self.negative), default=Q(0))
 
 
-@dataclass(frozen=True)
-class CurveSet:
+class CurveSet(namedtuple("CurveSet", "curve_ids")):
     """A set of catalog curves."""
 
-    curve_ids: tuple[str, ...]
+    __slots__ = ()
 
 
 def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:

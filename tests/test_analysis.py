@@ -152,13 +152,13 @@ def calls(monkeypatch):
 
 def test_loading_builds_one_lattice_and_no_intermediate_model(monkeypatch, calls):
     lattices = []
-    original = PicardLattice.__post_init__
+    original = PicardLattice.__init__
 
-    def counting(self):
+    def counting(self, *args):
         lattices.append(self)
-        original(self)
+        original(self, *args)
 
-    monkeypatch.setattr(PicardLattice, "__post_init__", counting)
+    monkeypatch.setattr(PicardLattice, "__init__", counting)
     s = from_description(line_star(56, 2, 3))
     assert calls["blow_up"] == 0
     assert len(lattices) == 1 and lattices[0] is s.lattice

@@ -162,6 +162,21 @@ def test_malformed_surface_field_exit_two(capsys, tmp_path, data, message):
     assert err == f"input error: {path}: {message}\n"
 
 
+def test_copy_of_negative_curve_exit_two(capsys, tmp_path):
+    path = tmp_path / "copy.json"
+    path.write_text(json.dumps({
+        "base": {"kind": "hirzebruch", "e": 2},
+        "curves": [{"id": "copy", "class": ["1", "0"], "pa": 0}],
+    }))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"input error: {path}: 'copy' would meet 'c0' negatively; "
+        "two distinct curves cannot do that\n"
+    )
+
+
 @pytest.mark.parametrize("bad", ["1/0", "abc", ""])
 def test_malformed_divisor_coordinate_exit_two(capsys, bad):
     code, out, err = run(

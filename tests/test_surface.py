@@ -307,6 +307,14 @@ HALF = {"id": "x", "class": ["3/2", "-1/2"], "pa": 0, "after": 1}
             _plane([HALF], [{}, {"on": [["x", 1], ["e1", 1]]}]),
             "multiplicity exceeds what intersection numbers permit: 'e1'.'x' = 1/2 < 1",
         ),
+        (
+            # a second curve in the class of the (-2)-section meets it in -2
+            {
+                "base": {"kind": "hirzebruch", "e": 2},
+                "curves": [{"id": "copy", "class": ["1", "0"], "pa": 0}],
+            },
+            "'copy' would meet 'c0' negatively; two distinct curves cannot do that",
+        ),
     ],
 )
 def test_rejected_description_names_its_fault(data, message):

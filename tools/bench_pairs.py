@@ -11,13 +11,21 @@ BENCH_3.json was made with, in addition, ``--claim-workload wide_support
 --claim-threshold -0.3 --held-out-seed 11 --line-star 30,16,2``,
 BENCH_5.json with ``--claim-workload high_rank --claim-metric
 analyze_ms_p50 --claim-threshold -0.4 --held-out-seed 11 --line-star
-30,16,2``, and BENCH_6.json with ``--claim-workload high_rank
+30,16,2``, BENCH_6.json with ``--claim-workload high_rank
 --claim-metric analyze_ms_p50 --claim-threshold -0.2 --held-out-seed 11
---line-star 30,16,2``.
+--line-star 30,16,2``, and BENCH_7.json with ``--claim-workload fixtures
+--claim-metric setup_s --claim-threshold -0.15 --held-out-seed 11``.
 
 The parent commit (``git archive``) and the change (the working tree's
 tracked and unignored files) are copied into a temporary directory, so
-both sides start alike: no bytecode caches, no leftovers.  For each workload and each seed
+both sides start alike: no bytecode caches, no leftovers.  First it times
+start-up: ``python -m delpezzo.cli analyze fixtures/F.json --format json`` as
+a new process, for F = p2 and dp8, ``STARTUP_REPEATS`` times per side with
+the sides alternating, once with cold bytecode (``PYTHONDONTWRITEBYTECODE=1``
+on the fresh copy, so every package module is compiled, as in the
+benchmark's set-up) and once warm (a temporary ``PYTHONPYCACHEPREFIX``,
+primed by one untimed call), next to a bare ``python -c pass``; both sides
+must print the same stdout.  Then, for each workload and each seed
 ``1 .. pairs`` it runs ``perfbench/run.py --seconds 20`` once on each side,
 the parent first in odd pairs and the change first in even pairs, so that a
 drift of the machine's speed hits both sides alike.  Then it runs one traced
@@ -32,6 +40,7 @@ Only the standard library is used.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -42,6 +51,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +60,8 @@ WORKLOADS = ("fixtures", "wide_support", "high_rank", "corpus")
 SECONDS = 20  # the run length BENCHMARK.json gives perfbench/run.py
 TRACE_SEED = 1
 LINE_STAR_REPEATS = 3
+STARTUP_REPEATS = 5
+STARTUP_FIXTURES = ("p2", "dp8")
 
 # Times one in-process `analyze --format json` on a line_star input built by
 # the benchmark's own generator; prints seconds, exit code and stdout digest.
@@ -204,6 +216,59 @@ def single_calls(roots: dict, specs: list[str]) -> dict:
     return out
 
 
+def _timed(argv: list[str], root: Path, env: dict) -> tuple[float, str]:
+    """Wall seconds of one process and the SHA-256 of its stdout."""
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True)
+    seconds = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode} in {root}:\n{proc.stderr}")
+    return seconds, hashlib.sha256(proc.stdout).hexdigest()
+
+
+def startup(roots: dict) -> dict:
+    """Process wall times of single ``analyze`` calls, per bytecode state."""
+    base = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    out = {
+        "command": "python -m delpezzo.cli analyze fixtures/F.json --format json",
+        "repeats": STARTUP_REPEATS,
+    }
+    with tempfile.TemporaryDirectory(prefix="pycache-") as prefix:
+        states = {
+            "cold": {"PYTHONDONTWRITEBYTECODE": "1"},
+            "warm": {"PYTHONPYCACHEPREFIX": prefix},
+        }
+        for state, extra in states.items():
+            envs = {side: {**base, **extra, "PYTHONPATH": str(roots[side] / "src")}
+                    for side in SIDES}
+            for name in STARTUP_FIXTURES:
+                argv = [sys.executable, "-m", "delpezzo.cli", "analyze",
+                        f"fixtures/{name}.json", "--format", "json"]
+                if state == "warm":
+                    for side in SIDES:
+                        _timed(argv, roots[side], envs[side])
+                seconds = {side: [] for side in SIDES}
+                digests = set()
+                for i in range(STARTUP_REPEATS):
+                    for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                        t, digest = _timed(argv, roots[side], envs[side])
+                        seconds[side].append(t)
+                        digests.add(digest)
+                if len(digests) != 1:
+                    raise SystemExit(f"analyze fixtures/{name}.json: the sides' stdout differs")
+                medians = {side: statistics.median(seconds[side]) for side in SIDES}
+                change = round(medians["change"] / medians["parent"] - 1, 4)
+                out[f"{state} {name}"] = {
+                    "seconds_median": medians,
+                    "relative_change_of_median": change,
+                    "seconds_runs": seconds,
+                }
+                print(f"  start-up {state} {name} {medians}", file=sys.stderr)
+    bare = [_timed([sys.executable, "-c", "pass"], ROOT, base)[0] for _ in range(STARTUP_REPEATS)]
+    out["bare python -c pass"] = {"seconds_median": statistics.median(bare), "seconds_runs": bare}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
@@ -227,6 +292,7 @@ def main(argv=None) -> int:
         roots = {side: scratch / side for side in SIDES}
         unpack(parent, roots["parent"])
         copy_working_tree(roots["change"])
+        startup_block = startup(roots)
         workloads = {}
         for workload in WORKLOADS:
             print(f"{workload}:", file=sys.stderr)
@@ -269,6 +335,7 @@ def main(argv=None) -> int:
         }
         if args.claim_workload and args.claim_metric:
             report["claim"] = claim(args, roots, workloads[args.claim_workload]["metrics"])
+        report["startup"] = startup_block
         report["workloads"] = workloads
         if args.line_star:
             report["single_calls"] = single_calls(roots, args.line_star)
