@@ -9,6 +9,7 @@ deterministic for a given input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -348,6 +349,7 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delpezzo",
@@ -371,24 +373,20 @@ def build_parser() -> argparse.ArgumentParser:
         choices=KLT_CLASSES + WEAK_CLASSES,
         help="exit 1 unless the named class verdict is true",
     )
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_dec = sub.add_parser("decompose", help="Zariski decomposition of a divisor")
     p_dec.add_argument("file")
     p_dec.add_argument("--divisor", help="comma-separated coordinates (default -K)")
     add_format(p_dec, ("text", "json"))
-    p_dec.set_defaults(func=cmd_decompose)
 
     p_cls = sub.add_parser("classify", help="singularities of the anticanonical model")
     p_cls.add_argument("file")
     add_format(p_cls)
-    p_cls.set_defaults(func=cmd_classify)
 
     p_wit = sub.add_parser("witness", help="boundary divisor certifying the klt class")
     p_wit.add_argument("file")
     p_wit.add_argument("--method", choices=("direct", "cone"), default="direct")
     add_format(p_wit, ("text", "json"))
-    p_wit.set_defaults(func=cmd_witness)
 
     p_blow = sub.add_parser("blowup", help="apply a redundant blow-up, print the new surface")
     p_blow.add_argument("file")
@@ -397,21 +395,19 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="redundant point: a curve id, 'a,b' for a shared point, or a point id",
     )
-    p_blow.set_defaults(func=cmd_blowup)
 
     p_cor = sub.add_parser("corpus", help="random consistency harness")
     p_cor.add_argument("--seed", type=int, required=True)
     p_cor.add_argument("--count", type=int, required=True)
     p_cor.add_argument("--max-rank", type=int, default=12)
-    p_cor.set_defaults(func=cmd_corpus)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up when called, so a rebound ``cmd_<name>`` is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except InvalidSurfaceData as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

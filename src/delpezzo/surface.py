@@ -7,7 +7,7 @@ this catalog.  Point data exists only as blow-up records — "general
 position" is encoded as the absence of declared incidences, and the tool
 trusts the declaration.
 
-Models are built by one mutable ``_Stage`` (integer class numerators,
+Models are built by one mutable ``_Stage`` (integral curve classes,
 genera, K, incidences) that each declaration or blow-up validates and
 updates in place.  ``from_description`` runs a whole file through one stage
 and builds one model; ``blow_up`` and ``declare_curve`` apply one step.
@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InvalidSurfaceData
 from .lattice import (
@@ -37,7 +35,6 @@ from .lattice import (
     Q,
     _divisor,
     format_rational,
-    numerators,
     pair_numerators,
     rational,
 )
@@ -132,15 +129,42 @@ class _CurveDecl(namedtuple("_CurveDecl", "curve_id coords p_a smooth after")):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class SurfaceModel:
-    base: BaseSurface
-    blowups: tuple[BlowUpRecord, ...]
-    catalog: tuple[CurveRecord, ...]
-    canonical: DivisorClass
-    lattice: PicardLattice
-    incidence: dict
-    declarations: tuple[_CurveDecl, ...]
+class SurfaceModel(Frozen):
+    """A surface with its blow-up history and curve catalog.  Equality is
+    identity: two models are the same model only if they are one object."""
+
+    __slots__ = (
+        "base", "blowups", "catalog", "canonical", "lattice", "incidence", "declarations",
+        "_curves_by_id",
+    )
+
+    def __init__(
+        self,
+        base: BaseSurface,
+        blowups: tuple[BlowUpRecord, ...],
+        catalog: tuple[CurveRecord, ...],
+        canonical: DivisorClass,
+        lattice: PicardLattice,
+        incidence: dict,
+        declarations: tuple[_CurveDecl, ...],
+    ):
+        set_field = object.__setattr__
+        set_field(self, "base", base)
+        set_field(self, "blowups", blowups)
+        set_field(self, "catalog", catalog)
+        set_field(self, "canonical", canonical)
+        set_field(self, "lattice", lattice)
+        set_field(self, "incidence", incidence)
+        set_field(self, "declarations", declarations)
+        set_field(self, "_curves_by_id", {r.curve_id: r for r in catalog})
+
+    def __repr__(self):
+        return (
+            f"SurfaceModel(base={self.base!r}, blowups={self.blowups!r}, "
+            f"catalog={self.catalog!r}, canonical={self.canonical!r}, "
+            f"lattice={self.lattice!r}, incidence={self.incidence!r}, "
+            f"declarations={self.declarations!r})"
+        )
 
     @property
     def rank(self) -> int:
@@ -153,10 +177,6 @@ class SurfaceModel:
     @property
     def rational(self) -> bool:
         return self.base.rational
-
-    @cached_property
-    def _curves_by_id(self) -> dict[str, CurveRecord]:
-        return {r.curve_id: r for r in self.catalog}
 
     def curve(self, curve_id: str) -> CurveRecord:
         try:
@@ -233,13 +253,13 @@ def blow_up(s: SurfaceModel, rec: BlowUpRecord) -> SurfaceModel:
 
 
 class _Curve:
-    """A catalog curve in a ``_Stage``.  Its class is ``nums`` over ``den``;
-    ``nums`` covers the base block and reads as padded with zeros."""
+    """A catalog curve in a ``_Stage``.  Its class is integral: ``nums``
+    covers the base block and reads as padded with zeros."""
 
-    __slots__ = ("position", "nums", "den", "p_a", "smooth", "provenance")
+    __slots__ = ("position", "nums", "p_a", "smooth", "provenance")
 
-    def __init__(self, position, nums, den, p_a, smooth, provenance):
-        self.position, self.nums, self.den = position, nums, den
+    def __init__(self, position, nums, p_a, smooth, provenance):
+        self.position, self.nums = position, nums
         self.p_a, self.smooth, self.provenance = p_a, smooth, provenance
 
 
@@ -251,7 +271,7 @@ class _Stage:
         labels, self.gram, canonical, seeds = base.seed()
         self.base, self.labels, self.canonical = base, list(labels), list(canonical)
         self.curves = {
-            cid: _Curve(i, [int(j == i) for j in range(len(labels))], 1, p_a, True, provenance)
+            cid: _Curve(i, [int(j == i) for j in range(len(labels))], p_a, True, provenance)
             for i, (cid, p_a, provenance) in enumerate(seeds)
         }
         self.incidence, self.declarations = {}, []
@@ -264,8 +284,8 @@ class _Stage:
         stage.labels, stage.canonical = list(s.lattice.labels), list(s.canonical.nums)
         curves = stage.curves = {}
         for i, r in enumerate(s.catalog):
-            d = r.divisor_class
-            curves[r.curve_id] = _Curve(i, list(d.nums), d.den, r.p_a, r.smooth, r.provenance)
+            nums = list(r.divisor_class.nums)
+            curves[r.curve_id] = _Curve(i, nums, r.p_a, r.smooth, r.provenance)
         stage.incidence, stage.declarations = dict(s.incidence), list(s.declarations)
         stage.blowups, stage.points = list(s.blowups), {b.point_id for b in s.blowups}
         return stage
@@ -275,16 +295,20 @@ class _Stage:
         with K and with every catalog class at this stage."""
         if curve_id in self.curves:
             raise InvalidSurfaceData(f"curve id {curve_id!r} already in catalog")
-        nums, den = numerators(coords)
-        nums, gram, curves = list(nums), self.gram, self.curves
-        # adjunction times 2 den^2, over the integers (K is integral)
-        twice = pair_numerators(gram, nums, nums)
-        twice += den * pair_numerators(gram, self.canonical, nums)
-        if twice != 2 * (p_a - 1) * den * den:
-            expected = Q(twice, 2 * den * den) + 1
+        # a curve is an integral class on these smooth surfaces
+        for label, x in zip(self.labels, coords):
+            if x.denominator != 1:
+                raise InvalidSurfaceData(
+                    f"class of {curve_id!r}: coordinate {label} = {format_rational(x)} "
+                    "is not an integer"
+                )
+        nums, gram, curves = [x.numerator for x in coords], self.gram, self.curves
+        # C^2 + K.C is even for an integral class, since K is characteristic
+        twice = pair_numerators(gram, nums, nums) + pair_numerators(gram, self.canonical, nums)
+        if twice != 2 * (p_a - 1):
             raise InvalidSurfaceData(
                 f"adjunction violation for {curve_id!r}: declared p_a={p_a}, "
-                f"computed p_a={format_rational(expected)}"
+                f"computed p_a={twice // 2 + 1}"
             )
         if p_a < 0:
             raise InvalidSurfaceData(f"negative arithmetic genus for {curve_id!r}")
@@ -295,7 +319,7 @@ class _Stage:
                     f"{curve_id!r} would meet {other_id!r} negatively; "
                     "two distinct curves cannot do that"
                 )
-        curves[curve_id] = _Curve(len(curves), nums, den, p_a, smooth, "declared-base-curve")
+        curves[curve_id] = _Curve(len(curves), nums, p_a, smooth, "declared-base-curve")
         self.declarations.append(_CurveDecl(curve_id, coords, p_a, smooth, len(self.blowups)))
 
     def blow_up(self, rec: BlowUpRecord) -> None:
@@ -338,12 +362,11 @@ class _Stage:
             a = curves[cid_a]
             for cid_b, mult_b in incident[i + 1:]:
                 b = curves[cid_b]
-                total, den = pair_numerators(self.gram, a.nums, b.nums), a.den * b.den
-                if mult_a * mult_b * den > total:
+                total = pair_numerators(self.gram, a.nums, b.nums)
+                if mult_a * mult_b > total:
                     raise InvalidSurfaceData(
                         f"multiplicity exceeds what intersection numbers permit: "
-                        f"{cid_a!r}.{cid_b!r} = {format_rational(Q(total, den))} "
-                        f"< {mult_a * mult_b}"
+                        f"{cid_a!r}.{cid_b!r} = {total} < {mult_a * mult_b}"
                     )
 
         # the new axis is orthogonal: a curve through the point gains one
@@ -352,11 +375,11 @@ class _Stage:
         for curve_id, mult in incident:
             curve = curves[curve_id]
             curve.nums += [0] * (axis - len(curve.nums))
-            curve.nums.append(-mult * curve.den)
+            curve.nums.append(-mult)
             curve.p_a -= mult * (mult - 1) // 2
             if curve.provenance != "exceptional":
                 curve.provenance = "strict-transform"
-        curves[exc_id] = _Curve(len(curves), [0] * axis + [1], 1, 0, True, "exceptional")
+        curves[exc_id] = _Curve(len(curves), [0] * axis + [1], 0, True, "exceptional")
         self.labels.append(exc_id)
         self.canonical.append(1)
 
@@ -391,7 +414,7 @@ class _Stage:
         lattice = PicardLattice(tuple(self.labels), self.gram)
         rank, catalog = lattice.rank, []
         for cid, c in self.curves.items():
-            d = _divisor(lattice, (*c.nums, *(0,) * (rank - len(c.nums))), c.den)
+            d = _divisor(lattice, (*c.nums, *(0,) * (rank - len(c.nums))), 1)
             catalog.append(CurveRecord(cid, d, c.p_a, c.smooth, c.provenance))
         return SurfaceModel(
             base=self.base,

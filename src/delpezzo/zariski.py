@@ -13,21 +13,21 @@ Every positivity verdict produced here is relative to the declared catalog.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .errors import CatalogInsufficient, InternalInconsistency
-from .lattice import DivisorClass, IntersectionMatrix, Q, is_negative_definite, solve_linear
+from .lattice import DivisorClass, Q, is_negative_definite, solve_linear
 from .surface import SurfaceModel
 
 CATALOG_CAVEAT = "relative to declared catalog"
 
 
-@dataclass(frozen=True)
-class ZariskiDecomposition:
-    original: DivisorClass
-    positive: DivisorClass
-    negative: tuple[tuple[str, Q], ...]
-    support_matrix: IntersectionMatrix
+class ZariskiDecomposition(
+    namedtuple("ZariskiDecomposition", "original positive negative support_matrix")
+):
+    """D = P + N: ``positive`` is P, ``negative`` holds N as (curve id,
+    coefficient) pairs, ``support_matrix`` is the Gram matrix of N's support."""
+
+    __slots__ = ()
 
     @property
     def positive_square(self) -> Q:

@@ -1,9 +1,12 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
+import argparse
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from delpezzo import cli
 from delpezzo.cli import main
 from delpezzo.surface import loads
 
@@ -303,3 +306,63 @@ def test_max_rank_env(capsys, monkeypatch):
     code, _, err = run(capsys, "analyze", str(FIXTURES / "cubic10.json"))
     assert code == 2
     assert "exceeds the cap" in err
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (
+        ("corpus", "--seed", "1", "--count", "0"),
+        ("analyze", str(FIXTURES / "p2.json")),
+        ("decompose", str(FIXTURES / "p2.json"), "--format", "json"),
+    ):
+        assert run(capsys, *argv)[0] == 0
+    # the top-level parser and one per subcommand, all from the first call
+    assert len(built) == 7
+
+
+def test_command_is_looked_up_when_called(capsys, monkeypatch):
+    assert run(capsys, "analyze", str(FIXTURES / "p2.json"))[0] == 0
+    seen = []
+
+    def replacement(args):
+        seen.append(args.file)
+        return 42
+
+    monkeypatch.setattr(cli, "cmd_analyze", replacement)
+    assert run(capsys, "analyze", "any.json") == (42, "", "")
+    assert seen == ["any.json"]
+
+
+def _exit(capsys, *argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+# SHA-256 of `delpezzo --help` at 80 columns under Python 3.11's argparse
+HELP_SHA256 = "ce660233093b7522ffb227e3d7d94f99de07528d08ee54c0b5999defd67508c5"
+
+
+@pytest.mark.parametrize(
+    "argv", [("--help",), ("analyze", "--help"), ("analyze",), ("nonsense",), ()]
+)
+def test_reused_parser_repeats_help_and_usage_errors(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    first = _exit(capsys, *argv)
+    assert _exit(capsys, *argv) == first
+    code, out, err = first
+    if "--help" in argv:
+        assert code == 0 and err == "" and out.startswith("usage: delpezzo")
+    else:
+        assert code == 2 and out == "" and err.startswith("usage: delpezzo")
+    if argv == ("--help",):
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_SHA256

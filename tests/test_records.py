@@ -2,7 +2,11 @@
 keeps their declarations free of generated code."""
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +23,16 @@ from delpezzo import (
     PicardLattice,
     Q,
     SingularityVerdict,
+    SurfaceModel,
     WitnessParams,
+    fixtures,
 )
 from delpezzo.corpus import CorpusEntry
 from delpezzo.pairs import CertifyReport, NonRationalReport, RedundantPoint
 from delpezzo.singular import DualGraph
+from delpezzo.zariski import zariski_decompose
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _lattice():
@@ -142,8 +151,31 @@ def test_records_of_different_values_differ():
     assert CurveSet(("a",)) != CurveSet(("b",))
 
 
-# the tests call ``dataclasses.replace`` on these two
-KEPT_DATACLASSES = {"delpezzo.surface.SurfaceModel", "delpezzo.zariski.ZariskiDecomposition"}
+def test_surface_model_keeps_identity_equality_and_field_order():
+    s = fixtures.hirzebruch(2)
+    fields = (s.base, s.blowups, s.catalog, s.canonical, s.lattice, s.incidence, s.declarations)
+    names = ("base", "blowups", "catalog", "canonical", "lattice", "incidence", "declarations")
+    by_position = SurfaceModel(*fields)
+    by_keyword = SurfaceModel(**dict(zip(names, fields)))
+    assert by_position != s and by_position == by_position
+    assert repr(by_position) == repr(by_keyword) == repr(s)
+    assert repr(s).startswith("SurfaceModel(base=BaseSurface(kind='hirzebruch', e=2, genus=0), ")
+    assert by_keyword.curve("c0") is s.curve("c0") and by_keyword.has_curve("f")
+    with pytest.raises(AttributeError):
+        s.catalog = ()
+    with pytest.raises(AttributeError):
+        s.extra = None
+
+
+def test_zariski_decomposition_is_a_tuple():
+    s = fixtures.hirzebruch(3)
+    z = zariski_decompose(s, s.anticanonical)
+    original, positive, negative, support_matrix = z
+    assert z == (original, positive, negative, support_matrix)
+    assert negative == (("c0", Q(1, 3)),)
+    assert z.coefficient("c0") == z.max_coefficient == Q(1, 3)
+    assert z.positive_square == positive.square
+    assert z._replace(negative=()) != z
 
 
 def test_no_other_dataclass_declarations():
@@ -155,7 +187,6 @@ def test_no_other_dataclass_declarations():
                 isinstance(obj, type)
                 and obj.__module__ == module.__name__
                 and dataclasses.is_dataclass(obj)
-                and f"{obj.__module__}.{obj.__qualname__}" not in KEPT_DATACLASSES
             ):
                 found.append(f"{obj.__module__}.{obj.__qualname__}")
     assert not found, (
@@ -164,3 +195,19 @@ def test_no_other_dataclass_declarations():
         "of delpezzo; declare a record with collections.namedtuple or a plain "
         "class with __slots__"
     )
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # -S keeps site-packages hooks out of the module list
+    script = (
+        "import delpezzo.cli, sys\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n", f"importing delpezzo.cli imports {result.stdout.strip()}"

@@ -265,7 +265,8 @@ def _plane(curves=(), blowups=()):
 
 
 LINE = {"id": "l", "class": ["1"], "pa": 0}
-HALF = {"id": "x", "class": ["3/2", "-1/2"], "pa": 0, "after": 1}
+# the class h - e1 of a line through the first blown-up point
+THROUGH_P1 = {"class": ["1", "-1"], "pa": 0, "after": 1}
 
 
 @pytest.mark.parametrize(
@@ -277,8 +278,8 @@ HALF = {"id": "x", "class": ["3/2", "-1/2"], "pa": 0, "after": 1}
             "adjunction violation for 'q': declared p_a=1, computed p_a=0",
         ),
         (
-            _plane([{"id": "q", "class": ["1/2"], "pa": 0}]),
-            "adjunction violation for 'q': declared p_a=0, computed p_a=3/8",
+            _plane([{"id": "q", "class": ["4"], "pa": 0}]),
+            "adjunction violation for 'q': declared p_a=0, computed p_a=3",
         ),
         (
             _plane([{"id": "x", "class": ["0", "2"], "pa": -2, "after": 1}], [{}]),
@@ -304,8 +305,12 @@ HALF = {"id": "x", "class": ["3/2", "-1/2"], "pa": 0, "after": 1}
             "multiplicity 3 exceeds what the genus of 'c' permits",
         ),
         (
-            _plane([HALF], [{}, {"on": [["x", 1], ["e1", 1]]}]),
-            "multiplicity exceeds what intersection numbers permit: 'e1'.'x' = 1/2 < 1",
+            # two lines through p1 meet nowhere else, so not at a second point
+            _plane(
+                [{"id": "x", **THROUGH_P1}, {"id": "y", **THROUGH_P1}],
+                [{}, {"on": [["x", 1], ["y", 1]]}],
+            ),
+            "multiplicity exceeds what intersection numbers permit: 'x'.'y' = 0 < 1",
         ),
         (
             # a second curve in the class of the (-2)-section meets it in -2
@@ -315,22 +320,22 @@ HALF = {"id": "x", "class": ["3/2", "-1/2"], "pa": 0, "after": 1}
             },
             "'copy' would meet 'c0' negatively; two distinct curves cannot do that",
         ),
+        (
+            _plane([{"id": "q", "class": ["1/2"], "pa": 0}]),
+            "class of 'q': coordinate h = 1/2 is not an integer",
+        ),
+        (
+            # (3h - E)/2 passes adjunction and the meeting test, but no curve
+            # has a non-integral class
+            _plane([{"id": "x", "class": ["3/2", "-1/2"], "pa": 0, "after": 1}], [{}]),
+            "class of 'x': coordinate h = 3/2 is not an integer",
+        ),
     ],
 )
 def test_rejected_description_names_its_fault(data, message):
     with pytest.raises(InvalidSurfaceData) as info:
         from_description(data)
     assert str(info.value) == message
-
-
-def test_class_with_denominator_is_lifted_by_its_numerators():
-    # the loader takes a declared class as given, integral or not; a blow-up
-    # through it appends -mult * den to its numerators
-    s = from_description(_plane([HALF], [{}, {"on": [["x", 1], ["h", 1]]}]))
-    x = s.curve("x").divisor_class
-    assert x.coords == (Q(3, 2), Q(-1, 2), Q(-1))
-    assert (x.nums, x.den) == ((3, -1, -2), 2)
-    assert s.curve("x").p_a == 0 and arithmetic_genus(s, x) == 0
 
 
 def _stepwise_from_description(data, max_rank=64):
@@ -444,17 +449,14 @@ def _outcome(load, data):
 
 
 def _random_description(seed):
-    """A corpus surface, sometimes over a nodal cubic blown up at its node
-    and a curve of class (3h - E)/2, plus copies of catalog curves declared
-    ``after`` some blow-ups with their class at that stage."""
+    """A corpus surface, sometimes over a nodal cubic blown up at its node,
+    plus copies of catalog curves declared ``after`` some blow-ups with their
+    class at that stage."""
     rng = random.Random(seed)
     s = corpus._random_base(rng)
     if s.base.kind == "P2" and rng.randrange(3) == 0:
         s = declare_curve(s, "nodal", (3,), 1, smooth=False)
         s = blow_up(s, BlowUpRecord("node", (("nodal", 2),)))
-        s = declare_curve(s, "half", ("3/2", "-1/2"), 0)
-        if rng.randrange(2):
-            s = blow_up(s, BlowUpRecord("on_half", (("half", 1), ("h", 1))))
     stages = [s]
     for index in range(rng.randrange(10)):
         s = corpus._random_blow_up(rng, s, index + 1)
@@ -523,11 +525,10 @@ def test_one_pass_loader_matches_stepwise_replay():
                 ("after", any(c.get("after") for c in data["curves"])),
                 ("near", any("near" in b for b in data["blowups"])),
                 ("multiplicity 2", any(m == 2 for b in data["blowups"] for _, m in b["on"])),
-                ("denominator", any("/" in x for c in data["curves"] for x in c["class"])),
             )
             if present
         )
-    assert features == {"after", "near", "multiplicity 2", "denominator"}
+    assert features == {"after", "near", "multiplicity 2"}
 
 
 def test_both_loaders_reject_mutated_fixtures_alike():

@@ -1,5 +1,4 @@
 """Zariski decomposition and the positivity tests."""
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -9,7 +8,7 @@ from delpezzo import fixtures
 from delpezzo.errors import CatalogInsufficient
 from delpezzo.lattice import DivisorClass
 from delpezzo.singular import contract
-from delpezzo.surface import BlowUpRecord, blow_up, build_base, declare_curve
+from delpezzo.surface import BlowUpRecord, SurfaceModel, blow_up, build_base, declare_curve
 from delpezzo.zariski import (
     ample_on_catalog,
     big_test,
@@ -114,7 +113,10 @@ def test_invariants_on_every_fixture(name):
 def test_uniqueness_under_catalog_permutation(name):
     s = fixtures.FIXTURES[name]()
     z = zariski_decompose(s, s.anticanonical)
-    reversed_catalog = replace(s, catalog=tuple(reversed(s.catalog)))
+    reversed_catalog = SurfaceModel(
+        s.base, s.blowups, tuple(reversed(s.catalog)), s.canonical, s.lattice, s.incidence,
+        s.declarations,
+    )
     z2 = zariski_decompose(reversed_catalog, reversed_catalog.anticanonical)
     assert dict(z.negative) == dict(z2.negative)
     assert z.positive == z2.positive

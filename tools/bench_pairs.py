@@ -13,19 +13,22 @@ BENCH_5.json with ``--claim-workload high_rank --claim-metric
 analyze_ms_p50 --claim-threshold -0.4 --held-out-seed 11 --line-star
 30,16,2``, BENCH_6.json with ``--claim-workload high_rank
 --claim-metric analyze_ms_p50 --claim-threshold -0.2 --held-out-seed 11
---line-star 30,16,2``, and BENCH_7.json with ``--claim-workload fixtures
---claim-metric setup_s --claim-threshold -0.15 --held-out-seed 11``.
+--line-star 30,16,2``, BENCH_7.json with ``--claim-workload fixtures
+--claim-metric setup_s --claim-threshold -0.15 --held-out-seed 11``, and
+BENCH_8.json with ``--claim-workload fixtures --claim-metric
+analyze_ms_p50 --claim-threshold -0.25 --held-out-seed 11``.
 
 The parent commit (``git archive``) and the change (the working tree's
 tracked and unignored files) are copied into a temporary directory, so
 both sides start alike: no bytecode caches, no leftovers.  First it times
 start-up: ``python -m delpezzo.cli analyze fixtures/F.json --format json`` as
-a new process, for F = p2 and dp8, ``STARTUP_REPEATS`` times per side with
-the sides alternating, once with cold bytecode (``PYTHONDONTWRITEBYTECODE=1``
-on the fresh copy, so every package module is compiled, as in the
-benchmark's set-up) and once warm (a temporary ``PYTHONPYCACHEPREFIX``,
-primed by one untimed call), next to a bare ``python -c pass``; both sides
-must print the same stdout.  Then, for each workload and each seed
+a new process, for F = p2 and dp8, and the bare import ``python -S -c
+"import delpezzo.cli"``, ``STARTUP_REPEATS`` times per side with the sides
+alternating, once with cold bytecode (``PYTHONDONTWRITEBYTECODE=1`` on the
+fresh copy, so every package module is compiled, as in the benchmark's
+set-up) and once warm (a temporary ``PYTHONPYCACHEPREFIX``, primed by one
+untimed call), next to a bare ``python -c pass`` and ``python -S -c pass``;
+both sides must print the same stdout.  Then, for each workload and each seed
 ``1 .. pairs`` it runs ``perfbench/run.py --seconds 20`` once on each side,
 the parent first in odd pairs and the change first in even pairs, so that a
 drift of the machine's speed hits both sides alike.  Then it runs one traced
@@ -62,6 +65,8 @@ TRACE_SEED = 1
 LINE_STAR_REPEATS = 3
 STARTUP_REPEATS = 5
 STARTUP_FIXTURES = ("p2", "dp8")
+# the package import alone, without ``site``, and its floor
+IMPORT_ONLY = "import delpezzo.cli"
 
 # Times one in-process `analyze --format json` on a line_star input built by
 # the benchmark's own generator; prints seconds, exit code and stdout digest.
@@ -227,10 +232,12 @@ def _timed(argv: list[str], root: Path, env: dict) -> tuple[float, str]:
 
 
 def startup(roots: dict) -> dict:
-    """Process wall times of single ``analyze`` calls, per bytecode state."""
+    """Process wall times of single ``analyze`` calls and of the bare package
+    import, per bytecode state."""
     base = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     out = {
         "command": "python -m delpezzo.cli analyze fixtures/F.json --format json",
+        "import_command": f"python -S -c {IMPORT_ONLY!r}",
         "repeats": STARTUP_REPEATS,
     }
     with tempfile.TemporaryDirectory(prefix="pycache-") as prefix:
@@ -241,9 +248,13 @@ def startup(roots: dict) -> dict:
         for state, extra in states.items():
             envs = {side: {**base, **extra, "PYTHONPATH": str(roots[side] / "src")}
                     for side in SIDES}
-            for name in STARTUP_FIXTURES:
-                argv = [sys.executable, "-m", "delpezzo.cli", "analyze",
-                        f"fixtures/{name}.json", "--format", "json"]
+            commands = {
+                name: [sys.executable, "-m", "delpezzo.cli", "analyze",
+                       f"fixtures/{name}.json", "--format", "json"]
+                for name in STARTUP_FIXTURES
+            }
+            commands[IMPORT_ONLY] = [sys.executable, "-S", "-c", IMPORT_ONLY]
+            for name, argv in commands.items():
                 if state == "warm":
                     for side in SIDES:
                         _timed(argv, roots[side], envs[side])
@@ -255,7 +266,7 @@ def startup(roots: dict) -> dict:
                         seconds[side].append(t)
                         digests.add(digest)
                 if len(digests) != 1:
-                    raise SystemExit(f"analyze fixtures/{name}.json: the sides' stdout differs")
+                    raise SystemExit(f"{' '.join(argv[1:])}: the sides' stdout differs")
                 medians = {side: statistics.median(seconds[side]) for side in SIDES}
                 change = round(medians["change"] / medians["parent"] - 1, 4)
                 out[f"{state} {name}"] = {
@@ -264,8 +275,13 @@ def startup(roots: dict) -> dict:
                     "seconds_runs": seconds,
                 }
                 print(f"  start-up {state} {name} {medians}", file=sys.stderr)
-    bare = [_timed([sys.executable, "-c", "pass"], ROOT, base)[0] for _ in range(STARTUP_REPEATS)]
-    out["bare python -c pass"] = {"seconds_median": statistics.median(bare), "seconds_runs": bare}
+    for flags in ((), ("-S",)):
+        argv = [sys.executable, *flags, "-c", "pass"]
+        bare = [_timed(argv, ROOT, base)[0] for _ in range(STARTUP_REPEATS)]
+        out[f"bare python {' '.join(argv[1:])}"] = {
+            "seconds_median": statistics.median(bare),
+            "seconds_runs": bare,
+        }
     return out
 
 
