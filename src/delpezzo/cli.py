@@ -215,7 +215,9 @@ def cmd_analyze(args) -> int:
 def cmd_decompose(args) -> int:
     s = _load(args.file)
     if args.divisor is not None:
-        coords = [input_rational(x, "--divisor coordinate") for x in args.divisor.split(",")]
+        # argparse drops a "--" value and leaves an empty list
+        text = args.divisor if isinstance(args.divisor, str) else "--"
+        coords = [input_rational(x, "--divisor coordinate") for x in text.split(",")]
         if len(coords) != s.rank:
             raise InvalidSurfaceData(
                 f"--divisor needs {s.rank} comma-separated coordinates"

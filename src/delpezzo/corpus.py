@@ -64,7 +64,7 @@ def _random_blow_up(rng: random.Random, s: SurfaceModel, index: int) -> SurfaceM
             (pair, entry)
             for pair, entries in sorted(s.incidence.items())
             for entry in entries
-            if s.curve(pair[0]).divisor_class.dot(s.curve(pair[1]).divisor_class) >= 1
+            if s.meets(pair[0])[s.position(pair[1])] >= 1
         ]
         if not shared:
             return s

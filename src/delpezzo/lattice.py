@@ -147,6 +147,19 @@ def numerators(values) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (den // x.denominator) for x in values), den
 
 
+def weighted_sum(terms, size: int) -> tuple[list[int], int]:
+    """The sum of c * v over (integer vector v, rational c) pairs, as
+    integer numerators over the least common denominator of the c."""
+    terms = [(v, rational(c)) for v, c in terms]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    total = [0] * size
+    for v, c in terms:
+        f = c.numerator * (den // c.denominator)
+        if f:
+            total = [t + f * x for t, x in zip(total, v)]
+    return total, den
+
+
 class DivisorClass:
     """A rational class in the Picard basis of one surface.
 
@@ -257,7 +270,8 @@ def _reduced(lattice: PicardLattice, nums: tuple[int, ...], den: int) -> Divisor
 
 
 class IntersectionMatrix(Frozen):
-    """Symmetric pairing matrix of a finite list of catalog curves."""
+    """Symmetric pairing matrix of a finite list of catalog curves.  The
+    entries are exact rationals; ``SurfaceModel.gram_of`` gives ints."""
 
     __slots__ = ("curve_ids", "entries", "_eliminated")
 

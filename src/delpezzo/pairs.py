@@ -44,6 +44,7 @@ from .zariski import (
     CurveSet,
     ZariskiDecomposition,
     ample_on_catalog,
+    combination_degrees,
     nef_on_catalog,
     null_locus,
     zariski_decompose,
@@ -186,11 +187,10 @@ def _witness(s: SurfaceModel, via_cone: bool, z=None) -> tuple[BoundaryDivisor, 
         # an interior point of the cone on Null(P): weight each curve by how
         # much positive catalog geometry it meets, then solve for negative
         # degrees; the line through A = P - eps*L and P exits through L
-        outside = [r for r in s.catalog if r.curve_id not in null_ids]
+        outside = [r.curve_id not in null_ids for r in s.catalog]
         rhs = []
         for cid in null_ids:
-            cls = s.curve(cid).divisor_class
-            meets = sum(1 for r in outside if r.divisor_class.dot(cls) > 0)
+            meets = sum(1 for out, v in zip(outside, s.meets(cid)) if out and v > 0)
             rhs.append(Q(-(1 + meets)))
     else:
         rhs = [Q(-1)] * len(null_ids)
@@ -200,14 +200,12 @@ def _witness(s: SurfaceModel, via_cone: bool, z=None) -> tuple[BoundaryDivisor, 
     max_n = z.max_coefficient
     max_l = max(c for _, c in multipliers)
     epsilon = (1 - max_n) / (2 * max_l)
-    for record in s.catalog:
-        if record.curve_id in null_ids:
-            continue
-        p_degree = z.positive.dot(record.divisor_class)
-        l_degree = l_class.dot(record.divisor_class)
+    # Null(P) is where P has degree zero, so only other curves give a bound
+    p_degrees, p_den = s.degrees(z.positive), z.positive.den
+    l_degrees, l_den = combination_degrees(s, multipliers)
+    for p_degree, l_degree in zip(p_degrees, l_degrees):
         if p_degree > 0 and l_degree > 0:
-            candidate = p_degree / (2 * l_degree)
-            epsilon = min(epsilon, candidate)
+            epsilon = min(epsilon, Q(p_degree * l_den, 2 * l_degree * p_den))
     # the formula controls degrees; the square needs its own guard
     while (z.positive - l_class.scale(epsilon)).square <= 0:
         epsilon /= 2
@@ -315,8 +313,8 @@ def check_EP_for_contraction(
             raise PreconditionFailure(
                 f"boundary component {cid!r} is contracted; push it forward first"
             )
-        cls = s.curve(cid).divisor_class
-        rhs = [-cls.dot(s.curve(e).divisor_class) for e in ids]
+        row = s.meets(cid)
+        rhs = [-row[s.position(e)] for e in ids]
         correction = solve_linear(data.matrix, rhs)
         for e, mu in zip(ids, correction):
             coeffs[e] += Fraction(c) * mu
@@ -391,9 +389,7 @@ def pushforward_pair(s: SurfaceModel, contracted, boundary) -> PushforwardResult
     pulled = s.canonical + s.class_of(down) - s.class_of(discs)
     target = -pulled
     ample = target.square > 0 and all(
-        target.dot(r.divisor_class) > 0
-        for r in s.catalog
-        if r.curve_id not in ids
+        v > 0 for r, v in zip(s.catalog, s.degrees(target)) if r.curve_id not in ids
     )
     if klt and ample:
         reason = "pushforward re-certified as a klt del Pezzo pair"

@@ -64,16 +64,15 @@ def _as_ids(curves) -> tuple[str, ...]:
 def connected_components(s: SurfaceModel, curve_ids) -> tuple[tuple[str, ...], ...]:
     """Components of the dual graph (edge iff intersection > 0)."""
     ids = s.ordered(_as_ids(curve_ids))
-    classes = {cid: s.curve(cid).divisor_class for cid in ids}
     remaining = list(ids)
     components = []
     while remaining:
         stack = [remaining.pop(0)]
         component = set(stack)
         while stack:
-            current = stack.pop()
+            row = s.meets(stack.pop())
             for other in list(remaining):
-                if classes[current].dot(classes[other]) > 0:
+                if row[s.position(other)] > 0:
                     remaining.remove(other)
                     component.add(other)
                     stack.append(other)
@@ -164,14 +163,19 @@ def is_snc_configuration(s: SurfaceModel, curves) -> bool:
     is the remaining content.
     """
     ids = _as_ids(curves)
-    records = [s.curve(cid) for cid in ids]
-    if not all(r.smooth for r in records):
+    if not all(s.curve(cid).smooth for cid in ids):
         return False
-    for i, a in enumerate(records):
-        for b in records[i + 1:]:
-            if a.divisor_class.dot(b.divisor_class) not in (0, 1):
-                return False
+    positions = [s.position(cid) for cid in ids]
+    for i in range(len(ids) - 1):
+        row = s.meets(ids[i])
+        if any(row[p] not in (0, 1) for p in positions[i + 1:]):
+            return False
     return True
+
+
+def _dot_string(text: str) -> str:
+    """A DOT quoted string, with backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 class DualGraph(namedtuple("DualGraph", "nodes edges")):
@@ -183,10 +187,11 @@ class DualGraph(namedtuple("DualGraph", "nodes edges")):
     def to_dot(self) -> str:
         lines = ["graph dual {"]
         for cid, self_int, p_a in self.nodes:
-            label = f"{cid}({format_rational(self_int)},{p_a})"
-            lines.append(f'  "{cid}" [label="{label}"];')
+            label = _dot_string(f"{cid}({format_rational(self_int)},{p_a})")
+            lines.append(f"  {_dot_string(cid)} [label={label}];")
         for a, b, weight in self.edges:
-            lines.append(f'  "{a}" -- "{b}" [label="{format_rational(weight)}"];')
+            weight = _dot_string(format_rational(weight))
+            lines.append(f"  {_dot_string(a)} -- {_dot_string(b)} [label={weight}];")
         lines.append("}")
         return "\n".join(lines)
 
@@ -194,12 +199,12 @@ class DualGraph(namedtuple("DualGraph", "nodes edges")):
 def dual_graph(s: SurfaceModel, curves) -> DualGraph:
     """Weighted dual graph of a curve set, nodes in catalog order."""
     ids = s.ordered(_as_ids(curves))
-    records = [s.curve(cid) for cid in ids]
-    nodes = tuple((r.curve_id, r.self_intersection, r.p_a) for r in records)
-    edges = []
-    for i, a in enumerate(records):
-        for b in records[i + 1:]:
-            weight = a.divisor_class.dot(b.divisor_class)
-            if weight > 0:
-                edges.append((a.curve_id, b.curve_id, weight))
-    return DualGraph(nodes, tuple(edges))
+    positions = [s.position(cid) for cid in ids]
+    nodes, edges = [], []
+    for i, a in enumerate(ids):
+        row = s.meets(a)
+        nodes.append((a, Fraction(row[positions[i]]), s.curve(a).p_a))
+        for b, p in zip(ids[i + 1:], positions[i + 1:]):
+            if row[p] > 0:
+                edges.append((a, b, Fraction(row[p])))
+    return DualGraph(tuple(nodes), tuple(edges))

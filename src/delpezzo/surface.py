@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .errors import InvalidSurfaceData
+from .errors import IncompatibleSurfaces, InvalidSurfaceData
 from .lattice import (
     DivisorClass,
     Frozen,
@@ -34,9 +34,11 @@ from .lattice import (
     PicardLattice,
     Q,
     _divisor,
+    _reduced,
     format_rational,
     pair_numerators,
     rational,
+    weighted_sum,
 )
 
 
@@ -131,11 +133,17 @@ class _CurveDecl(namedtuple("_CurveDecl", "curve_id coords p_a smooth after")):
 
 class SurfaceModel(Frozen):
     """A surface with its blow-up history and curve catalog.  Equality is
-    identity: two models are the same model only if they are one object."""
+    identity: two models are the same model only if they are one object.
+
+    Every catalog class is integral, so the model keeps an integer
+    intersection table: ``meets`` fills a curve's row on first request, and
+    ``degrees`` remembers the last class it scanned.  Both fills are
+    idempotent, so concurrent readers can at worst compute a value twice.
+    """
 
     __slots__ = (
         "base", "blowups", "catalog", "canonical", "lattice", "incidence", "declarations",
-        "_curves_by_id",
+        "_curves_by_id", "_positions", "_meets", "_last_degrees",
     )
 
     def __init__(
@@ -157,6 +165,9 @@ class SurfaceModel(Frozen):
         set_field(self, "incidence", incidence)
         set_field(self, "declarations", declarations)
         set_field(self, "_curves_by_id", {r.curve_id: r for r in catalog})
+        set_field(self, "_positions", {r.curve_id: i for i, r in enumerate(catalog)})
+        set_field(self, "_meets", {})
+        set_field(self, "_last_degrees", None)
 
     def __repr__(self):
         return (
@@ -195,22 +206,47 @@ class SurfaceModel(Frozen):
         wanted = set(curve_ids)
         return tuple(r.curve_id for r in self.catalog if r.curve_id in wanted)
 
+    def position(self, curve_id: str) -> int:
+        """The curve's index in catalog order, which indexes table rows."""
+        try:
+            return self._positions[curve_id]
+        except KeyError:
+            raise KeyError(f"no curve {curve_id!r} in catalog") from None
+
+    def meets(self, curve_id: str) -> tuple[int, ...]:
+        """The curve's intersection number with every catalog curve, in
+        catalog order: one row of the table, paired on first request."""
+        row = self._meets.get(curve_id)
+        if row is None:
+            gram, x = self.lattice.gram, self.curve(curve_id).divisor_class.nums
+            row = tuple(pair_numerators(gram, x, r.divisor_class.nums) for r in self.catalog)
+            self._meets[curve_id] = row
+        return row
+
+    def degrees(self, d: DivisorClass) -> tuple[int, ...]:
+        """The numerators, over ``d.den``, of d.C for every catalog curve C
+        in catalog order.  Only the last class scanned is remembered."""
+        if d.lattice is not self.lattice and d.lattice != self.lattice:
+            raise IncompatibleSurfaces("incompatible surfaces")
+        key, last = (d.nums, d.den), self._last_degrees
+        if last is not None and last[0] == key:
+            return last[1]
+        gram = self.lattice.gram
+        values = tuple(pair_numerators(gram, d.nums, r.divisor_class.nums) for r in self.catalog)
+        object.__setattr__(self, "_last_degrees", (key, values))
+        return values
+
     def gram_of(self, curve_ids) -> IntersectionMatrix:
         ids = tuple(curve_ids)
-        classes = [self.curve(c).divisor_class for c in ids]
-        # the pairing is symmetric: compute each unordered pair once
-        rows = [[None] * len(ids) for _ in ids]
-        for i, a in enumerate(classes):
-            for j in range(i, len(ids)):
-                rows[i][j] = rows[j][i] = a.dot(classes[j])
-        return IntersectionMatrix(ids, tuple(map(tuple, rows)))
+        rows = [self.meets(c) for c in ids]
+        positions = [self._positions[c] for c in ids]
+        return IntersectionMatrix(ids, tuple(tuple(row[p] for p in positions) for row in rows))
 
     def class_of(self, components) -> DivisorClass:
         """Sum of coefficient * curve class over (curve_id, Q) pairs."""
-        total = self.lattice.zero()
-        for curve_id, coeff in components:
-            total = total + self.curve(curve_id).divisor_class.scale(coeff)
-        return total
+        terms = ((self.curve(cid).divisor_class.nums, c) for cid, c in components)
+        total, den = weighted_sum(terms, self.rank)
+        return _reduced(self.lattice, tuple(total), den)
 
     def shared_points(self, a: str, b: str) -> tuple[SharedPoint, ...]:
         key = (a, b) if a <= b else (b, a)

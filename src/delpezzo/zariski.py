@@ -12,10 +12,11 @@ Every positivity verdict produced here is relative to the declared catalog.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .errors import CatalogInsufficient, InternalInconsistency
-from .lattice import DivisorClass, Q, is_negative_definite, solve_linear
+from .lattice import DivisorClass, Q, is_negative_definite, solve_linear, weighted_sum
 from .surface import SurfaceModel
 
 CATALOG_CAVEAT = "relative to declared catalog"
@@ -52,7 +53,12 @@ class CurveSet(namedtuple("CurveSet", "curve_ids")):
 
 def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
     """Split d = P + N with P nonnegative on the catalog and orthogonal to
-    the negative-definite support of N."""
+    the negative-definite support of N.
+
+    d is paired with the catalog once; each round reads P's degrees off the
+    table rows of the support, in integers over a common denominator.
+    """
+    d_degrees, den = s.degrees(d), d.den
     support: list[str] = []
     rounds = 0
     while True:
@@ -66,21 +72,24 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
             raise CatalogInsufficient(
                 "catalog insufficient or divisor not pseudo-effective"
             )
-        rhs = [d.dot(s.curve(cid).divisor_class) for cid in support]
+        rhs = [Q(d_degrees[s.position(cid)], den) for cid in support]
         coeffs = solve_linear(matrix, rhs)
-        negative_part = s.class_of(zip(support, coeffs))
-        positive = d - negative_part
-        newly_negative = [
+        n_degrees, n_den = combination_degrees(s, zip(support, coeffs))
+        # q * (P.C) = d_scale * (d.C numerator) - n_scale * (N.C numerator)
+        q = math.lcm(den, n_den)
+        d_scale, n_scale = q // den, q // n_den
+        current = set(support)
+        newly_negative = {
             r.curve_id
-            for r in s.catalog
-            if r.curve_id not in support and positive.dot(r.divisor_class) < 0
-        ]
+            for r, x, y in zip(s.catalog, d_degrees, n_degrees)
+            if d_scale * x < n_scale * y and r.curve_id not in current
+        }
         if not newly_negative:
             break
         support = [
             r.curve_id
             for r in s.catalog
-            if r.curve_id in support or r.curve_id in newly_negative
+            if r.curve_id in current or r.curve_id in newly_negative
         ]
 
     if any(c < 0 for c in coeffs):
@@ -91,7 +100,7 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
     positive_ids = tuple(cid for cid, _ in pairs)
     decomposition = ZariskiDecomposition(
         original=d,
-        positive=positive,
+        positive=d - s.class_of(zip(support, coeffs)),
         negative=tuple(pairs),
         support_matrix=s.gram_of(positive_ids),
     )
@@ -99,12 +108,23 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
     return decomposition
 
 
+def combination_degrees(s: SurfaceModel, components) -> tuple[list[int], int]:
+    """The numerators, over their common denominator, of (sum c_i C_i).C
+    for every catalog curve C, summed from the table rows of the C_i."""
+    return weighted_sum(((s.meets(cid), c) for cid, c in components), len(s.catalog))
+
+
 def _verify(s: SurfaceModel, z: ZariskiDecomposition) -> None:
     """Re-check the defining properties of a decomposition.  A failure is a
-    bug, so it raises InternalInconsistency, which ``python -O`` keeps."""
+    bug, so it raises InternalInconsistency, which ``python -O`` keeps.
+
+    P's degrees come from pairing P with each catalog class, never from
+    the table rows the decomposition read, so a wrong row is caught here.
+    """
+    degrees = s.degrees(z.positive)
     if z.positive + s.class_of(z.negative) != z.original:
         problem = "P + N != D"
-    elif any(z.positive.dot(s.curve(cid).divisor_class) != 0 for cid, _ in z.negative):
+    elif any(degrees[s.position(cid)] != 0 for cid, _ in z.negative):
         problem = "P is not orthogonal to the support of N"
     elif not nef_on_catalog(s, z.positive):
         problem = "P is negative on a catalog curve"
@@ -117,14 +137,12 @@ def _verify(s: SurfaceModel, z: ZariskiDecomposition) -> None:
 
 def null_locus(s: SurfaceModel, z: ZariskiDecomposition) -> CurveSet:
     """All catalog curves of P-degree zero (contains the support of N)."""
-    ids = tuple(
-        r.curve_id for r in s.catalog if z.positive.dot(r.divisor_class) == 0
-    )
-    return CurveSet(ids)
+    degrees = s.degrees(z.positive)
+    return CurveSet(tuple(r.curve_id for r, v in zip(s.catalog, degrees) if v == 0))
 
 
 def nef_on_catalog(s: SurfaceModel, d: DivisorClass) -> bool:
-    return all(d.dot(r.divisor_class) >= 0 for r in s.catalog)
+    return all(v >= 0 for v in s.degrees(d))
 
 
 def big_test(s: SurfaceModel, d: DivisorClass) -> bool:
@@ -137,4 +155,4 @@ def ample_on_catalog(s: SurfaceModel, d: DivisorClass) -> bool:
     """Nakai-Moishezon relative to the catalog: d^2 > 0, d.c > 0 for all c."""
     if d.square <= 0:
         return False
-    return all(d.dot(r.divisor_class) > 0 for r in s.catalog)
+    return all(v > 0 for v in s.degrees(d))

@@ -9,6 +9,7 @@ algorithm, not against itself.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 Q = Fraction
@@ -102,11 +103,74 @@ def dense_gram(kind: str, e: int, blowups: int) -> list[list[Q]]:
 
 
 def dense_pairing(rows, a, b) -> Q:
-    """a^T G b summed over every entry of the Gram matrix."""
-    return sum(
-        (Q(a[i]) * Q(rows[i][j]) * Q(b[j]) for i in range(len(a)) for j in range(len(b))),
-        Q(0),
-    )
+    """a^T G b summed over every entry of the Gram matrix.  Entries stay in
+    their own arithmetic (ints stay ints), and a term with a zero
+    coordinate adds nothing, so it is skipped."""
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
+    return Q(sum(x * rows[i][j] * y for i, x in enumerate(a) if x for j, y in b_terms))
+
+
+def curve_gram(rows, curves) -> list[list[int]]:
+    """The dense pairing of every two of the given integral classes, as
+    ints, so that determinants of its blocks stay in ints."""
+    gram = [[dense_pairing(rows, a, b) for b in curves] for a in curves]
+    if any(x.denominator != 1 for row in gram for x in row):
+        raise ValueError("curve classes must be integral")
+    return [[x.numerator for x in row] for row in gram]
+
+
+def is_negative_definite_by_minors(rows) -> bool:
+    """Sylvester's criterion with every leading minor expanded by cofactors:
+    the k-th leading minor is nonzero with sign (-1)^k."""
+    for k in range(1, len(rows) + 1):
+        minor = cofactor_det([row[:k] for row in rows[:k]])
+        if minor == 0 or (minor > 0) != (k % 2 == 0):
+            return False
+    return True
+
+
+def oracle_zariski(rows, curves, meets, d):
+    """The Zariski decomposition of d relative to a list of curve classes,
+    by the textbook support-growing loop over a dense Gram matrix.
+
+    ``curves`` and ``d`` are coordinate tuples and ``meets`` is
+    ``curve_gram(rows, curves)``.  Returns (P's coordinates, N as (curve
+    index, coefficient) pairs with a positive coefficient, in index order),
+    or None where the loop gives up: the support reaches the rank, the
+    rounds exceed rank + 1, the support is not negative definite, or a
+    final coefficient is negative.
+    """
+    n = len(rows)
+    d_degrees = [dense_pairing(rows, d, b) for b in curves]
+    # solved with the degrees scaled to integers, so determinants stay ints
+    scale = math.lcm(*(x.denominator for x in d_degrees))
+    scaled = [(x * scale).numerator for x in d_degrees]
+    support: list[int] = []
+    rounds = 0
+    while True:
+        rounds += 1
+        if len(support) >= n or rounds > n + 1:
+            return None
+        block = [[meets[i][j] for j in support] for i in support]
+        if support and not is_negative_definite_by_minors(block):
+            return None
+        solved = cramer_solve(block, [scaled[i] for i in support]) if support else ()
+        coeffs = [c / scale for c in solved]
+        newly = [
+            k
+            for k in range(len(curves))
+            if k not in support
+            and d_degrees[k] - sum(c * meets[i][k] for i, c in zip(support, coeffs)) < 0
+        ]
+        if not newly:
+            break
+        support = sorted(support + newly)
+    if any(c < 0 for c in coeffs):
+        return None
+    positive = tuple(Q(x) for x in d)
+    for i, c in zip(support, coeffs):
+        positive = class_difference(positive, class_scaled(curves[i], c))
+    return positive, [(i, c) for i, c in zip(support, coeffs) if c > 0]
 
 
 def class_sum(a, b) -> tuple[Q, ...]:

@@ -2,6 +2,7 @@
 import argparse
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,52 @@ def test_analyze_dot_output(capsys):
     assert code == 0
     assert out.startswith("graph dual {")
     assert '"c0" [label="c0(-2,0)"];' in out
+
+
+# line_star(5, 1, 1) with a double quote and a backslash in two curve ids
+QUOTED_IDS = {
+    "base": {"kind": "P2"},
+    "curves": [{"id": 'l"x', "class": ["1"], "pa": 0}],
+    "blowups": [
+        {"point": "p1", "exceptional": "a\\b", "on": [['l"x', 1]]},
+        *({"point": f"p{i}", "exceptional": f"e{i}", "on": [['l"x', 1]]} for i in range(2, 6)),
+        {"point": "q1", "exceptional": "f1", "on": [["a\\b", 1]]},
+    ],
+}
+DOT_STRING = r'"((?:[^"\\]|\\.)*)"'
+DOT_STATEMENT = re.compile(
+    rf"graph dual \{{|\}}"
+    rf"|  {DOT_STRING} \[label={DOT_STRING}\];"
+    rf"|  {DOT_STRING} -- {DOT_STRING} \[label={DOT_STRING}\];"
+)
+
+
+def _unescape(text):
+    return re.sub(r"\\(.)", r"\1", text)
+
+
+def test_dot_output_escapes_quotes_and_backslashes(capsys, tmp_path):
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(QUOTED_IDS), encoding="utf-8")
+    code, analyze_dot, _ = run(capsys, "analyze", str(path), "--format", "dot")
+    assert code == 0
+    code, classify_dot, _ = run(capsys, "classify", str(path), "--format", "dot")
+    assert code == 0
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+    assert code == 0
+    for dot in (analyze_dot, classify_dot, json.loads(out)["dual_graph_dot"]):
+        nodes, edges = [], []
+        for line in dot.splitlines():
+            match = DOT_STATEMENT.fullmatch(line)
+            assert match, line
+            node, label, a, b, _ = map(lambda g: g and _unescape(g), match.groups())
+            if node is not None:
+                assert label.startswith(node + "(")
+                nodes.append(node)
+            if a is not None:
+                edges.append((a, b))
+        assert nodes == ['l"x', "a\\b"]
+        assert edges == [('l"x', "a\\b")]
 
 
 def test_assert_flag_failure_exit_code(capsys):

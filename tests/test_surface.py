@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from delpezzo import corpus, fixtures
-from delpezzo.errors import InvalidSurfaceData
+from delpezzo.errors import IncompatibleSurfaces, InvalidSurfaceData
 from delpezzo.lattice import DivisorClass, format_rational
 from delpezzo.surface import (
     BlowUpRecord,
@@ -26,6 +26,7 @@ from delpezzo.surface import (
     loads,
     to_description,
 )
+from delpezzo.zariski import zariski_decompose
 from test_analysis import line_star
 
 
@@ -542,3 +543,59 @@ def test_both_loaders_reject_mutated_fixtures_alike():
             messages.add(expected.split(" ")[0])
     # the mutations reach more than one kind of fault
     assert len(messages) > 5
+
+
+BENCHMARK_LINE_STARS = ((6, 4, 2), (10, 5, 1), (36, 2, 2), (56, 2, 3))
+
+
+def corpus_head(seed, count=10, max_rank=12):
+    """The first ``count`` surfaces ``corpus --seed`` keeps, drawn as it
+    draws them."""
+    rng = random.Random(seed)
+    kept = []
+    while len(kept) < count:
+        s = corpus.random_surface(rng, max_rank)
+        if s is not None:
+            kept.append(s)
+    return kept
+
+
+def fixture_models():
+    return [
+        loads(path.read_text(encoding="utf-8"))
+        for path in sorted((Path(__file__).parent.parent / "fixtures").glob("*.json"))
+    ]
+
+
+def test_intersection_table_matches_dense_oracle():
+    models = fixture_models() + [from_description(line_star(*spec)) for spec in BENCHMARK_LINE_STARS]
+    models += corpus_head(1) + corpus_head(2)
+    for s in models:
+        rows = oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))
+        ids = s.curve_ids()
+        coords = [s.curve(cid).divisor_class.coords for cid in ids]
+        expected = [tuple(oracles.dense_pairing(rows, a, b) for b in coords) for a in coords]
+        for cid, row in zip(ids, expected):
+            assert s.meets(cid) == row
+        # a reordered block reads the right entries of the rows
+        order = list(reversed(range(len(ids))))
+        matrix = s.gram_of(ids[k] for k in order)
+        assert matrix.entries == tuple(tuple(expected[i][j] for j in order) for i in order)
+
+        def oracle_degrees(d):
+            return tuple(oracles.dense_pairing(rows, d.coords, b) for b in coords)
+
+        def degrees(d):
+            return tuple(Q(v, d.den) for v in s.degrees(d))
+
+        minus_k = s.anticanonical
+        positive = zariski_decompose(s, minus_k).positive
+        # the one remembered scan is replaced as the scanned class changes
+        for d in (minus_k, positive, minus_k, positive):
+            assert degrees(d) == oracle_degrees(d)
+
+
+def test_degrees_refuse_a_class_of_another_surface():
+    s, other = fixtures.hirzebruch(2), fixtures.hirzebruch(3)
+    with pytest.raises(IncompatibleSurfaces):
+        s.degrees(other.anticanonical)

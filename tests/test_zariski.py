@@ -1,14 +1,23 @@
 """Zariski decomposition and the positivity tests."""
+import json
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 import oracles
-from delpezzo import fixtures
-from delpezzo.errors import CatalogInsufficient
+from delpezzo import cli, fixtures
+from delpezzo.errors import CatalogInsufficient, InternalInconsistency
 from delpezzo.lattice import DivisorClass
 from delpezzo.singular import contract
-from delpezzo.surface import BlowUpRecord, SurfaceModel, blow_up, build_base, declare_curve
+from delpezzo.surface import (
+    BlowUpRecord,
+    SurfaceModel,
+    blow_up,
+    build_base,
+    declare_curve,
+    from_description,
+)
 from delpezzo.zariski import (
     ample_on_catalog,
     big_test,
@@ -16,6 +25,8 @@ from delpezzo.zariski import (
     null_locus,
     zariski_decompose,
 )
+from test_analysis import line_star
+from test_surface import corpus_head, fixture_models
 
 ALL_FIXTURES = [
     "p2", "f2", "f3", "dp3", "dp8", "cubic10", "star", "pair",
@@ -166,3 +177,81 @@ def test_pullback_monotonicity_under_redundant_blow_up():
 
     assert z2.positive == extend_to(z.positive, s2)
     assert dict(z2.negative) == {"c": Q(1)}
+
+
+def _random_classes(s, rng, count):
+    """Integer classes -K + sum m_i C_i over one to three catalog curves,
+    with small multipliers of either sign."""
+    base = [x.numerator for x in s.anticanonical.coords]
+    for _ in range(count):
+        coords = list(base)
+        for _ in range(rng.randint(1, 3)):
+            curve = s.catalog[rng.randrange(len(s.catalog))].divisor_class.coords
+            m = rng.choice((-2, -1, 1, 2, 3))
+            coords = [x + m * c.numerator for x, c in zip(coords, curve)]
+        yield DivisorClass(s.lattice, coords)
+
+
+def test_decomposition_matches_textbook_oracle():
+    outcomes = set()
+    for index, s in enumerate(fixture_models() + corpus_head(1) + corpus_head(2)):
+        # integral classes on an integral Gram matrix: the oracle's
+        # determinants stay in ints
+        rows = [[int(x) for x in row] for row in oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))]
+        curves = [tuple(map(int, r.divisor_class.coords)) for r in s.catalog]
+        meets = oracles.curve_gram(rows, curves)
+        classes = [s.anticanonical, *_random_classes(s, random.Random(index), 20)]
+        for d in classes:
+            expected = oracles.oracle_zariski(rows, curves, meets, tuple(map(int, d.coords)))
+            try:
+                z = zariski_decompose(s, d)
+            except CatalogInsufficient:
+                assert expected is None, (index, d.coords)
+                outcomes.add("fails")
+                continue
+            assert expected is not None, (index, d.coords)
+            positive, negative = expected
+            assert z.positive.coords == positive
+            assert z.negative == tuple((s.catalog[i].curve_id, c) for i, c in negative)
+            outcomes.add("decomposes" if negative else "nef")
+    assert outcomes == {"fails", "decomposes", "nef"}
+
+
+def _with_wrong_entry(monkeypatch, curve_id, other_id, delta):
+    """Make ``SurfaceModel.meets`` return one wrong entry: row ``curve_id``,
+    column ``other_id``."""
+    original = SurfaceModel.meets
+
+    def meets(self, cid):
+        row = original(self, cid)
+        if cid != curve_id:
+            return row
+        wrong = list(row)
+        wrong[self.position(other_id)] += delta
+        return tuple(wrong)
+
+    monkeypatch.setattr(SurfaceModel, "meets", meets)
+
+
+@pytest.mark.parametrize(
+    "curve_id, other_id, problem",
+    [
+        # e1^2 = -3 instead of -2 inside the support block: the solve
+        # meets a wrong Gram matrix
+        ("e1", "e1", "P is not orthogonal to the support of N"),
+        # l.e5 = 0 instead of 1, outside the support block: the scan never
+        # sees that P is negative on e5
+        ("l", "e5", "P is negative on a catalog curve"),
+    ],
+)
+def test_wrong_table_entry_is_an_internal_inconsistency(
+    monkeypatch, capsys, tmp_path, curve_id, other_id, problem
+):
+    path = tmp_path / "line_star.json"
+    path.write_text(json.dumps(line_star(6, 4, 2)), encoding="utf-8")
+    _with_wrong_entry(monkeypatch, curve_id, other_id, -1)
+    s = from_description(line_star(6, 4, 2))
+    with pytest.raises(InternalInconsistency, match=problem):
+        zariski_decompose(s, s.anticanonical)
+    assert cli.main(["analyze", str(path)]) == 3
+    assert problem in capsys.readouterr().err
