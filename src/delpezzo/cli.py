@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -47,8 +48,12 @@ def _load(path: str) -> SurfaceModel:
             data = json.load(handle)
     except OSError as exc:
         raise InvalidSurfaceData(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InvalidSurfaceData(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise InvalidSurfaceData(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except RecursionError:
+        raise InvalidSurfaceData(f"{path}: invalid JSON: nested too deeply")
     try:
         return from_description(data, max_rank=_max_rank())
     except InvalidSurfaceData as exc:
@@ -56,7 +61,15 @@ def _load(path: str) -> SurfaceModel:
 
 
 def _class_strings(d: DivisorClass) -> list[str]:
-    return [format_rational(x) for x in d.coords]
+    """``format_rational`` of each coordinate, read off the numerators."""
+    den = d.den
+    if den == 1:
+        return list(map(str, d.nums))
+    out = []
+    for v in d.nums:
+        g = math.gcd(v, den)
+        out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+    return out
 
 
 def _pairs_json(items) -> list:

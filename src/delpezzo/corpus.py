@@ -12,6 +12,7 @@ import random
 from collections import namedtuple
 
 from .errors import GeometryError
+from .lattice import pair_numerators
 from .pairs import AnticanonicalAnalysis
 from .surface import BlowUpRecord, SurfaceModel, blow_up, build_base, declare_curve
 
@@ -60,11 +61,16 @@ def _random_blow_up(rng: random.Random, s: SurfaceModel, index: int) -> SurfaceM
         target = s.catalog[rng.randrange(len(s.catalog))]
         rec = BlowUpRecord(point, ((target.curve_id, 1),))
     elif mode < 7:
+        # one pairing per pair: a table row would be filled on a model
+        # that the next blow-up replaces
+        gram = s.lattice.gram
         shared = [
             (pair, entry)
             for pair, entries in sorted(s.incidence.items())
             for entry in entries
-            if s.meets(pair[0])[s.position(pair[1])] >= 1
+            if pair_numerators(
+                gram, s.curve(pair[0]).divisor_class.nums, s.curve(pair[1]).divisor_class.nums
+            ) >= 1
         ]
         if not shared:
             return s

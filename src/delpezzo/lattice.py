@@ -46,8 +46,8 @@ def rational(value: int | str | Fraction) -> Q:
 
 
 def format_rational(value: Q) -> str:
-    """Render as "p/q", or plain "p" for integers (the wire format)."""
-    value = Fraction(value)
+    """Render a Fraction or an int as "p/q", or plain "p" for integers (the
+    wire format)."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -139,6 +139,18 @@ def pair_numerators(gram, x, y) -> int:
         if x[i]:
             total += x[i] * (sum(map(operator.mul, row, y)) + y[i])
     return total
+
+
+def dual_numerators(gram, x, size: int) -> list[int]:
+    """The integer vector g with sum(g[k] * y[k]) == pair_numerators(gram, x,
+    y) for every y of at most ``size`` coordinates: the base block's rows
+    times x on the block, -x on the (-1)-axes, and zeros past x.  Computing
+    it once pairs x with many classes at one product each."""
+    n = len(gram)
+    g = [sum(map(operator.mul, row, x)) for row in gram]
+    g += [-v for v in x[n:]]
+    g += [0] * (size - len(x))
+    return g
 
 
 def numerators(values) -> tuple[tuple[int, ...], int]:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from itertools import compress
+from operator import mul
 
 from .errors import IncompatibleSurfaces, InvalidSurfaceData
 from .lattice import (
@@ -35,6 +37,7 @@ from .lattice import (
     Q,
     _divisor,
     _reduced,
+    dual_numerators,
     format_rational,
     pair_numerators,
     rational,
@@ -137,13 +140,16 @@ class SurfaceModel(Frozen):
 
     Every catalog class is integral, so the model keeps an integer
     intersection table: ``meets`` fills a curve's row on first request, and
-    ``degrees`` remembers the last class it scanned.  Both fills are
-    idempotent, so concurrent readers can at worst compute a value twice.
+    ``degrees`` remembers the last class it scanned.  A row or scan pairs
+    one class with the catalog through the class's dual vector, read at
+    each catalog class's nonzero coordinates; those are kept too, from the
+    first row or scan on.  Every fill is idempotent, so concurrent readers
+    can at worst compute a value twice.
     """
 
     __slots__ = (
         "base", "blowups", "catalog", "canonical", "lattice", "incidence", "declarations",
-        "_curves_by_id", "_positions", "_meets", "_last_degrees",
+        "_curves_by_id", "_positions", "_meets", "_last_degrees", "_sparse",
     )
 
     def __init__(
@@ -168,6 +174,7 @@ class SurfaceModel(Frozen):
         set_field(self, "_positions", {r.curve_id: i for i, r in enumerate(catalog)})
         set_field(self, "_meets", {})
         set_field(self, "_last_degrees", None)
+        set_field(self, "_sparse", None)
 
     def __repr__(self):
         return (
@@ -218,9 +225,7 @@ class SurfaceModel(Frozen):
         catalog order: one row of the table, paired on first request."""
         row = self._meets.get(curve_id)
         if row is None:
-            gram, x = self.lattice.gram, self.curve(curve_id).divisor_class.nums
-            row = tuple(pair_numerators(gram, x, r.divisor_class.nums) for r in self.catalog)
-            self._meets[curve_id] = row
+            row = self._meets[curve_id] = self._scan(self.curve(curve_id).divisor_class.nums)
         return row
 
     def degrees(self, d: DivisorClass) -> tuple[int, ...]:
@@ -231,10 +236,29 @@ class SurfaceModel(Frozen):
         key, last = (d.nums, d.den), self._last_degrees
         if last is not None and last[0] == key:
             return last[1]
-        gram = self.lattice.gram
-        values = tuple(pair_numerators(gram, d.nums, r.divisor_class.nums) for r in self.catalog)
+        values = self._scan(d.nums)
         object.__setattr__(self, "_last_degrees", (key, values))
         return values
+
+    def _scan(self, nums) -> tuple[int, ...]:
+        """The integer pairing of ``nums`` with every catalog class, in
+        catalog order."""
+        sparse = self._sparse
+        if sparse is None:
+            # each class's nonzero positions and values: 1-3 of them,
+            # apart from a curve through many blown-up points
+            axes = range(self.rank)
+            sparse = tuple([
+                (tuple(compress(axes, x)), tuple(filter(None, x)))
+                for x in [r.divisor_class.nums for r in self.catalog]
+            ])
+            object.__setattr__(self, "_sparse", sparse)
+        dual = dual_numerators(self.lattice.gram, nums, self.rank)
+        at = dual.__getitem__
+        return tuple([
+            dual[idx[0]] * vals[0] if len(idx) == 1 else sum(map(mul, map(at, idx), vals))
+            for idx, vals in sparse
+        ])
 
     def gram_of(self, curve_ids) -> IntersectionMatrix:
         ids = tuple(curve_ids)
@@ -348,9 +372,12 @@ class _Stage:
             )
         if p_a < 0:
             raise InvalidSurfaceData(f"negative arithmetic genus for {curve_id!r}")
+        # an earlier curve's class is a prefix of stage length, and the
+        # product stops at its end
+        dual = dual_numerators(gram, nums, len(nums))
         for other_id, other in curves.items():
             # a copy of a negative curve meets it negatively too
-            if pair_numerators(gram, nums, other.nums) < 0:
+            if sum(map(mul, dual, other.nums)) < 0:
                 raise InvalidSurfaceData(
                     f"{curve_id!r} would meet {other_id!r} negatively; "
                     "two distinct curves cannot do that"
@@ -634,4 +661,6 @@ def loads(text: str, max_rank: int = 64) -> SurfaceModel:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidSurfaceData(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidSurfaceData("invalid JSON: nested too deeply") from None
     return from_description(data, max_rank=max_rank)

@@ -3,12 +3,17 @@ import argparse
 import hashlib
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from delpezzo import cli
 from delpezzo.cli import main
+from delpezzo.errors import InvalidSurfaceData
+from delpezzo.lattice import DivisorClass, PicardLattice, format_rational
 from delpezzo.surface import loads
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -133,6 +138,25 @@ def test_malformed_file_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 2
     assert "line 1" in err
+
+
+def test_file_not_utf8_exit_two(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {path}: not UTF-8 text: invalid start byte at byte 0\n"
+
+
+def test_json_nested_too_deeply_exit_two(capsys, tmp_path):
+    text = "[" * 200000 + "]" * 200000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {path}: invalid JSON: nested too deeply\n"
+    with pytest.raises(InvalidSurfaceData, match="nested too deeply"):
+        loads(text)
 
 
 def test_missing_field_exit_two(capsys, tmp_path):
@@ -413,3 +437,15 @@ def test_reused_parser_repeats_help_and_usage_errors(capsys, monkeypatch, argv):
         assert code == 2 and out == "" and err.startswith("usage: delpezzo")
     if argv == ("--help",):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_SHA256
+
+
+@given(
+    st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=12),
+)
+def test_class_strings_format_each_coordinate(nums, factor, den):
+    # a common factor of the numerators and the denominator cancels
+    lattice = PicardLattice(("h",) + tuple(f"e{i}" for i in range(1, len(nums))), ((1,),))
+    d = DivisorClass(lattice, [Fraction(v * factor, den) for v in nums])
+    assert cli._class_strings(d) == [format_rational(x) for x in d.coords]

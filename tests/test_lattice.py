@@ -13,6 +13,7 @@ from delpezzo.lattice import (
     DivisorClass,
     IntersectionMatrix,
     PicardLattice,
+    dual_numerators,
     format_rational,
     intersect,
     is_negative_definite,
@@ -90,6 +91,19 @@ def test_pairing_agrees_with_dense_gram_oracle(case):
     d1, d2 = DivisorClass(lattice, tuple(a)), DivisorClass(lattice, tuple(b))
     assert d1.dot(d2) == oracles.dense_pairing(rows, a, b)
     assert d1.square == oracles.dense_pairing(rows, a, a)
+
+
+@given(classes_on_a_blown_up_base(), st.data())
+def test_dual_vector_pairs_like_dense_gram_oracle(case, data):
+    rows, lattice, a, b = case
+    # an integral class on a stage of the blow-ups: a prefix of the rank
+    length = data.draw(st.integers(min_value=len(lattice.gram), max_value=lattice.rank))
+    x = [v.numerator for v in a[:length]]
+    y = [v.numerator for v in b]
+    dual = dual_numerators(lattice.gram, x, lattice.rank)
+    assert len(dual) == lattice.rank
+    padded = x + [0] * (lattice.rank - length)
+    assert sum(g * v for g, v in zip(dual, y)) == oracles.dense_pairing(rows, padded, y)
 
 
 def test_incompatible_bases_rejected():

@@ -12,6 +12,7 @@ from delpezzo.errors import IncompatibleSurfaces, InvalidSurfaceData
 from delpezzo.lattice import DivisorClass, format_rational
 from delpezzo.surface import (
     BlowUpRecord,
+    SurfaceModel,
     _input_list,
     _input_name,
     arithmetic_genus,
@@ -599,3 +600,64 @@ def test_degrees_refuse_a_class_of_another_surface():
     s, other = fixtures.hirzebruch(2), fixtures.hirzebruch(3)
     with pytest.raises(IncompatibleSurfaces):
         s.degrees(other.anticanonical)
+
+
+def off_diagonal_models():
+    """A Hirzebruch and a ruled surface whose classes use both c0 and f, so
+    scans read the base block's off-diagonal c0.f = 1."""
+    hirzebruch = declare_curve(fixtures.hirzebruch(1), "s", (1, 1), 0)
+    hirzebruch = blow_up(hirzebruch, BlowUpRecord("p1", (("c0", 1), ("f", 1))))
+    hirzebruch = blow_up(hirzebruch, BlowUpRecord("p2", (("s", 1),)))
+    ruled = blow_up(fixtures.elliptic_ruled(1), BlowUpRecord("p1", (("c0", 1), ("f", 1))))
+    ruled = blow_up(ruled, BlowUpRecord("p2", (("e1", 1),), near="e1"))
+    return [hirzebruch, ruled]
+
+
+def test_scans_of_a_constructed_model_match_dense_oracle():
+    models = fixture_models() + [from_description(line_star(*spec)) for spec in BENCHMARK_LINE_STARS]
+    models += off_diagonal_models()
+    fractional = 0
+    for s in models:
+        rows = oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))
+        ids = s.curve_ids()
+        # the original model scans first, so a catalog kept per lattice
+        # (which the two models share) would be read in a stale order
+        s.meets(ids[0])
+        catalog = s.catalog[::-1]
+        rebuilt = SurfaceModel(
+            s.base, s.blowups, catalog, s.canonical, s.lattice, s.incidence, s.declarations
+        )
+        coords = [r.divisor_class.coords for r in catalog]
+
+        def oracle_degrees(d):
+            return tuple(oracles.dense_pairing(rows, d.coords, b) for b in coords)
+
+        def degrees(d):
+            return tuple(Q(v, d.den) for v in rebuilt.degrees(d))
+
+        minus_k = s.anticanonical
+        # a scan before any row fills the sparse catalog as well as a row
+        assert degrees(minus_k) == oracle_degrees(minus_k)
+        for r in catalog:
+            assert rebuilt.meets(r.curve_id) == s.meets(r.curve_id)[::-1]
+            assert rebuilt.meets(r.curve_id) == oracle_degrees(r.divisor_class)
+        positive = zariski_decompose(rebuilt, minus_k).positive
+        fractional += positive.den > 1
+        assert degrees(positive) == oracle_degrees(positive)
+    assert fractional > 0
+
+
+def test_corpus_blow_up_steps_fill_no_table_rows(monkeypatch):
+    filled = []
+    step = corpus._random_blow_up
+
+    def counted(rng, s, index):
+        before = len(s._meets)
+        result = step(rng, s, index)
+        filled.append(len(s._meets) - before)
+        return result
+
+    monkeypatch.setattr(corpus, "_random_blow_up", counted)
+    assert corpus.run_corpus(1, 20).count == 20
+    assert len(filled) > 20
+    assert sum(filled) == 0
