@@ -17,7 +17,7 @@ import sys
 
 from . import pairs, singular, zariski
 from .corpus import run_corpus
-from .errors import GeometryError, InternalInconsistency, InvalidSurfaceData
+from .errors import GeometryError, InternalInconsistency, InvalidSurfaceData, NumberTooLong
 from .lattice import DivisorClass, format_rational
 from .pairs import (
     KLT_CLASSES,
@@ -25,7 +25,14 @@ from .pairs import (
     AnticanonicalAnalysis,
     redundant_blow_up,
 )
-from .surface import SurfaceModel, dumps, from_description, input_rational, to_description
+from .surface import (
+    SurfaceModel,
+    dumps,
+    from_description,
+    input_rational,
+    json_text,
+    to_description,
+)
 from .zariski import CATALOG_CAVEAT, null_locus, zariski_decompose
 
 EXIT_OK = 0
@@ -52,6 +59,8 @@ def _load(path: str) -> SurfaceModel:
         raise InvalidSurfaceData(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise InvalidSurfaceData(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:  # an int literal too long to convert
+        raise InvalidSurfaceData(f"{path}: invalid JSON: {exc}")
     except RecursionError:
         raise InvalidSurfaceData(f"{path}: invalid JSON: nested too deeply")
     try:
@@ -63,13 +72,16 @@ def _load(path: str) -> SurfaceModel:
 def _class_strings(d: DivisorClass) -> list[str]:
     """``format_rational`` of each coordinate, read off the numerators."""
     den = d.den
-    if den == 1:
-        return list(map(str, d.nums))
-    out = []
-    for v in d.nums:
-        g = math.gcd(v, den)
-        out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
-    return out
+    try:
+        if den == 1:
+            return list(map(str, d.nums))
+        out = []
+        for v in d.nums:
+            g = math.gcd(v, den)
+            out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+        return out
+    except ValueError:  # a coordinate too long for str
+        raise NumberTooLong() from None
 
 
 def _pairs_json(items) -> list:
@@ -212,7 +224,7 @@ def cmd_analyze(args) -> int:
     s = _load(args.file)
     data = _analysis(s)
     if args.format == "json":
-        print(json.dumps(data, sort_keys=True, indent=2))
+        print(json_text(data))
     elif args.format == "dot":
         print(data["dual_graph_dot"])
     else:
@@ -252,7 +264,7 @@ def cmd_decompose(args) -> int:
         "caveat": CATALOG_CAVEAT,
     }
     if args.format == "json":
-        print(json.dumps(data, sort_keys=True, indent=2))
+        print(json_text(data))
     else:
         print(f"D = [{', '.join(data['divisor'])}]")
         print(f"P = [{', '.join(data['positive'])}]   P^2 = {data['positive_square']}")
@@ -293,7 +305,7 @@ def cmd_classify(args) -> int:
             "message": report.message,
         }
     if args.format == "json":
-        print(json.dumps(data, sort_keys=True, indent=2))
+        print(json_text(data))
     else:
         for verdict in data["verdicts"]:
             print(f"{'+'.join(verdict['component'])}: {verdict['tag']}")
@@ -321,7 +333,7 @@ def cmd_witness(args) -> int:
         "caveat": CATALOG_CAVEAT,
     }
     if args.format == "json":
-        print(json.dumps(data, sort_keys=True, indent=2))
+        print(json_text(data))
     else:
         print(f"boundary ({args.method}): {boundary.describe()}")
         print(f"floor_is_zero={boundary.floor_is_zero} snc={boundary.snc} ({CATALOG_CAVEAT})")

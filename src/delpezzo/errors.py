@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+import sys
 
 
 class GeometryError(Exception):
@@ -44,3 +45,13 @@ class PreconditionFailure(GeometryError):
 
 class InvalidSurfaceData(GeometryError):
     """A surface description file or record is malformed or inconsistent."""
+
+
+class NumberTooLong(InvalidSurfaceData):
+    """A number to print has more digits than ``str`` converts, a limit
+    (``sys.get_int_max_str_digits``) that the package leaves as it is."""
+
+    def __init__(self):
+        super().__init__(
+            f"a number has more than {sys.get_int_max_str_digits()} digits, too many to print"
+        )

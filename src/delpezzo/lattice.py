@@ -25,7 +25,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DegenerateConfiguration, IncompatibleSurfaces
+from .errors import DegenerateConfiguration, IncompatibleSurfaces, NumberTooLong
 
 Q = Fraction
 
@@ -48,9 +48,12 @@ def rational(value: int | str | Fraction) -> Q:
 def format_rational(value: Q) -> str:
     """Render a Fraction or an int as "p/q", or plain "p" for integers (the
     wire format)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # a numerator or denominator too long for str
+        raise NumberTooLong() from None
 
 
 class Frozen:

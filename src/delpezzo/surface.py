@@ -368,7 +368,7 @@ class _Stage:
         if twice != 2 * (p_a - 1):
             raise InvalidSurfaceData(
                 f"adjunction violation for {curve_id!r}: declared p_a={p_a}, "
-                f"computed p_a={twice // 2 + 1}"
+                f"computed p_a={format_rational(twice // 2 + 1)}"
             )
         if p_a < 0:
             raise InvalidSurfaceData(f"negative arithmetic genus for {curve_id!r}")
@@ -652,14 +652,73 @@ def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
     return stage.model()
 
 
+_escape = json.encoder.encode_basestring_ascii  # the C function json.dumps uses
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for
+    str-keyed dicts, lists and tuples, strings, ints, booleans and None.
+
+    CPython runs its C encoder only when ``indent`` is None; with an indent
+    json.dumps runs a pure-Python generator, and this one walk takes about
+    half its time.  Anything else, a float or a non-str key included, raises
+    TypeError: reports are exact.
+    """
+    parts = []
+    append = parts.append
+
+    def write(v, nl):
+        if isinstance(v, str):
+            append(_escape(v))
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                append("[]")
+                return
+            inner = nl + "  "
+            sep, rest = "[" + inner, "," + inner
+            for item in v:
+                append(sep)
+                sep = rest
+                write(item, inner)
+            append(nl + "]")
+        elif isinstance(v, dict):
+            if not v:
+                append("{}")
+                return
+            inner = nl + "  "
+            sep, rest = "{" + inner, "," + inner
+            for key in sorted(v):
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON key {key!r} is not a string")
+                append(sep)
+                sep = rest
+                append(_escape(key))
+                append(": ")
+                write(v[key], inner)
+            append(nl + "}")
+        elif v is True:
+            append("true")
+        elif v is False:
+            append("false")
+        elif v is None:
+            append("null")
+        elif isinstance(v, int):
+            append(int.__repr__(v))
+        else:
+            raise TypeError(f"{type(v).__name__} {v!r} is not an exact JSON value")
+
+    write(value, "\n")
+    return "".join(parts)
+
+
 def dumps(s: SurfaceModel) -> str:
-    return json.dumps(to_description(s), sort_keys=True, indent=2) + "\n"
+    return json_text(to_description(s)) + "\n"
 
 
 def loads(text: str, max_rank: int = 64) -> SurfaceModel:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
         raise InvalidSurfaceData(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise InvalidSurfaceData("invalid JSON: nested too deeply") from None

@@ -181,6 +181,105 @@ def test_analyze_reports_are_byte_identical(name):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, fmt
 
 
+# SHA-256 of the stdout of `classify`, `decompose`, `witness --method direct`
+# and `witness --method cone`, each with `--format json`, recorded when the
+# reports were rendered by json.dumps; None where the command exits 2 with
+# nothing on stdout, since the surface has no klt boundary
+SUBCOMMAND_DIGESTS = {
+    "cubic10": (
+        "54bdee9a8b8050b5c7d76dc2ca704a7f26ddf0ff97f99024d1c22ce15ca00dea",
+        "12bebadabeb47fc330a9822427c7c7dfe7d84adaee2a38cbf69b9fa698a00aea",
+        None,
+        None,
+    ),
+    "dp3": (
+        "f8b4721c000422c0fb9fa18d2ce92f309f4cf8767818dcd72cb44bec85699e77",
+        "6c741f57db2531f64dadc2b26eacb46431e875ca77e817832e2d79d76c9a39fd",
+        "cd3a8a293200bbf825546e2d014a757e1334602de5da9a1dd033b87e0831858f",
+        "18e5f716b0063738b71ed075420a6f841675a55e2152ae0b0ebed1b741145008",
+    ),
+    "dp8": (
+        "617ee8cb45131f4a8588472ed70329093779011f8b1bd191bf486f5421043939",
+        "0b514c9b3f10767d8a094993b18c6c89213b8661ba3f6d1aa6df7947bf627e36",
+        "cd3a8a293200bbf825546e2d014a757e1334602de5da9a1dd033b87e0831858f",
+        "18e5f716b0063738b71ed075420a6f841675a55e2152ae0b0ebed1b741145008",
+    ),
+    "elliptic_ruled": (
+        "e39dc20724a2d2444b77bfb309478ff44f186c2442a8aeed6a8d40077f62c596",
+        "2960acb5b474828a651540736ebc66b150639cf00bb01f40c21cbc947f661495",
+        None,
+        None,
+    ),
+    "elliptic_ruled_chain": (
+        "96c4e14e2d3193e6a1db6cb0f2307bb1b92c207042f796bd2ff3507553299d75",
+        "c4718ae038c1b7b88d53a35f870934b1c71cd72c9eb44d5ca4ea9df050a59e30",
+        None,
+        None,
+    ),
+    "f2": (
+        "42b0686c4e4d6137e1cb32274ea085a7114d8d7cb0bb209c5766926578cab2d6",
+        "f48ef65848cc8f4d1cec9e1873a0b8c3021a42d4b7f8d74a81091c951875c7a6",
+        "33c95ccf75441d07091bc222684e3116645d67d40407d00d1106f5ac5204c88e",
+        "ee05b29c7770df438889f1c2b5591f6b298793681f0ad82041f85e48a250fd4e",
+    ),
+    "f3": (
+        "229d55e025e9c27957d774862574b722cc5da52c59f2153bf885dbe254775b27",
+        "ddc55bad1630f4103f92992232b0536888951185f3f0bd17e55d9410ce1e8c07",
+        "f360b5df7a40cd2dbc50a7e87c7b1120b9694694a331e7ece118dfd632c7234a",
+        "823466eb7ce28ba578853a1a522c7ae91cec470fc6c97c0a7042c1d532af8f1b",
+    ),
+    "nine_point_pair": (
+        "4f6bdd418ea6e6b18afbc9eb76fea5d80ae02704b4e60cb63355f833f367b2b5",
+        "72384fcbf5528c1b3ddf60cf23e9c8ebc34c4caa10aff8e2161c0cb50f89f262",
+        "cd3a8a293200bbf825546e2d014a757e1334602de5da9a1dd033b87e0831858f",
+        "18e5f716b0063738b71ed075420a6f841675a55e2152ae0b0ebed1b741145008",
+    ),
+    "nine_point_resolution": (
+        "1b1e880f618eca616396cbb7bf19c884feeab549e2283619d8661ce120c2d858",
+        "609ac919dfd40990da7655550de8b784eef68381fd49bccd4ebfce966b8d4a69",
+        None,
+        None,
+    ),
+    "p2": (
+        "4f6bdd418ea6e6b18afbc9eb76fea5d80ae02704b4e60cb63355f833f367b2b5",
+        "72384fcbf5528c1b3ddf60cf23e9c8ebc34c4caa10aff8e2161c0cb50f89f262",
+        "cd3a8a293200bbf825546e2d014a757e1334602de5da9a1dd033b87e0831858f",
+        "18e5f716b0063738b71ed075420a6f841675a55e2152ae0b0ebed1b741145008",
+    ),
+    "pair": (
+        "accd21f4412ddd63ae8d4719025c3aa4f620ec3e652c3fbc42c34d882a9e2f8e",
+        "d65f35b4798135aa5baeeca69fecfacff74327dc852eca230fb3ee4848369184",
+        "c5cb828f9dcbf4f12af5a97d378f37e6c5b24bc8b2f55476bd0b499ff09c3a13",
+        "44e884760870fbe51be4c4623accc50cdae5cb34f513941e16cc7a1f0f3cac37",
+    ),
+    "star": (
+        "1bdab2b2ec3ef9c0271118e0e4b3dbcde008ab441d77ce3649826bc324b84c7a",
+        "be9d043482b03a82c563b154c855ce2c8769b6b2f20f13ecaaafa538b001b2fe",
+        None,
+        None,
+    ),
+}
+SUBCOMMANDS = (
+    ("classify", "--format", "json"),
+    ("decompose", "--format", "json"),
+    ("witness", "--method", "direct", "--format", "json"),
+    ("witness", "--method", "cone", "--format", "json"),
+)
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_DIGESTS))
+def test_subcommand_reports_are_byte_identical(name):
+    for (command, *options), expected in zip(SUBCOMMANDS, SUBCOMMAND_DIGESTS[name]):
+        code, out, err = run_cli(command, str(FIXTURES / f"{name}.json"), *options)
+        if expected is None:
+            assert (code, out) == (2, ""), (command, options)
+            assert err.startswith("error: "), (command, options)
+        else:
+            assert (code, err) == (0, ""), (command, options)
+            digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            assert digest == expected, (command, options)
+
+
 # SHA-256 of the stdout of `blowup cubic10.json --at c`, recorded when the
 # command decomposed -K three times
 BLOWUP_DIGEST = "c2518ddfa7fe9084243c5f26ed4ff873794df44f9e8c1fb327674457930e1241"

@@ -3,6 +3,7 @@ import argparse
 import hashlib
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -157,6 +158,76 @@ def test_json_nested_too_deeply_exit_two(capsys, tmp_path):
     assert err == f"input error: {path}: invalid JSON: nested too deeply\n"
     with pytest.raises(InvalidSurfaceData, match="nested too deeply"):
         loads(text)
+
+
+@pytest.mark.parametrize("field", ["class", "pa"])
+def test_json_integer_too_long_exit_two(capsys, tmp_path, field):
+    # json.load refuses an int literal longer than str converts
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    fields = {"class": '["1"]', "pa": "0"}
+    fields[field] = f"[{digits}]" if field == "class" else digits
+    text = (
+        '{"base": {"kind": "P2"}, '
+        '"curves": [{"id": "l", "class": %(class)s, "pa": %(pa)s}]}' % fields
+    )
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {path}: invalid JSON: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    with pytest.raises(InvalidSurfaceData, match="invalid JSON"):
+        loads(text)
+
+
+# the first prints a Hirzebruch invariant of 3001 digits, whose report numbers
+# have more; the second a P coordinate whose denominator has about 6000
+# digits, from three 2001-digit ones; the third a computed genus in an error
+# message
+_Q = 10**2000
+_TOO_LONG = [
+    (
+        {"base": {"kind": "hirzebruch", "e": 10**3000}},
+        [("analyze", "--format", fmt) for fmt in ("json", "text", "dot")]
+        + [("classify", "--format", "json"), ("decompose", "--format", "json")],
+        "",
+    ),
+    (
+        {
+            "base": {"kind": "P2"},
+            "curves": [{"id": "l", "class": ["1"], "pa": 0}],
+            "blowups": [{"on": [["l", 1]]}, {"on": [["l", 1]]}],
+        },
+        [(
+            "decompose",
+            "--divisor",
+            f"{_Q + 4}/{_Q + 3},-{_Q + 3}/{2 * _Q + 2},-{_Q + 4}/{2 * _Q + 4}",
+            "--format",
+            "json",
+        )],
+        "",
+    ),
+    (
+        {"base": {"kind": "P2"}, "curves": [{"id": "l", "class": [str(10**3000)], "pa": 0}]},
+        [("analyze", "--format", "json"), ("witness",)],
+        "{path}: ",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "data,commands,prefix", _TOO_LONG, ids=["hirzebruch_e", "positive_part", "adjunction"]
+)
+def test_number_too_long_to_print_exit_two(capsys, tmp_path, data, commands, prefix):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+    limit = sys.get_int_max_str_digits()
+    expected = (
+        f"input error: {prefix.format(path=path)}a number has more than "
+        f"{limit} digits, too many to print\n"
+    )
+    for command, *options in commands:
+        assert run(capsys, command, str(path), *options) == (2, "", expected), command
 
 
 def test_missing_field_exit_two(capsys, tmp_path):

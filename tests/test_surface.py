@@ -5,6 +5,8 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from delpezzo import corpus, fixtures
@@ -24,6 +26,7 @@ from delpezzo.surface import (
     from_description,
     input_int,
     input_rational,
+    json_text,
     loads,
     to_description,
 )
@@ -208,6 +211,35 @@ def test_round_trip_is_lossless_and_canonical():
         assert dumps(reparsed) == text, name
         # canonical: keys sorted
         assert text.index('"base"') < text.index('"blowups"') < text.index('"curves"')
+
+
+# strings reach every escape: quotes, backslashes, control and non-ASCII
+# characters, astral ones included
+_JSON_STRINGS = st.text(st.sampled_from('"\\/\x00\x1f\n\t\x7fé€😀') | st.characters(), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**80), max_value=10**80)
+    | _JSON_STRINGS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_JSON_VALUES)
+def test_json_text_is_json_dumps(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.0, Q(1, 2), [{"a": [0.5]}], {1: "a"}, {"a": {None: 1}}, {True: 0}, {1, 2}]
+)
+def test_json_text_refuses_inexact_values(value):
+    with pytest.raises(TypeError):
+        json_text(value)
 
 
 def test_round_trip_preserves_catalog():

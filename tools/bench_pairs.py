@@ -19,9 +19,11 @@ BENCH_8.json with ``--claim-workload fixtures --claim-metric
 analyze_ms_p50 --claim-threshold -0.25 --held-out-seed 11``,
 BENCH_9.json with ``--claim-workload high_rank --claim-metric
 analyze_ms_p50 --claim-threshold -0.2 --held-out-seed 11 --line-star
-30,16,2``, and BENCH_10.json with ``--claim-workload high_rank
+30,16,2``, BENCH_10.json with ``--claim-workload high_rank
 --claim-metric analyze_ms_p50 --claim-threshold -0.12 --held-out-seed 11
---line-star 30,16,2``.
+--line-star 30,16,2``, and BENCH_11.json with ``--claim-workload
+wide_support --claim-metric analyze_ms_p50 --claim-threshold -0.08
+--held-out-seed 11 --line-star 30,16,2``.
 
 The parent commit (``git archive``) and the change (the working tree's
 tracked and unignored files) are copied into a temporary directory, so
