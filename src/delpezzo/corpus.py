@@ -2,9 +2,10 @@
 
 The generator builds random blow-up sequences over random bases, keeps the
 surfaces whose anticanonical class is big relative to the catalog, and runs
-the ten-class consistency check on each.  Output is fully determined by the
-seed: the only randomness source is one ``random.Random`` instance and the
-catalog is always iterated in order.
+the theorem cross-check (``AnticanonicalAnalysis.certify``: two computed
+routes and three derived members per quintet) on each.  Output is fully
+determined by the seed: the only randomness source is one
+``random.Random`` instance and the catalog is always iterated in order.
 """
 from __future__ import annotations
 

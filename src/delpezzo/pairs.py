@@ -479,8 +479,6 @@ def redundant_blow_up(s: SurfaceModel, location: RedundantPoint, z=None) -> Redu
         raise RedundancyViolation(
             "negative part does not satisfy N_new = pullback(N) - E"
         )
-    if z_after.positive_square != z_before.positive_square:
-        raise RedundancyViolation("positive-part square changed under pullback")
     return RedundantBlowUp(
         model=s_new,
         exceptional_id=exc_id,
@@ -499,41 +497,35 @@ NonRationalReport = namedtuple(
 
 
 def _blow_down_simulation(s: SurfaceModel, null_ids: tuple[str, ...]):
-    """Iteratively blow down redundant (-1)-curves inside Null(P).
+    """Castelnuovo-contract smooth rational (-1)-curves inside Null(P).
 
-    Works on coordinate vectors: a curve whose current class is a pure
-    exceptional basis vector with P-degree zero can be dropped, and
-    pushforward is coordinate deletion (the basis is orthogonal).  Returns
-    (factorization order, final coordinates per null curve, active axes).
+    Works on Null(P)'s intersection matrix: repeatedly drop the first
+    remaining smooth curve of arithmetic genus 0 and self-intersection -1.
+    Dropping E with m = C.E adds (C.E)(D.E) to C.D and m(m-1)/2 to p_a(C);
+    a curve with m >= 2 becomes singular.  Returns (factorization order,
+    survivors, reduced intersections, arithmetic genera, smoothness).
     """
-    coords = {cid: list(s.curve(cid).divisor_class.coords) for cid in null_ids}
+    entries = s.gram_of(null_ids).entries
+    dot = {a: dict(zip(null_ids, row)) for a, row in zip(null_ids, entries)}
     p_a = {cid: s.curve(cid).p_a for cid in null_ids}
-    block = s.lattice.gram
-    base_rank = len(block)
-    diag = [block[i][i] for i in range(base_rank)] + [Q(-1)] * (s.rank - base_rank)
-    active = list(range(s.rank))
-    dropped_curves: list[str] = []
-    changed = True
-    while changed:
-        changed = False
-        for cid in null_ids:
-            if cid in dropped_curves:
-                continue
-            vec = coords[cid]
-            nonzero = [i for i in active if vec[i] != 0]
-            if (
-                len(nonzero) == 1
-                and nonzero[0] >= base_rank
-                and vec[nonzero[0]] == 1
-                and p_a[cid] == 0
-            ):
-                axis = nonzero[0]
-                active.remove(axis)
-                dropped_curves.append(cid)
-                changed = True
-                break
-    survivors = [cid for cid in null_ids if cid not in dropped_curves]
-    return tuple(dropped_curves), coords, active, survivors, diag
+    smooth = {cid: s.curve(cid).smooth for cid in null_ids}
+    survivors = list(null_ids)
+    dropped: list[str] = []
+    while True:
+        e = next(
+            (c for c in survivors if p_a[c] == 0 and smooth[c] and dot[c][c] == -1),
+            None,
+        )
+        if e is None:
+            return tuple(dropped), survivors, dot, p_a, smooth
+        survivors.remove(e)
+        dropped.append(e)
+        for c in survivors:
+            m = dot[c][e]
+            p_a[c] += m * (m - 1) // 2
+            smooth[c] = smooth[c] and m < 2
+            for d in survivors:
+                dot[c][d] += m * dot[d][e]
 
 
 def classify_nonrational(
@@ -569,14 +561,10 @@ def _classify_nonrational(
     if not analysis.big:
         return reject("not a big anticanonical surface")
     null = analysis.null
-    factorization, coords, active, survivors, diag = _blow_down_simulation(
+    factorization, survivors, dot, p_a, smooth = _blow_down_simulation(
         s, null.curve_ids
     )
-
-    def reduced_dot(a, b):
-        return sum(coords[a][i] * coords[b][i] * diag[i] for i in active)
-
-    elliptics = [cid for cid in survivors if s.curve(cid).p_a == 1]
+    elliptics = [cid for cid in survivors if p_a[cid] == 1]
     if len(elliptics) != 1:
         return reject(
             f"inconsistent with the classification: expected exactly one "
@@ -584,13 +572,13 @@ def _classify_nonrational(
             factorization=factorization,
         )
     section = elliptics[0]
-    if not s.curve(section).smooth:
+    if not smooth[section]:
         return reject(
             "the genus-one curve is not smooth; it cannot be contracted to a "
             "simple elliptic point",
             factorization=factorization,
         )
-    if reduced_dot(section, section) >= 0:
+    if dot[section][section] >= 0:
         return reject(
             "the genus-one section has non-negative self-intersection on the "
             "minimal resolution",
@@ -598,13 +586,13 @@ def _classify_nonrational(
         )
     others = [cid for cid in survivors if cid != section]
     for cid in others:
-        if s.curve(cid).p_a != 0 or reduced_dot(cid, cid) != -2:
+        if p_a[cid] != 0 or dot[cid][cid] != -2:
             return reject(
                 f"exceptional curve {cid!r} is not a (-2)-curve on the minimal "
                 "resolution",
                 factorization=factorization,
             )
-        if reduced_dot(cid, section) != 0:
+        if dot[cid][section] != 0:
             return reject(
                 f"(-2)-curve {cid!r} meets the elliptic section; inconsistent "
                 "with the classification",
@@ -682,11 +670,18 @@ class CertifyReport(
 
 
 def certify_class_equalities(s: SurfaceModel) -> CertifyReport:
-    """Run all ten class deciders and assert the two theorem equalities.
+    """Compare the two theorem quintets and report every disagreement.
 
-    The model route (contraction discrepancies) and the boundary routes
-    (coefficient criteria plus validated witnesses) are computed
-    independently; any disagreement is reported, never reconciled.
+    Two routes per quintet are computed: the model route (the contraction's
+    singularity tags) and the decider (the coefficient criterion plus a
+    validated witness).  The snc-boundary, log-resolution and
+    minimal-resolution members are the decider's bit: its witness is
+    already a validated snc boundary on this surface, so the identity map
+    is its log resolution.  Beside the quintets it checks that each
+    N-coefficient is minus its discrepancy, that both coefficient criteria
+    agree with their deciders, and that a non-rational weak lc surface with
+    -K big passes the non-rational shape check.  Any disagreement is
+    reported, never reconciled.
     """
     return AnticanonicalAnalysis(s).certify
 
@@ -835,9 +830,8 @@ class AnticanonicalAnalysis:
 
     @_field
     def certify(self) -> CertifyReport:
-        """The ten class deciders and the two theorem equalities."""
-        s = self.s
-        failures: list[str] = []
+        """The two theorem quintets, each the model route against the decider,
+        and the checks that can tell the routes apart."""
         try:
             z = self.decomposition
         except CatalogInsufficient as exc:
@@ -847,8 +841,7 @@ class AnticanonicalAnalysis:
                 False, empty_klt, empty_weak, True, True, (str(exc),), False, False
             )
 
-        big = self.big
-        model_set = self.model_set
+        failures: list[str] = []
         model_error = None
         model = None
         try:
@@ -866,55 +859,24 @@ class AnticanonicalAnalysis:
                         "its discrepancy"
                     )
             n_support = dict(z.negative)
-            for cid in model_set:
+            for cid in self.model_set:
                 if cid not in n_support and discs.get(cid, Q(0)) != 0:
                     failures.append(
                         f"curve {cid!r} has nonzero discrepancy but zero N-coefficient"
                     )
 
-        klt_decision = self.klt_verdict
-        weak_decision = self.weak_verdict
-
+        # the model route against the decider; the other three members of
+        # each quintet are the decider's bit (see certify_class_equalities)
+        klt_any = self.klt_verdict.member
+        weak_any = self.weak_verdict.member
         klt_model = bool(
-            big and model is not None and all(t in KLT_TAGS for t in model.tags)
+            self.big and model is not None and all(t in KLT_TAGS for t in model.tags)
         )
-        klt_any = klt_decision.member
-        klt_snc = bool(
-            klt_any
-            and klt_decision.witness is not None
-            and validate_klt_del_pezzo(s, klt_decision.witness)[0]
-        )
-        if klt_any and klt_decision.witness is not None:
-            identity = check_EP_condition(s, klt_decision.witness.components, ())
-            klt_log_res = identity.effective and klt_snc
-        else:
-            klt_log_res = False
-        klt_min_res = klt_snc
-
         weak_model = bool(model is not None and all(t in LC_TAGS for t in model.tags))
-        if model_error is not None:
-            weak_model = False
-        weak_any = weak_decision.member
-        weak_snc = bool(
-            weak_any
-            and weak_decision.witness is not None
-            and validate_weak_lc_del_pezzo(s, weak_decision.witness)[0]
-        )
-        if weak_any and weak_decision.witness is not None:
-            identity = check_EP_condition(s, weak_decision.witness.components, ())
-            weak_log_res = identity.effective and weak_snc
-        else:
-            weak_log_res = False
-        weak_min_res = weak_snc
-
-        klt = tuple(
-            zip(KLT_CLASSES, (klt_model, klt_any, klt_snc, klt_log_res, klt_min_res))
-        )
-        weak = tuple(
-            zip(WEAK_CLASSES, (weak_model, weak_any, weak_snc, weak_log_res, weak_min_res))
-        )
-        klt_consistent = len({v for _, v in klt}) == 1
-        weak_consistent = len({v for _, v in weak}) == 1
+        klt = tuple(zip(KLT_CLASSES, (klt_model,) + (klt_any,) * 4))
+        weak = tuple(zip(WEAK_CLASSES, (weak_model,) + (weak_any,) * 4))
+        klt_consistent = klt_model == klt_any
+        weak_consistent = weak_model == weak_any
         if model_error is not None:
             failures.append(f"model contraction failed: {model_error}")
         if not klt_consistent:
@@ -926,12 +888,17 @@ class AnticanonicalAnalysis:
                 "weak quintet disagrees: " + ", ".join(f"{k}={v}" for k, v in weak)
             )
         # coefficient criteria cross-check
-        coeff_klt = big and z.max_coefficient < 1
-        if coeff_klt != klt_any:
+        if (self.big and z.max_coefficient < 1) != klt_any:
             failures.append("klt coefficient criterion disagrees with the decider")
-        coeff_weak = z.max_coefficient <= 1
-        if coeff_weak != weak_any:
+        if (z.max_coefficient <= 1) != weak_any:
             failures.append("weak coefficient criterion disagrees with the decider")
+        # by the classification, a non-rational weak lc surface with -K big
+        # has the shape that the non-rational check looks for
+        if weak_any and self.big and not self.s.rational and not self.nonrational.ok:
+            failures.append(
+                "non-rational weak lc surface fails the classification: "
+                + self.nonrational.message
+            )
         return CertifyReport(
             True, klt, weak, klt_consistent, weak_consistent, tuple(failures), klt_any, weak_any
         )

@@ -329,6 +329,84 @@ def test_internal_inconsistency_exits_three(monkeypatch):
     assert err == "internal inconsistency: Zariski decomposition: P + N != D\n"
 
 
+def analyze_failures(name):
+    """Exit code and the reported failures of `analyze <name> --format json`."""
+    code, out, err = run_cli("analyze", str(FIXTURES / f"{name}.json"), "--format", "json")
+    assert err == ""
+    data = json.loads(out)
+    assert data["consistent"] is (code == 0)
+    return code, data["failures"]
+
+
+def plant_in_model(monkeypatch, change):
+    """Make every contraction the analysis reads pass through ``change``."""
+    original = pairs.contract
+    monkeypatch.setattr(pairs, "contract", lambda s, curves: change(original(s, curves)))
+
+
+def test_worse_model_tag_exits_three(monkeypatch):
+    plant_in_model(
+        monkeypatch,
+        lambda data: data._replace(
+            verdicts=tuple(v._replace(tag="WorseThanLc") for v in data.verdicts)
+        ),
+    )
+    assert analyze_failures("f3") == (
+        3,
+        [
+            "klt quintet disagrees: klt_model=False, klt_any_boundary=True, "
+            "klt_snc_boundary=True, klt_log_resolution=True, klt_minimal_resolution=True",
+            "weak quintet disagrees: weak_lc_model=False, weak_lc_any_boundary=True, "
+            "weak_lc_snc_boundary=True, weak_lc_log_resolution=True, "
+            "weak_lc_minimal_resolution=True",
+        ],
+    )
+
+
+def test_wrong_model_discrepancy_exits_three(monkeypatch):
+    def shifted(data):
+        (cid, a), *rest = data.discrepancies
+        return data._replace(discrepancies=((cid, a + 1), *rest))
+
+    plant_in_model(monkeypatch, shifted)
+    assert analyze_failures("f3") == (
+        3,
+        ["negative-part coefficient of 'c0' does not equal minus its discrepancy"],
+    )
+
+
+def test_failed_klt_witness_exits_three(monkeypatch):
+    def insufficient(s, via_cone, z=None):
+        raise CatalogInsufficient("catalog insufficient: planted")
+
+    monkeypatch.setattr(pairs, "_witness", insufficient)
+    code, failures = analyze_failures("f3")
+    assert code == 3
+    assert "klt coefficient criterion disagrees with the decider" in failures
+
+
+def test_nonrational_shape_failure_exits_three(monkeypatch):
+    def rejected(analysis, contracted):
+        return pairs.NonRationalReport(False, None, None, (), (), "planted")
+
+    monkeypatch.setattr(pairs, "_classify_nonrational", rejected)
+    assert analyze_failures("elliptic_ruled") == (
+        3,
+        ["non-rational weak lc surface fails the classification: planted"],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_certify_does_not_revalidate(monkeypatch, name):
+    analysis = AnticanonicalAnalysis(cli._load(str(FIXTURES / f"{name}.json")))
+    analysis.klt_verdict, analysis.weak_verdict
+    called = []
+    for fn in ("check_EP_condition", "validate_klt_del_pezzo", "validate_weak_lc_del_pezzo"):
+        monkeypatch.setattr(pairs, fn, lambda *args, fn=fn: called.append(fn))
+    assert analysis.certify.consistent
+    assert called == []
+
+
 def test_verification_survives_optimize_flag():
     # python -O strips assert statements; the decomposition check must stay
     script = (

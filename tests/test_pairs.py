@@ -1,10 +1,11 @@
 """Pair-class deciders, witnesses, pushforwards, and redundant blow-ups."""
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 import oracles
-from delpezzo import fixtures
+from delpezzo import corpus, fixtures
 from delpezzo.errors import PreconditionFailure, RedundancyViolation
 from delpezzo.pairs import (
     RedundantPoint,
@@ -19,18 +20,30 @@ from delpezzo.pairs import (
     decide_klt_pair_exists,
     decide_weak_lc_pair_exists,
     find_redundant_points,
+    make_boundary,
     pushforward_pair,
     redundant_blow_up,
     validate_klt_del_pezzo,
     validate_weak_lc_del_pezzo,
     _witness,
 )
-from delpezzo.surface import extend_to
+from delpezzo.surface import extend_to, from_description
 from delpezzo.zariski import zariski_decompose
 
 NINE_POINT_BOUNDARY = tuple(
     (f"l{i}_{j}", Q(1, 10)) for i in range(1, 10) for j in range(1, 4)
 )
+
+
+def corpus_draws(seed, count):
+    """The analyses of the first ``count`` surfaces `corpus --seed` keeps."""
+    rng = random.Random(seed)
+    kept = 0
+    while kept < count:
+        analysis = corpus._random_analysis(rng, 12)
+        if analysis is not None:
+            kept += 1
+            yield analysis
 
 
 # -- deciders ---------------------------------------------------------------
@@ -117,13 +130,26 @@ def test_cone_witness_differs_but_validates():
         assert ok, why
 
 
-@pytest.mark.parametrize("name", ["p2", "f2", "f3", "dp3", "dp8", "pair"])
+@pytest.mark.parametrize(
+    "name", ["p2", "f2", "f3", "dp3", "dp8", "pair", "corpus1", "corpus2", "corpus3"]
+)
 def test_both_constructions_validate_on_klt_fixtures(name):
-    s = fixtures.FIXTURES[name]()
-    for construct in (construct_klt_boundary, construct_klt_boundary_via_cone):
-        boundary = construct(s)
-        ok, why = validate_klt_del_pezzo(s, boundary)
-        assert ok, (name, why)
+    # certify derives the snc, log-resolution and minimal-resolution members
+    # from the deciders because every klt witness validates, and so does
+    # every weak witness N
+    if name.startswith("corpus"):
+        surfaces = [a.s for a in corpus_draws(int(name[len("corpus"):]), 20)]
+    else:
+        surfaces = [fixtures.FIXTURES[name]()]
+    for s in surfaces:
+        z = zariski_decompose(s, s.anticanonical)
+        if z.positive_square > 0 and z.max_coefficient < 1:
+            for construct in (construct_klt_boundary, construct_klt_boundary_via_cone):
+                ok, why = validate_klt_del_pezzo(s, construct(s))
+                assert ok, (name, why)
+        if z.max_coefficient <= 1:
+            ok, why = validate_weak_lc_del_pezzo(s, make_boundary(s, z.negative))
+            assert ok, (name, why)
 
 
 def test_witness_construction_refuses_non_klt():
@@ -173,8 +199,6 @@ def test_nine_point_configuration():
     # ... but the comparison divisor is negative: not in the effective class
     assert not check.effective
     # and the pair on the plane really is a klt del Pezzo pair
-    from delpezzo.pairs import make_boundary
-
     ok, why = validate_klt_del_pezzo(base, make_boundary(base, NINE_POINT_BOUNDARY))
     assert ok, why
 
@@ -332,7 +356,8 @@ def test_classification_after_one_redundant_blow_up():
 def test_chain_fixture_factors_to_minimal():
     report = classify_nonrational(fixtures.elliptic_ruled_with_chain())
     assert report.ok and report.case == 1
-    assert len(report.factorization) == 2
+    # e1 is a (-2)-curve until e2 is blown down
+    assert report.factorization == ("e2", "e1")
 
 
 def test_case_two_when_elliptic_curve_survives():
@@ -344,6 +369,38 @@ def test_case_two_when_elliptic_curve_survives():
 
     data = contract(s, ("e1",))
     assert data.tags == ("DuVal",)
+
+
+# the elliptic ruled surface with e = 2 blown up once on a fibre: the strict
+# transform f - e1 is a (-1)-curve but not an exceptional axis
+FIBRE_BLOWN_UP = {
+    "base": {"kind": "ruled", "genus": 1, "e": 2},
+    "curves": [],
+    "blowups": [{"point": "rp2", "exceptional": "e1", "on": [["f", 1]]}],
+}
+
+
+def test_nonaxis_minus_one_curve_is_blown_down():
+    s = from_description(FIBRE_BLOWN_UP)
+    report = classify_nonrational(s)
+    assert report.ok and report.case == 1, report.message
+    assert report.elliptic_curve == "c0"
+    assert report.factorization == ("f",)
+    assert cox_finitely_generated(s)[0]
+
+
+def test_nonrational_weak_lc_corpus_draws_pass_the_shape_check():
+    checked = 0
+    for seed in range(1, 11):
+        for analysis in corpus_draws(seed, 200):
+            if analysis.s.rational or not analysis.weak_verdict.member:
+                continue
+            assert analysis.big
+            report = analysis.nonrational
+            assert report.ok, (seed, report.message)
+            assert analysis.certify.consistent, (seed, analysis.certify.failures)
+            checked += 1
+    assert checked == 103
 
 
 def test_genus_two_base_rejected():
@@ -398,7 +455,6 @@ def test_certify_on_fixtures(name, klt, weak):
 def test_weak_validator_demands_snc():
     s = fixtures.projective_plane()
     from delpezzo.surface import declare_curve
-    from delpezzo.pairs import make_boundary
 
     s = declare_curve(s, "nodal", (3,), 1, smooth=False)
     bad = make_boundary(s, (("nodal", Q(1, 2)),))

@@ -40,8 +40,9 @@ both sides must print the same stdout.  Then, for each workload and each seed
 the parent first in odd pairs and the change first in even pairs, so that a
 drift of the machine's speed hits both sides alike.  Then it runs one traced
 pass (``--trace 1``, seed 1) per side, optionally one held-out pair on the
-claimed workload, and optionally three single timed calls per side of
-``analyze --format json`` on ``line_star`` inputs.  Per metric it writes
+claimed workload, and optionally ``LINE_STAR_REPEATS`` (11) single timed
+calls per side of ``analyze --format json`` on ``line_star`` inputs, the
+sides alternating, reported as each side's quartiles.  Per metric it writes
 the quartiles of each side, the relative change of the medians, how many
 pairs the change won, and whether the gap of the medians exceeds the
 parent's interquartile range.  The temporary directory is removed at exit.
@@ -69,7 +70,7 @@ SIDES = ("parent", "change")
 WORKLOADS = ("fixtures", "wide_support", "high_rank", "corpus")
 SECONDS = 20  # the run length BENCHMARK.json gives perfbench/run.py
 TRACE_SEED = 1
-LINE_STAR_REPEATS = 3
+LINE_STAR_REPEATS = 11
 STARTUP_REPEATS = 5
 STARTUP_FIXTURES = ("p2", "dp8")
 # the package import alone, without ``site``, and its floor
@@ -220,11 +221,11 @@ def single_calls(roots: dict, specs: list[str]) -> dict:
                 digests[side].add(result["sha256"])
         out[f"line_star({spec})"] = {
             "rank": 1 + int(n) + int(arms) * int(length),
-            "seconds_median": {side: statistics.median(seconds[side]) for side in SIDES},
+            "seconds_quartiles": {side: quartiles(seconds[side]) for side in SIDES},
             "seconds_runs": seconds,
             "stdout_identical": len(digests["parent"] | digests["change"]) == 1,
         }
-        print(f"  line_star({spec}) {out[f'line_star({spec})']['seconds_median']}", file=sys.stderr)
+        print(f"  line_star({spec}) {out[f'line_star({spec})']['seconds_quartiles']}", file=sys.stderr)
     return out
 
 
