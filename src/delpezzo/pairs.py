@@ -259,6 +259,11 @@ ResolutionCheck = namedtuple(
 )
 
 
+def _is_klt(discs, boundary) -> bool:
+    """Every discrepancy is > -1 and every boundary coefficient < 1."""
+    return all(a > -1 for _, a in discs) and all(c < 1 for _, c in boundary)
+
+
 def check_EP_condition(
     s_down: SurfaceModel, boundary, records: tuple[BlowUpRecord, ...]
 ) -> ResolutionCheck:
@@ -276,13 +281,10 @@ def check_EP_condition(
         raise NotSimpleNormalCrossings(
             "total transform of the boundary is not snc; not a log resolution"
         )
-    if new_ids:
-        discs = discrepancies_with_boundary(s_up, new_ids, boundary)
-    else:
-        discs = ()
+    discs = discrepancies_with_boundary(s_up, new_ids, boundary)
     divisor = tuple((cid, -a) for cid, a in discs)
     effective = all(c >= 0 for _, c in divisor)
-    pair_is_klt = all(a > -1 for _, a in discs) and all(c < 1 for _, c in boundary)
+    pair_is_klt = _is_klt(discs, boundary)
     pair_is_lc = all(a >= -1 for _, a in discs) and all(c <= 1 for _, c in boundary)
     return ResolutionCheck(
         effective=effective,
@@ -299,26 +301,21 @@ def check_EP_for_contraction(
     s: SurfaceModel, contracted, boundary_downstairs
 ) -> tuple[bool, tuple[tuple[str, Q], ...]]:
     """Same effectivity check when the downstairs surface is the contraction
-    of ``contracted`` inside ``s`` (given by its minimal resolution).
+    f of ``contracted`` inside ``s`` (given by its minimal resolution).
 
-    The comparison divisor is  -sum a_i E_i + (f^* f_* D - strict f_* D)
-    with D the boundary, supported on the exceptional curves; returns the
-    effectivity flag and the exceptional coefficients.
+    The comparison divisor  f^*(K_Y + D) - (K_X + strict D),  with D the
+    boundary, is supported on the exceptional curves: it is minus the
+    discrepancies of (Y, D), as ``discrepancies_with_boundary`` gives them.
+    Returns the effectivity flag and the exceptional coefficients.
     """
-    data = contract(s, contracted)
-    ids = data.exceptional
-    coeffs = {cid: -a for cid, a in data.discrepancies}
-    for cid, c in boundary_downstairs:
+    ids = _as_ids(s, contracted)
+    boundary = tuple(boundary_downstairs)
+    for cid, _ in boundary:
         if cid in ids:
             raise PreconditionFailure(
                 f"boundary component {cid!r} is contracted; push it forward first"
             )
-        row = s.meets(cid)
-        rhs = [-row[s.position(e)] for e in ids]
-        correction = solve_linear(data.matrix, rhs)
-        for e, mu in zip(ids, correction):
-            coeffs[e] += Fraction(c) * mu
-    divisor = tuple((cid, coeffs[cid]) for cid in ids)
+    divisor = tuple((cid, -a) for cid, a in discrepancies_with_boundary(s, ids, boundary))
     return all(c >= 0 for _, c in divisor), divisor
 
 
@@ -342,27 +339,23 @@ def construct_good_boundary(
     downstairs boundary and the verification report.
     """
     analysis = AnticanonicalAnalysis(s)
-    contracted_ids = set(s.ordered(_as_ids(contracted)))
-    if not contracted_ids.issubset(set(analysis.null.curve_ids)):
+    contracted_ids = _as_ids(s, contracted)
+    if not set(contracted_ids).issubset(analysis.null.curve_ids):
         raise PreconditionFailure(
             "contracted curves must have P-degree zero (anticanonical morphism)"
         )
     upstairs = analysis.witness[0]
-    downstairs = tuple(
-        (cid, c) for cid, c in upstairs.components if cid not in contracted_ids
-    )
-    effective, divisor = check_EP_for_contraction(
-        s, s.ordered(contracted_ids), downstairs
-    )
-    push = pushforward_pair(s, s.ordered(contracted_ids), upstairs.components)
+    push = pushforward_pair(s, contracted_ids, upstairs.components)
+    # the EP divisor is minus the discrepancies of the pushed-forward pair
+    divisor = tuple((cid, -a) for cid, a in push.discrepancies)
     report = GoodBoundaryReport(
         boundary_upstairs=upstairs,
-        boundary_downstairs=downstairs,
+        boundary_downstairs=push.boundary_downstairs,
         ep_divisor=divisor,
-        effective=effective,
+        effective=all(c >= 0 for _, c in divisor),
         recertified=push.klt_del_pezzo,
     )
-    return downstairs, report
+    return push.boundary_downstairs, report
 
 
 PushforwardResult = namedtuple(
@@ -377,14 +370,11 @@ def pushforward_pair(s: SurfaceModel, contracted, boundary) -> PushforwardResult
     read off the total discrepancies, ampleness off the pulled-back
     log-anticanonical class evaluated on the surviving catalog.
     """
-    ids = s.ordered(_as_ids(contracted))
+    ids = _as_ids(s, contracted)
     boundary = tuple((cid, Fraction(c)) for cid, c in boundary if Fraction(c) != 0)
     down = tuple((cid, c) for cid, c in boundary if cid not in ids)
-    if ids:
-        discs = discrepancies_with_boundary(s, ids, down)
-    else:
-        discs = ()
-    klt = all(a > -1 for _, a in discs) and all(c < 1 for _, c in down)
+    discs = discrepancies_with_boundary(s, ids, down)
+    klt = _is_klt(discs, down)
     # f^*(K_Y + Delta_Y) = K_X + strict Delta_Y - sum a_i E_i
     pulled = s.canonical + s.class_of(down) - s.class_of(discs)
     target = -pulled
@@ -609,9 +599,7 @@ def _classify_nonrational(
         return reject(
             "section coefficient in the negative part is not 1", chains, factorization
         )
-    contracted_ids = set(
-        _as_ids(contracted) if contracted is not None else null.curve_ids
-    )
+    contracted_ids = _as_ids(s, contracted) if contracted is not None else null.curve_ids
     case = 1 if section in contracted_ids else 2
     message = (
         "one simple elliptic point"

@@ -1,8 +1,11 @@
 """Contractions, discrepancies, and singularity classification.
 
-Contracting a negative-definite set of catalog curves determines exact
-discrepancies by solving  sum_j a_j (E_j . E_i) = K . E_i  for every
+Contracting a negative-definite set of catalog curves f: X -> Y determines
+exact discrepancies by solving  sum_j a_j (E_j . E_i) = K . E_i  for every
 exceptional curve E_i (the boundary-free comparison of canonical classes).
+With a boundary B on Y, whose strict transform on X is also written B, the
+discrepancies of the pair (Y, B) solve  sum_j a_j (E_j . E_i) = (K + B) . E_i,
+that is  K + B = f^*(K_Y + B) + sum_j a_j E_j.  One solver serves both.
 Each connected component of the exceptional dual graph gets one verdict
 read off the discrepancy profile:
 
@@ -55,15 +58,19 @@ class ContractionData(
         return tuple(v.tag for v in self.verdicts)
 
 
-def _as_ids(curves) -> tuple[str, ...]:
-    if isinstance(curves, CurveSet):
-        return curves.curve_ids
-    return tuple(curves)
+def _as_ids(s: SurfaceModel, curves) -> tuple[str, ...]:
+    """The ids of a CurveSet or of an iterable of ids, in catalog order; an
+    id outside the catalog is InvalidSurfaceData."""
+    ids = curves.curve_ids if isinstance(curves, CurveSet) else tuple(curves)
+    for cid in ids:
+        if not s.has_curve(cid):
+            raise InvalidSurfaceData(f"curve {cid!r} not in catalog")
+    return s.ordered(ids)
 
 
 def connected_components(s: SurfaceModel, curve_ids) -> tuple[tuple[str, ...], ...]:
     """Components of the dual graph (edge iff intersection > 0)."""
-    ids = s.ordered(_as_ids(curve_ids))
+    ids = _as_ids(s, curve_ids)
     remaining = list(ids)
     components = []
     while remaining:
@@ -100,14 +107,31 @@ def _classify(s: SurfaceModel, component: tuple[str, ...], discs: dict) -> Singu
     return SingularityVerdict(tag, component, extremal_curve, extremal)
 
 
-def contract(s: SurfaceModel, curves) -> ContractionData:
-    """Contract a negative-definite catalog curve set; solve discrepancies."""
-    ids = s.ordered(_as_ids(curves))
+def _solve(s: SurfaceModel, curves, boundary):
+    """The catalog-ordered ids of ``curves``, their Gram matrix M, and the
+    solution a of  M a = ((K + boundary) . E_i).  The (curve_id, coefficient)
+    pairs of ``boundary`` are checked first, so an empty set still rejects a
+    malformed boundary."""
+    ids = _as_ids(s, curves)
+    boundary = tuple((cid, Fraction(coeff)) for cid, coeff in boundary)
+    for cid, q in boundary:
+        if not s.has_curve(cid):
+            raise InvalidSurfaceData(f"boundary curve {cid!r} not in catalog")
+        if q < 0 or q > 1:
+            raise InvalidSurfaceData(f"boundary coefficient {format_rational(q)} outside [0, 1]")
+        if cid in ids:
+            raise InvalidSurfaceData(f"boundary curve {cid!r} cannot also be contracted")
     matrix = s.gram_of(ids)
     if not is_negative_definite(matrix):
         raise NotContractible("not contractible")
-    rhs = [s.canonical.dot(s.curve(cid).divisor_class) for cid in ids]
-    solved = solve_linear(matrix, rhs)
+    log_canonical = s.canonical + s.class_of(boundary) if boundary else s.canonical
+    rhs = [log_canonical.dot(s.curve(cid).divisor_class) for cid in ids]
+    return ids, matrix, solve_linear(matrix, rhs)
+
+
+def contract(s: SurfaceModel, curves) -> ContractionData:
+    """Contract a negative-definite catalog curve set; solve discrepancies."""
+    ids, matrix, solved = _solve(s, curves, ())
     discs = dict(zip(ids, solved))
     components = connected_components(s, ids)
     verdicts = tuple(_classify(s, comp, discs) for comp in components)
@@ -132,26 +156,8 @@ def discrepancies_with_boundary(
     must be disjoint from the contracted set (they are not exceptional).
     Solves  sum_j a_j (E_j . E_i) = (K + boundary) . E_i.
     """
-    ids = s.ordered(_as_ids(curves))
-    boundary = tuple(boundary)
-    for cid, coeff in boundary:
-        if not s.has_curve(cid):
-            raise InvalidSurfaceData(f"boundary curve {cid!r} not in catalog")
-        q = Fraction(coeff)
-        if q < 0 or q > 1:
-            raise InvalidSurfaceData(
-                f"boundary coefficient {format_rational(q)} outside [0, 1]"
-            )
-        if cid in ids:
-            raise InvalidSurfaceData(
-                f"boundary curve {cid!r} cannot also be contracted"
-            )
-    matrix = s.gram_of(ids)
-    if not is_negative_definite(matrix):
-        raise NotContractible("not contractible")
-    log_canonical = s.canonical + s.class_of(boundary)
-    rhs = [log_canonical.dot(s.curve(cid).divisor_class) for cid in ids]
-    return tuple(zip(ids, solve_linear(matrix, rhs)))
+    ids, _, solved = _solve(s, curves, boundary)
+    return tuple(zip(ids, solved))
 
 
 def is_snc_configuration(s: SurfaceModel, curves) -> bool:
@@ -162,7 +168,7 @@ def is_snc_configuration(s: SurfaceModel, curves) -> bool:
     a persistent triple point is not representable; pairwise transversality
     is the remaining content.
     """
-    ids = _as_ids(curves)
+    ids = _as_ids(s, curves)
     if not all(s.curve(cid).smooth for cid in ids):
         return False
     positions = [s.position(cid) for cid in ids]
@@ -198,7 +204,7 @@ class DualGraph(namedtuple("DualGraph", "nodes edges")):
 
 def dual_graph(s: SurfaceModel, curves) -> DualGraph:
     """Weighted dual graph of a curve set, nodes in catalog order."""
-    ids = s.ordered(_as_ids(curves))
+    ids = _as_ids(s, curves)
     positions = [s.position(cid) for cid in ids]
     nodes, edges = [], []
     for i, a in enumerate(ids):

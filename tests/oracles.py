@@ -119,6 +119,25 @@ def curve_gram(rows, curves) -> list[list[int]]:
     return [[x.numerator for x in row] for row in gram]
 
 
+def ep_divisor(rows, canonical, exceptional, boundary) -> tuple[Q, ...]:
+    """The comparison divisor of a contraction, one coefficient per
+    exceptional class: -a_i plus c * mu_i for each boundary curve C of
+    coefficient c, where M a = (K . E_i) gives the discrepancies of K and
+    M mu = -(C . E_i) gives the pullback f^*C = C + sum mu_i E_i.
+
+    ``rows`` is the dense Gram matrix, ``canonical`` K's coordinates,
+    ``exceptional`` the contracted classes and ``boundary`` (class,
+    coefficient) pairs; every system is solved by Cramer's rule.
+    """
+    gram = curve_gram(rows, exceptional)
+    solved = cramer_solve(gram, [dense_pairing(rows, canonical, e) for e in exceptional])
+    coeffs = [-a for a in solved]
+    for curve, c in boundary:
+        mu = cramer_solve(gram, [-dense_pairing(rows, curve, e) for e in exceptional])
+        coeffs = [x + Q(c) * m for x, m in zip(coeffs, mu)]
+    return tuple(coeffs)
+
+
 def is_negative_definite_by_minors(rows) -> bool:
     """Sylvester's criterion with every leading minor expanded by cofactors:
     the k-th leading minor is nonzero with sign (-1)^k."""

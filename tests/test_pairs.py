@@ -1,13 +1,20 @@
 """Pair-class deciders, witnesses, pushforwards, and redundant blow-ups."""
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 import oracles
-from delpezzo import corpus, fixtures
-from delpezzo.errors import PreconditionFailure, RedundancyViolation
+from delpezzo import corpus, fixtures, pairs, singular
+from delpezzo.errors import (
+    GeometryError,
+    InvalidSurfaceData,
+    PreconditionFailure,
+    RedundancyViolation,
+)
 from delpezzo.pairs import (
+    AnticanonicalAnalysis,
     RedundantPoint,
     certify_class_equalities,
     check_EP_condition,
@@ -27,6 +34,7 @@ from delpezzo.pairs import (
     validate_weak_lc_del_pezzo,
     _witness,
 )
+from delpezzo.singular import contract
 from delpezzo.surface import extend_to, from_description
 from delpezzo.zariski import zariski_decompose
 
@@ -208,6 +216,101 @@ def test_contraction_route_on_f3():
     effective, divisor = check_EP_for_contraction(s, ("c0",), ())
     assert effective
     assert divisor == (("c0", Q(1, 3)),)
+
+
+def ep_sweep():
+    """(surface, contracted subset of Null(P), boundary) triples: the 12
+    fixtures and 20 corpus draws each of seeds 1 and 7, every subset of
+    Null(P) with the rest of the direct witness as the boundary."""
+    analyses = [AnticanonicalAnalysis(build()) for _, build in sorted(fixtures.FIXTURES.items())]
+    analyses += list(corpus_draws(1, 20)) + list(corpus_draws(7, 20))
+    for analysis in analyses:
+        try:
+            witness = analysis.witness[0].components
+        except GeometryError:
+            continue
+        null = analysis.null.curve_ids
+        for k in range(len(null) + 1):
+            for contracted in itertools.combinations(null, k):
+                boundary = tuple((c, q) for c, q in witness if c not in contracted)
+                yield analysis.s, contracted, boundary
+
+
+def test_contraction_route_matches_the_two_solve_oracle():
+    # the divisor is -a + sum c*mu, solved apart by Cramer's rule
+    cases = contracted_sizes = 0
+    for s, contracted, boundary in ep_sweep():
+        rows = oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))
+        expected = oracles.ep_divisor(
+            rows,
+            s.canonical.coords,
+            [s.curve(c).divisor_class.coords for c in contracted],
+            [(s.curve(c).divisor_class.coords, q) for c, q in boundary],
+        )
+        effective, divisor = check_EP_for_contraction(s, contracted, boundary)
+        assert divisor == tuple(zip(contracted, expected)), (contracted, boundary)
+        assert effective == all(c >= 0 for c in expected)
+        cases += 1
+        contracted_sizes += len(contracted)
+    assert cases > 100 and contracted_sizes > cases
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts solve_linear calls at its singular and pairs import sites."""
+    counts = {"singular": 0, "pairs": 0}
+    for module in (singular, pairs):
+        name = module.__name__.rsplit(".", 1)[1]
+
+        def counting(*args, _original=module.solve_linear, _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, "solve_linear", counting)
+    return counts
+
+
+def test_contraction_route_makes_one_elimination(solves):
+    check_EP_for_contraction(fixtures.hirzebruch(2), ("c0",), (("f", Q(1, 2)),))
+    assert solves == {"singular": 1, "pairs": 0}
+
+
+def test_good_boundary_solves_the_contraction_once(solves):
+    construct_good_boundary(fixtures.hirzebruch(3), ("c0",))
+    assert solves["singular"] == 1
+
+
+def test_unknown_contracted_curve_is_invalid_data():
+    f2, chain = fixtures.hirzebruch(2), fixtures.elliptic_ruled_with_chain()
+    for call in (
+        lambda: contract(f2, ("c0", "nope")),
+        lambda: pushforward_pair(f2, ("nope",), ()),
+        lambda: construct_good_boundary(f2, ("nope",)),
+        lambda: classify_nonrational(chain, contracted=("e1", "nope")),
+    ):
+        with pytest.raises(InvalidSurfaceData, match="'nope' not in catalog"):
+            call()
+
+
+def test_unknown_boundary_curve_is_invalid_data():
+    s = fixtures.hirzebruch(2)
+    for call in (
+        lambda: check_EP_for_contraction(s, ("c0",), (("nope", Q(1, 2)),)),
+        lambda: pushforward_pair(s, (), (("nope", Q(1, 2)),)),
+        lambda: make_boundary(s, (("nope", Q(1, 2)),)),
+    ):
+        with pytest.raises(InvalidSurfaceData, match="'nope' not in catalog"):
+            call()
+
+
+def test_boundary_coefficient_above_one_is_invalid_data():
+    s = fixtures.hirzebruch(2)
+    for call in (
+        lambda: check_EP_condition(s, (("f", 3),), ()),
+        lambda: pushforward_pair(s, (), (("f", 3),)),
+    ):
+        with pytest.raises(InvalidSurfaceData, match="coefficient 3 outside"):
+            call()
 
 
 # -- good boundaries ----------------------------------------------------------

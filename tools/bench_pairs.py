@@ -21,9 +21,10 @@ BENCH_9.json with ``--claim-workload high_rank --claim-metric
 analyze_ms_p50 --claim-threshold -0.2 --held-out-seed 11 --line-star
 30,16,2``, BENCH_10.json with ``--claim-workload high_rank
 --claim-metric analyze_ms_p50 --claim-threshold -0.12 --held-out-seed 11
---line-star 30,16,2``, and BENCH_11.json with ``--claim-workload
+--line-star 30,16,2``, BENCH_11.json with ``--claim-workload
 wide_support --claim-metric analyze_ms_p50 --claim-threshold -0.08
---held-out-seed 11 --line-star 30,16,2``.
+--held-out-seed 11 --line-star 30,16,2``, and BENCH_12.json and
+BENCH_13.json, which claim no gain, with ``--line-star 30,16,2`` only.
 
 The parent commit (``git archive``) and the change (the working tree's
 tracked and unignored files) are copied into a temporary directory, so
