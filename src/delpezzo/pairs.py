@@ -19,7 +19,6 @@ per surface and every decider reads it from there.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import (
     CatalogInsufficient,
@@ -32,6 +31,7 @@ from .lattice import DivisorClass, Q, format_rational, solve_linear
 from .singular import (
     KLT_TAGS,
     LC_TAGS,
+    _as_boundary,
     _as_ids,
     connected_components,
     contract,
@@ -95,15 +95,9 @@ class BoundaryDivisor(namedtuple("BoundaryDivisor", "components floor_is_zero sn
 
 
 def make_boundary(s: SurfaceModel, components) -> BoundaryDivisor:
-    pairs = tuple((cid, Fraction(c)) for cid, c in components if c != 0)
-    for cid, coeff in pairs:
-        if coeff < 0 or coeff > 1:
-            raise PreconditionFailure(
-                f"boundary coefficient {format_rational(coeff)} outside [0, 1]"
-            )
-    floor_zero = all(c < 1 for _, c in pairs)
-    snc = is_snc_configuration(s, tuple(cid for cid, _ in pairs))
-    return BoundaryDivisor(pairs, floor_zero, snc)
+    pairs = _as_boundary(s, components)
+    snc = is_snc_configuration(s, [cid for cid, _ in pairs])
+    return BoundaryDivisor(pairs, all(c < 1 for _, c in pairs), snc)
 
 
 # multipliers: the class L on Null(P), as (curve_id, coefficient) pairs
@@ -274,25 +268,20 @@ def check_EP_condition(
     for rec in records:
         s_up = blow_up(s_up, rec)
         new_ids.append(s_up.blowups[-1].exceptional_id)
-    boundary = tuple((cid, Fraction(c)) for cid, c in boundary)
-    support = tuple(cid for cid, _ in boundary)
-    snc_ok = is_snc_configuration(s_up, support + tuple(new_ids))
-    if not snc_ok:
+    boundary = _as_boundary(s_up, boundary, new_ids)
+    if not is_snc_configuration(s_up, [cid for cid, _ in boundary] + new_ids):
         raise NotSimpleNormalCrossings(
             "total transform of the boundary is not snc; not a log resolution"
         )
     discs = discrepancies_with_boundary(s_up, new_ids, boundary)
     divisor = tuple((cid, -a) for cid, a in discs)
-    effective = all(c >= 0 for _, c in divisor)
-    pair_is_klt = _is_klt(discs, boundary)
-    pair_is_lc = all(a >= -1 for _, a in discs) and all(c <= 1 for _, c in boundary)
     return ResolutionCheck(
-        effective=effective,
-        snc_ok=snc_ok,
+        effective=all(c >= 0 for _, c in divisor),
+        snc_ok=True,
         discrepancies=discs,
         divisor=divisor,
-        pair_is_klt=pair_is_klt,
-        pair_is_lc=pair_is_lc,
+        pair_is_klt=_is_klt(discs, boundary),
+        pair_is_lc=all(a >= -1 for _, a in discs),
         resolved=s_up,
     )
 
@@ -308,14 +297,8 @@ def check_EP_for_contraction(
     discrepancies of (Y, D), as ``discrepancies_with_boundary`` gives them.
     Returns the effectivity flag and the exceptional coefficients.
     """
-    ids = _as_ids(s, contracted)
-    boundary = tuple(boundary_downstairs)
-    for cid, _ in boundary:
-        if cid in ids:
-            raise PreconditionFailure(
-                f"boundary component {cid!r} is contracted; push it forward first"
-            )
-    divisor = tuple((cid, -a) for cid, a in discrepancies_with_boundary(s, ids, boundary))
+    discs = discrepancies_with_boundary(s, contracted, boundary_downstairs)
+    divisor = tuple((cid, -a) for cid, a in discs)
     return all(c >= 0 for _, c in divisor), divisor
 
 
@@ -371,8 +354,7 @@ def pushforward_pair(s: SurfaceModel, contracted, boundary) -> PushforwardResult
     log-anticanonical class evaluated on the surviving catalog.
     """
     ids = _as_ids(s, contracted)
-    boundary = tuple((cid, Fraction(c)) for cid, c in boundary if Fraction(c) != 0)
-    down = tuple((cid, c) for cid, c in boundary if cid not in ids)
+    down = tuple((cid, c) for cid, c in _as_boundary(s, boundary) if cid not in ids)
     discs = discrepancies_with_boundary(s, ids, down)
     klt = _is_klt(discs, down)
     # f^*(K_Y + Delta_Y) = K_X + strict Delta_Y - sum a_i E_i
@@ -526,11 +508,12 @@ def classify_nonrational(
     of (-2)-curves, reached from the minimal resolution by redundant
     blow-ups.  ``contracted`` picks which curves define the model under
     judgment (default: all of Null(P), the anticanonical model)."""
-    return _classify_nonrational(AnticanonicalAnalysis(s), contracted)
+    contracted_ids = None if contracted is None else _as_ids(s, contracted)
+    return _classify_nonrational(AnticanonicalAnalysis(s), contracted_ids)
 
 
 def _classify_nonrational(
-    analysis: AnticanonicalAnalysis, contracted
+    analysis: AnticanonicalAnalysis, contracted_ids
 ) -> NonRationalReport:
     s = analysis.s
 
@@ -599,8 +582,7 @@ def _classify_nonrational(
         return reject(
             "section coefficient in the negative part is not 1", chains, factorization
         )
-    contracted_ids = _as_ids(s, contracted) if contracted is not None else null.curve_ids
-    case = 1 if section in contracted_ids else 2
+    case = 1 if section in (null.curve_ids if contracted_ids is None else contracted_ids) else 2
     message = (
         "one simple elliptic point"
         if case == 1
@@ -616,10 +598,12 @@ def cox_finitely_generated(s: SurfaceModel, contracted=None) -> tuple[bool, str]
     simple elliptic singularity.  Precondition: the surface carries a weak
     lc del Pezzo pair (decide_weak_lc_pair_exists is true).
     """
-    return _cox(AnticanonicalAnalysis(s), contracted)
+    contracted_ids = None if contracted is None else _as_ids(s, contracted)
+    return _cox(AnticanonicalAnalysis(s), contracted_ids)
 
 
-def _cox(analysis: AnticanonicalAnalysis, contracted) -> tuple[bool, str]:
+def _cox(analysis: AnticanonicalAnalysis, ids) -> tuple[bool, str]:
+    """``ids`` is None (all of Null(P)) or the contracted ids, already read."""
     verdict = analysis.weak_verdict
     if not verdict.member:
         raise PreconditionFailure(
@@ -627,7 +611,7 @@ def _cox(analysis: AnticanonicalAnalysis, contracted) -> tuple[bool, str]:
         )
     if analysis.s.rational:
         return True, "rational surface: Cox ring finitely generated"
-    report = analysis.nonrational if contracted is None else _classify_nonrational(analysis, contracted)
+    report = analysis.nonrational if ids is None else _classify_nonrational(analysis, ids)
     if report.ok and report.case == 1:
         return True, (
             "exactly one simple elliptic singularity on the model (case 1): "

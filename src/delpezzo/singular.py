@@ -19,6 +19,10 @@ read off the discrepancy profile:
 Smoothness of a curve is a declared flag: intersection numbers cannot tell
 a nodal from a smooth member of the same class, and the contraction of a
 nodal genus-one curve must be distinguishable from a simple elliptic point.
+
+Every pair entry point reads its boundary of (curve_id, coefficient) terms
+with ``_as_boundary``: ids in the catalog, each once and not contracted, and
+coefficients in [0, 1], else InvalidSurfaceData; zero terms are then dropped.
 """
 from __future__ import annotations
 
@@ -107,20 +111,30 @@ def _classify(s: SurfaceModel, component: tuple[str, ...], discs: dict) -> Singu
     return SingularityVerdict(tag, component, extremal_curve, extremal)
 
 
-def _solve(s: SurfaceModel, curves, boundary):
-    """The catalog-ordered ids of ``curves``, their Gram matrix M, and the
-    solution a of  M a = ((K + boundary) . E_i).  The (curve_id, coefficient)
-    pairs of ``boundary`` are checked first, so an empty set still rejects a
-    malformed boundary."""
-    ids = _as_ids(s, curves)
-    boundary = tuple((cid, Fraction(coeff)) for cid, coeff in boundary)
-    for cid, q in boundary:
+def _as_boundary(s: SurfaceModel, boundary, contracted=()) -> tuple[tuple[str, Q], ...]:
+    """The terms of ``boundary`` as Fractions, checked as the module
+    docstring says, without its zero terms."""
+    terms = {}
+    for cid, coeff in boundary:
+        q = Fraction(coeff)
         if not s.has_curve(cid):
             raise InvalidSurfaceData(f"boundary curve {cid!r} not in catalog")
         if q < 0 or q > 1:
             raise InvalidSurfaceData(f"boundary coefficient {format_rational(q)} outside [0, 1]")
-        if cid in ids:
+        if cid in terms:
+            raise InvalidSurfaceData(f"boundary curve {cid!r} listed twice")
+        if cid in contracted:
             raise InvalidSurfaceData(f"boundary curve {cid!r} cannot also be contracted")
+        terms[cid] = q
+    return tuple((cid, q) for cid, q in terms.items() if q)
+
+
+def _solve(s: SurfaceModel, curves, boundary):
+    """The catalog-ordered ids of ``curves``, their Gram matrix M, and the
+    solution a of  M a = ((K + boundary) . E_i).  The boundary is read
+    first, so an empty set still rejects a malformed boundary."""
+    ids = _as_ids(s, curves)
+    boundary = _as_boundary(s, boundary, ids)
     matrix = s.gram_of(ids)
     if not is_negative_definite(matrix):
         raise NotContractible("not contractible")

@@ -35,7 +35,7 @@ from delpezzo.pairs import (
     _witness,
 )
 from delpezzo.singular import contract
-from delpezzo.surface import extend_to, from_description
+from delpezzo.surface import BlowUpRecord, blow_up, declare_curve, extend_to, from_description
 from delpezzo.zariski import zariski_decompose
 
 NINE_POINT_BOUNDARY = tuple(
@@ -287,6 +287,8 @@ def test_unknown_contracted_curve_is_invalid_data():
         lambda: pushforward_pair(f2, ("nope",), ()),
         lambda: construct_good_boundary(f2, ("nope",)),
         lambda: classify_nonrational(chain, contracted=("e1", "nope")),
+        lambda: cox_finitely_generated(fixtures.projective_plane(), contracted=("nope",)),
+        lambda: classify_nonrational(fixtures.projective_plane(), contracted=("nope",)),
     ):
         with pytest.raises(InvalidSurfaceData, match="'nope' not in catalog"):
             call()
@@ -308,9 +310,68 @@ def test_boundary_coefficient_above_one_is_invalid_data():
     for call in (
         lambda: check_EP_condition(s, (("f", 3),), ()),
         lambda: pushforward_pair(s, (), (("f", 3),)),
+        lambda: make_boundary(s, (("f", 3),)),
+        lambda: check_EP_for_contraction(s, ("c0",), (("f", 3),)),
     ):
         with pytest.raises(InvalidSurfaceData, match="coefficient 3 outside"):
             call()
+
+
+# F2 blown up at a point of a fibre f, whose exceptional curve e is the
+# contracted set of every entry point below
+_EP_RECORD = BlowUpRecord("p", (("f", 1),), None, "e")
+
+
+def _boundary_entry_points():
+    """The five pair entry points, each as a function of a boundary."""
+    down = fixtures.hirzebruch(2)
+    up = blow_up(down, _EP_RECORD)
+    return (
+        lambda b: singular.discrepancies_with_boundary(up, ("e",), b),
+        lambda b: make_boundary(up, b),
+        lambda b: check_EP_condition(down, b, (_EP_RECORD,)),
+        lambda b: check_EP_for_contraction(up, ("e",), b),
+        lambda b: pushforward_pair(up, ("e",), b),
+    )
+
+
+@pytest.mark.parametrize(
+    "boundary,message",
+    [
+        ((("nope", Q(1, 2)),), "boundary curve 'nope' not in catalog"),
+        ((("f", Q(3, 2)),), "boundary coefficient 3/2 outside [0, 1]"),
+        ((("f", Q(-1, 2)),), "boundary coefficient -1/2 outside [0, 1]"),
+        ((("f", Q(1, 2)), ("c0", Q(1, 3)), ("f", Q(1, 4))), "boundary curve 'f' listed twice"),
+    ],
+)
+def test_malformed_boundary_has_one_message_at_every_entry_point(boundary, message):
+    for call in _boundary_entry_points():
+        with pytest.raises(InvalidSurfaceData) as info:
+            call(boundary)
+        assert str(info.value) == message
+
+
+def test_contracted_boundary_curve_has_one_message():
+    # make_boundary has no contracted set and pushforward_pair drops the term
+    discrepancies, _, ep_condition, ep_contraction, _ = _boundary_entry_points()
+    for call in (discrepancies, ep_condition, ep_contraction):
+        with pytest.raises(InvalidSurfaceData) as info:
+            call((("e", Q(1, 2)),))
+        assert str(info.value) == "boundary curve 'e' cannot also be contracted"
+
+
+def test_zero_boundary_terms_are_dropped():
+    s = declare_curve(fixtures.projective_plane(), "cub", (3,), 1)
+    with_zero = check_EP_condition(s, [("h", Q(1, 2)), ("cub", 0)], ())
+    assert with_zero == check_EP_condition(s, [("h", Q(1, 2))], ())
+
+
+def test_repeated_boundary_id_is_invalid_data():
+    # half a line twice is the line, whose coefficient 1 is not klt
+    with pytest.raises(InvalidSurfaceData, match="'h' listed twice"):
+        make_boundary(fixtures.projective_plane(), [("h", Q(1, 2)), ("h", Q(1, 2))])
+    with pytest.raises(InvalidSurfaceData, match="'f' listed twice"):
+        pushforward_pair(fixtures.hirzebruch(2), ("c0",), [("f", Q(3, 4)), ("f", Q(3, 4))])
 
 
 # -- good boundaries ----------------------------------------------------------

@@ -114,6 +114,8 @@ def test_boundary_validation():
         discrepancies_with_boundary(s, ("c0",), (("f", Q(3, 2)),))
     with pytest.raises(InvalidSurfaceData, match="contracted"):
         discrepancies_with_boundary(s, ("c0",), (("c0", Q(1, 2)),))
+    with pytest.raises(InvalidSurfaceData, match="'f' listed twice"):
+        discrepancies_with_boundary(s, ("c0",), (("f", Q(1, 4)), ("f", Q(1, 4))))
 
 
 def test_contract_invariant_under_catalog_permutation():

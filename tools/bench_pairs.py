@@ -25,6 +25,7 @@ analyze_ms_p50 --claim-threshold -0.2 --held-out-seed 11 --line-star
 wide_support --claim-metric analyze_ms_p50 --claim-threshold -0.08
 --held-out-seed 11 --line-star 30,16,2``, and BENCH_12.json and
 BENCH_13.json, which claim no gain, with ``--line-star 30,16,2`` only.
+Later reports record their own command line under ``"argv"``.
 
 The parent commit (``git archive``) and the change (the working tree's
 tracked and unignored files) are copied into a temporary directory, so
@@ -307,6 +308,7 @@ def main(argv=None) -> int:
     parser.add_argument("--held-out-seed", type=int, help="one more pair on the claimed workload")
     parser.add_argument("--line-star", action="append", default=[], metavar="N,ARMS,LEN")
     parser.add_argument("--out", required=True)
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -348,6 +350,7 @@ def main(argv=None) -> int:
                 },
             }
         report = {
+            "argv": ["tools/bench_pairs.py", *argv],
             "benchmark": "python3 perfbench/run.py --workload W --seed i "
             f"--seconds {SECONDS} --trace 0",
             "machine": f"{os.cpu_count()}-CPU {platform.machine()} machine, Python "
