@@ -38,7 +38,6 @@ from .pairs import (
     WitnessParams,
     certify_class_equalities,
     check_EP_condition,
-    check_EP_for_contraction,
     classify_nonrational,
     construct_good_boundary,
     construct_klt_boundary,

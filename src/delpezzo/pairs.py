@@ -27,7 +27,7 @@ from .errors import (
     PreconditionFailure,
     RedundancyViolation,
 )
-from .lattice import DivisorClass, Q, format_rational, solve_linear
+from .lattice import Q, format_rational, solve_linear
 from .singular import (
     KLT_TAGS,
     LC_TAGS,
@@ -75,17 +75,6 @@ class BoundaryDivisor(namedtuple("BoundaryDivisor", "components floor_is_zero sn
                 return coeff
         return Q(0)
 
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(cid for cid, _ in self.components)
-
-    @property
-    def max_coefficient(self) -> Q:
-        return max((c for _, c in self.components), default=Q(0))
-
-    def as_class(self, s: SurfaceModel) -> DivisorClass:
-        return s.class_of(self.components)
-
     def describe(self) -> str:
         if not self.components:
             return "0"
@@ -113,14 +102,19 @@ ClassVerdict = namedtuple(
 # ---------------------------------------------------------------------------
 # boundary validators
 
+# Both read the record's components afresh with make_boundary and decide
+# from the flags it computes, so their verdict depends on (s, components)
+# only: a hand-built record cannot vouch for itself.
+
 def validate_klt_del_pezzo(s: SurfaceModel, boundary: BoundaryDivisor) -> tuple[bool, str]:
     """(X, boundary) is a klt del Pezzo pair relative to the catalog:
     snc support, all coefficients < 1, -(K + boundary) catalog-ample."""
-    if not boundary.snc:
+    read = make_boundary(s, boundary.components)
+    if not read.snc:
         return False, "boundary support is not snc"
-    if not boundary.floor_is_zero:
+    if not read.floor_is_zero:
         return False, "boundary has a coefficient >= 1"
-    target = s.anticanonical - boundary.as_class(s)
+    target = s.anticanonical - s.class_of(read.components)
     if not ample_on_catalog(s, target):
         return False, "-(K + boundary) is not ample on the catalog"
     return True, "validated"
@@ -128,11 +122,10 @@ def validate_klt_del_pezzo(s: SurfaceModel, boundary: BoundaryDivisor) -> tuple[
 
 def validate_weak_lc_del_pezzo(s: SurfaceModel, boundary: BoundaryDivisor) -> tuple[bool, str]:
     """Weak variant: snc support, coefficients <= 1, -(K + boundary) nef."""
-    if not boundary.snc:
+    read = make_boundary(s, boundary.components)
+    if not read.snc:
         return False, "boundary support is not snc"
-    if boundary.max_coefficient > 1:
-        return False, "boundary has a coefficient > 1"
-    target = s.anticanonical - boundary.as_class(s)
+    target = s.anticanonical - s.class_of(read.components)
     if not nef_on_catalog(s, target):
         return False, "-(K + boundary) is not nef on the catalog"
     return True, "validated"
@@ -249,7 +242,7 @@ def decide_weak_lc_pair_exists(s: SurfaceModel) -> ClassVerdict:
 # divisor: the coefficients of the comparison divisor
 ResolutionCheck = namedtuple(
     "ResolutionCheck",
-    "effective snc_ok discrepancies divisor pair_is_klt pair_is_lc resolved",
+    "effective discrepancies divisor pair_is_klt pair_is_lc resolved",
 )
 
 
@@ -277,7 +270,6 @@ def check_EP_condition(
     divisor = tuple((cid, -a) for cid, a in discs)
     return ResolutionCheck(
         effective=all(c >= 0 for _, c in divisor),
-        snc_ok=True,
         discrepancies=discs,
         divisor=divisor,
         pair_is_klt=_is_klt(discs, boundary),
@@ -286,28 +278,12 @@ def check_EP_condition(
     )
 
 
-def check_EP_for_contraction(
-    s: SurfaceModel, contracted, boundary_downstairs
-) -> tuple[bool, tuple[tuple[str, Q], ...]]:
-    """Same effectivity check when the downstairs surface is the contraction
-    f of ``contracted`` inside ``s`` (given by its minimal resolution).
-
-    The comparison divisor  f^*(K_Y + D) - (K_X + strict D),  with D the
-    boundary, is supported on the exceptional curves: it is minus the
-    discrepancies of (Y, D), as ``discrepancies_with_boundary`` gives them.
-    Returns the effectivity flag and the exceptional coefficients.
-    """
-    discs = discrepancies_with_boundary(s, contracted, boundary_downstairs)
-    divisor = tuple((cid, -a) for cid, a in discs)
-    return all(c >= 0 for _, c in divisor), divisor
-
-
 # ---------------------------------------------------------------------------
 # good boundaries and pushforward (Proposition-style pipeline)
 
 GoodBoundaryReport = namedtuple(
     "GoodBoundaryReport",
-    "boundary_upstairs boundary_downstairs ep_divisor effective recertified",
+    "boundary_upstairs boundary_downstairs effective recertified",
 )
 
 
@@ -329,13 +305,12 @@ def construct_good_boundary(
         )
     upstairs = analysis.witness[0]
     push = pushforward_pair(s, contracted_ids, upstairs.components)
-    # the EP divisor is minus the discrepancies of the pushed-forward pair
-    divisor = tuple((cid, -a) for cid, a in push.discrepancies)
+    # the EP divisor, minus the discrepancies of the pushed-forward pair,
+    # is effective iff every discrepancy is <= 0
     report = GoodBoundaryReport(
         boundary_upstairs=upstairs,
         boundary_downstairs=push.boundary_downstairs,
-        ep_divisor=divisor,
-        effective=all(c >= 0 for _, c in divisor),
+        effective=all(a <= 0 for _, a in push.discrepancies),
         recertified=push.klt_del_pezzo,
     )
     return push.boundary_downstairs, report

@@ -22,7 +22,8 @@ nodal genus-one curve must be distinguishable from a simple elliptic point.
 
 Every pair entry point reads its boundary of (curve_id, coefficient) terms
 with ``_as_boundary``: ids in the catalog, each once and not contracted, and
-coefficients in [0, 1], else InvalidSurfaceData; zero terms are then dropped.
+rational coefficients in [0, 1], else InvalidSurfaceData; zero terms are then
+dropped.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from .errors import InvalidSurfaceData, NotContractible
 from .lattice import Q, format_rational, is_negative_definite, solve_linear
-from .surface import SurfaceModel
+from .surface import SurfaceModel, input_rational
 from .zariski import CurveSet
 
 KLT_TAGS = frozenset({"Smooth", "DuVal", "KltNonCanonical"})
@@ -116,7 +117,7 @@ def _as_boundary(s: SurfaceModel, boundary, contracted=()) -> tuple[tuple[str, Q
     docstring says, without its zero terms."""
     terms = {}
     for cid, coeff in boundary:
-        q = Fraction(coeff)
+        q = input_rational(coeff, "boundary coefficient")
         if not s.has_curve(cid):
             raise InvalidSurfaceData(f"boundary curve {cid!r} not in catalog")
         if q < 0 or q > 1:
@@ -166,8 +167,9 @@ def discrepancies_with_boundary(
     """Discrepancies of the pair (Y, boundary) along a contraction.
 
     ``boundary`` lists (curve_id, coefficient) for the strict transform of
-    the downstairs boundary; coefficients must lie in [0, 1] and the curves
-    must be disjoint from the contracted set (they are not exceptional).
+    the downstairs boundary, read by ``_as_boundary``: its curves are not in
+    the contracted set (they are not exceptional), but they may meet it,
+    and B . E_i != 0 only where they do.
     Solves  sum_j a_j (E_j . E_i) = (K + boundary) . E_i.
     """
     ids, _, solved = _solve(s, curves, boundary)

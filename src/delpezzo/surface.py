@@ -440,6 +440,9 @@ class _Stage:
             curve.nums += [0] * (axis - len(curve.nums))
             curve.nums.append(-mult)
             curve.p_a -= mult * (mult - 1) // 2
+            # an integral curve whose genus drops to 0 is smooth rational
+            if mult >= 2 and curve.p_a == 0:
+                curve.smooth = True
             if curve.provenance != "exceptional":
                 curve.provenance = "strict-transform"
         curves[exc_id] = _Curve(len(curves), [0] * axis + [1], 0, True, "exceptional")

@@ -138,6 +138,22 @@ def ep_divisor(rows, canonical, exceptional, boundary) -> tuple[Q, ...]:
     return tuple(coeffs)
 
 
+def castelnuovo_image(rows, canonical, exceptional, curve, smooth) -> tuple[Q, Q, bool]:
+    """The image of a curve of class ``curve`` under the contraction of a
+    (-1)-curve of class ``exceptional``, as (C'^2, p_a(C'), smooth).
+
+    With m = C.E, the pullback of the image is C' = C + mE, and the pullback
+    of the canonical class downstairs is K' = K - E; p_a comes from
+    adjunction with these.  The image passes through the point E contracts
+    to with multiplicity m, so it is smooth only if C is and m < 2.
+    """
+    m = dense_pairing(rows, curve, exceptional)
+    image = class_sum(curve, class_scaled(exceptional, m))
+    k_image = class_difference(canonical, exceptional)
+    square = dense_pairing(rows, image, image)
+    return square, adjunction_genus(square, dense_pairing(rows, k_image, image)), smooth and m < 2
+
+
 def is_negative_definite_by_minors(rows) -> bool:
     """Sylvester's criterion with every leading minor expanded by cofactors:
     the k-th leading minor is nonzero with sign (-1)^k."""

@@ -217,9 +217,12 @@ def test_criterion_7_good_boundary_pipeline():
     for name in ("f2", "f3"):
         s = fixtures.FIXTURES[name]()
         down, report = construct_good_boundary(s, ("c0",))
-        if not (report.effective and all(c >= 0 for _, c in report.ep_divisor)):
+        # the EP divisor is minus the discrepancies of the pushed-forward pair
+        push = pushforward_pair(s, ("c0",), report.boundary_upstairs.components)
+        divisor = tuple((cid, -a) for cid, a in push.discrepancies)
+        if not (report.effective and all(c >= 0 for _, c in divisor)):
             ok = False
-            details.append(f"{name}: divisor {report.ep_divisor}")
+            details.append(f"{name}: divisor {divisor}")
         if not report.recertified:
             ok = False
             details.append(f"{name}: pushforward failed to re-certify")

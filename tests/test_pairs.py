@@ -15,10 +15,10 @@ from delpezzo.errors import (
 )
 from delpezzo.pairs import (
     AnticanonicalAnalysis,
+    BoundaryDivisor,
     RedundantPoint,
     certify_class_equalities,
     check_EP_condition,
-    check_EP_for_contraction,
     classify_nonrational,
     construct_good_boundary,
     construct_klt_boundary,
@@ -103,7 +103,7 @@ def test_f2_direct_witness():
     boundary, params = _witness(s, via_cone=False)
     assert params.multipliers == (("c0", oracles.F2_L_COEFF),)
     assert boundary.floor_is_zero and boundary.snc
-    target = s.anticanonical - boundary.as_class(s)
+    target = s.anticanonical - s.class_of(boundary.components)
     assert target.dot(s.curve("c0").divisor_class) > 0
 
 
@@ -212,9 +212,10 @@ def test_nine_point_configuration():
 
 
 def test_contraction_route_on_f3():
+    # the EP divisor of a contraction is minus the discrepancies of (Y, D)
     s = fixtures.hirzebruch(3)
-    effective, divisor = check_EP_for_contraction(s, ("c0",), ())
-    assert effective
+    divisor = tuple((cid, -a) for cid, a in singular.discrepancies_with_boundary(s, ("c0",), ()))
+    assert all(c >= 0 for _, c in divisor)
     assert divisor == (("c0", Q(1, 3)),)
 
 
@@ -247,9 +248,10 @@ def test_contraction_route_matches_the_two_solve_oracle():
             [s.curve(c).divisor_class.coords for c in contracted],
             [(s.curve(c).divisor_class.coords, q) for c, q in boundary],
         )
-        effective, divisor = check_EP_for_contraction(s, contracted, boundary)
+        discs = singular.discrepancies_with_boundary(s, contracted, boundary)
+        divisor = tuple((cid, -a) for cid, a in discs)
         assert divisor == tuple(zip(contracted, expected)), (contracted, boundary)
-        assert effective == all(c >= 0 for c in expected)
+        assert all(a <= 0 for _, a in discs) == all(c >= 0 for c in expected)
         cases += 1
         contracted_sizes += len(contracted)
     assert cases > 100 and contracted_sizes > cases
@@ -271,7 +273,7 @@ def solves(monkeypatch):
 
 
 def test_contraction_route_makes_one_elimination(solves):
-    check_EP_for_contraction(fixtures.hirzebruch(2), ("c0",), (("f", Q(1, 2)),))
+    singular.discrepancies_with_boundary(fixtures.hirzebruch(2), ("c0",), (("f", Q(1, 2)),))
     assert solves == {"singular": 1, "pairs": 0}
 
 
@@ -297,7 +299,7 @@ def test_unknown_contracted_curve_is_invalid_data():
 def test_unknown_boundary_curve_is_invalid_data():
     s = fixtures.hirzebruch(2)
     for call in (
-        lambda: check_EP_for_contraction(s, ("c0",), (("nope", Q(1, 2)),)),
+        lambda: singular.discrepancies_with_boundary(s, ("c0",), (("nope", Q(1, 2)),)),
         lambda: pushforward_pair(s, (), (("nope", Q(1, 2)),)),
         lambda: make_boundary(s, (("nope", Q(1, 2)),)),
     ):
@@ -311,7 +313,7 @@ def test_boundary_coefficient_above_one_is_invalid_data():
         lambda: check_EP_condition(s, (("f", 3),), ()),
         lambda: pushforward_pair(s, (), (("f", 3),)),
         lambda: make_boundary(s, (("f", 3),)),
-        lambda: check_EP_for_contraction(s, ("c0",), (("f", 3),)),
+        lambda: singular.discrepancies_with_boundary(s, ("c0",), (("f", 3),)),
     ):
         with pytest.raises(InvalidSurfaceData, match="coefficient 3 outside"):
             call()
@@ -323,15 +325,17 @@ _EP_RECORD = BlowUpRecord("p", (("f", 1),), None, "e")
 
 
 def _boundary_entry_points():
-    """The five pair entry points, each as a function of a boundary."""
+    """The six pair entry points, each as a function of a boundary; the
+    validators get it as a record whose flags say it is fine."""
     down = fixtures.hirzebruch(2)
     up = blow_up(down, _EP_RECORD)
     return (
         lambda b: singular.discrepancies_with_boundary(up, ("e",), b),
-        lambda b: make_boundary(up, b),
         lambda b: check_EP_condition(down, b, (_EP_RECORD,)),
-        lambda b: check_EP_for_contraction(up, ("e",), b),
+        lambda b: make_boundary(up, b),
         lambda b: pushforward_pair(up, ("e",), b),
+        lambda b: validate_klt_del_pezzo(up, BoundaryDivisor(b, True, True)),
+        lambda b: validate_weak_lc_del_pezzo(up, BoundaryDivisor(b, True, True)),
     )
 
 
@@ -342,6 +346,9 @@ def _boundary_entry_points():
         ((("f", Q(3, 2)),), "boundary coefficient 3/2 outside [0, 1]"),
         ((("f", Q(-1, 2)),), "boundary coefficient -1/2 outside [0, 1]"),
         ((("f", Q(1, 2)), ("c0", Q(1, 3)), ("f", Q(1, 4))), "boundary curve 'f' listed twice"),
+        ((("f", "x"),), "boundary coefficient 'x' is not a rational number"),
+        ((("f", None),), "boundary coefficient None is not a rational number"),
+        ((("f", 0.5),), "boundary coefficient 0.5 is not a rational number"),
     ],
 )
 def test_malformed_boundary_has_one_message_at_every_entry_point(boundary, message):
@@ -352,9 +359,8 @@ def test_malformed_boundary_has_one_message_at_every_entry_point(boundary, messa
 
 
 def test_contracted_boundary_curve_has_one_message():
-    # make_boundary has no contracted set and pushforward_pair drops the term
-    discrepancies, _, ep_condition, ep_contraction, _ = _boundary_entry_points()
-    for call in (discrepancies, ep_condition, ep_contraction):
+    # the other entry points have no contracted set, or drop the term
+    for call in _boundary_entry_points()[:2]:
         with pytest.raises(InvalidSurfaceData) as info:
             call((("e", Q(1, 2)),))
         assert str(info.value) == "boundary curve 'e' cannot also be contracted"
@@ -382,7 +388,9 @@ def test_good_boundary_pipeline(name, expected):
     down, report = construct_good_boundary(s, ("c0",))
     assert down == ()  # boundary supported entirely on the contracted curve
     assert report.effective
-    assert dict(report.ep_divisor) == {"c0": expected}
+    # the EP divisor is minus the discrepancies of the pushed-forward pair
+    push = pushforward_pair(s, ("c0",), report.boundary_upstairs.components)
+    assert {cid: -a for cid, a in push.discrepancies} == {"c0": expected}
     assert report.recertified
 
 
@@ -624,3 +632,45 @@ def test_weak_validator_demands_snc():
     bad = make_boundary(s, (("nodal", Q(1, 2)),))
     ok, why = validate_weak_lc_del_pezzo(s, bad)
     assert not ok and "snc" in why
+    # a hand-built record whose flag says snc is read afresh
+    flagged = BoundaryDivisor((("nodal", Q(1, 2)),), True, True)
+    for validate in (validate_klt_del_pezzo, validate_weak_lc_del_pezzo):
+        ok, why = validate(s, flagged)
+        assert not ok and "snc" in why
+
+
+@pytest.mark.parametrize(
+    "components,message",
+    [
+        ((("h", Q(3, 2)),), "boundary coefficient 3/2 outside [0, 1]"),
+        ((("h", Q(1, 2)), ("h", Q(1, 2))), "boundary curve 'h' listed twice"),
+        ((("nope", Q(1, 2)),), "boundary curve 'nope' not in catalog"),
+    ],
+)
+def test_validators_read_the_components_not_the_flags(components, message):
+    # each record's flags say the boundary is fine; its components say not
+    s = fixtures.projective_plane()
+    for validate in (validate_klt_del_pezzo, validate_weak_lc_del_pezzo):
+        with pytest.raises(InvalidSurfaceData) as info:
+            validate(s, BoundaryDivisor(components, True, True))
+        assert str(info.value) == message
+
+
+def test_blow_down_simulation_matches_the_class_oracle():
+    # the nodal cubic blown up at its node, whose strict transform is smooth
+    # rational and meets e twice: contracting e gives the nodal cubic back
+    s = declare_curve(fixtures.projective_plane(), "nod", (3,), 1, smooth=False)
+    up = blow_up(s, BlowUpRecord("p", (("nod", 2),), None, "e"))
+    nod, e = up.curve("nod"), up.curve("e")
+    assert nod.smooth and up.meets("nod")[up.position("e")] == 2
+    factorization, survivors, dot, p_a, smooth = pairs._blow_down_simulation(up, ("nod", "e"))
+    rows = oracles.dense_gram(up.base.kind, up.base.e, len(up.blowups))
+    expected = oracles.castelnuovo_image(
+        rows,
+        up.canonical.coords,
+        e.divisor_class.coords,
+        nod.divisor_class.coords,
+        nod.smooth,
+    )
+    assert factorization == ("e",) and survivors == ["nod"]
+    assert (dot["nod"]["nod"], p_a["nod"], smooth["nod"]) == expected == (9, 1, False)

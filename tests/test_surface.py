@@ -12,6 +12,7 @@ import oracles
 from delpezzo import corpus, fixtures
 from delpezzo.errors import IncompatibleSurfaces, InvalidSurfaceData
 from delpezzo.lattice import DivisorClass, format_rational
+from delpezzo.singular import is_snc_configuration
 from delpezzo.surface import (
     BlowUpRecord,
     SurfaceModel,
@@ -122,6 +123,9 @@ def test_blow_up_node_multiplicity_two():
     assert c.divisor_class.square == 9 - 4
     # adjunction still holds
     assert arithmetic_genus(s, c.divisor_class) == 0
+    # an integral curve of arithmetic genus 0 is smooth rational
+    assert c.smooth and is_snc_configuration(s, ("nodal",))
+    assert loads(dumps(s)).curve("nodal").smooth
 
 
 def test_multiplicity_two_on_smooth_curve_rejected():
