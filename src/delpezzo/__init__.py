@@ -74,7 +74,6 @@ from .surface import (
 )
 from .zariski import (
     CATALOG_CAVEAT,
-    CurveSet,
     ZariskiDecomposition,
     ample_on_catalog,
     big_test,

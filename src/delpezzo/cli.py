@@ -159,7 +159,7 @@ def _analysis(s: SurfaceModel) -> dict:
             "positive_square": format_rational(z.positive_square),
             "big": analysis.big,
         },
-        "null_locus": {"curves": list(null.curve_ids), "snc": snc},
+        "null_locus": {"curves": list(null), "snc": snc},
         "model": model_json,
         "classes": classes,
         "verdicts": {
@@ -257,7 +257,7 @@ def cmd_decompose(args) -> int:
         "positive": _class_strings(z.positive),
         "negative": _pairs_json(z.negative),
         "positive_square": format_rational(z.positive_square),
-        "null_locus": list(null.curve_ids),
+        "null_locus": list(null),
         "nef_on_catalog": zariski.nef_on_catalog(s, d),
         "big": z.positive_square > 0,
         "ample_on_catalog": zariski.ample_on_catalog(s, d),

@@ -107,14 +107,12 @@ def random_surface(rng: random.Random, max_rank: int = 12) -> SurfaceModel | Non
     return None if analysis is None else analysis.s
 
 
-def run_corpus(seed: int, count: int, max_rank: int = 12, max_attempts: int | None = None) -> CorpusSummary:
+def run_corpus(seed: int, count: int, max_rank: int = 12) -> CorpusSummary:
     rng = random.Random(seed)
-    if max_attempts is None:
-        max_attempts = max(200, count * 60)
     entries = []
     attempts = 0
     index = 0
-    while index < count and attempts < max_attempts:
+    while index < count and attempts < max(200, count * 60):
         attempts += 1
         analysis = _random_analysis(rng, max_rank)
         if analysis is None:

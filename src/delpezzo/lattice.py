@@ -31,10 +31,11 @@ Q = Fraction
 
 
 def rational(value: int | str | Fraction) -> Q:
-    """Coerce ints, Fractions, or "p/q" strings to an exact rational."""
+    """Coerce ints, Fractions, or "p/q" strings to an exact rational.  A
+    bool is not taken for an int."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()

@@ -41,7 +41,6 @@ from .singular import (
 from .surface import BlowUpRecord, SurfaceModel, blow_up, extend_to
 from .zariski import (
     CATALOG_CAVEAT,
-    CurveSet,
     ZariskiDecomposition,
     ample_on_catalog,
     combination_degrees,
@@ -156,20 +155,19 @@ def _witness(s: SurfaceModel, via_cone: bool, z=None) -> tuple[BoundaryDivisor, 
         raise PreconditionFailure(
             "negative part has a coefficient >= 1; no klt boundary exists"
         )
-    null = null_locus(s, z)
-    if not null.curve_ids:
+    null_ids = null_locus(s, z)
+    if not null_ids:
         boundary = make_boundary(s, z.negative)
         ok, why = validate_klt_del_pezzo(s, boundary)
         if not ok:
             raise CatalogInsufficient(f"catalog insufficient: {why}")
         return boundary, WitnessParams(Q(0), ())
 
-    if not is_snc_configuration(s, null):
+    if not is_snc_configuration(s, null_ids):
         raise NotSimpleNormalCrossings(
             "Null(P) does not have snc support relative to the catalog"
         )
 
-    null_ids = null.curve_ids
     if via_cone:
         # an interior point of the cone on Null(P): weight each curve by how
         # much positive catalog geometry it meets, then solve for negative
@@ -299,7 +297,7 @@ def construct_good_boundary(
     """
     analysis = AnticanonicalAnalysis(s)
     contracted_ids = _as_ids(s, contracted)
-    if not set(contracted_ids).issubset(analysis.null.curve_ids):
+    if not set(contracted_ids).issubset(analysis.null):
         raise PreconditionFailure(
             "contracted curves must have P-degree zero (anticanonical morphism)"
         )
@@ -508,10 +506,8 @@ def _classify_nonrational(
         return reject(str(exc))
     if not analysis.big:
         return reject("not a big anticanonical surface")
-    null = analysis.null
-    factorization, survivors, dot, p_a, smooth = _blow_down_simulation(
-        s, null.curve_ids
-    )
+    null_ids = analysis.null
+    factorization, survivors, dot, p_a, smooth = _blow_down_simulation(s, null_ids)
     elliptics = [cid for cid in survivors if p_a[cid] == 1]
     if len(elliptics) != 1:
         return reject(
@@ -557,7 +553,7 @@ def _classify_nonrational(
         return reject(
             "section coefficient in the negative part is not 1", chains, factorization
         )
-    case = 1 if section in (null.curve_ids if contracted_ids is None else contracted_ids) else 2
+    case = 1 if section in (null_ids if contracted_ids is None else contracted_ids) else 2
     message = (
         "one simple elliptic point"
         if case == 1
@@ -603,17 +599,24 @@ def _cox(analysis: AnticanonicalAnalysis, ids) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # the cross-check of the two theorem quintets
 
-class CertifyReport(
-    namedtuple(
-        "CertifyReport",
-        "applicable klt weak klt_consistent weak_consistent failures klt_member weak_member",
-    )
-):
+class CertifyReport(namedtuple("CertifyReport", "applicable klt weak failures")):
+    """``klt`` and ``weak`` hold each quintet as (class name, verdict) pairs
+    in the order of KLT_CLASSES and WEAK_CLASSES; ``failures`` lists every
+    disagreement found."""
+
     __slots__ = ()
 
     @property
     def consistent(self) -> bool:
-        return self.klt_consistent and self.weak_consistent and not self.failures
+        return not self.failures
+
+    @property
+    def klt_member(self) -> bool:
+        return dict(self.klt)["klt_any_boundary"]
+
+    @property
+    def weak_member(self) -> bool:
+        return dict(self.weak)["weak_lc_any_boundary"]
 
 
 def certify_class_equalities(s: SurfaceModel) -> CertifyReport:
@@ -625,10 +628,16 @@ def certify_class_equalities(s: SurfaceModel) -> CertifyReport:
     minimal-resolution members are the decider's bit: its witness is
     already a validated snc boundary on this surface, so the identity map
     is its log resolution.  Beside the quintets it checks that each
-    N-coefficient is minus its discrepancy, that both coefficient criteria
-    agree with their deciders, and that a non-rational weak lc surface with
-    -K big passes the non-rational shape check.  Any disagreement is
-    reported, never reconciled.
+    N-coefficient is minus its discrepancy, and that a non-rational weak lc
+    surface with -K big passes the non-rational shape check.  Any
+    disagreement is reported, never reconciled.
+
+    The coefficient criteria are not compared with the deciders: a decider
+    is a member only if its criterion holds and its witness validates.  If
+    the criterion holds and the witness fails, the identity puts every
+    model discrepancy in (-1, 0] (klt) or [-1, 0] (weak), so the model
+    member is True and the quintet line reports the disagreement, unless a
+    failed contraction or a broken identity has reported its own line.
     """
     return AnticanonicalAnalysis(s).certify
 
@@ -678,8 +687,8 @@ class AnticanonicalAnalysis:
         return zariski_decompose(self.s, self.s.anticanonical)
 
     @_field
-    def null(self) -> CurveSet:
-        """Null(P): the catalog curves of P-degree zero."""
+    def null(self) -> tuple[str, ...]:
+        """Null(P): the catalog-ordered ids of the curves of P-degree zero."""
         return null_locus(self.s, self.decomposition)
 
     @_field
@@ -692,7 +701,7 @@ class AnticanonicalAnalysis:
         """The curves the anticanonical model contracts: Null(P) when -K is
         big, else the support of N."""
         if self.big:
-            return self.null.curve_ids
+            return self.null
         return tuple(cid for cid, _ in self.decomposition.negative)
 
     @_field
@@ -784,9 +793,7 @@ class AnticanonicalAnalysis:
         except CatalogInsufficient as exc:
             empty_klt = tuple((name, False) for name in KLT_CLASSES)
             empty_weak = tuple((name, False) for name in WEAK_CLASSES)
-            return CertifyReport(
-                False, empty_klt, empty_weak, True, True, (str(exc),), False, False
-            )
+            return CertifyReport(False, empty_klt, empty_weak, (str(exc),))
 
         failures: list[str] = []
         model_error = None
@@ -822,23 +829,16 @@ class AnticanonicalAnalysis:
         weak_model = bool(model is not None and all(t in LC_TAGS for t in model.tags))
         klt = tuple(zip(KLT_CLASSES, (klt_model,) + (klt_any,) * 4))
         weak = tuple(zip(WEAK_CLASSES, (weak_model,) + (weak_any,) * 4))
-        klt_consistent = klt_model == klt_any
-        weak_consistent = weak_model == weak_any
         if model_error is not None:
             failures.append(f"model contraction failed: {model_error}")
-        if not klt_consistent:
+        if klt_model != klt_any:
             failures.append(
                 "klt quintet disagrees: " + ", ".join(f"{k}={v}" for k, v in klt)
             )
-        if not weak_consistent:
+        if weak_model != weak_any:
             failures.append(
                 "weak quintet disagrees: " + ", ".join(f"{k}={v}" for k, v in weak)
             )
-        # coefficient criteria cross-check
-        if (self.big and z.max_coefficient < 1) != klt_any:
-            failures.append("klt coefficient criterion disagrees with the decider")
-        if (z.max_coefficient <= 1) != weak_any:
-            failures.append("weak coefficient criterion disagrees with the decider")
         # by the classification, a non-rational weak lc surface with -K big
         # has the shape that the non-rational check looks for
         if weak_any and self.big and not self.s.rational and not self.nonrational.ok:
@@ -846,6 +846,4 @@ class AnticanonicalAnalysis:
                 "non-rational weak lc surface fails the classification: "
                 + self.nonrational.message
             )
-        return CertifyReport(
-            True, klt, weak, klt_consistent, weak_consistent, tuple(failures), klt_any, weak_any
-        )
+        return CertifyReport(True, klt, weak, tuple(failures))

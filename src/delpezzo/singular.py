@@ -20,10 +20,10 @@ Smoothness of a curve is a declared flag: intersection numbers cannot tell
 a nodal from a smooth member of the same class, and the contraction of a
 nodal genus-one curve must be distinguishable from a simple elliptic point.
 
-Every pair entry point reads its boundary of (curve_id, coefficient) terms
-with ``_as_boundary``: ids in the catalog, each once and not contracted, and
-rational coefficients in [0, 1], else InvalidSurfaceData; zero terms are then
-dropped.
+Every pair entry point reads its boundary, an iterable of (curve_id,
+coefficient) pairs, with ``_as_boundary``: string ids in the catalog, each
+once and not contracted, and rational coefficients in [0, 1], else
+InvalidSurfaceData; zero terms are then dropped.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from fractions import Fraction
 from .errors import InvalidSurfaceData, NotContractible
 from .lattice import Q, format_rational, is_negative_definite, solve_linear
 from .surface import SurfaceModel, input_rational
-from .zariski import CurveSet
 
 KLT_TAGS = frozenset({"Smooth", "DuVal", "KltNonCanonical"})
 LC_TAGS = KLT_TAGS | {"LcNotKlt", "SimpleElliptic"}
@@ -64,9 +63,9 @@ class ContractionData(
 
 
 def _as_ids(s: SurfaceModel, curves) -> tuple[str, ...]:
-    """The ids of a CurveSet or of an iterable of ids, in catalog order; an
-    id outside the catalog is InvalidSurfaceData."""
-    ids = curves.curve_ids if isinstance(curves, CurveSet) else tuple(curves)
+    """The ids of an iterable of ids, in catalog order; an id outside the
+    catalog is InvalidSurfaceData."""
+    ids = tuple(curves)
     for cid in ids:
         if not s.has_curve(cid):
             raise InvalidSurfaceData(f"curve {cid!r} not in catalog")
@@ -115,8 +114,21 @@ def _classify(s: SurfaceModel, component: tuple[str, ...], discs: dict) -> Singu
 def _as_boundary(s: SurfaceModel, boundary, contracted=()) -> tuple[tuple[str, Q], ...]:
     """The terms of ``boundary`` as Fractions, checked as the module
     docstring says, without its zero terms."""
+    try:
+        boundary = tuple(boundary)
+    except TypeError:
+        raise InvalidSurfaceData(
+            f"boundary {boundary!r} is not a list of (curve id, coefficient) terms"
+        ) from None
     terms = {}
-    for cid, coeff in boundary:
+    for term in boundary:
+        if not isinstance(term, (tuple, list)) or len(term) != 2:
+            raise InvalidSurfaceData(
+                f"boundary term {term!r} is not a (curve id, coefficient) pair"
+            )
+        cid, coeff = term
+        if not isinstance(cid, str):
+            raise InvalidSurfaceData(f"boundary curve {cid!r} is not a string")
         q = input_rational(coeff, "boundary coefficient")
         if not s.has_curve(cid):
             raise InvalidSurfaceData(f"boundary curve {cid!r} not in catalog")

@@ -22,11 +22,9 @@ from .surface import SurfaceModel
 CATALOG_CAVEAT = "relative to declared catalog"
 
 
-class ZariskiDecomposition(
-    namedtuple("ZariskiDecomposition", "original positive negative support_matrix")
-):
+class ZariskiDecomposition(namedtuple("ZariskiDecomposition", "original positive negative")):
     """D = P + N: ``positive`` is P, ``negative`` holds N as (curve id,
-    coefficient) pairs, ``support_matrix`` is the Gram matrix of N's support."""
+    coefficient) pairs."""
 
     __slots__ = ()
 
@@ -43,12 +41,6 @@ class ZariskiDecomposition(
     @property
     def max_coefficient(self) -> Q:
         return max((c for _, c in self.negative), default=Q(0))
-
-
-class CurveSet(namedtuple("CurveSet", "curve_ids")):
-    """A set of catalog curves."""
-
-    __slots__ = ()
 
 
 def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
@@ -96,13 +88,10 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
         raise CatalogInsufficient(
             "catalog insufficient or divisor not pseudo-effective"
         )
-    pairs = [(cid, c) for cid, c in zip(support, coeffs) if c > 0]
-    positive_ids = tuple(cid for cid, _ in pairs)
     decomposition = ZariskiDecomposition(
         original=d,
         positive=d - s.class_of(zip(support, coeffs)),
-        negative=tuple(pairs),
-        support_matrix=s.gram_of(positive_ids),
+        negative=tuple((cid, c) for cid, c in zip(support, coeffs) if c > 0),
     )
     _verify(s, decomposition)
     return decomposition
@@ -120,25 +109,26 @@ def _verify(s: SurfaceModel, z: ZariskiDecomposition) -> None:
 
     P's degrees come from pairing P with each catalog class, never from
     the table rows the decomposition read, so a wrong row is caught here.
+    N's support is not re-tested for negative definiteness: its Gram matrix
+    is a principal submatrix of the last round's, which passed that test.
     """
     degrees = s.degrees(z.positive)
     if z.positive + s.class_of(z.negative) != z.original:
         problem = "P + N != D"
     elif any(degrees[s.position(cid)] != 0 for cid, _ in z.negative):
         problem = "P is not orthogonal to the support of N"
-    elif not nef_on_catalog(s, z.positive):
+    elif any(v < 0 for v in degrees):
         problem = "P is negative on a catalog curve"
-    elif not is_negative_definite(z.support_matrix):
-        problem = "the support of N is not negative definite"
     else:
         return
     raise InternalInconsistency(f"Zariski decomposition: {problem}")
 
 
-def null_locus(s: SurfaceModel, z: ZariskiDecomposition) -> CurveSet:
-    """All catalog curves of P-degree zero (contains the support of N)."""
+def null_locus(s: SurfaceModel, z: ZariskiDecomposition) -> tuple[str, ...]:
+    """The catalog-ordered ids of all catalog curves of P-degree zero
+    (contains the support of N)."""
     degrees = s.degrees(z.positive)
-    return CurveSet(tuple(r.curve_id for r, v in zip(s.catalog, degrees) if v == 0))
+    return tuple(r.curve_id for r, v in zip(s.catalog, degrees) if v == 0)
 
 
 def nef_on_catalog(s: SurfaceModel, d: DivisorClass) -> bool:

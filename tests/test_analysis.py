@@ -380,9 +380,25 @@ def test_failed_klt_witness_exits_three(monkeypatch):
         raise CatalogInsufficient("catalog insufficient: planted")
 
     monkeypatch.setattr(pairs, "_witness", insufficient)
-    code, failures = analyze_failures("f3")
-    assert code == 3
-    assert "klt coefficient criterion disagrees with the decider" in failures
+    assert analyze_failures("f3") == (
+        3,
+        [
+            "klt quintet disagrees: klt_model=True, klt_any_boundary=False, "
+            "klt_snc_boundary=False, klt_log_resolution=False, klt_minimal_resolution=False"
+        ],
+    )
+
+
+def test_failed_weak_witness_exits_three(monkeypatch):
+    monkeypatch.setattr(pairs, "validate_weak_lc_del_pezzo", lambda s, b: (False, "planted"))
+    assert analyze_failures("f3") == (
+        3,
+        [
+            "weak quintet disagrees: weak_lc_model=True, weak_lc_any_boundary=False, "
+            "weak_lc_snc_boundary=False, weak_lc_log_resolution=False, "
+            "weak_lc_minimal_resolution=False"
+        ],
+    )
 
 
 def test_nonrational_shape_failure_exits_three(monkeypatch):
@@ -407,7 +423,25 @@ def test_certify_does_not_revalidate(monkeypatch, name):
     assert called == []
 
 
-def test_verification_survives_optimize_flag():
+# one planted fault per check of zariski._verify on F3, where -K = P + c0/3
+# and P.f = 5/3; each shift keeps the other checks passing
+_PLANTED_FAULTS = [
+    ("positive=z.positive + f", "P + N != D"),
+    (
+        "positive=z.positive + f, original=z.original + f",
+        "P is not orthogonal to the support of N",
+    ),
+    (
+        "positive=z.positive - t, original=z.original - t",
+        "P is negative on a catalog curve",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fault,problem", _PLANTED_FAULTS, ids=["sum", "orthogonal", "nef"]
+)
+def test_verification_survives_optimize_flag(fault, problem):
     # python -O strips assert statements; the decomposition check must stay
     script = (
         "from delpezzo import fixtures\n"
@@ -415,10 +449,13 @@ def test_verification_survives_optimize_flag():
         "from delpezzo.zariski import _verify, zariski_decompose\n"
         "s = fixtures.hirzebruch(3)\n"
         "z = zariski_decompose(s, s.anticanonical)\n"
-        "bad = z._replace(positive=z.positive + s.curve('f').divisor_class)\n"
+        "f = s.curve('f').divisor_class\n"
+        "t = (s.curve('c0').divisor_class + f.scale(3)).scale(2)\n"
+        f"bad = z._replace({fault})\n"
         "try:\n"
         "    _verify(s, bad)\n"
-        "except InternalInconsistency:\n"
+        "except InternalInconsistency as exc:\n"
+        "    print(exc)\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
@@ -430,6 +467,7 @@ def test_verification_survives_optimize_flag():
         text=True,
     )
     assert result.returncode == 0, result.stderr
+    assert result.stdout == f"Zariski decomposition: {problem}\n"
 
 
 def test_rank_cap_finishes_in_bounded_time(tmp_path):

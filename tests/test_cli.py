@@ -238,7 +238,7 @@ def test_missing_field_exit_two(capsys, tmp_path):
     assert "input error" in err
 
 
-@pytest.mark.parametrize("bad", ["1/0", "abc", [1]])
+@pytest.mark.parametrize("bad", ["1/0", "abc", [1], True])
 def test_malformed_class_coordinate_exit_two(capsys, tmp_path, bad):
     path = tmp_path / "bad_class.json"
     path.write_text(json.dumps({

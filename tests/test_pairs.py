@@ -230,7 +230,7 @@ def ep_sweep():
             witness = analysis.witness[0].components
         except GeometryError:
             continue
-        null = analysis.null.curve_ids
+        null = analysis.null
         for k in range(len(null) + 1):
             for contracted in itertools.combinations(null, k):
                 boundary = tuple((c, q) for c, q in witness if c not in contracted)
@@ -349,6 +349,14 @@ def _boundary_entry_points():
         ((("f", "x"),), "boundary coefficient 'x' is not a rational number"),
         ((("f", None),), "boundary coefficient None is not a rational number"),
         ((("f", 0.5),), "boundary coefficient 0.5 is not a rational number"),
+        ((("f", True),), "boundary coefficient True is not a rational number"),
+        ((("f",),), "boundary term ('f',) is not a (curve id, coefficient) pair"),
+        (
+            (("f", "1/2", "x"),),
+            "boundary term ('f', '1/2', 'x') is not a (curve id, coefficient) pair",
+        ),
+        (((["f"], "1/2"),), "boundary curve ['f'] is not a string"),
+        (5, "boundary 5 is not a list of (curve id, coefficient) terms"),
     ],
 )
 def test_malformed_boundary_has_one_message_at_every_entry_point(boundary, message):

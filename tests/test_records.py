@@ -17,7 +17,6 @@ from delpezzo import (
     BoundaryDivisor,
     ClassVerdict,
     CurveRecord,
-    CurveSet,
     DivisorClass,
     IntersectionMatrix,
     PicardLattice,
@@ -71,7 +70,6 @@ RECORDS = [
         lambda: BlowUpRecord("p2"),
         "BlowUpRecord(point_id='p2', incidences=(), near=None, exceptional_id=None)",
     ),
-    ("CurveSet", lambda: CurveSet(("a", "b")), "CurveSet(curve_ids=('a', 'b'))"),
     (
         "ClassVerdict",
         lambda: ClassVerdict("klt_model", True, reason="r"),
@@ -118,10 +116,9 @@ RECORDS = [
     ),
     (
         "CertifyReport",
-        lambda: CertifyReport(True, (("k", True),), (("w", False),), True, True, (), True, False),
+        lambda: CertifyReport(True, (("k", True),), (("w", False),), ()),
         "CertifyReport(applicable=True, klt=(('k', True),), weak=(('w', False),), "
-        "klt_consistent=True, weak_consistent=True, failures=(), klt_member=True, "
-        "weak_member=False)",
+        "failures=())",
     ),
 ]
 
@@ -148,7 +145,6 @@ def test_records_of_different_values_differ():
         ("c0", "f"), ((-2, 1), (1, 0))
     )
     assert IntersectionMatrix(("a",), ((Q(-2),),)) != IntersectionMatrix(("a",), ((Q(-1),),))
-    assert CurveSet(("a",)) != CurveSet(("b",))
 
 
 def test_surface_model_keeps_identity_equality_and_field_order():
@@ -170,8 +166,8 @@ def test_surface_model_keeps_identity_equality_and_field_order():
 def test_zariski_decomposition_is_a_tuple():
     s = fixtures.hirzebruch(3)
     z = zariski_decompose(s, s.anticanonical)
-    original, positive, negative, support_matrix = z
-    assert z == (original, positive, negative, support_matrix)
+    original, positive, negative = z
+    assert z == (original, positive, negative)
     assert negative == (("c0", Q(1, 3)),)
     assert z.coefficient("c0") == z.max_coefficient == Q(1, 3)
     assert z.positive_square == positive.square

@@ -205,7 +205,7 @@ def test_negativity_lemma_on_fixture_contractions():
         from delpezzo.zariski import null_locus, zariski_decompose
 
         z = zariski_decompose(s, s.anticanonical)
-        ids = null_locus(s, z).curve_ids if z.positive_square > 0 else tuple(
+        ids = null_locus(s, z) if z.positive_square > 0 else tuple(
             c for c, _ in z.negative
         )
         data = contract(s, ids)
