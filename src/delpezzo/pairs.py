@@ -767,11 +767,13 @@ class AnticanonicalAnalysis:
         support = [cid for cid, _ in z.negative]
         for i, a in enumerate(support):
             for b in support[i + 1:]:
-                total = coeff[a] + coeff[b]
-                if total < 1:
+                shared = self.s.shared_points(a, b)
+                if not shared:
                     continue
-                for point_id, _, _ in self.s.shared_points(a, b):
-                    found.append(RedundantPoint("shared", (a, b), total, point_id))
+                total = coeff[a] + coeff[b]
+                if total >= 1:
+                    for point_id, _, _ in shared:
+                        found.append(RedundantPoint("shared", (a, b), total, point_id))
         return tuple(found)
 
     @_field

@@ -63,10 +63,18 @@ class ContractionData(
 
 
 def _as_ids(s: SurfaceModel, curves) -> tuple[str, ...]:
-    """The ids of an iterable of ids, in catalog order; an id outside the
-    catalog is InvalidSurfaceData."""
-    ids = tuple(curves)
+    """The ids of an iterable of ids, in catalog order.  A string, anything
+    not iterable, an id that is not a string and an id outside the catalog
+    are InvalidSurfaceData."""
+    if isinstance(curves, str):
+        raise InvalidSurfaceData(f"curve set {curves!r} is a string, not a list of curve ids")
+    try:
+        ids = tuple(curves)
+    except TypeError:
+        raise InvalidSurfaceData(f"curve set {curves!r} is not a list of curve ids") from None
     for cid in ids:
+        if not isinstance(cid, str):
+            raise InvalidSurfaceData(f"curve {cid!r} is not a string")
         if not s.has_curve(cid):
             raise InvalidSurfaceData(f"curve {cid!r} not in catalog")
     return s.ordered(ids)

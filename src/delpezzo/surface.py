@@ -139,17 +139,19 @@ class SurfaceModel(Frozen):
     identity: two models are the same model only if they are one object.
 
     Every catalog class is integral, so the model keeps an integer
-    intersection table: ``meets`` fills a curve's row on first request, and
-    ``degrees`` remembers the last class it scanned.  A row or scan pairs
-    one class with the catalog through the class's dual vector, read at
-    each catalog class's nonzero coordinates; those are kept too, from the
-    first row or scan on.  Every fill is idempotent, so concurrent readers
-    can at worst compute a value twice.
+    intersection table: ``meets`` fills a curve's row on first request,
+    ``degrees`` remembers the last class it scanned, and ``gram_of`` the
+    last Gram matrix it built, whose one elimination comes with it.  A row
+    or scan pairs one class with the catalog through the class's dual
+    vector, read at each catalog class's nonzero coordinates; those are
+    kept too, from the first row or scan on.  Every fill is idempotent, so
+    concurrent readers can at worst compute a value twice.
     """
 
     __slots__ = (
         "base", "blowups", "catalog", "canonical", "lattice", "incidence", "declarations",
-        "_curves_by_id", "_positions", "_meets", "_last_degrees", "_sparse",
+        "_curves_by_id", "_positions", "_meets", "_last_degrees", "_last_gram",
+        "_sparse",
     )
 
     def __init__(
@@ -174,6 +176,7 @@ class SurfaceModel(Frozen):
         set_field(self, "_positions", {r.curve_id: i for i, r in enumerate(catalog)})
         set_field(self, "_meets", {})
         set_field(self, "_last_degrees", None)
+        set_field(self, "_last_gram", None)
         set_field(self, "_sparse", None)
 
     def __repr__(self):
@@ -261,10 +264,17 @@ class SurfaceModel(Frozen):
         ])
 
     def gram_of(self, curve_ids) -> IntersectionMatrix:
-        ids = tuple(curve_ids)
+        """The Gram matrix of the given ids, in their order.  Only the last
+        matrix built is remembered: asking again for the same ids returns
+        the same object, so its elimination runs once."""
+        ids, last = tuple(curve_ids), self._last_gram
+        if last is not None and last.curve_ids == ids:
+            return last
         rows = [self.meets(c) for c in ids]
         positions = [self._positions[c] for c in ids]
-        return IntersectionMatrix(ids, tuple(tuple(row[p] for p in positions) for row in rows))
+        matrix = IntersectionMatrix(ids, tuple(tuple(row[p] for p in positions) for row in rows))
+        object.__setattr__(self, "_last_gram", matrix)
+        return matrix
 
     def class_of(self, components) -> DivisorClass:
         """Sum of coefficient * curve class over (curve_id, Q) pairs."""

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from delpezzo import cli, pairs, singular, surface, zariski
+from delpezzo import cli, fixtures, lattice, pairs, singular, surface, zariski
 from delpezzo.errors import CatalogInsufficient, InternalInconsistency
 from delpezzo.lattice import PicardLattice
 from delpezzo.pairs import (
@@ -171,6 +171,38 @@ def test_one_analysis_decomposes_once(name, calls):
     assert calls["zariski_decompose"] == 1
     assert calls["contract"] <= 1
     assert calls["_witness"] <= 1
+
+
+# the sizes of the eliminations one analysis runs: one per Zariski round,
+# and none more, since the contraction and the witness ask for the last
+# round's curve set and get its matrix back; only `pair` reaches the
+# witness's solve (the others are not big, or have a coefficient >= 1)
+@pytest.mark.parametrize(
+    "build,sizes,witness_solves",
+    [
+        (lambda: from_description(line_star(6, 4, 2)), (0, 1, 5, 9, 11), 0),
+        (fixtures.negative_star, (0, 1, 6, 7), 0),
+        (fixtures.meeting_negative_pair, (0, 2), 1),
+    ],
+    ids=["line_star(6,4,2)", "star", "pair"],
+)
+def test_one_elimination_per_curve_set(monkeypatch, build, sizes, witness_solves):
+    s = build()
+    eliminated, solved, analyses = [], [], []
+    bareiss, solve = lattice._bareiss, pairs.solve_linear
+    monkeypatch.setattr(lattice, "_bareiss", lambda e: eliminated.append(len(e)) or bareiss(e))
+    monkeypatch.setattr(pairs, "solve_linear", lambda m, rhs: solved.append(m) or solve(m, rhs))
+
+    def analysis_of(s):
+        analyses.append(AnticanonicalAnalysis(s))
+        return analyses[-1]
+
+    monkeypatch.setattr(cli, "AnticanonicalAnalysis", analysis_of)
+    cli._analysis(s)
+    assert tuple(eliminated) == sizes
+    (analysis,) = analyses
+    assert len(solved) == witness_solves
+    assert all(matrix is analysis.model.matrix for matrix in solved)
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))

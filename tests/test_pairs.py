@@ -37,6 +37,7 @@ from delpezzo.pairs import (
 from delpezzo.singular import contract
 from delpezzo.surface import BlowUpRecord, blow_up, declare_curve, extend_to, from_description
 from delpezzo.zariski import zariski_decompose
+from test_analysis import line_star
 
 NINE_POINT_BOUNDARY = tuple(
     (f"l{i}_{j}", Q(1, 10)) for i in range(1, 10) for j in range(1, 4)
@@ -366,6 +367,38 @@ def test_malformed_boundary_has_one_message_at_every_entry_point(boundary, messa
         assert str(info.value) == message
 
 
+def _curve_set_entry_points():
+    """Every entry point that reads a curve set, each as a function of it."""
+    s = fixtures.hirzebruch(2)
+    return (
+        lambda c: contract(s, c),
+        lambda c: singular.connected_components(s, c),
+        lambda c: singular.dual_graph(s, c),
+        lambda c: singular.is_snc_configuration(s, c),
+        lambda c: singular.discrepancies_with_boundary(s, c, ()),
+        lambda c: pushforward_pair(s, c, ()),
+        lambda c: construct_good_boundary(s, c),
+        lambda c: classify_nonrational(s, contracted=c),
+        lambda c: cox_finitely_generated(s, contracted=c),
+    )
+
+
+@pytest.mark.parametrize(
+    "curves,message",
+    [
+        (("c0", "nope"), "curve 'nope' not in catalog"),
+        (5, "curve set 5 is not a list of curve ids"),
+        ("c0", "curve set 'c0' is a string, not a list of curve ids"),
+        ([["c0"]], "curve ['c0'] is not a string"),
+    ],
+)
+def test_malformed_curve_set_has_one_message_at_every_entry_point(curves, message):
+    for call in _curve_set_entry_points():
+        with pytest.raises(InvalidSurfaceData) as info:
+            call(curves)
+        assert str(info.value) == message
+
+
 def test_contracted_boundary_curve_has_one_message():
     # the other entry points have no contracted set, or drop the term
     for call in _boundary_entry_points()[:2]:
@@ -467,6 +500,21 @@ def test_meeting_pair_shared_redundant_point():
     assert point.kind == "shared"
     assert point.multiplicity == oracles.PAIR_SHARED_MULT
     assert set(point.curve_ids) == {"l", "e7"}
+
+
+@pytest.mark.parametrize("spec", [(10, 5, 1), (56, 2, 3)])
+def test_redundant_points_match_an_enumeration_of_every_pair(spec):
+    # (10, 5, 1): 11 N-curves, 10 of them meeting l; (56, 2, 3): some pairs
+    # share a point but their coefficients sum to less than 1
+    s = from_description(line_star(*spec))
+    negative = zariski_decompose(s, s.anticanonical).negative
+    expected = [RedundantPoint("generic", (a,), c) for a, c in negative if c >= 1]
+    for (a, ca), (b, cb) in itertools.combinations(negative, 2):
+        if ca + cb >= 1:
+            for point_id, _, _ in s.shared_points(a, b):
+                expected.append(RedundantPoint("shared", (a, b), ca + cb, point_id))
+    assert sum(p.kind == "shared" for p in expected) >= 4
+    assert find_redundant_points(s) == tuple(expected)
 
 
 def test_redundant_blow_up_law_generic():

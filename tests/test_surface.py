@@ -1,6 +1,8 @@
 """Surface construction, blow-up calculus, and serialization."""
 import json
 import random
+import sys
+import threading
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -618,6 +620,11 @@ def test_intersection_table_matches_dense_oracle():
         order = list(reversed(range(len(ids))))
         matrix = s.gram_of(ids[k] for k in order)
         assert matrix.entries == tuple(tuple(expected[i][j] for j in order) for i in order)
+        # the one remembered matrix is replaced as the asked ids change: the
+        # same ids give the same object back, other ids their own entries
+        assert s.gram_of(ids[k] for k in order) is matrix
+        for k, cid in enumerate(ids):
+            assert s.gram_of((cid,)).entries == ((expected[k][k],),)
 
         def oracle_degrees(d):
             return tuple(oracles.dense_pairing(rows, d.coords, b) for b in coords)
@@ -630,6 +637,37 @@ def test_intersection_table_matches_dense_oracle():
         # the one remembered scan is replaced as the scanned class changes
         for d in (minus_k, positive, minus_k, positive):
             assert degrees(d) == oracle_degrees(d)
+
+
+def test_remembered_gram_matrix_survives_concurrent_readers():
+    # more threads than cores, each asking one model for its own curve set,
+    # with a short switch interval: every reader gets its own set's matrix,
+    # whichever matrix another thread left remembered
+    s = from_description(line_star(6, 4, 2))
+    ids = s.curve_ids()
+    wanted = [ids[k:k + 2] for k in range(0, len(ids), 2)]
+    expected = {block: s.gram_of(block).entries for block in wanted}
+    start, wrong = threading.Barrier(len(wanted)), []
+
+    def read(block):
+        start.wait(timeout=60)
+        for _ in range(2000):
+            matrix = s.gram_of(block)
+            if matrix.curve_ids != block or matrix.entries != expected[block]:
+                wrong.append(block)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(block,)) for block in wanted]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_degrees_refuse_a_class_of_another_surface():
