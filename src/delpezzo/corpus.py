@@ -6,6 +6,10 @@ the theorem cross-check (``AnticanonicalAnalysis.certify``: two computed
 routes and three derived members per quintet) on each.  Output is fully
 determined by the seed: the only randomness source is one
 ``random.Random`` instance and the catalog is always iterated in order.
+
+Each candidate draw grows on one ``surface._Stage``, as a surface file
+does when it is loaded: every random blow-up is applied to the stage in
+place, and the draw builds one ``SurfaceModel`` when it is finished.
 """
 from __future__ import annotations
 
@@ -13,9 +17,9 @@ import random
 from collections import namedtuple
 
 from .errors import GeometryError
-from .lattice import pair_numerators
+from .lattice import Q, pair_numerators
 from .pairs import AnticanonicalAnalysis
-from .surface import BlowUpRecord, SurfaceModel, blow_up, build_base, declare_curve
+from .surface import BaseSurface, BlowUpRecord, SurfaceModel, _Stage
 
 
 # status is "ok", "inconsistent" or "error"
@@ -41,60 +45,59 @@ class CorpusSummary(
         return "\n".join(lines)
 
 
-def _random_base(rng: random.Random) -> SurfaceModel:
+def _random_base(rng: random.Random) -> _Stage:
     roll = rng.randrange(10)
     if roll < 5:
-        s = build_base("P2")
+        stage = _Stage(BaseSurface("P2"))
         if rng.randrange(2):
-            s = declare_curve(s, "q", (2,), 0)
+            stage.declare("q", (Q(2),), 0, True)
         if rng.randrange(3) == 0:
-            s = declare_curve(s, "cub", (3,), 1)
-        return s
+            stage.declare("cub", (Q(3),), 1, True)
+        return stage
     if roll < 8:
-        return build_base("hirzebruch", e=rng.randrange(4))
-    return build_base("ruled", e=1 + rng.randrange(2), genus=1)
+        return _Stage(BaseSurface("hirzebruch", e=rng.randrange(4)))
+    return _Stage(BaseSurface("ruled", e=1 + rng.randrange(2), genus=1))
 
 
-def _random_blow_up(rng: random.Random, s: SurfaceModel, index: int) -> SurfaceModel:
+def _random_record(rng: random.Random, stage: _Stage, index: int) -> BlowUpRecord | None:
+    """The next random blow-up of the stage, or None if the draw picks a
+    shared point and no two curves share one."""
     mode = rng.randrange(10)
     point = f"rp{index}"
-    if mode < 5 and s.catalog:
-        target = s.catalog[rng.randrange(len(s.catalog))]
-        rec = BlowUpRecord(point, ((target.curve_id, 1),))
-    elif mode < 7:
-        # one pairing per pair: a table row would be filled on a model
-        # that the next blow-up replaces
-        gram = s.lattice.gram
+    curves = stage.curves  # in catalog order
+    if mode < 5:
+        ids = list(curves)
+        return BlowUpRecord(point, ((ids[rng.randrange(len(ids))], 1),))
+    if mode < 7:
+        gram = stage.gram
         shared = [
-            (pair, entry)
-            for pair, entries in sorted(s.incidence.items())
-            for entry in entries
-            if pair_numerators(
-                gram, s.curve(pair[0]).divisor_class.nums, s.curve(pair[1]).divisor_class.nums
-            ) >= 1
+            pair
+            for pair, entries in sorted(stage.incidence.items())
+            if pair_numerators(gram, curves[pair[0]].nums, curves[pair[1]].nums) >= 1
+            for _ in entries
         ]
         if not shared:
-            return s
-        pair, _ = shared[rng.randrange(len(shared))]
-        rec = BlowUpRecord(point, ((pair[0], 1), (pair[1], 1)))
-    elif mode < 9 and s.blowups:
-        last = s.blowups[-1].exceptional_id
-        rec = BlowUpRecord(point, ((last, 1),), near=last)
-    else:
-        rec = BlowUpRecord(point)
-    return blow_up(s, rec)
+            return None
+        pair = shared[rng.randrange(len(shared))]
+        return BlowUpRecord(point, ((pair[0], 1), (pair[1], 1)))
+    if mode < 9 and stage.blowups:
+        last = stage.blowups[-1].exceptional_id
+        return BlowUpRecord(point, ((last, 1),), near=last)
+    return BlowUpRecord(point)
 
 
 def _random_analysis(rng: random.Random, max_rank: int) -> AnticanonicalAnalysis | None:
     """The analysis of one candidate surface, or None if it is not big
     anticanonical; the analysis keeps the decomposition its filter made."""
-    s = _random_base(rng)
-    room = max_rank - s.rank
+    stage = _random_base(rng)
+    room = max_rank - len(stage.labels)
     if room < 0:
         return None
     for index in range(rng.randrange(room + 1)):
-        s = _random_blow_up(rng, s, index + 1)
-    analysis = AnticanonicalAnalysis(s)
+        rec = _random_record(rng, stage, index + 1)
+        if rec is not None:
+            stage.blow_up(rec)
+    analysis = AnticanonicalAnalysis(stage.model())
     try:
         return analysis if analysis.big else None
     except GeometryError:

@@ -103,12 +103,23 @@ ClassVerdict = namedtuple(
 
 # Both read the record's components afresh with make_boundary and decide
 # from the flags it computes, so their verdict depends on (s, components)
-# only: a hand-built record cannot vouch for itself.
+# only: a hand-built record cannot vouch for itself.  The witness and the
+# weak verdict build their record with make_boundary and run the checks on
+# it directly, so they read each boundary once.
 
 def validate_klt_del_pezzo(s: SurfaceModel, boundary: BoundaryDivisor) -> tuple[bool, str]:
     """(X, boundary) is a klt del Pezzo pair relative to the catalog:
     snc support, all coefficients < 1, -(K + boundary) catalog-ample."""
-    read = make_boundary(s, boundary.components)
+    return _klt_checks(s, make_boundary(s, boundary.components))
+
+
+def validate_weak_lc_del_pezzo(s: SurfaceModel, boundary: BoundaryDivisor) -> tuple[bool, str]:
+    """Weak variant: snc support, coefficients <= 1, -(K + boundary) nef."""
+    return _weak_checks(s, make_boundary(s, boundary.components))
+
+
+def _klt_checks(s: SurfaceModel, read: BoundaryDivisor) -> tuple[bool, str]:
+    """The klt validator's checks on a record make_boundary has just built."""
     if not read.snc:
         return False, "boundary support is not snc"
     if not read.floor_is_zero:
@@ -119,9 +130,8 @@ def validate_klt_del_pezzo(s: SurfaceModel, boundary: BoundaryDivisor) -> tuple[
     return True, "validated"
 
 
-def validate_weak_lc_del_pezzo(s: SurfaceModel, boundary: BoundaryDivisor) -> tuple[bool, str]:
-    """Weak variant: snc support, coefficients <= 1, -(K + boundary) nef."""
-    read = make_boundary(s, boundary.components)
+def _weak_checks(s: SurfaceModel, read: BoundaryDivisor) -> tuple[bool, str]:
+    """The weak validator's checks on a record make_boundary has just built."""
     if not read.snc:
         return False, "boundary support is not snc"
     target = s.anticanonical - s.class_of(read.components)
@@ -158,7 +168,7 @@ def _witness(s: SurfaceModel, via_cone: bool, z=None) -> tuple[BoundaryDivisor, 
     null_ids = null_locus(s, z)
     if not null_ids:
         boundary = make_boundary(s, z.negative)
-        ok, why = validate_klt_del_pezzo(s, boundary)
+        ok, why = _klt_checks(s, boundary)
         if not ok:
             raise CatalogInsufficient(f"catalog insufficient: {why}")
         return boundary, WitnessParams(Q(0), ())
@@ -199,7 +209,7 @@ def _witness(s: SurfaceModel, via_cone: bool, z=None) -> tuple[BoundaryDivisor, 
     for cid, coeff in multipliers:
         merged[cid] = merged.get(cid, Q(0)) + epsilon * coeff
     boundary = make_boundary(s, [(cid, merged[cid]) for cid in null_ids])
-    ok, why = validate_klt_del_pezzo(s, boundary)
+    ok, why = _klt_checks(s, boundary)
     if not ok:
         raise CatalogInsufficient(f"catalog insufficient: {why}")
     return boundary, WitnessParams(epsilon, multipliers)
@@ -747,7 +757,7 @@ class AnticanonicalAnalysis:
         if z.max_coefficient > 1:
             return ClassVerdict(tag, False, reason=_worst_coefficient(z, ">"))
         boundary = make_boundary(self.s, z.negative)
-        ok, why = validate_weak_lc_del_pezzo(self.s, boundary)
+        ok, why = _weak_checks(self.s, boundary)
         if not ok:
             return ClassVerdict(tag, False, reason=why)
         caveat = CATALOG_CAVEAT

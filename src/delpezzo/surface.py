@@ -10,7 +10,8 @@ trusts the declaration.
 Models are built by one mutable ``_Stage`` (integral curve classes,
 genera, K, incidences) that each declaration or blow-up validates and
 updates in place.  ``from_description`` runs a whole file through one stage
-and builds one model; ``blow_up`` and ``declare_curve`` apply one step.
+and builds one model, and so does each candidate draw of ``corpus``;
+``blow_up`` and ``declare_curve`` apply one step.
 
 Conventions for the seeded bases:
 
@@ -396,6 +397,8 @@ class _Stage:
         self.declarations.append(_CurveDecl(curve_id, coords, p_a, smooth, len(self.blowups)))
 
     def blow_up(self, rec: BlowUpRecord) -> None:
+        """Apply one blow-up.  Every check runs before the first write, so
+        a rejected record leaves the stage as it was."""
         curves = self.curves
         seen: dict[str, int] = {}
         for curve_id, mult in rec.incidences:

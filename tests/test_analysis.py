@@ -173,6 +173,22 @@ def test_one_analysis_decomposes_once(name, calls):
     assert calls["_witness"] <= 1
 
 
+@pytest.mark.parametrize("name,reads", [("cubic10", 1), ("dp8", 2), ("f3", 2), ("p2", 2)])
+def test_analyze_reads_each_witness_boundary_once(monkeypatch, name, reads):
+    # the witness and the weak verdict check the record they have just
+    # built; only a public validator reads its input afresh
+    made = []
+    original = pairs.make_boundary
+
+    def counted(s, components):
+        made.append(components)
+        return original(s, components)
+
+    monkeypatch.setattr(pairs, "make_boundary", counted)
+    assert run_cli("analyze", str(FIXTURES / f"{name}.json"), "--format", "json")[0] == 0
+    assert len(made) == reads
+
+
 # the sizes of the eliminations one analysis runs: one per Zariski round,
 # and none more, since the contraction and the witness ask for the last
 # round's curve set and get its matrix back; only `pair` reaches the
@@ -422,7 +438,7 @@ def test_failed_klt_witness_exits_three(monkeypatch):
 
 
 def test_failed_weak_witness_exits_three(monkeypatch):
-    monkeypatch.setattr(pairs, "validate_weak_lc_del_pezzo", lambda s, b: (False, "planted"))
+    monkeypatch.setattr(pairs, "_weak_checks", lambda s, b: (False, "planted"))
     assert analyze_failures("f3") == (
         3,
         [
@@ -449,7 +465,13 @@ def test_certify_does_not_revalidate(monkeypatch, name):
     analysis = AnticanonicalAnalysis(cli._load(str(FIXTURES / f"{name}.json")))
     analysis.klt_verdict, analysis.weak_verdict
     called = []
-    for fn in ("check_EP_condition", "validate_klt_del_pezzo", "validate_weak_lc_del_pezzo"):
+    for fn in (
+        "check_EP_condition",
+        "validate_klt_del_pezzo",
+        "validate_weak_lc_del_pezzo",
+        "_klt_checks",
+        "_weak_checks",
+    ):
         monkeypatch.setattr(pairs, fn, lambda *args, fn=fn: called.append(fn))
     assert analysis.certify.consistent
     assert called == []

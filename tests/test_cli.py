@@ -415,6 +415,33 @@ def test_corpus_deterministic(capsys):
     assert "inconsistencies=0" in first
 
 
+# SHA-256 of the stdout of long corpus runs: a random draw that moves, or
+# one more or fewer RNG call, changes every later surface
+CORPUS_DIGESTS = {
+    ("1", "200", "12"): "8b6cbe17bd76ea9a4dc450a50e1b28b3a2661fc84f12ebc0a334bd6d51064dc8",
+    ("2", "200", "12"): "200e00d5121a7b2fa86f2404528a4bd516e1fc604cc06903368c8f72a219681e",
+    ("3", "200", "12"): "75bdf92196e6c40a0c23f7d53adb58f793c415208bf3bcdebcac8ed8d2bfeb88",
+    ("4", "200", "12"): "58fa37a1707579c6f15de50ef880ff072abc80c5ccbd6b60098c2352fdc93fd5",
+    ("5", "200", "12"): "b93f54550018b92bf228ba88fc181047acce2ec0e2c69be3e7774021db6839d3",
+    ("6", "200", "12"): "3ac15d10707b4df97a9bc2c48c5e32ff2cb0a3d8e2f672dcaf038de67a32f4b6",
+    ("7", "200", "12"): "384722502dd456b7edfbf25f36bf39a655d2a5448ee5d76430af12ec00fee00d",
+    ("8", "200", "12"): "ca6c544c2b8706d47b17ae58ef21141d5502bcb4fedb5ecfad0d63f2903546ea",
+    ("9", "200", "12"): "8889f464bd66de7640d36e0e7cccb46c92aa6cc04b0de541fd442778076932af",
+    ("10", "200", "12"): "979fe1f2b03d7d3490bfa93ba86bb5cbc9ecbe9bf6e4cdbe67ebe58fff362955",
+    ("3", "50", "20"): "882342ffafba7ada1a32d83b82e7b6d10e7b7960ff45b0a8530427dcfed4a0ca",
+    ("11", "30", "2"): "3b713f01a4b0e53bce560358ff8c3e62103875ad7a6379ec6976bffa933153ab",
+}
+
+
+@pytest.mark.parametrize("seed,count,max_rank", sorted(CORPUS_DIGESTS))
+def test_corpus_output_is_pinned(capsys, seed, count, max_rank):
+    code, out, err = run(
+        capsys, "corpus", "--seed", seed, "--count", count, "--max-rank", max_rank
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_DIGESTS[seed, count, max_rank]
+
+
 def test_corpus_empty(capsys):
     code, out, _ = run(capsys, "corpus", "--seed", "1", "--count", "0")
     assert code == 0

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 import oracles
 from delpezzo import corpus, fixtures
 from delpezzo.errors import IncompatibleSurfaces, InvalidSurfaceData
-from delpezzo.lattice import DivisorClass, format_rational
+from delpezzo.lattice import DivisorClass, PicardLattice, format_rational
 from delpezzo.singular import is_snc_configuration
 from delpezzo.surface import (
+    BaseSurface,
     BlowUpRecord,
     SurfaceModel,
+    _Stage,
     _input_list,
     _input_name,
     arithmetic_genus,
@@ -128,6 +130,30 @@ def test_blow_up_node_multiplicity_two():
     # an integral curve of arithmetic genus 0 is smooth rational
     assert c.smooth and is_snc_configuration(s, ("nodal",))
     assert loads(dumps(s)).curve("nodal").smooth
+
+
+@pytest.mark.parametrize(
+    "rec,message",
+    [
+        (BlowUpRecord("p3", (("x", 1),)), "unknown curve"),
+        (BlowUpRecord("p1", (("l", 1),)), "already used"),
+        (BlowUpRecord("p3", (("l", 1),), exceptional_id="e1"), "already in use"),
+        (BlowUpRecord("p3", (("l", 2),)), "declared smooth"),
+        # the strict transforms of the cubic and the line now meet once
+        (BlowUpRecord("p3", (("nodal", 2), ("l", 1))), "intersection numbers permit"),
+    ],
+)
+def test_rejected_blow_up_leaves_the_stage_unchanged(rec, message):
+    # a stage grows in place, so a record must be refused before any write
+    stage = _Stage(BaseSurface("P2"))
+    stage.declare("nodal", (Q(3),), 1, False)
+    stage.declare("l", (Q(1),), 0, True)
+    for point in ("p1", "p2"):
+        stage.blow_up(BlowUpRecord(point, (("nodal", 1), ("l", 1))))
+    before = _model_fields(stage.model())
+    with pytest.raises(InvalidSurfaceData, match=message):
+        stage.blow_up(rec)
+    assert _model_fields(stage.model()) == before
 
 
 def test_multiplicity_two_on_smooth_curve_rejected():
@@ -281,11 +307,12 @@ def test_blow_up_lifts_classes_by_one_coordinate(seed):
     # random blow-up sequences drawn the way the corpus draws them; each
     # step is checked against DivisorClass arithmetic on the new lattice
     rng = random.Random(seed)
-    s = corpus._random_base(rng)
+    s = corpus._random_base(rng).model()
     for index in range(1, 9):
-        t = corpus._random_blow_up(rng, s, index)
-        if t is s:
+        drawn = corpus._random_record(rng, _Stage.of(s), index)
+        if drawn is None:
             continue
+        t = blow_up(s, drawn)
         rec = t.blowups[-1]
         exc = t.lattice.basis_class(rec.exceptional_id)
         mults = dict(rec.incidences)
@@ -493,13 +520,15 @@ def _random_description(seed):
     plus copies of catalog curves declared ``after`` some blow-ups with their
     class at that stage."""
     rng = random.Random(seed)
-    s = corpus._random_base(rng)
+    s = corpus._random_base(rng).model()
     if s.base.kind == "P2" and rng.randrange(3) == 0:
         s = declare_curve(s, "nodal", (3,), 1, smooth=False)
         s = blow_up(s, BlowUpRecord("node", (("nodal", 2),)))
     stages = [s]
     for index in range(rng.randrange(10)):
-        s = corpus._random_blow_up(rng, s, index + 1)
+        rec = corpus._random_record(rng, _Stage.of(s), index + 1)
+        if rec is not None:
+            s = blow_up(s, rec)
         stages.append(s)
     data = to_description(s)
     for copy in range(rng.randrange(4)):
@@ -721,17 +750,58 @@ def test_scans_of_a_constructed_model_match_dense_oracle():
     assert fractional > 0
 
 
-def test_corpus_blow_up_steps_fill_no_table_rows(monkeypatch):
-    filled = []
-    step = corpus._random_blow_up
+def test_corpus_builds_one_lattice_per_candidate(monkeypatch):
+    # each draw grows on one stage: no model, and so no lattice, per blow-up
+    lattices, draws = [], []
+    original = PicardLattice.__init__
+    draw = corpus._random_analysis
 
-    def counted(rng, s, index):
-        before = len(s._meets)
-        result = step(rng, s, index)
-        filled.append(len(s._meets) - before)
-        return result
+    def counting(self, *args):
+        lattices.append(self)
+        original(self, *args)
 
-    monkeypatch.setattr(corpus, "_random_blow_up", counted)
+    def counted(rng, max_rank):
+        draws.append(max_rank)
+        return draw(rng, max_rank)
+
+    monkeypatch.setattr(PicardLattice, "__init__", counting)
+    monkeypatch.setattr(corpus, "_random_analysis", counted)
     assert corpus.run_corpus(1, 20).count == 20
-    assert len(filled) > 20
-    assert sum(filled) == 0
+    assert len(draws) == 22
+    assert len(lattices) == 22
+
+
+def _stage_and_stepwise(rng, max_rank):
+    """One corpus candidate built twice from the same draws: grown on one
+    stage as ``_random_analysis`` grows it, and replayed step by step with
+    the public ``declare_curve`` and ``blow_up``, each record drawn from a
+    stage copied from the current model by a second generator in the same
+    state.  Every base has rank at most 2, so the draw has room."""
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    stage = corpus._random_base(rng)
+    corpus._random_base(twin)
+    room = max_rank - len(stage.labels)
+    base = stage.base
+    s = build_base(base.kind, e=base.e, genus=base.genus)
+    for decl in stage.declarations:
+        s = declare_curve(s, decl.curve_id, decl.coords, decl.p_a, decl.smooth)
+    steps = rng.randrange(room + 1)
+    assert twin.randrange(room + 1) == steps
+    for index in range(1, steps + 1):
+        rec = corpus._random_record(rng, stage, index)
+        assert corpus._random_record(twin, _Stage.of(s), index) == rec
+        if rec is not None:
+            stage.blow_up(rec)
+            s = blow_up(s, rec)
+    assert twin.getstate() == rng.getstate()
+    return stage.model(), s
+
+
+@pytest.mark.parametrize("max_rank", [2, 12, 20])
+def test_corpus_stage_matches_stepwise_blow_ups(max_rank):
+    for seed in range(40):
+        rng = random.Random(seed)
+        for _ in range(5):
+            staged, stepwise = _stage_and_stepwise(rng, max_rank)
+            assert _model_fields(staged) == _model_fields(stepwise)

@@ -1,0 +1,139 @@
+"""Compare exit codes and outputs of the working tree with a parent commit.
+
+Run from the root of a checkout:
+
+    python3 tools/same_outputs.py --parent HEAD~1
+
+It runs 238 command lines in-process through ``delpezzo.cli.main``:
+
+* ``analyze`` and ``classify`` with ``--format`` text, json and dot,
+  ``decompose`` with text and json, and ``witness --method direct`` and
+  ``--method cone`` with text and json, on the 12 committed fixtures and
+  on seven ``line_star`` inputs (``perfbench/workloads.py``);
+* ``corpus --seed s --count 200`` for s = 1 .. 10.
+
+Each side runs the whole list in one child process: the parent commit from a
+``git archive`` copy in a temporary directory, the change from the working
+tree's ``src/``.  Both sides read the same input files.  Every command line
+whose exit code, stdout or stderr differs is printed, and the exit status is
+1 if there is one, else 0.  Only the standard library is used.
+"""
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LINE_STARS = ((6, 4, 2), (10, 5, 1), (36, 2, 2), (56, 2, 3), (20, 10, 2), (30, 16, 2), (10, 6, 3))
+CORPUS_SEEDS = range(1, 11)
+CORPUS_COUNT = 200
+
+# Runs a JSON list of argv lists, read from stdin, through cli.main and
+# writes one [exit code, stdout, stderr] per command line as JSON.
+WORKER = """
+import contextlib, io, json, sys
+from delpezzo import cli
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit {exc.code!r}"
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def command_lines(inputs: list[Path]) -> list[list[str]]:
+    argvs = []
+    for path in inputs:
+        file = str(path)
+        for command in ("analyze", "classify"):
+            argvs += [[command, file, "--format", f] for f in ("text", "json", "dot")]
+        argvs += [["decompose", file, "--format", f] for f in ("text", "json")]
+        argvs += [
+            ["witness", file, "--method", method, "--format", f]
+            for method in ("direct", "cone")
+            for f in ("text", "json")
+        ]
+    argvs += [["corpus", "--seed", str(s), "--count", str(CORPUS_COUNT)] for s in CORPUS_SEEDS]
+    return argvs
+
+
+def run_side(src: Path, argvs: list[list[str]]) -> list[list]:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKER],
+        input=json.dumps(argvs),
+        cwd=src,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"the worker on {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def first_difference(a: str, b: str) -> str:
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for number, (x, y) in enumerate(zip(lines_a, lines_b), 1):
+        if x != y:
+            return f"line {number}: {x!r} != {y!r}"
+    return f"{len(lines_a)} lines != {len(lines_b)} lines"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="commit to compare against")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import line_star
+
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(
+            ["git", "archive", "--format=tar", args.parent, "src"],
+            cwd=ROOT,
+            check=True,
+            capture_output=True,
+        ).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "parent", filter="data")
+        inputs = sorted((ROOT / "fixtures").glob("*.json"))
+        for n, arms, length in LINE_STARS:
+            path = tmp / f"line_star_{n}_{arms}_{length}.json"
+            path.write_text(json.dumps(line_star(n, arms, length)), encoding="utf-8")
+            inputs.append(path)
+        argvs = command_lines(inputs)
+        parent = run_side(tmp / "parent" / "src", argvs)
+        change = run_side(ROOT / "src", argvs)
+
+    differences = 0
+    for argv, before, after in zip(argvs, parent, change):
+        if before == after:
+            continue
+        differences += 1
+        print(" ".join(argv))
+        for label, x, y in zip(("exit code", "stdout", "stderr"), before, after):
+            if x != y:
+                detail = f"{x!r} != {y!r}" if label == "exit code" else first_difference(x, y)
+                print(f"  {label} differs: {detail}")
+    print(f"{len(argvs)} command lines against {args.parent}: {differences} differ")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
