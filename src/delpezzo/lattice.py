@@ -8,8 +8,8 @@ A divisor class is a tuple of integer numerators over one positive
 denominator, in lowest terms.  Catalog curves and K are integral, so class
 arithmetic runs on Python ints, and a pairing is one integer dot product
 over the base block and the axes, divided once by the two denominators.
-Results leave this module as `fractions.Fraction`; no floating point enters
-anywhere.  Both questions asked of an intersection matrix --
+Results leave this module as `fractions.Fraction`, apart from the integer
+solve the Zariski rounds read; no floating point enters anywhere.  Both questions asked of an intersection matrix --
 is it negative definite, and what solves it -- are answered by one
 fraction-free Bareiss elimination over the integers (Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math.
@@ -352,15 +352,16 @@ class _Elimination(namedtuple("_Elimination", "size scale steps")):
             for k, (swap, top, _) in enumerate(self.steps)
         )
 
-    def solve(self, rhs: list[Q]) -> tuple[Q, ...]:
-        """Replay the steps on the scaled right-hand side, then back-substitute
-        in integers: y = det * x is integral by Cramer's rule."""
+    def solve(self, b: list[int] | tuple[int, ...]) -> tuple[list[int], int]:
+        """The solution for an integer right-hand side, as integer numerators
+        over one positive denominator (not in lowest terms).  Replay the steps
+        on b, then back-substitute in integers: y = det * x' is integral by
+        Cramer's rule, where x' solves the scaled matrix."""
         if len(self.steps) < self.size:
             raise DegenerateConfiguration("degenerate configuration")
         if not self.steps:
-            return ()
-        rhs_scale = math.lcm(*(x.denominator for x in rhs))
-        b = [x.numerator * (rhs_scale // x.denominator) for x in rhs]
+            return [], 1
+        b = list(b)
         previous = 1
         for k, (swap, top, column) in enumerate(self.steps):
             b[k], b[k + swap] = b[k + swap], b[k]
@@ -372,9 +373,11 @@ class _Elimination(namedtuple("_Elimination", "size scale steps")):
         y = [0] * self.size
         for k in reversed(range(self.size)):
             top = self.steps[k][1]
-            tail = sum(u * v for u, v in zip(top[1:], y[k + 1:]))
+            tail = sum(map(operator.mul, top[1:], y[k + 1:]))
             y[k] = (det * b[k] - tail) // top[0]
-        return tuple(Fraction(v * self.scale, det * rhs_scale) for v in y)
+        # x = scale * x' = scale * y / det, over a positive denominator
+        scale = -self.scale if det < 0 else self.scale
+        return [v * scale for v in y], abs(det)
 
 
 def _bareiss(entries) -> _Elimination:
@@ -383,8 +386,11 @@ def _bareiss(entries) -> _Elimination:
     Each step divides exactly by the previous pivot (Sylvester's identity),
     so every entry stays an integer minor of the scaled matrix.
     """
-    scale = math.lcm(*(x.denominator for row in entries for x in row))
-    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
+    if all(type(x) is int for row in entries for x in row):
+        scale, rows = 1, [list(row) for row in entries]
+    else:
+        scale = math.lcm(*(x.denominator for row in entries for x in row))
+        rows = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
     steps = []
     previous = 1
     while rows:
@@ -423,4 +429,7 @@ def solve_linear(matrix: IntersectionMatrix, rhs: list[Q] | tuple[Q, ...]) -> tu
     """
     if len(rhs) != matrix.size:
         raise ValueError("right-hand side length does not match matrix size")
-    return matrix._elimination.solve([rational(x) for x in rhs])
+    b, rhs_den = numerators([rational(x) for x in rhs])
+    nums, den = matrix._elimination.solve(b)
+    den *= rhs_den
+    return tuple(Fraction(v, den) for v in nums)

@@ -583,6 +583,13 @@ def _input_list(value, where: str, of_objects: bool = False) -> list:
     return list(value)
 
 
+def _input_object(value, where: str) -> dict:
+    """A JSON object read from input."""
+    if not isinstance(value, dict):
+        raise InvalidSurfaceData(f"{where} {value!r} is not a JSON object")
+    return value
+
+
 def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
     """The model a surface description declares, read in one pass.
 
@@ -591,10 +598,11 @@ def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
     check at step k (adjunction and meetings of a curve declared there, the
     multiplicity bounds of the next blow-up) pairs stage-k prefixes.
     """
+    data = _input_object(data, "surface description")
     try:
-        base = data["base"]
+        base = _input_object(data["base"], "base description")
         kind = base["kind"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InvalidSurfaceData(f"missing base description: {exc}") from None
     e = input_int(base.get("e", 0), "base: e")
     stage = _Stage(BaseSurface(kind, e=e, genus=input_int(base.get("genus", 0), "base: genus")))

@@ -12,11 +12,11 @@ Every positivity verdict produced here is relative to the declared catalog.
 """
 from __future__ import annotations
 
-import math
 from collections import namedtuple
+from operator import mul
 
 from .errors import CatalogInsufficient, InternalInconsistency
-from .lattice import DivisorClass, Q, is_negative_definite, solve_linear, weighted_sum
+from .lattice import DivisorClass, Q, _reduced, is_negative_definite, weighted_sum
 from .surface import SurfaceModel
 
 CATALOG_CAVEAT = "relative to declared catalog"
@@ -47,11 +47,15 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
     """Split d = P + N with P nonnegative on the catalog and orthogonal to
     the negative-definite support of N.
 
-    d is paired with the catalog once; each round reads P's degrees off the
-    table rows of the support, in integers over a common denominator.
+    d is paired with the catalog once, and every round runs in integers:
+    the support's coefficients are y_i / (y_den * d.den), solved from d's
+    degree numerators, and N's degrees are sum y_i * (C_i.C) over the same
+    denominator, summed from the table rows of the support.
     """
     d_degrees, den = s.degrees(d), d.den
     support: list[str] = []
+    # N = (sum y_i C_i) / (y_den * den); the first round's support is empty
+    ys, y_den, n_degrees = [], 1, [0] * len(d_degrees)
     rounds = 0
     while True:
         rounds += 1
@@ -59,22 +63,23 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
             raise CatalogInsufficient(
                 "catalog insufficient or divisor not pseudo-effective"
             )
-        matrix = s.gram_of(support)
-        if support and not is_negative_definite(matrix):
-            raise CatalogInsufficient(
-                "catalog insufficient or divisor not pseudo-effective"
+        if support:
+            matrix = s.gram_of(support)
+            if not is_negative_definite(matrix):
+                raise CatalogInsufficient(
+                    "catalog insufficient or divisor not pseudo-effective"
+                )
+            ys, y_den = matrix._elimination.solve(
+                [d_degrees[s.position(cid)] for cid in support]
             )
-        rhs = [Q(d_degrees[s.position(cid)], den) for cid in support]
-        coeffs = solve_linear(matrix, rhs)
-        n_degrees, n_den = combination_degrees(s, zip(support, coeffs))
-        # q * (P.C) = d_scale * (d.C numerator) - n_scale * (N.C numerator)
-        q = math.lcm(den, n_den)
-        d_scale, n_scale = q // den, q // n_den
+            columns = zip(*(s.meets(cid) for cid in support))
+            n_degrees = [sum(map(mul, ys, column)) for column in columns]
+        # y_den * den * (P.C) = y_den * (d.C numerator) - (N.C numerator)
         current = set(support)
         newly_negative = {
             r.curve_id
             for r, x, y in zip(s.catalog, d_degrees, n_degrees)
-            if d_scale * x < n_scale * y and r.curve_id not in current
+            if y_den * x < y and r.curve_id not in current
         }
         if not newly_negative:
             break
@@ -84,14 +89,19 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
             if r.curve_id in current or r.curve_id in newly_negative
         ]
 
-    if any(c < 0 for c in coeffs):
+    if any(y < 0 for y in ys):
         raise CatalogInsufficient(
             "catalog insufficient or divisor not pseudo-effective"
         )
+    q, positive = y_den * den, d
+    if support:
+        columns = zip(*(s.curve(cid).divisor_class.nums for cid in support))
+        nums = tuple(y_den * x - sum(map(mul, ys, column)) for x, column in zip(d.nums, columns))
+        positive = _reduced(d.lattice, nums, q)
     decomposition = ZariskiDecomposition(
         original=d,
-        positive=d - s.class_of(zip(support, coeffs)),
-        negative=tuple((cid, c) for cid, c in zip(support, coeffs) if c > 0),
+        positive=positive,
+        negative=tuple((cid, Q(y, q)) for cid, y in zip(support, ys) if y > 0),
     )
     _verify(s, decomposition)
     return decomposition

@@ -189,16 +189,17 @@ def test_analyze_reads_each_witness_boundary_once(monkeypatch, name, reads):
     assert len(made) == reads
 
 
-# the sizes of the eliminations one analysis runs: one per Zariski round,
-# and none more, since the contraction and the witness ask for the last
-# round's curve set and get its matrix back; only `pair` reaches the
-# witness's solve (the others are not big, or have a coefficient >= 1)
+# the sizes of the eliminations one analysis runs: one per Zariski round
+# with a nonempty support (the first round has none, so it eliminates
+# nothing), and none more, since the contraction and the witness ask for
+# the last round's curve set and get its matrix back; only `pair` reaches
+# the witness's solve (the others are not big, or have a coefficient >= 1)
 @pytest.mark.parametrize(
     "build,sizes,witness_solves",
     [
-        (lambda: from_description(line_star(6, 4, 2)), (0, 1, 5, 9, 11), 0),
-        (fixtures.negative_star, (0, 1, 6, 7), 0),
-        (fixtures.meeting_negative_pair, (0, 2), 1),
+        (lambda: from_description(line_star(6, 4, 2)), (1, 5, 9, 11), 0),
+        (fixtures.negative_star, (1, 6, 7), 0),
+        (fixtures.meeting_negative_pair, (2,), 1),
     ],
     ids=["line_star(6,4,2)", "star", "pair"],
 )

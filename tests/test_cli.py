@@ -238,6 +238,20 @@ def test_missing_field_exit_two(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[]", "surface description [] is not a JSON object"),
+        ('"x"', "surface description 'x' is not a JSON object"),
+        ('{"base": []}', "base description [] is not a JSON object"),
+    ],
+)
+def test_surface_that_is_not_an_object_exit_two(capsys, tmp_path, text, message):
+    path = tmp_path / "not_an_object.json"
+    path.write_text(text)
+    assert run(capsys, "analyze", str(path)) == (2, "", f"input error: {path}: {message}\n")
+
+
 @pytest.mark.parametrize("bad", ["1/0", "abc", [1], True])
 def test_malformed_class_coordinate_exit_two(capsys, tmp_path, bad):
     path = tmp_path / "bad_class.json"
@@ -346,6 +360,13 @@ def test_decompose_custom_divisor(capsys):
     assert code == 0
     assert "P^2 = 9" in out
     assert "ample=True" in out
+
+
+def test_negative_first_divisor_coordinate_reaches_the_decomposition(capsys):
+    # argparse reads "--divisor -1,0" as a missing value; "--divisor=" does not
+    code, out, err = run(capsys, "decompose", str(FIXTURES / "f2.json"), "--divisor=-1,0")
+    assert (code, out) == (2, "")
+    assert err == "error: catalog insufficient or divisor not pseudo-effective\n"
 
 
 def test_decompose_wrong_length_divisor(capsys):

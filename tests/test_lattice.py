@@ -305,6 +305,26 @@ def test_solve_agrees_with_cramer(rows, data):
         assert solve_linear(matrix, rhs) == oracles.cramer_solve(rows, rhs)
 
 
+@given(symmetric_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_integer_solve_agrees_with_cramer(rows, data):
+    # the path the Zariski rounds take: int entries, which are not rescaled,
+    # and an int right-hand side, solved as numerators over one positive
+    # denominator whatever the sign of the determinant
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = [[int(x * scale) for x in row] for row in rows]
+    rhs = data.draw(st.lists(st.integers(-6, 6), min_size=len(rows), max_size=len(rows)))
+    elimination = IntersectionMatrix(tuple(f"c{i}" for i in range(len(ints))), ints)._elimination
+    assert elimination.scale == 1
+    if oracles.cofactor_det(ints) == 0:
+        with pytest.raises(DegenerateConfiguration, match="degenerate configuration"):
+            elimination.solve(rhs)
+    else:
+        nums, den = elimination.solve(rhs)
+        assert den > 0
+        assert tuple(Q(v, den) for v in nums) == oracles.cramer_solve(ints, rhs)
+
+
 def test_swap_path_is_not_definite_but_solves():
     matrix = _matrix([[0, 1], [1, 0]])
     assert not is_negative_definite(matrix)

@@ -535,6 +535,28 @@ def test_redundant_blow_up_law_shared():
     assert coeffs[result.exceptional_id] == oracles.PAIR_SHARED_MULT - 1
 
 
+@pytest.mark.parametrize(
+    "build,count",
+    [
+        (fixtures.negative_star, 7),
+        (lambda: from_description(line_star(6, 4, 2)), 21),
+        (lambda: from_description(line_star(10, 5, 1)), 11),
+        (lambda: from_description(line_star(56, 2, 3)), 4),
+    ],
+    ids=["star", "line_star(6,4,2)", "line_star(10,5,1)", "line_star(56,2,3)"],
+)
+def test_redundant_blow_up_law_at_every_redundant_point(build, count):
+    # each blow-up decomposes -K again, on supports of up to 12 curves, and
+    # raises RedundancyViolation if P or N does not pull back
+    s = build()
+    z = zariski_decompose(s, s.anticanonical)
+    points = find_redundant_points(s)
+    assert len(points) == count
+    for point in points:
+        result = redundant_blow_up(s, point, z)
+        assert result.pulled_back_positive == extend_to(z.positive, result.model)
+
+
 def test_two_redundant_blow_ups_compose():
     s = fixtures.cubic_with_points(10)
     first = redundant_blow_up(s, find_redundant_points(s)[0])

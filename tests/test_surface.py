@@ -21,6 +21,7 @@ from delpezzo.surface import (
     SurfaceModel,
     _Stage,
     _input_list,
+    _input_object,
     _input_name,
     arithmetic_genus,
     blow_up,
@@ -410,10 +411,11 @@ def _stepwise_from_description(data, max_rank=64):
     through the public ``build_base``, ``declare_curve`` and ``blow_up``,
     with a whole model after every step.  It reads fields with the loader's
     own input helpers, so both routes fail alike on a malformed field."""
+    data = _input_object(data, "surface description")
     try:
-        base = data["base"]
+        base = _input_object(data["base"], "base description")
         kind = base["kind"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InvalidSurfaceData(f"missing base description: {exc}") from None
     s = build_base(
         kind,

@@ -192,29 +192,39 @@ def _random_classes(s, rng, count):
         yield DivisorClass(s.lattice, coords)
 
 
+# `decompose --divisor` reaches the rounds with classes that have a
+# denominator, so each drawn class is also decomposed scaled by one of these
+RATIONAL_FACTORS = (Q(1, 2), Q(1, 3), Q(5, 6))
+
+
 def test_decomposition_matches_textbook_oracle():
     outcomes = set()
     for index, s in enumerate(fixture_models() + corpus_head(1) + corpus_head(2)):
-        # integral classes on an integral Gram matrix: the oracle's
-        # determinants stay in ints
+        # an integral Gram matrix: the oracle's determinants stay in ints
         rows = [[int(x) for x in row] for row in oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))]
         curves = [tuple(map(int, r.divisor_class.coords)) for r in s.catalog]
         meets = oracles.curve_gram(rows, curves)
-        classes = [s.anticanonical, *_random_classes(s, random.Random(index), 20)]
-        for d in classes:
-            expected = oracles.oracle_zariski(rows, curves, meets, tuple(map(int, d.coords)))
+        drawn = [s.anticanonical, *_random_classes(s, random.Random(index), 20)]
+        classes = [(d, False) for d in drawn] + [
+            (d.scale(RATIONAL_FACTORS[k % len(RATIONAL_FACTORS)]), True)
+            for k, d in enumerate(drawn)
+        ]
+        for d, scaled in classes:
+            expected = oracles.oracle_zariski(rows, curves, meets, d.coords)
             try:
                 z = zariski_decompose(s, d)
             except CatalogInsufficient:
                 assert expected is None, (index, d.coords)
-                outcomes.add("fails")
+                outcomes.add(("fails", scaled))
                 continue
             assert expected is not None, (index, d.coords)
             positive, negative = expected
             assert z.positive.coords == positive
             assert z.negative == tuple((s.catalog[i].curve_id, c) for i, c in negative)
-            outcomes.add("decomposes" if negative else "nef")
-    assert outcomes == {"fails", "decomposes", "nef"}
+            outcomes.add(("decomposes" if negative else "nef", scaled))
+    assert outcomes == {
+        (outcome, scaled) for outcome in ("fails", "decomposes", "nef") for scaled in (False, True)
+    }
 
 
 def _with_wrong_entry(monkeypatch, curve_id, other_id, delta):

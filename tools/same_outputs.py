@@ -4,12 +4,16 @@ Run from the root of a checkout:
 
     python3 tools/same_outputs.py --parent HEAD~1
 
-It runs 238 command lines in-process through ``delpezzo.cli.main``:
+It runs 256 command lines in-process through ``delpezzo.cli.main``:
 
 * ``analyze`` and ``classify`` with ``--format`` text, json and dot,
   ``decompose`` with text and json, and ``witness --method direct`` and
   ``--method cone`` with text and json, on the 12 committed fixtures and
   on seven ``line_star`` inputs (``perfbench/workloads.py``);
+* ``decompose --divisor=... --format json`` on six fixtures, with three
+  divisors each: a first coordinate of 1/2, 7/3 or 3, then -1/3, -2/5 or
+  -1 on every other axis.  They reach classes with a denominator and
+  supports that fail with exit 2;
 * ``corpus --seed s --count 200`` for s = 1 .. 10.
 
 Each side runs the whole list in one child process: the parent commit from a
@@ -34,6 +38,8 @@ ROOT = Path(__file__).resolve().parent.parent
 LINE_STARS = ((6, 4, 2), (10, 5, 1), (36, 2, 2), (56, 2, 3), (20, 10, 2), (30, 16, 2), (10, 6, 3))
 CORPUS_SEEDS = range(1, 11)
 CORPUS_COUNT = 200
+DIVISOR_FIXTURES = ("f2", "f3", "cubic10", "star", "pair", "dp3")
+DIVISORS = (("1/2", "-1/3"), ("7/3", "-2/5"), ("3", "-1"))  # (first, every other)
 
 # Runs a JSON list of argv lists, read from stdin, through cli.main and
 # writes one [exit code, stdout, stderr] per command line as JSON.
@@ -67,6 +73,13 @@ def command_lines(inputs: list[Path]) -> list[list[str]]:
             for method in ("direct", "cone")
             for f in ("text", "json")
         ]
+    for name in DIVISOR_FIXTURES:
+        path = ROOT / "fixtures" / f"{name}.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        rank = (1 if data["base"]["kind"] == "P2" else 2) + len(data.get("blowups", []))
+        for first, rest in DIVISORS:
+            divisor = ",".join([first] + [rest] * (rank - 1))
+            argvs.append(["decompose", str(path), f"--divisor={divisor}", "--format", "json"])
     argvs += [["corpus", "--seed", str(s), "--count", str(CORPUS_COUNT)] for s in CORPUS_SEEDS]
     return argvs
 
