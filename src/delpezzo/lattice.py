@@ -9,14 +9,15 @@ denominator, in lowest terms.  Catalog curves and K are integral, so class
 arithmetic runs on Python ints, and a pairing is one integer dot product
 over the base block and the axes, divided once by the two denominators.
 Results leave this module as `fractions.Fraction`, apart from the integer
-solve the Zariski rounds read; no floating point enters anywhere.  Both questions asked of an intersection matrix --
-is it negative definite, and what solves it -- are answered by one
-fraction-free Bareiss elimination over the integers (Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 22 (1968)).  Its pivot rule is first-nonzero row, so the witnesses
-built on top of this module are bit-for-bit reproducible, and it runs at
-most once per `IntersectionMatrix`: every later test or solve on the same
-matrix replays the recorded steps.
+solve the Zariski rounds read; no floating point enters anywhere.  Both
+questions asked of an intersection matrix -- is it negative definite, and
+what solves it -- are answered by one fraction-free Bareiss elimination
+over the integers (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22 (1968)).  Its
+pivot rule is first-nonzero row, so the witnesses built on top of this
+module are bit-for-bit reproducible, and it runs at most once per
+`IntersectionMatrix`: every later test or solve on the same matrix replays
+the recorded steps.
 """
 from __future__ import annotations
 
@@ -164,16 +165,19 @@ def numerators(values) -> tuple[tuple[int, ...], int]:
 
 
 def weighted_sum(terms, size: int) -> tuple[list[int], int]:
-    """The sum of c * v over (integer vector v, rational c) pairs, as
-    integer numerators over the least common denominator of the c."""
-    terms = [(v, rational(c)) for v, c in terms]
-    den = math.lcm(*(c.denominator for _, c in terms))
-    total = [0] * size
+    """The sum of c * v over (integer vector v of length ``size``, rational
+    c) pairs, as integer numerators over the least common denominator of
+    the c, summed one coordinate at a time."""
+    vectors, weights = [], []
     for v, c in terms:
-        f = c.numerator * (den // c.denominator)
-        if f:
-            total = [t + f * x for t, x in zip(total, v)]
-    return total, den
+        vectors.append(v)
+        # an int weight has denominator 1 and needs no Fraction
+        weights.append(c if type(c) is int else rational(c))
+    if not vectors:
+        return [0] * size, 1
+    den = math.lcm(*(c.denominator for c in weights))
+    factors = [c.numerator * (den // c.denominator) for c in weights]
+    return [sum(map(operator.mul, factors, column)) for column in zip(*vectors)], den
 
 
 class DivisorClass:
@@ -386,11 +390,8 @@ def _bareiss(entries) -> _Elimination:
     Each step divides exactly by the previous pivot (Sylvester's identity),
     so every entry stays an integer minor of the scaled matrix.
     """
-    if all(type(x) is int for row in entries for x in row):
-        scale, rows = 1, [list(row) for row in entries]
-    else:
-        scale = math.lcm(*(x.denominator for row in entries for x in row))
-        rows = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
+    scale = math.lcm(*(x.denominator for row in entries for x in row))
+    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
     steps = []
     previous = 1
     while rows:
@@ -427,9 +428,14 @@ def solve_linear(matrix: IntersectionMatrix, rhs: list[Q] | tuple[Q, ...]) -> tu
     on the right-hand side and back-substitutes; raises
     DegenerateConfiguration when the matrix is singular.
     """
-    if len(rhs) != matrix.size:
-        raise ValueError("right-hand side length does not match matrix size")
     b, rhs_den = numerators([rational(x) for x in rhs])
-    nums, den = matrix._elimination.solve(b)
-    den *= rhs_den
-    return tuple(Fraction(v, den) for v in nums)
+    nums, den = _solve_integers(matrix, b)
+    return tuple(Fraction(v, den * rhs_den) for v in nums)
+
+
+def _solve_integers(matrix: IntersectionMatrix, b) -> tuple[list[int], int]:
+    """``solve_linear`` for an integer right-hand side, without a Fraction:
+    integer numerators over one positive denominator, not in lowest terms."""
+    if len(b) != matrix.size:
+        raise ValueError("right-hand side length does not match matrix size")
+    return matrix._elimination.solve(b)

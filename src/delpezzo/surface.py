@@ -25,6 +25,7 @@ Conventions for the seeded bases:
 from __future__ import annotations
 
 import json
+import reprlib
 from collections import namedtuple
 from itertools import compress
 from operator import mul
@@ -584,9 +585,10 @@ def _input_list(value, where: str, of_objects: bool = False) -> list:
 
 
 def _input_object(value, where: str) -> dict:
-    """A JSON object read from input."""
+    """A JSON object read from input.  Anything else may be a whole file, so
+    the message names it cut short."""
     if not isinstance(value, dict):
-        raise InvalidSurfaceData(f"{where} {value!r} is not a JSON object")
+        raise InvalidSurfaceData(f"{where} {reprlib.repr(value)} is not a JSON object")
     return value
 
 

@@ -13,10 +13,9 @@ Every positivity verdict produced here is relative to the declared catalog.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import mul
 
 from .errors import CatalogInsufficient, InternalInconsistency
-from .lattice import DivisorClass, Q, _reduced, is_negative_definite, weighted_sum
+from .lattice import DivisorClass, Q, _solve_integers, is_negative_definite, weighted_sum
 from .surface import SurfaceModel
 
 CATALOG_CAVEAT = "relative to declared catalog"
@@ -50,7 +49,8 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
     d is paired with the catalog once, and every round runs in integers:
     the support's coefficients are y_i / (y_den * d.den), solved from d's
     degree numerators, and N's degrees are sum y_i * (C_i.C) over the same
-    denominator, summed from the table rows of the support.
+    denominator, summed from the table rows of the support.  Fractions are
+    built once, for N's final coefficients.
     """
     d_degrees, den = s.degrees(d), d.den
     support: list[str] = []
@@ -69,11 +69,10 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
                 raise CatalogInsufficient(
                     "catalog insufficient or divisor not pseudo-effective"
                 )
-            ys, y_den = matrix._elimination.solve(
-                [d_degrees[s.position(cid)] for cid in support]
+            ys, y_den = _solve_integers(
+                matrix, [d_degrees[s.position(cid)] for cid in support]
             )
-            columns = zip(*(s.meets(cid) for cid in support))
-            n_degrees = [sum(map(mul, ys, column)) for column in columns]
+            n_degrees, _ = combination_degrees(s, zip(support, ys))
         # y_den * den * (P.C) = y_den * (d.C numerator) - (N.C numerator)
         current = set(support)
         newly_negative = {
@@ -93,15 +92,9 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
         raise CatalogInsufficient(
             "catalog insufficient or divisor not pseudo-effective"
         )
-    q, positive = y_den * den, d
-    if support:
-        columns = zip(*(s.curve(cid).divisor_class.nums for cid in support))
-        nums = tuple(y_den * x - sum(map(mul, ys, column)) for x, column in zip(d.nums, columns))
-        positive = _reduced(d.lattice, nums, q)
+    negative = tuple((cid, Q(y, y_den * den)) for cid, y in zip(support, ys) if y > 0)
     decomposition = ZariskiDecomposition(
-        original=d,
-        positive=positive,
-        negative=tuple((cid, Q(y, q)) for cid, y in zip(support, ys) if y > 0),
+        original=d, positive=d - s.class_of(negative), negative=negative
     )
     _verify(s, decomposition)
     return decomposition

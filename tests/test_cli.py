@@ -244,7 +244,11 @@ def test_missing_field_exit_two(capsys, tmp_path):
         ("[]", "surface description [] is not a JSON object"),
         ('"x"', "surface description 'x' is not a JSON object"),
         ('{"base": []}', "base description [] is not a JSON object"),
+        # a large value is named cut short, not echoed whole
+        (json.dumps([0] * 100000), "surface description [0, 0, 0, 0, 0, 0, ...] is not a JSON object"),
+        (json.dumps("x" * 100000), "surface description 'xxxxxxxxxxxx...xxxxxxxxxxxxx' is not a JSON object"),
     ],
+    ids=["array", "string", "base", "long array", "long string"],
 )
 def test_surface_that_is_not_an_object_exit_two(capsys, tmp_path, text, message):
     path = tmp_path / "not_an_object.json"

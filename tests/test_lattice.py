@@ -13,6 +13,7 @@ from delpezzo.lattice import (
     DivisorClass,
     IntersectionMatrix,
     PicardLattice,
+    _solve_integers,
     dual_numerators,
     format_rational,
     intersect,
@@ -308,19 +309,19 @@ def test_solve_agrees_with_cramer(rows, data):
 @given(symmetric_matrices(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_integer_solve_agrees_with_cramer(rows, data):
-    # the path the Zariski rounds take: int entries, which are not rescaled,
-    # and an int right-hand side, solved as numerators over one positive
+    # the path the Zariski rounds take: int entries, whose scale is 1, and
+    # an int right-hand side, solved as numerators over one positive
     # denominator whatever the sign of the determinant
     scale = math.lcm(*(x.denominator for row in rows for x in row))
     ints = [[int(x * scale) for x in row] for row in rows]
     rhs = data.draw(st.lists(st.integers(-6, 6), min_size=len(rows), max_size=len(rows)))
-    elimination = IntersectionMatrix(tuple(f"c{i}" for i in range(len(ints))), ints)._elimination
-    assert elimination.scale == 1
+    matrix = IntersectionMatrix(tuple(f"c{i}" for i in range(len(ints))), ints)
+    assert matrix._elimination.scale == 1
     if oracles.cofactor_det(ints) == 0:
         with pytest.raises(DegenerateConfiguration, match="degenerate configuration"):
-            elimination.solve(rhs)
+            _solve_integers(matrix, rhs)
     else:
-        nums, den = elimination.solve(rhs)
+        nums, den = _solve_integers(matrix, rhs)
         assert den > 0
         assert tuple(Q(v, den) for v in nums) == oracles.cramer_solve(ints, rhs)
 
