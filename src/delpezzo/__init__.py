@@ -39,7 +39,6 @@ from .pairs import (
     certify_class_equalities,
     check_EP_condition,
     classify_nonrational,
-    construct_good_boundary,
     construct_klt_boundary,
     construct_klt_boundary_via_cone,
     cox_finitely_generated,

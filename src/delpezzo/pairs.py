@@ -38,7 +38,7 @@ from .singular import (
     discrepancies_with_boundary,
     is_snc_configuration,
 )
-from .surface import BlowUpRecord, SurfaceModel, blow_up, extend_to
+from .surface import BlowUpRecord, SurfaceModel, _Stage, blow_up, extend_to
 from .zariski import (
     CATALOG_CAVEAT,
     ZariskiDecomposition,
@@ -247,10 +247,9 @@ def decide_weak_lc_pair_exists(s: SurfaceModel) -> ClassVerdict:
 # ---------------------------------------------------------------------------
 # log-resolution route (downstairs surface smooth)
 
-# divisor: the coefficients of the comparison divisor
 ResolutionCheck = namedtuple(
     "ResolutionCheck",
-    "effective discrepancies divisor pair_is_klt pair_is_lc resolved",
+    "effective discrepancies pair_is_klt pair_is_lc resolved",
 )
 
 
@@ -263,23 +262,27 @@ def check_EP_condition(
     s_down: SurfaceModel, boundary, records: tuple[BlowUpRecord, ...]
 ) -> ResolutionCheck:
     """Effectivity of -(K_X + strict boundary) + f^*(K_Y + boundary) for the
-    log resolution obtained by applying ``records`` to a smooth model."""
+    log resolution obtained by applying ``records`` to a smooth model.
+
+    The resolution grows on one stage and becomes one model; with no
+    records it is ``s_down`` itself."""
     s_up = s_down
-    new_ids = []
-    for rec in records:
-        s_up = blow_up(s_up, rec)
-        new_ids.append(s_up.blowups[-1].exceptional_id)
+    if records:
+        stage = _Stage.of(s_down)
+        for rec in records:
+            stage.blow_up(rec)
+        s_up = stage.model()
+    new_ids = [b.exceptional_id for b in s_up.blowups[len(s_down.blowups):]]
     boundary = _as_boundary(s_up, boundary, new_ids)
     if not is_snc_configuration(s_up, [cid for cid, _ in boundary] + new_ids):
         raise NotSimpleNormalCrossings(
             "total transform of the boundary is not snc; not a log resolution"
         )
+    # the comparison divisor is minus the discrepancies
     discs = discrepancies_with_boundary(s_up, new_ids, boundary)
-    divisor = tuple((cid, -a) for cid, a in discs)
     return ResolutionCheck(
-        effective=all(c >= 0 for _, c in divisor),
+        effective=all(a <= 0 for _, a in discs),
         discrepancies=discs,
-        divisor=divisor,
         pair_is_klt=_is_klt(discs, boundary),
         pair_is_lc=all(a >= -1 for _, a in discs),
         resolved=s_up,
@@ -287,42 +290,7 @@ def check_EP_condition(
 
 
 # ---------------------------------------------------------------------------
-# good boundaries and pushforward (Proposition-style pipeline)
-
-GoodBoundaryReport = namedtuple(
-    "GoodBoundaryReport",
-    "boundary_upstairs boundary_downstairs effective recertified",
-)
-
-
-def construct_good_boundary(
-    s: SurfaceModel, contracted
-) -> tuple[tuple[tuple[str, Q], ...], GoodBoundaryReport]:
-    """From a klt del Pezzo fixture (minimal resolution + contracted set),
-    build a boundary downstairs whose log resolution stays effective.
-
-    The upstairs boundary comes from the direct witness (supported on
-    Null(P)); its pushforward drops the contracted components.  Returns the
-    downstairs boundary and the verification report.
-    """
-    analysis = AnticanonicalAnalysis(s)
-    contracted_ids = _as_ids(s, contracted)
-    if not set(contracted_ids).issubset(analysis.null):
-        raise PreconditionFailure(
-            "contracted curves must have P-degree zero (anticanonical morphism)"
-        )
-    upstairs = analysis.witness[0]
-    push = pushforward_pair(s, contracted_ids, upstairs.components)
-    # the EP divisor, minus the discrepancies of the pushed-forward pair,
-    # is effective iff every discrepancy is <= 0
-    report = GoodBoundaryReport(
-        boundary_upstairs=upstairs,
-        boundary_downstairs=push.boundary_downstairs,
-        effective=all(a <= 0 for _, a in push.discrepancies),
-        recertified=push.klt_del_pezzo,
-    )
-    return push.boundary_downstairs, report
-
+# pushforward
 
 PushforwardResult = namedtuple(
     "PushforwardResult", "boundary_downstairs discrepancies klt ample klt_del_pezzo reason"

@@ -51,12 +51,6 @@ class ContractionData(
 ):
     __slots__ = ()
 
-    def discrepancy(self, curve_id: str) -> Q:
-        for cid, a in self.discrepancies:
-            if cid == curve_id:
-                return a
-        raise KeyError(curve_id)
-
     @property
     def tags(self) -> tuple[str, ...]:
         return tuple(v.tag for v in self.verdicts)

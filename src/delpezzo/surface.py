@@ -551,36 +551,40 @@ def to_description(s: SurfaceModel) -> dict:
 
 def input_rational(value, where: str) -> Q:
     """``rational`` for a number read from input: a malformed one is an
-    input error that names the value."""
+    input error that names the value, cut short by ``reprlib``."""
     try:
         return rational(value)
     except (ValueError, ZeroDivisionError, TypeError):
-        raise InvalidSurfaceData(f"{where} {value!r} is not a rational number") from None
+        raise InvalidSurfaceData(
+            f"{where} {reprlib.repr(value)} is not a rational number"
+        ) from None
 
 
 def input_int(value, where: str) -> int:
     """An integer read from input; anything else, a bool included, is an
-    input error that names the value."""
+    input error that names the value, cut short."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise InvalidSurfaceData(f"{where} {value!r} is not an integer")
+    raise InvalidSurfaceData(f"{where} {reprlib.repr(value)} is not an integer")
 
 
 def _input_name(value, where: str, optional: bool = False) -> str | None:
     """A curve or point id read from input."""
     if isinstance(value, str) or (optional and value is None):
         return value
-    raise InvalidSurfaceData(f"{where} {value!r} is not a string")
+    raise InvalidSurfaceData(f"{where} {reprlib.repr(value)} is not a string")
 
 
 def _input_list(value, where: str, of_objects: bool = False) -> list:
     """A JSON array read from input, optionally one of JSON objects."""
     if not isinstance(value, (list, tuple)):
-        raise InvalidSurfaceData(f"{where} {value!r} is not a list")
+        raise InvalidSurfaceData(f"{where} {reprlib.repr(value)} is not a list")
     if of_objects:
         for entry in value:
             if not isinstance(entry, dict):
-                raise InvalidSurfaceData(f"{where}: entry {entry!r} is not an object")
+                raise InvalidSurfaceData(
+                    f"{where}: entry {reprlib.repr(entry)} is not an object"
+                )
     return list(value)
 
 
@@ -639,7 +643,9 @@ def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
                 )
             smooth = entry.get("smooth", True)
             if not isinstance(smooth, bool):
-                raise InvalidSurfaceData(f"{where} smooth {smooth!r} is not true or false")
+                raise InvalidSurfaceData(
+                    f"{where} smooth {reprlib.repr(smooth)} is not true or false"
+                )
             stage.declare(
                 _input_name(entry["id"], f"{where} id"),
                 coords,
@@ -657,7 +663,8 @@ def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
             for pair in _input_list(entry.get("on", []), f"{where} on"):
                 if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                     raise InvalidSurfaceData(
-                        f"{where} incidence {pair!r} is not a [curve, multiplicity] pair"
+                        f"{where} incidence {reprlib.repr(pair)} "
+                        "is not a [curve, multiplicity] pair"
                     )
                 cid, mult = pair
                 incidences.append(

@@ -325,6 +325,43 @@ def test_malformed_surface_field_exit_two(capsys, tmp_path, data, message):
     assert err == f"input error: {path}: {message}\n"
 
 
+_LONG, _CUT = "x" * 100000, "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
+_MANY, _CUT_LIST = [0] * 100000, "[0, 0, 0, 0, 0, 0, ...]"
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (
+            _line_with_one_blow_up({"class": [_LONG]}),
+            f"curve 'l': class coordinate {_CUT} is not a rational number",
+        ),
+        (_line_with_one_blow_up({"pa": _LONG}), f"curve 'l': pa {_CUT} is not an integer"),
+        (
+            _line_with_one_blow_up(blowup={"exceptional": _MANY}),
+            f"blow-up 'p1': exceptional {_CUT_LIST} is not a string",
+        ),
+        (_line_with_one_blow_up(curves=_LONG), f"curves {_CUT} is not a list"),
+        (_line_with_one_blow_up(blowups=[_MANY]), f"blowups: entry {_CUT_LIST} is not an object"),
+        (
+            _line_with_one_blow_up({"smooth": _LONG}),
+            f"curve 'l': smooth {_CUT} is not true or false",
+        ),
+        (
+            _line_with_one_blow_up(blowup={"on": [_MANY]}),
+            f"blow-up 'p1': incidence {_CUT_LIST} is not a [curve, multiplicity] pair",
+        ),
+    ],
+    ids=["rational", "int", "name", "list", "list entry", "smooth", "incidence"],
+)
+def test_long_offending_value_is_named_cut_short(capsys, tmp_path, data, message):
+    path = tmp_path / "long_field.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out, err) == (2, "", f"input error: {path}: {message}\n")
+    assert len(err.encode()) < 1024
+
+
 def test_copy_of_negative_curve_exit_two(capsys, tmp_path):
     path = tmp_path / "copy.json"
     path.write_text(json.dumps({

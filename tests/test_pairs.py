@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 import oracles
-from delpezzo import corpus, fixtures, pairs, singular
+from delpezzo import corpus, fixtures, pairs, singular, surface
 from delpezzo.errors import (
     GeometryError,
     InvalidSurfaceData,
@@ -20,7 +20,6 @@ from delpezzo.pairs import (
     certify_class_equalities,
     check_EP_condition,
     classify_nonrational,
-    construct_good_boundary,
     construct_klt_boundary,
     construct_klt_boundary_via_cone,
     cox_finitely_generated,
@@ -196,7 +195,7 @@ def test_identity_resolution_is_trivially_effective():
     s = fixtures.hirzebruch(3)
     boundary = construct_klt_boundary(s)
     check = check_EP_condition(s, boundary.components, ())
-    assert check.effective and check.divisor == ()
+    assert check.effective and check.discrepancies == ()
 
 
 def test_nine_point_configuration():
@@ -210,6 +209,77 @@ def test_nine_point_configuration():
     # and the pair on the plane really is a klt del Pezzo pair
     ok, why = validate_klt_del_pezzo(base, make_boundary(base, NINE_POINT_BOUNDARY))
     assert ok, why
+
+
+# three near= records in a chain over a point of a line in the plane
+_NEAR_CHAIN = (
+    BlowUpRecord("p1", (("h", 1),), None, "e1"),
+    BlowUpRecord("p2", (("e1", 1),), "e1", "e2"),
+    BlowUpRecord("p3", (("e2", 1),), "e2", "e3"),
+)
+
+
+def _resolution_inputs():
+    """(smooth model, boundary, records) for the one-stage resolution."""
+    return (
+        (fixtures.nine_point_pair_base(), NINE_POINT_BOUNDARY, fixtures.nine_point_records()),
+        (fixtures.hirzebruch(2), (("f", Q(1, 2)), ("c0", Q(1, 3))), (_EP_RECORD,)),
+        (fixtures.projective_plane(), (("h", Q(1, 2)),), _NEAR_CHAIN),
+    )
+
+
+def _stepwise_resolution(s_down, boundary, records):
+    """The check on a model grown record by record with the public
+    ``blow_up``, as (model, discrepancies, effective, klt, lc)."""
+    s_up, new_ids = s_down, []
+    for rec in records:
+        s_up = blow_up(s_up, rec)
+        new_ids.append(s_up.blowups[-1].exceptional_id)
+    boundary = singular._as_boundary(s_up, boundary, new_ids)
+    assert singular.is_snc_configuration(s_up, [cid for cid, _ in boundary] + new_ids)
+    discs = singular.discrepancies_with_boundary(s_up, new_ids, boundary)
+    divisor = [-a for _, a in discs]
+    klt = all(a > -1 for _, a in discs) and all(c < 1 for _, c in boundary)
+    return s_up, discs, all(c >= 0 for c in divisor), klt, all(a >= -1 for _, a in discs)
+
+
+def test_one_stage_resolution_matches_stepwise_blow_ups(monkeypatch):
+    models = []
+    model = surface._Stage.model
+
+    def counting(stage):
+        models.append(stage)
+        return model(stage)
+
+    cases = [(args, _stepwise_resolution(*args)) for args in _resolution_inputs()]
+    monkeypatch.setattr(surface._Stage, "model", counting)
+    for (s_down, boundary, records), (stepwise, discs, effective, klt, lc) in cases:
+        models.clear()
+        check = check_EP_condition(s_down, boundary, records)
+        assert len(models) == 1
+        assert (check.discrepancies, check.effective) == (discs, effective)
+        assert (check.pair_is_klt, check.pair_is_lc) == (klt, lc)
+        resolved = check.resolved
+        assert resolved.lattice == stepwise.lattice
+        assert resolved.catalog == stepwise.catalog
+        assert list(resolved.incidence.items()) == list(stepwise.incidence.items())
+        assert resolved.blowups == stepwise.blowups
+        # with no records the resolution is the smooth model, not a copy
+        models.clear()
+        assert check_EP_condition(s_down, boundary, ()).resolved is s_down
+        assert models == []
+
+
+@pytest.mark.parametrize(
+    "bad", [BlowUpRecord("q", (("nope", 1),)), BlowUpRecord("p1", (("e1", 1),))]
+)
+def test_bad_record_mid_resolution_has_the_stepwise_message(bad):
+    s_down, records = fixtures.projective_plane(), (_NEAR_CHAIN[0], bad, _NEAR_CHAIN[2])
+    with pytest.raises(InvalidSurfaceData) as stepwise:
+        _stepwise_resolution(s_down, (), records)
+    with pytest.raises(InvalidSurfaceData) as staged:
+        check_EP_condition(s_down, (), records)
+    assert str(staged.value) == str(stepwise.value)
 
 
 def test_contraction_route_on_f3():
@@ -279,7 +349,8 @@ def test_contraction_route_makes_one_elimination(solves):
 
 
 def test_good_boundary_solves_the_contraction_once(solves):
-    construct_good_boundary(fixtures.hirzebruch(3), ("c0",))
+    s = fixtures.hirzebruch(3)
+    pushforward_pair(s, ("c0",), AnticanonicalAnalysis(s).witness[0].components)
     assert solves["singular"] == 1
 
 
@@ -288,7 +359,6 @@ def test_unknown_contracted_curve_is_invalid_data():
     for call in (
         lambda: contract(f2, ("c0", "nope")),
         lambda: pushforward_pair(f2, ("nope",), ()),
-        lambda: construct_good_boundary(f2, ("nope",)),
         lambda: classify_nonrational(chain, contracted=("e1", "nope")),
         lambda: cox_finitely_generated(fixtures.projective_plane(), contracted=("nope",)),
         lambda: classify_nonrational(fixtures.projective_plane(), contracted=("nope",)),
@@ -377,7 +447,6 @@ def _curve_set_entry_points():
         lambda c: singular.is_snc_configuration(s, c),
         lambda c: singular.discrepancies_with_boundary(s, c, ()),
         lambda c: pushforward_pair(s, c, ()),
-        lambda c: construct_good_boundary(s, c),
         lambda c: classify_nonrational(s, contracted=c),
         lambda c: cox_finitely_generated(s, contracted=c),
     )
@@ -421,24 +490,24 @@ def test_repeated_boundary_id_is_invalid_data():
         pushforward_pair(fixtures.hirzebruch(2), ("c0",), [("f", Q(3, 4)), ("f", Q(3, 4))])
 
 
-# -- good boundaries ----------------------------------------------------------
+# -- good boundaries: the direct witness pushed down a contraction ------------
 
 @pytest.mark.parametrize("name,expected", [("f2", Q(0)), ("f3", Q(1, 3))])
 def test_good_boundary_pipeline(name, expected):
     s = fixtures.FIXTURES[name]()
-    down, report = construct_good_boundary(s, ("c0",))
-    assert down == ()  # boundary supported entirely on the contracted curve
-    assert report.effective
+    push = pushforward_pair(s, ("c0",), AnticanonicalAnalysis(s).witness[0].components)
+    # boundary supported entirely on the contracted curve
+    assert push.boundary_downstairs == ()
     # the EP divisor is minus the discrepancies of the pushed-forward pair
-    push = pushforward_pair(s, ("c0",), report.boundary_upstairs.components)
+    assert all(a <= 0 for _, a in push.discrepancies)
     assert {cid: -a for cid, a in push.discrepancies} == {"c0": expected}
-    assert report.recertified
+    assert push.klt_del_pezzo
 
 
 def test_good_boundary_trivial_on_plane():
     s = fixtures.projective_plane()
-    down, report = construct_good_boundary(s, ())
-    assert down == () and report.effective
+    push = pushforward_pair(s, (), AnticanonicalAnalysis(s).witness[0].components)
+    assert push.boundary_downstairs == () and all(a <= 0 for _, a in push.discrepancies)
 
 
 # -- pushforward --------------------------------------------------------------

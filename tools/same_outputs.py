@@ -4,7 +4,7 @@ Run from the root of a checkout:
 
     python3 tools/same_outputs.py --parent HEAD~1
 
-It runs 256 command lines in-process through ``delpezzo.cli.main``:
+It runs 268 command lines in-process through ``delpezzo.cli.main``:
 
 * ``analyze`` and ``classify`` with ``--format`` text, json and dot,
   ``decompose`` with text and json, and ``witness --method direct`` and
@@ -14,6 +14,8 @@ It runs 256 command lines in-process through ``delpezzo.cli.main``:
   divisors each: a first coordinate of 1/2, 7/3 or 3, then -1/3, -2/5 or
   -1 on every other axis.  They reach classes with a denominator and
   supports that fail with exit 2;
+* ``blowup --at`` at each of the 11 redundant points of the fixtures, and
+  at a point of ``star`` that is not one, which exits 2;
 * ``corpus --seed s --count 200`` for s = 1 .. 10.
 
 Each side runs the whole list in one child process: the parent commit from a
@@ -40,6 +42,17 @@ CORPUS_SEEDS = range(1, 11)
 CORPUS_COUNT = 200
 DIVISOR_FIXTURES = ("f2", "f3", "cubic10", "star", "pair", "dp3")
 DIVISORS = (("1/2", "-1/3"), ("7/3", "-2/5"), ("3", "-1"))  # (first, every other)
+# every redundant point of the fixtures, by curve (generic) or point (shared)
+# id, then one id that names none
+BLOWUP_POINTS = (
+    ("cubic10", "c"),
+    ("elliptic_ruled", "c0"),
+    ("elliptic_ruled_chain", "c0"),
+    ("pair", "p7"),
+    ("star", "l"),
+    *(("star", f"p{i}") for i in range(1, 7)),
+    ("star", "nope"),
+)
 
 # Runs a JSON list of argv lists, read from stdin, through cli.main and
 # writes one [exit code, stdout, stderr] per command line as JSON.
@@ -80,6 +93,10 @@ def command_lines(inputs: list[Path]) -> list[list[str]]:
         for first, rest in DIVISORS:
             divisor = ",".join([first] + [rest] * (rank - 1))
             argvs.append(["decompose", str(path), f"--divisor={divisor}", "--format", "json"])
+    argvs += [
+        ["blowup", str(ROOT / "fixtures" / f"{name}.json"), "--at", at]
+        for name, at in BLOWUP_POINTS
+    ]
     argvs += [["corpus", "--seed", str(s), "--count", str(CORPUS_COUNT)] for s in CORPUS_SEEDS]
     return argvs
 
