@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import os
+import reprlib
 import sys
 
 from . import pairs, singular, zariski
@@ -46,7 +47,7 @@ def _max_rank() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise InvalidSurfaceData(f"DELPEZZO_MAX_RANK={raw!r} is not an integer")
+        raise InvalidSurfaceData(f"DELPEZZO_MAX_RANK={reprlib.repr(raw)} is not an integer")
 
 
 def _load(path: str) -> SurfaceModel:
@@ -63,8 +64,9 @@ def _load(path: str) -> SurfaceModel:
         raise InvalidSurfaceData(f"{path}: invalid JSON: {exc}")
     except RecursionError:
         raise InvalidSurfaceData(f"{path}: invalid JSON: nested too deeply")
+    max_rank = _max_rank()
     try:
-        return from_description(data, max_rank=_max_rank())
+        return from_description(data, max_rank=max_rank)
     except InvalidSurfaceData as exc:
         raise InvalidSurfaceData(f"{path}: {exc}")
 
@@ -354,7 +356,7 @@ def cmd_blowup(args) -> int:
     if target is None:
         known = "; ".join(p.describe() for p in points) or "none"
         raise InvalidSurfaceData(
-            f"no redundant point matches {args.at!r} (known: {known})"
+            f"no redundant point matches {reprlib.repr(args.at)} (known: {known})"
         )
     result = redundant_blow_up(s, target, z=analysis.decomposition)
     sys.stdout.write(dumps(result.model))

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from operator import mul
 
 from .errors import GeometryError
-from .lattice import Q, pair_numerators
+from .lattice import Q, dual_numerators
 from .pairs import AnticanonicalAnalysis
 from .surface import BaseSurface, BlowUpRecord, SurfaceModel, _Stage
 
@@ -69,13 +70,11 @@ def _random_record(rng: random.Random, stage: _Stage, index: int) -> BlowUpRecor
         ids = list(curves)
         return BlowUpRecord(point, ((ids[rng.randrange(len(ids))], 1),))
     if mode < 7:
-        gram = stage.gram
-        shared = [
-            pair
-            for pair, entries in sorted(stage.incidence.items())
-            if pair_numerators(gram, curves[pair[0]].nums, curves[pair[1]].nums) >= 1
-            for _ in entries
-        ]
+        gram, rank, shared = stage.gram, len(stage.labels), []
+        for pair, entries in sorted(stage.incidence.items()):
+            dual = dual_numerators(gram, curves[pair[0]].nums, rank)
+            if sum(map(mul, dual, curves[pair[1]].nums)) >= 1:
+                shared += [pair] * len(entries)
         if not shared:
             return None
         pair = shared[rng.randrange(len(shared))]

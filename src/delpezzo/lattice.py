@@ -7,17 +7,19 @@ a label and nothing else.
 A divisor class is a tuple of integer numerators over one positive
 denominator, in lowest terms.  Catalog curves and K are integral, so class
 arithmetic runs on Python ints, and a pairing is one integer dot product
-over the base block and the axes, divided once by the two denominators.
+with the first class's dual vector, divided once by the two denominators.
 Results leave this module as `fractions.Fraction`, apart from the integer
-solve the Zariski rounds read; no floating point enters anywhere.  Both
-questions asked of an intersection matrix -- is it negative definite, and
-what solves it -- are answered by one fraction-free Bareiss elimination
+solve the Zariski rounds read; no floating point enters anywhere.
+
+Two curves on these smooth surfaces meet in an integer, so an intersection
+matrix holds ints.  Both questions asked of one -- is it negative definite,
+and what solves it -- are answered by one fraction-free Bareiss elimination
 over the integers (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22 (1968)).  Its
-pivot rule is first-nonzero row, so the witnesses built on top of this
-module are bit-for-bit reproducible, and it runs at most once per
-`IntersectionMatrix`: every later test or solve on the same matrix replays
-the recorded steps.
+integer-preserving Gaussian elimination", Math. Comp. 22 (1968)), with
+nothing to rescale.  Its pivot rule is first-nonzero row, so the witnesses
+built on top of this module are bit-for-bit reproducible, and it runs at
+most once per `IntersectionMatrix`: every later test or solve on the same
+matrix replays the recorded steps.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 
 from .errors import DegenerateConfiguration, IncompatibleSurfaces, NumberTooLong
 
@@ -87,16 +90,8 @@ class PicardLattice(Frozen):
         n = len(gram)
         if n > len(labels) or any(len(row) != n for row in gram):
             raise ValueError("gram matrix does not match basis size")
-        # an int is already exact (and has numerator and denominator)
-        block = [[x if type(x) is int else rational(x) for x in row] for row in gram]
-        if any(x.denominator != 1 for row in block for x in row):
-            raise ValueError("gram matrix entries must be integers")
-        for i in range(n):
-            for j in range(i):
-                if block[i][j] != block[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "gram", tuple(tuple(x.numerator for x in row) for row in block))
+        object.__setattr__(self, "gram", _symmetric_integers(gram, "gram matrix"))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -127,30 +122,36 @@ class PicardLattice(Frozen):
         return PicardLattice(self.labels + (label,), self.gram)
 
     def pair(self, a: "DivisorClass", b: "DivisorClass") -> Q:
-        total = pair_numerators(self.gram, a.nums, b.nums)
+        x = a.nums
+        total = sum(map(operator.mul, dual_numerators(self.gram, x, len(x)), b.nums))
         den = a.den * b.den
         return Fraction(total) if den == 1 else Fraction(total, den)
 
 
-def pair_numerators(gram, x, y) -> int:
-    """The integer pairing of two numerator vectors on a lattice with base
-    block ``gram``.  Both cover the base block; past it, a shorter vector
-    reads as padded with zeros, so a class on a blow-up pairs with one on
-    an earlier stage as their common prefix does."""
-    # pair every axis as a (-1)-axis, then correct the base block by its
-    # own rows plus the x_i * y_i taken off it
-    total = -sum(map(operator.mul, x, y))
-    for i, row in enumerate(gram):
-        if x[i]:
-            total += x[i] * (sum(map(operator.mul, row, y)) + y[i])
-    return total
+def _symmetric_integers(rows, what: str) -> tuple[tuple[int, ...], ...]:
+    """A square matrix's rows as tuples of ints: an int-valued rational is
+    stored as its int, and any other entry, or an asymmetric matrix, is
+    refused."""
+    block = tuple(map(tuple, rows))
+    if not set(map(type, chain.from_iterable(block))) <= {int}:
+        values = [[rational(x) for x in row] for row in block]
+        if any(x.denominator != 1 for row in values for x in row):
+            raise ValueError(f"{what} entries must be integers")
+        block = tuple(tuple(x.numerator for x in row) for row in values)
+    if block != tuple(zip(*block)):
+        raise ValueError(f"{what} must be symmetric")
+    return block
 
 
 def dual_numerators(gram, x, size: int) -> list[int]:
-    """The integer vector g with sum(g[k] * y[k]) == pair_numerators(gram, x,
-    y) for every y of at most ``size`` coordinates: the base block's rows
-    times x on the block, -x on the (-1)-axes, and zeros past x.  Computing
-    it once pairs x with many classes at one product each."""
+    """The integer vector g with sum(g[k] * y[k]) the pairing of the
+    numerator vectors x and y on a lattice with base block ``gram``, for
+    every y of at most ``size`` coordinates: the base block's rows times x
+    on the block, -x on the (-1)-axes, and zeros past x.  Both vectors
+    cover the base block; past it, a shorter one reads as padded with
+    zeros, so a class on a blow-up pairs with one on an earlier stage as
+    their common prefix does.  Computing g once pairs x with many classes
+    at one product each."""
     n = len(gram)
     g = [sum(map(operator.mul, row, x)) for row in gram]
     g += [-v for v in x[n:]]
@@ -290,21 +291,19 @@ def _reduced(lattice: PicardLattice, nums: tuple[int, ...], den: int) -> Divisor
 
 
 class IntersectionMatrix(Frozen):
-    """Symmetric pairing matrix of a finite list of catalog curves.  The
-    entries are exact rationals; ``SurfaceModel.gram_of`` gives ints."""
+    """Symmetric pairing matrix of a finite list of catalog curves.  Two
+    curves on a smooth surface meet in an integer, so the entries are ints:
+    an int-valued rational is stored as its int, and any other entry raises
+    ValueError, as a ``PicardLattice`` Gram block does."""
 
     __slots__ = ("curve_ids", "entries", "_eliminated")
 
-    def __init__(self, curve_ids: tuple[str, ...], entries: tuple[tuple[Q, ...], ...]):
+    def __init__(self, curve_ids: tuple[str, ...], entries: tuple[tuple[int, ...], ...]):
         n = len(curve_ids)
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("entries do not form a square matrix over curve_ids")
-        for i in range(n):
-            for j in range(i):
-                if entries[i][j] != entries[j][i]:
-                    raise ValueError("intersection matrix must be symmetric")
         object.__setattr__(self, "curve_ids", curve_ids)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _symmetric_integers(entries, "intersection matrix"))
         object.__setattr__(self, "_eliminated", None)
 
     def __eq__(self, other):
@@ -335,22 +334,21 @@ def intersect(d1: DivisorClass, d2: DivisorClass) -> Q:
     return d1.dot(d2)
 
 
-class _Elimination(namedtuple("_Elimination", "size scale steps")):
-    """The recorded steps of one fraction-free elimination of a matrix.
+class _Elimination(namedtuple("_Elimination", "size steps")):
+    """The recorded steps of one fraction-free elimination of an integer
+    matrix.
 
-    ``scale`` is the positive lcm of the entry denominators.  Step k holds
-    the offset of the row swapped into place (0 for none), the pivot row of
-    the upper triangular factor (its first entry is the pivot) and the
-    column below the pivot.  There are fewer steps than rows when a column
-    has no nonzero pivot left: the matrix is singular.
+    Step k holds the offset of the row swapped into place (0 for none), the
+    pivot row of the upper triangular factor (its first entry is the pivot)
+    and the column below the pivot.  There are fewer steps than rows when a
+    column has no nonzero pivot left: the matrix is singular.
     """
 
     __slots__ = ()
 
     @property
     def negative_definite(self) -> bool:
-        # with no swap, pivot k is the k-th leading minor of the scaled
-        # matrix, and a positive scale keeps every minor's sign
+        # with no swap, pivot k is the k-th leading minor
         return len(self.steps) == self.size and all(
             swap == 0 and (top[0] < 0) == (k % 2 == 0)
             for k, (swap, top, _) in enumerate(self.steps)
@@ -359,8 +357,8 @@ class _Elimination(namedtuple("_Elimination", "size scale steps")):
     def solve(self, b: list[int] | tuple[int, ...]) -> tuple[list[int], int]:
         """The solution for an integer right-hand side, as integer numerators
         over one positive denominator (not in lowest terms).  Replay the steps
-        on b, then back-substitute in integers: y = det * x' is integral by
-        Cramer's rule, where x' solves the scaled matrix."""
+        on b, then back-substitute in integers: y = det * x is integral by
+        Cramer's rule."""
         if len(self.steps) < self.size:
             raise DegenerateConfiguration("degenerate configuration")
         if not self.steps:
@@ -379,19 +377,19 @@ class _Elimination(namedtuple("_Elimination", "size scale steps")):
             top = self.steps[k][1]
             tail = sum(map(operator.mul, top[1:], y[k + 1:]))
             y[k] = (det * b[k] - tail) // top[0]
-        # x = scale * x' = scale * y / det, over a positive denominator
-        scale = -self.scale if det < 0 else self.scale
-        return [v * scale for v in y], abs(det)
+        # x = y / det, over a positive denominator
+        if det < 0:
+            return [-v for v in y], -det
+        return y, det
 
 
 def _bareiss(entries) -> _Elimination:
     """Fraction-free elimination over the integers, first-nonzero row pivot.
 
     Each step divides exactly by the previous pivot (Sylvester's identity),
-    so every entry stays an integer minor of the scaled matrix.
+    so every entry stays an integer minor of the matrix.
     """
-    scale = math.lcm(*(x.denominator for row in entries for x in row))
-    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
+    rows = list(entries)
     steps = []
     previous = 1
     while rows:
@@ -408,7 +406,7 @@ def _bareiss(entries) -> _Elimination:
             for f, row in zip(column, rows[1:])
         ]
         previous = pivot
-    return _Elimination(len(entries), scale, tuple(steps))
+    return _Elimination(len(entries), tuple(steps))
 
 
 def is_negative_definite(matrix: IntersectionMatrix) -> bool:

@@ -28,7 +28,6 @@ InvalidSurfaceData; zero terms are then dropped.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import InvalidSurfaceData, NotContractible
 from .lattice import Q, format_rational, is_negative_definite, solve_linear
@@ -216,7 +215,7 @@ def _dot_string(text: str) -> str:
 
 class DualGraph(namedtuple("DualGraph", "nodes edges")):
     """``nodes`` holds (curve_id, self-intersection, p_a) triples, ``edges``
-    (curve_id, curve_id, weight) triples."""
+    (curve_id, curve_id, weight) triples; the numbers are ints."""
 
     __slots__ = ()
 
@@ -239,8 +238,8 @@ def dual_graph(s: SurfaceModel, curves) -> DualGraph:
     nodes, edges = [], []
     for i, a in enumerate(ids):
         row = s.meets(a)
-        nodes.append((a, Fraction(row[positions[i]]), s.curve(a).p_a))
+        nodes.append((a, row[positions[i]], s.curve(a).p_a))
         for b, p in zip(ids[i + 1:], positions[i + 1:]):
             if row[p] > 0:
-                edges.append((a, b, Fraction(row[p])))
+                edges.append((a, b, row[p]))
     return DualGraph(tuple(nodes), tuple(edges))

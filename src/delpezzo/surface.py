@@ -41,7 +41,6 @@ from .lattice import (
     _reduced,
     dual_numerators,
     format_rational,
-    pair_numerators,
     rational,
     weighted_sum,
 )
@@ -66,7 +65,7 @@ class BaseSurface(Frozen):
             if genus < 0:
                 raise InvalidSurfaceData("base curve genus must be >= 0")
         else:
-            raise InvalidSurfaceData(f"unknown base kind {kind!r}")
+            raise InvalidSurfaceData(f"unknown base kind {reprlib.repr(kind)}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "genus", genus)
@@ -366,32 +365,32 @@ class _Stage:
         """Add a curve whose class has the stage's rank; the checks pair it
         with K and with every catalog class at this stage."""
         if curve_id in self.curves:
-            raise InvalidSurfaceData(f"curve id {curve_id!r} already in catalog")
+            raise InvalidSurfaceData(f"curve id {reprlib.repr(curve_id)} already in catalog")
         # a curve is an integral class on these smooth surfaces
         for label, x in zip(self.labels, coords):
             if x.denominator != 1:
                 raise InvalidSurfaceData(
-                    f"class of {curve_id!r}: coordinate {label} = {format_rational(x)} "
-                    "is not an integer"
+                    f"class of {reprlib.repr(curve_id)}: coordinate {label} = "
+                    f"{format_rational(x)} is not an integer"
                 )
-        nums, gram, curves = [x.numerator for x in coords], self.gram, self.curves
+        nums, curves = [x.numerator for x in coords], self.curves
+        dual = dual_numerators(self.gram, nums, len(nums))
         # C^2 + K.C is even for an integral class, since K is characteristic
-        twice = pair_numerators(gram, nums, nums) + pair_numerators(gram, self.canonical, nums)
+        twice = sum(map(mul, dual, nums)) + sum(map(mul, dual, self.canonical))
         if twice != 2 * (p_a - 1):
             raise InvalidSurfaceData(
-                f"adjunction violation for {curve_id!r}: declared p_a={p_a}, "
+                f"adjunction violation for {reprlib.repr(curve_id)}: declared p_a={p_a}, "
                 f"computed p_a={format_rational(twice // 2 + 1)}"
             )
         if p_a < 0:
-            raise InvalidSurfaceData(f"negative arithmetic genus for {curve_id!r}")
+            raise InvalidSurfaceData(f"negative arithmetic genus for {reprlib.repr(curve_id)}")
         # an earlier curve's class is a prefix of stage length, and the
         # product stops at its end
-        dual = dual_numerators(gram, nums, len(nums))
         for other_id, other in curves.items():
             # a copy of a negative curve meets it negatively too
             if sum(map(mul, dual, other.nums)) < 0:
                 raise InvalidSurfaceData(
-                    f"{curve_id!r} would meet {other_id!r} negatively; "
+                    f"{reprlib.repr(curve_id)} would meet {reprlib.repr(other_id)} negatively; "
                     "two distinct curves cannot do that"
                 )
         curves[curve_id] = _Curve(len(curves), nums, p_a, smooth, "declared-base-curve")
@@ -404,15 +403,21 @@ class _Stage:
         seen: dict[str, int] = {}
         for curve_id, mult in rec.incidences:
             if curve_id not in curves:
-                raise InvalidSurfaceData(f"blow-up references unknown curve {curve_id!r}")
+                raise InvalidSurfaceData(
+                    f"blow-up references unknown curve {reprlib.repr(curve_id)}"
+                )
             if not isinstance(mult, int) or mult < 1:
                 raise InvalidSurfaceData("multiplicities must be integers >= 1")
             if curve_id in seen:
-                raise InvalidSurfaceData(f"curve {curve_id!r} listed twice in one record")
+                raise InvalidSurfaceData(
+                    f"curve {reprlib.repr(curve_id)} listed twice in one record"
+                )
             seen[curve_id] = mult
         if rec.near is not None:
             if rec.near not in curves:
-                raise InvalidSurfaceData(f"infinitely-near target {rec.near!r} not in catalog")
+                raise InvalidSurfaceData(
+                    f"infinitely-near target {reprlib.repr(rec.near)} not in catalog"
+                )
             if curves[rec.near].provenance not in ("exceptional", "strict-transform"):
                 raise InvalidSurfaceData("infinitely-near points must sit on an exceptional curve")
             seen.setdefault(rec.near, 1)
@@ -420,30 +425,32 @@ class _Stage:
         incident = sorted(seen.items(), key=lambda item: curves[item[0]].position)
         point_id = rec.point_id or f"p{len(self.blowups) + 1}"
         if point_id in self.points:
-            raise InvalidSurfaceData(f"point id {point_id!r} already used")
+            raise InvalidSurfaceData(f"point id {reprlib.repr(point_id)} already used")
         exc_id = rec.exceptional_id or f"e{len(self.blowups) + 1}"
         if exc_id in curves:
-            raise InvalidSurfaceData(f"exceptional id {exc_id!r} already in use")
+            raise InvalidSurfaceData(f"exceptional id {reprlib.repr(exc_id)} already in use")
 
         for curve_id, mult in incident:
             if mult >= 2 and curves[curve_id].smooth:
                 raise InvalidSurfaceData(
-                    f"curve {curve_id!r} is declared smooth; multiplicity {mult} "
+                    f"curve {reprlib.repr(curve_id)} is declared smooth; multiplicity {mult} "
                     "requires a singular point"
                 )
             if mult >= 2 and curves[curve_id].p_a < mult * (mult - 1) // 2:
                 raise InvalidSurfaceData(
-                    f"multiplicity {mult} exceeds what the genus of {curve_id!r} permits"
+                    f"multiplicity {mult} exceeds what the genus of "
+                    f"{reprlib.repr(curve_id)} permits"
                 )
-        for i, (cid_a, mult_a) in enumerate(incident):
-            a = curves[cid_a]
+        for i, (cid_a, mult_a) in enumerate(incident[:-1]):
+            nums = curves[cid_a].nums
+            dual = dual_numerators(self.gram, nums, len(nums))
             for cid_b, mult_b in incident[i + 1:]:
-                b = curves[cid_b]
-                total = pair_numerators(self.gram, a.nums, b.nums)
+                total = sum(map(mul, dual, curves[cid_b].nums))
                 if mult_a * mult_b > total:
                     raise InvalidSurfaceData(
-                        f"multiplicity exceeds what intersection numbers permit: "
-                        f"{cid_a!r}.{cid_b!r} = {total} < {mult_a * mult_b}"
+                        "multiplicity exceeds what intersection numbers permit: "
+                        f"{reprlib.repr(cid_a)}.{reprlib.repr(cid_b)} = {total} "
+                        f"< {mult_a * mult_b}"
                     )
 
         # the new axis is orthogonal: a curve through the point gains one
@@ -464,28 +471,19 @@ class _Stage:
         self.canonical.append(1)
 
         incidence = self.incidence
-        # the blown-up point separates the incident curves from each other
-        for i, (cid_a, mult_a) in enumerate(incident):
-            for cid_b, mult_b in incident[i + 1:]:
-                key = (cid_a, cid_b) if cid_a <= cid_b else (cid_b, cid_a)
-                entries = list(incidence.get(key, ()))
-                if entries:
-                    pid, m1, m2 = entries[-1]
-                    da, db = (mult_a, mult_b) if key == (cid_a, cid_b) else (mult_b, mult_a)
-                    m1, m2 = m1 - da, m2 - db
-                    if m1 > 0 and m2 > 0:
-                        entries[-1] = (pid, m1, m2)
-                    else:
-                        entries.pop()
-                if entries:
-                    incidence[key] = tuple(entries)
-                else:
-                    incidence.pop(key, None)
+        # the blown-up point separates the incident curves from each other.
+        # Only a curve and an exceptional curve share a recorded point, with
+        # multiplicity 1 on the smooth exceptional side, so a point through
+        # both leaves nothing of it
+        for i, (cid_a, _) in enumerate(incident):
+            for cid_b, _ in incident[i + 1:]:
+                incidence.pop((cid_a, cid_b) if cid_a <= cid_b else (cid_b, cid_a), None)
         # every incident curve now meets the new exceptional over this point
         for cid, mult in incident:
-            key = (cid, exc_id) if cid <= exc_id else (exc_id, cid)
-            entry = (point_id, mult, 1) if key == (cid, exc_id) else (point_id, 1, mult)
-            incidence[key] = incidence.get(key, ()) + (entry,)
+            if cid <= exc_id:
+                incidence[cid, exc_id] = ((point_id, mult, 1),)
+            else:
+                incidence[exc_id, cid] = ((point_id, 1, mult),)
 
         self.blowups.append(BlowUpRecord(point_id, tuple(incident), rec.near, exc_id))
         self.points.add(point_id)
@@ -619,19 +617,20 @@ def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
         raise InvalidSurfaceData(
             f"Picard rank {len(stage.labels) + len(blowups)} exceeds the cap {max_rank}"
         )
-    pending: dict[int, list[dict]] = {}  # curves by the stage they join, in file order
+    # curves by the stage they join, in file order, with their message prefix
+    pending: dict[int, list[tuple[dict, str]]] = {}
     for entry in curves:
-        after = input_int(entry.get("after", 0), f"curve {entry.get('id')!r}: after")
+        where = f"curve {reprlib.repr(entry.get('id'))}:"
+        after = input_int(entry.get("after", 0), f"{where} after")
         if not 0 <= after <= len(blowups):
             raise InvalidSurfaceData(
-                f"curve {entry.get('id')!r}: after {after} is outside "
+                f"{where} after {after} is outside "
                 f"0..{len(blowups)}, the number of blow-ups"
             )
-        pending.setdefault(after, []).append(entry)
+        pending.setdefault(after, []).append((entry, where))
 
     def declare_pending(after: int):
-        for entry in pending.get(after, ()):
-            where = f"curve {entry.get('id')!r}:"
+        for entry, where in pending.get(after, ()):
             coords = tuple(
                 input_rational(x, f"{where} class coordinate")
                 for x in _input_list(entry["class"], f"{where} class")
@@ -658,7 +657,7 @@ def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
         for i, entry in enumerate(blowups):
             point = _input_name(entry.get("point"), f"blow-up {i + 1}: point", True)
             point_id = point or f"p{i + 1}"
-            where = f"blow-up {point_id!r}:"
+            where = f"blow-up {reprlib.repr(point_id)}:"
             incidences = []
             for pair in _input_list(entry.get("on", []), f"{where} on"):
                 if not isinstance(pair, (list, tuple)) or len(pair) != 2:

@@ -230,6 +230,14 @@ def test_analyze_reports_are_byte_identical(name):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, fmt
 
 
+def test_fixture_writer_reproduces_the_committed_files(tmp_path):
+    written = fixtures.write_fixtures(tmp_path)
+    assert sorted(p.name for p in written) == sorted(p.name for p in FIXTURES.glob("*.json"))
+    assert len(written) == 12
+    for path in written:
+        assert path.read_bytes() == (FIXTURES / path.name).read_bytes(), path.name
+
+
 # SHA-256 of the stdout of `classify`, `decompose`, `witness --method direct`
 # and `witness --method cone`, each with `--format json`, recorded when the
 # reports were rendered by json.dumps; None where the command exits 2 with

@@ -351,15 +351,58 @@ _MANY, _CUT_LIST = [0] * 100000, "[0, 0, 0, 0, 0, 0, ...]"
             _line_with_one_blow_up(blowup={"on": [_MANY]}),
             f"blow-up 'p1': incidence {_CUT_LIST} is not a [curve, multiplicity] pair",
         ),
+        # a long curve or point id is quoted cut short too
+        (
+            _line_with_one_blow_up(curves=[{"id": _LONG, "class": ["1"], "pa": 0}] * 2),
+            f"curve id {_CUT} already in catalog",
+        ),
+        (
+            _line_with_one_blow_up({"id": _LONG, "class": ["1/2"]}),
+            f"class of {_CUT}: coordinate h = 1/2 is not an integer",
+        ),
+        (
+            _line_with_one_blow_up({"id": _LONG, "after": 99}),
+            f"curve {_CUT}: after 99 is outside 0..1, the number of blow-ups",
+        ),
+        (
+            _line_with_one_blow_up(blowup={"on": [[_LONG, 1]]}),
+            f"blow-up references unknown curve {_CUT}",
+        ),
+        (
+            _line_with_one_blow_up(blowup={"point": _LONG, "on": "x"}),
+            f"blow-up {_CUT}: on 'x' is not a list",
+        ),
+        (_line_with_one_blow_up(base={"kind": _LONG}), f"unknown base kind {_CUT}"),
+        (
+            ("blowup", str(FIXTURES / "star.json"), "--at", _LONG),
+            f"no redundant point matches {_CUT} (known: generic point of 'l', mult 4/3; "
+            + "; ".join(f"shared point 'p{i}' of 'l' and 'e{i}', mult 2" for i in range(1, 6))
+            + "; shared point 'p6' of 'l' and 'e6', mult 5/3)",
+        ),
     ],
-    ids=["rational", "int", "name", "list", "list entry", "smooth", "incidence"],
+    ids=[
+        "rational", "int", "name", "list", "list entry", "smooth", "incidence",
+        "duplicate id", "class of id", "after of id", "unknown curve", "point id",
+        "base kind", "blowup at",
+    ],
 )
 def test_long_offending_value_is_named_cut_short(capsys, tmp_path, data, message):
-    path = tmp_path / "long_field.json"
-    path.write_text(json.dumps(data))
-    code, out, err = run(capsys, "analyze", str(path))
-    assert (code, out, err) == (2, "", f"input error: {path}: {message}\n")
+    if isinstance(data, dict):
+        path = tmp_path / "long_field.json"
+        path.write_text(json.dumps(data))
+        argv, message = ("analyze", str(path)), f"{path}: {message}"
+    else:
+        argv = data
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
     assert len(err.encode()) < 1024
+
+
+def test_missing_surface_file_exit_two(capsys, tmp_path):
+    path = tmp_path / "missing.json"
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot read {path}: ")
 
 
 def test_copy_of_negative_curve_exit_two(capsys, tmp_path):
@@ -530,6 +573,21 @@ def test_corpus_limits_exit_two(capsys, monkeypatch, argv, cap, message):
     monkeypatch.setenv("DELPEZZO_MAX_RANK", cap)
     code, out, err = run(capsys, "corpus", "--seed", "1", *argv)
     assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze", str(FIXTURES / "p2.json")), ("corpus", "--seed", "1", "--count", "1")],
+    ids=["analyze", "corpus"],
+)
+@pytest.mark.parametrize("raw,shown", [("abc", "'abc'"), (_LONG, _CUT)], ids=["short", "long"])
+def test_bad_max_rank_names_only_the_variable(capsys, monkeypatch, argv, raw, shown):
+    # the message is the variable's fault, not the surface file's
+    monkeypatch.setenv("DELPEZZO_MAX_RANK", raw)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (
+        2, "", f"input error: DELPEZZO_MAX_RANK={shown} is not an integer\n"
+    )
 
 
 def test_max_rank_env(capsys, monkeypatch):

@@ -34,7 +34,14 @@ from delpezzo.pairs import (
     _witness,
 )
 from delpezzo.singular import contract
-from delpezzo.surface import BlowUpRecord, blow_up, declare_curve, extend_to, from_description
+from delpezzo.surface import (
+    BlowUpRecord,
+    blow_up,
+    build_base,
+    declare_curve,
+    extend_to,
+    from_description,
+)
 from delpezzo.zariski import zariski_decompose
 from test_analysis import line_star
 
@@ -655,6 +662,20 @@ def test_class_verdicts_invariant_under_redundant_blow_up():
 
 
 # -- non-rational classification and Cox --------------------------------------
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (fixtures.projective_plane, "requires a ruled surface over a curve of genus >= 1"),
+        # -K = 2 c0 has square 0
+        (lambda: build_base("ruled", e=0, genus=1), "not a big anticanonical surface"),
+    ],
+    ids=["rational", "not big"],
+)
+def test_nonrational_classification_rejects(build, message):
+    report = classify_nonrational(build())
+    assert (report.ok, report.case, report.message) == (False, None, message)
+
 
 def test_elliptic_ruled_classifies_case_one():
     report = classify_nonrational(fixtures.elliptic_ruled(1))

@@ -50,8 +50,7 @@ RECORDS = [
     (
         "IntersectionMatrix",
         lambda: IntersectionMatrix(("a", "b"), ((Q(-2), Q(1)), (Q(1), Q(-2)))),
-        "IntersectionMatrix(curve_ids=('a', 'b'), entries=((Fraction(-2, 1), "
-        "Fraction(1, 1)), (Fraction(1, 1), Fraction(-2, 1))))",
+        "IntersectionMatrix(curve_ids=('a', 'b'), entries=((-2, 1), (1, -2)))",
     ),
     (
         "CurveRecord",

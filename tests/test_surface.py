@@ -133,6 +133,18 @@ def test_blow_up_node_multiplicity_two():
     assert loads(dumps(s)).curve("nodal").smooth
 
 
+def test_point_through_a_curve_and_its_exceptional_clears_their_shared_point():
+    s = build_base("P2")
+    s = declare_curve(s, "c", (3,), 1, smooth=False)
+    s = blow_up(s, BlowUpRecord("p1", incidences=(("c", 2),)))
+    assert s.incidence == {("c", "e1"): (("p1", 2, 1),)}
+    # the exceptional side has multiplicity 1, so the point is used up
+    s = blow_up(s, BlowUpRecord("p2", incidences=(("c", 1), ("e1", 1))))
+    assert s.shared_points("c", "e1") == ()
+    assert s.incidence == {("c", "e2"): (("p2", 1, 1),), ("e1", "e2"): (("p2", 1, 1),)}
+    assert s.curve("c").divisor_class.dot(s.curve("e1").divisor_class) == 1
+
+
 @pytest.mark.parametrize(
     "rec,message",
     [
