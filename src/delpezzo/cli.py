@@ -354,9 +354,19 @@ def cmd_blowup(args) -> int:
             target = p
             break
     if target is None:
-        known = "; ".join(p.describe() for p in points) or "none"
+        # ids cut short, and whole points listed while they fit in 700
+        # characters, so the message stays one line under 1 kB
+        known, room = [], 700
+        for p in points:
+            text = p._describe(reprlib.repr)
+            room -= len(text) + 2
+            if room < 0:
+                known.append(f"{len(points) - len(known)} more")
+                break
+            known.append(text)
         raise InvalidSurfaceData(
-            f"no redundant point matches {reprlib.repr(args.at)} (known: {known})"
+            f"no redundant point matches {reprlib.repr(args.at)} "
+            f"(known: {'; '.join(known) or 'none'})"
         )
     result = redundant_blow_up(s, target, z=analysis.decomposition)
     sys.stdout.write(dumps(result.model))

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from operator import mul
 
 from .errors import GeometryError
-from .lattice import Q, dual_numerators
+from .lattice import Q
 from .pairs import AnticanonicalAnalysis
 from .surface import BaseSurface, BlowUpRecord, SurfaceModel, _Stage
 
@@ -70,11 +69,8 @@ def _random_record(rng: random.Random, stage: _Stage, index: int) -> BlowUpRecor
         ids = list(curves)
         return BlowUpRecord(point, ((ids[rng.randrange(len(ids))], 1),))
     if mode < 7:
-        gram, rank, shared = stage.gram, len(stage.labels), []
-        for pair, entries in sorted(stage.incidence.items()):
-            dual = dual_numerators(gram, curves[pair[0]].nums, rank)
-            if sum(map(mul, dual, curves[pair[1]].nums)) >= 1:
-                shared += [pair] * len(entries)
+        # each entry holds one point, shared by two curves that meet
+        shared = sorted(stage.incidence)
         if not shared:
             return None
         pair = shared[rng.randrange(len(shared))]

@@ -339,14 +339,16 @@ class RedundantPoint(
     __slots__ = ()
 
     def describe(self) -> str:
+        return self._describe(repr)
+
+    def _describe(self, quote) -> str:
+        """``describe`` with each id quoted by ``quote``."""
+        mult = format_rational(self.multiplicity)
         if self.kind == "generic":
-            return (
-                f"generic point of {self.curve_ids[0]!r}, "
-                f"mult {format_rational(self.multiplicity)}"
-            )
+            return f"generic point of {quote(self.curve_ids[0])}, mult {mult}"
         return (
-            f"shared point {self.point_id!r} of {self.curve_ids[0]!r} and "
-            f"{self.curve_ids[1]!r}, mult {format_rational(self.multiplicity)}"
+            f"shared point {quote(self.point_id)} of {quote(self.curve_ids[0])} and "
+            f"{quote(self.curve_ids[1])}, mult {mult}"
         )
 
 

@@ -76,19 +76,20 @@ def _as_ids(s: SurfaceModel, curves) -> tuple[str, ...]:
 def connected_components(s: SurfaceModel, curve_ids) -> tuple[tuple[str, ...], ...]:
     """Components of the dual graph (edge iff intersection > 0)."""
     ids = _as_ids(s, curve_ids)
-    remaining = list(ids)
+    entries = s.gram_of(ids).entries
+    remaining = list(range(len(ids)))
     components = []
     while remaining:
         stack = [remaining.pop(0)]
         component = set(stack)
         while stack:
-            row = s.meets(stack.pop())
+            row = entries[stack.pop()]
             for other in list(remaining):
-                if row[s.position(other)] > 0:
+                if row[other] > 0:
                     remaining.remove(other)
                     component.add(other)
                     stack.append(other)
-        components.append(tuple(c for c in ids if c in component))
+        components.append(tuple(ids[i] for i in sorted(component)))
     return tuple(components)
 
 
@@ -200,12 +201,8 @@ def is_snc_configuration(s: SurfaceModel, curves) -> bool:
     ids = _as_ids(s, curves)
     if not all(s.curve(cid).smooth for cid in ids):
         return False
-    positions = [s.position(cid) for cid in ids]
-    for i in range(len(ids) - 1):
-        row = s.meets(ids[i])
-        if any(row[p] not in (0, 1) for p in positions[i + 1:]):
-            return False
-    return True
+    entries = s.gram_of(ids).entries
+    return all(v in (0, 1) for i, row in enumerate(entries) for v in row[i + 1:])
 
 
 def _dot_string(text: str) -> str:
@@ -234,12 +231,8 @@ class DualGraph(namedtuple("DualGraph", "nodes edges")):
 def dual_graph(s: SurfaceModel, curves) -> DualGraph:
     """Weighted dual graph of a curve set, nodes in catalog order."""
     ids = _as_ids(s, curves)
-    positions = [s.position(cid) for cid in ids]
     nodes, edges = [], []
-    for i, a in enumerate(ids):
-        row = s.meets(a)
-        nodes.append((a, row[positions[i]], s.curve(a).p_a))
-        for b, p in zip(ids[i + 1:], positions[i + 1:]):
-            if row[p] > 0:
-                edges.append((a, b, row[p]))
+    for i, (a, row) in enumerate(zip(ids, s.gram_of(ids).entries)):
+        nodes.append((a, row[i], s.curve(a).p_a))
+        edges.extend((a, b, w) for b, w in zip(ids[i + 1:], row[i + 1:]) if w > 0)
     return DualGraph(tuple(nodes), tuple(edges))

@@ -141,8 +141,8 @@ class SurfaceModel(Frozen):
 
     Every catalog class is integral, so the model keeps an integer
     intersection table: ``meets`` fills a curve's row on first request,
-    ``degrees`` remembers the last class it scanned, and ``gram_of`` the
-    last Gram matrix it built, whose one elimination comes with it.  A row
+    ``degrees`` remembers the last class it scanned, and ``gram_of`` keeps
+    one matrix per curve set, whose one elimination comes with it.  A row
     or scan pairs one class with the catalog through the class's dual
     vector, read at each catalog class's nonzero coordinates; those are
     kept too, from the first row or scan on.  Every fill is idempotent, so
@@ -151,7 +151,7 @@ class SurfaceModel(Frozen):
 
     __slots__ = (
         "base", "blowups", "catalog", "canonical", "lattice", "incidence", "declarations",
-        "_curves_by_id", "_positions", "_meets", "_last_degrees", "_last_gram",
+        "_curves_by_id", "_positions", "_meets", "_last_degrees", "_grams",
         "_sparse",
     )
 
@@ -177,7 +177,7 @@ class SurfaceModel(Frozen):
         set_field(self, "_positions", {r.curve_id: i for i, r in enumerate(catalog)})
         set_field(self, "_meets", {})
         set_field(self, "_last_degrees", None)
-        set_field(self, "_last_gram", None)
+        set_field(self, "_grams", {})
         set_field(self, "_sparse", None)
 
     def __repr__(self):
@@ -265,16 +265,16 @@ class SurfaceModel(Frozen):
         ])
 
     def gram_of(self, curve_ids) -> IntersectionMatrix:
-        """The Gram matrix of the given ids, in their order.  Only the last
-        matrix built is remembered: asking again for the same ids returns
-        the same object, so its elimination runs once."""
-        ids, last = tuple(curve_ids), self._last_gram
-        if last is not None and last.curve_ids == ids:
-            return last
-        rows = [self.meets(c) for c in ids]
-        positions = [self._positions[c] for c in ids]
-        matrix = IntersectionMatrix(ids, tuple(tuple(row[p] for p in positions) for row in rows))
-        object.__setattr__(self, "_last_gram", matrix)
+        """The Gram matrix of the given ids, in their order.  One matrix is
+        kept per curve set: asking again for the same ids returns the same
+        object, so its elimination runs once."""
+        ids = tuple(curve_ids)
+        matrix = self._grams.get(ids)
+        if matrix is None:
+            positions = [self.position(c) for c in ids]
+            matrix = self._grams[ids] = IntersectionMatrix(
+                ids, tuple(tuple(row[p] for p in positions) for row in map(self.meets, ids))
+            )
         return matrix
 
     def class_of(self, components) -> DivisorClass:

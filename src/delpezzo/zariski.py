@@ -56,10 +56,8 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
     support: list[str] = []
     # N = (sum y_i C_i) / (y_den * den); the first round's support is empty
     ys, y_den, n_degrees = [], 1, [0] * len(d_degrees)
-    rounds = 0
     while True:
-        rounds += 1
-        if len(support) >= s.rank or rounds > s.rank + 1:
+        if len(support) >= s.rank:
             raise CatalogInsufficient(
                 "catalog insufficient or divisor not pseudo-effective"
             )

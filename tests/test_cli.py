@@ -398,6 +398,38 @@ def test_long_offending_value_is_named_cut_short(capsys, tmp_path, data, message
     assert len(err.encode()) < 1024
 
 
+def _renamed(value, names):
+    """A JSON value with every string in ``names`` replaced by its image."""
+    if isinstance(value, dict):
+        return {k: _renamed(v, names) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_renamed(v, names) for v in value]
+    return names.get(value, value) if isinstance(value, str) else value
+
+
+def test_blowup_lists_known_points_with_ids_cut_short(capsys, tmp_path):
+    # a long curve id is quoted cut short in every listed point
+    star = json.loads((FIXTURES / "star.json").read_text(encoding="utf-8"))
+    path = tmp_path / "long_line.json"
+    path.write_text(json.dumps(_renamed(star, {"l": _LONG})))
+    code, out, err = run(capsys, "blowup", str(path), "--at", "nope")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"input error: no redundant point matches 'nope' (known: generic point of {_CUT}, "
+        "mult 4/3; "
+        + "; ".join(f"shared point 'p{i}' of {_CUT} and 'e{i}', mult 2" for i in range(1, 6))
+        + f"; shared point 'p6' of {_CUT} and 'e6', mult 5/3)\n"
+    )
+    # with every id long, the points that do not fit are counted, not listed
+    names = {f"{kind}{i}": f"{kind}{i}" * 50000 for kind in "pe" for i in range(1, 7)}
+    names["l"] = _LONG
+    path.write_text(json.dumps(_renamed(star, names)))
+    code, out, err = run(capsys, "blowup", str(path), "--at", "nope")
+    assert (code, out) == (2, "")
+    assert "\n" not in err[:-1] and len(err.encode()) < 1024
+    assert err.endswith(" more)\n") and err.count("shared point") < 6
+
+
 def test_missing_surface_file_exit_two(capsys, tmp_path):
     path = tmp_path / "missing.json"
     code, out, err = run(capsys, "analyze", str(path))

@@ -36,6 +36,7 @@ from delpezzo.pairs import (
 from delpezzo.singular import contract
 from delpezzo.surface import (
     BlowUpRecord,
+    SurfaceModel,
     blow_up,
     build_base,
     declare_curve,
@@ -663,14 +664,95 @@ def test_class_verdicts_invariant_under_redundant_blow_up():
 
 # -- non-rational classification and Cox --------------------------------------
 
+def _rebuilt(s, catalog=None, canonical=None):
+    """A model with the fields of ``s``, its catalog or canonical class
+    swapped for one that no surface file can declare."""
+    return SurfaceModel(
+        s.base, s.blowups, catalog or s.catalog, canonical or s.canonical, s.lattice,
+        s.incidence, s.declarations,
+    )
+
+
+def _relabelled(s, **flags):
+    """``s`` with the named catalog records' p_a or smooth flag replaced."""
+    return _rebuilt(s, tuple(r._replace(**flags.get(r.curve_id, {})) for r in s.catalog))
+
+
+def _through_section_and_fibre(*records):
+    """The elliptic ruled surface with e = 1 blown up at the point where c0
+    meets f, then at the given records."""
+    s = blow_up(fixtures.elliptic_ruled(1), BlowUpRecord("p1", (("c0", 1), ("f", 1))))
+    for rec in records:
+        s = blow_up(s, rec)
+    return s
+
+
+def _minus_section():
+    # a (-1)-curve of class -c0 meets c0 once: blowing it down leaves c0
+    # with square 0, which the Hodge index theorem rules out in Null(P)
+    s = fixtures.elliptic_ruled(1)
+    c0 = s.curve("c0")
+    x = c0._replace(curve_id="x", divisor_class=-c0.divisor_class, p_a=0)
+    return _rebuilt(s, s.catalog + (x,))
+
+
+def _doubled_canonical():
+    # with K doubled, N = 2 c0
+    s = fixtures.elliptic_ruled(1)
+    return _rebuilt(s, canonical=s.canonical + s.canonical)
+
+
 @pytest.mark.parametrize(
     "build,message",
     [
         (fixtures.projective_plane, "requires a ruled surface over a curve of genus >= 1"),
         # -K = 2 c0 has square 0
         (lambda: build_base("ruled", e=0, genus=1), "not a big anticanonical surface"),
+        # c0 said rational is blown down
+        (
+            lambda: _relabelled(fixtures.elliptic_ruled(1), c0={"p_a": 0}),
+            "inconsistent with the classification: expected exactly one genus-one "
+            "section on the minimal resolution, found 0",
+        ),
+        (
+            lambda: _relabelled(fixtures.elliptic_ruled(1), c0={"smooth": False}),
+            "the genus-one curve is not smooth; it cannot be contracted to a simple "
+            "elliptic point",
+        ),
+        (
+            _minus_section,
+            "the genus-one section has non-negative self-intersection on the minimal "
+            "resolution",
+        ),
+        # e1 becomes a (-3)-curve
+        (
+            lambda: _through_section_and_fibre(
+                BlowUpRecord("p2", (("e1", 1),)), BlowUpRecord("p3", (("e1", 1), ("f", 1)))
+            ),
+            "exceptional curve 'e1' is not a (-2)-curve on the minimal resolution",
+        ),
+        # e1 becomes a (-2)-curve through a point of c0
+        (
+            lambda: _through_section_and_fibre(BlowUpRecord("p2", (("e1", 1),))),
+            "(-2)-curve 'e1' meets the elliptic section; inconsistent with the "
+            "classification",
+        ),
+        # f said elliptic and c0 rational: the section f is not in N, c0 is
+        (
+            lambda: _relabelled(
+                _through_section_and_fibre(BlowUpRecord("p2", (("e1", 1), ("f", 1)))),
+                c0={"p_a": 0, "smooth": False},
+                f={"p_a": 1},
+            ),
+            "negative part is not the strict transform of the section alone",
+        ),
+        (_doubled_canonical, "section coefficient in the negative part is not 1"),
     ],
-    ids=["rational", "not big"],
+    ids=[
+        "rational", "not big", "no genus-one section", "singular section",
+        "section not negative", "not a (-2)-curve", "meets the section",
+        "negative part", "section coefficient",
+    ],
 )
 def test_nonrational_classification_rejects(build, message):
     report = classify_nonrational(build())
@@ -805,6 +887,29 @@ def test_weak_validator_demands_snc():
     for validate in (validate_klt_del_pezzo, validate_weak_lc_del_pezzo):
         ok, why = validate(s, flagged)
         assert not ok and "snc" in why
+
+
+@pytest.mark.parametrize(
+    "name,components,klt,weak",
+    [
+        # c0 at 1 on F2: -(K + c0) = c0 + 4f is ample, but the floor is c0
+        ("f2", (("c0", 1),), "boundary has a coefficient >= 1", "validated"),
+        # -K.c0 = 0 on F2 and -1 on F3
+        ("f2", (), "-(K + boundary) is not ample on the catalog", "validated"),
+        (
+            "f3",
+            (),
+            "-(K + boundary) is not ample on the catalog",
+            "-(K + boundary) is not nef on the catalog",
+        ),
+    ],
+    ids=["floor", "not ample", "not nef"],
+)
+def test_validator_failure_reasons(name, components, klt, weak):
+    s = fixtures.FIXTURES[name]()
+    boundary = make_boundary(s, components)
+    assert validate_klt_del_pezzo(s, boundary) == (klt == "validated", klt)
+    assert validate_weak_lc_del_pezzo(s, boundary) == (weak == "validated", weak)
 
 
 @pytest.mark.parametrize(

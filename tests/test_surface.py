@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from delpezzo import corpus, fixtures
+from delpezzo import corpus, fixtures, lattice
 from delpezzo.errors import IncompatibleSurfaces, InvalidSurfaceData
 from delpezzo.lattice import DivisorClass, PicardLattice, format_rational
 from delpezzo.singular import is_snc_configuration
@@ -663,8 +663,8 @@ def test_intersection_table_matches_dense_oracle():
         order = list(reversed(range(len(ids))))
         matrix = s.gram_of(ids[k] for k in order)
         assert matrix.entries == tuple(tuple(expected[i][j] for j in order) for i in order)
-        # the one remembered matrix is replaced as the asked ids change: the
-        # same ids give the same object back, other ids their own entries
+        # one matrix is kept per curve set: the same ids give the same
+        # object back, other ids their own entries
         assert s.gram_of(ids[k] for k in order) is matrix
         for k, cid in enumerate(ids):
             assert s.gram_of((cid,)).entries == ((expected[k][k],),)
@@ -685,7 +685,7 @@ def test_intersection_table_matches_dense_oracle():
 def test_remembered_gram_matrix_survives_concurrent_readers():
     # more threads than cores, each asking one model for its own curve set,
     # with a short switch interval: every reader gets its own set's matrix,
-    # whichever matrix another thread left remembered
+    # whatever matrices the other threads are adding
     s = from_description(line_star(6, 4, 2))
     ids = s.curve_ids()
     wanted = [ids[k:k + 2] for k in range(0, len(ids), 2)]
@@ -711,6 +711,24 @@ def test_remembered_gram_matrix_survives_concurrent_readers():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+def test_gram_matrix_is_kept_per_curve_set(monkeypatch):
+    # asking for A, then B, then A again gives A's first matrix back, and
+    # its elimination is not run again
+    eliminated = []
+    bareiss = lattice._bareiss
+    monkeypatch.setattr(lattice, "_bareiss", lambda e: eliminated.append(len(e)) or bareiss(e))
+    s = fixtures.negative_star()
+    ids = s.curve_ids()
+    a, b = ids[:2], ids[1:]
+    first = s.gram_of(a)
+    lattice.is_negative_definite(first)
+    lattice.is_negative_definite(s.gram_of(b))
+    again = s.gram_of(a)
+    assert again is first
+    lattice.is_negative_definite(again)
+    assert eliminated == [len(a), len(b)]
 
 
 def test_degrees_refuse_a_class_of_another_surface():

@@ -4,7 +4,7 @@ Run from the root of a checkout:
 
     python3 tools/same_outputs.py --parent HEAD~1
 
-It runs 268 command lines in-process through ``delpezzo.cli.main``:
+It runs 271 command lines in-process through ``delpezzo.cli.main``:
 
 * ``analyze`` and ``classify`` with ``--format`` text, json and dot,
   ``decompose`` with text and json, and ``witness --method direct`` and
@@ -16,7 +16,9 @@ It runs 268 command lines in-process through ``delpezzo.cli.main``:
   supports that fail with exit 2;
 * ``blowup --at`` at each of the 11 redundant points of the fixtures, and
   at a point of ``star`` that is not one, which exits 2;
-* ``corpus --seed s --count 200`` for s = 1 .. 10.
+* ``corpus --seed s --count 200`` for s = 1 .. 10, at the default rank
+  cap of 12, and ``corpus --seed s --count 50 --max-rank 40`` for
+  s = 1 .. 3.
 
 Each side runs the whole list in one child process: the parent commit from a
 ``git archive`` copy in a temporary directory, the change from the working
@@ -40,6 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 LINE_STARS = ((6, 4, 2), (10, 5, 1), (36, 2, 2), (56, 2, 3), (20, 10, 2), (30, 16, 2), (10, 6, 3))
 CORPUS_SEEDS = range(1, 11)
 CORPUS_COUNT = 200
+# (seeds, count, max rank) of the draws above the default rank cap
+WIDE_CORPUS = (range(1, 4), 50, 40)
 DIVISOR_FIXTURES = ("f2", "f3", "cubic10", "star", "pair", "dp3")
 DIVISORS = (("1/2", "-1/3"), ("7/3", "-2/5"), ("3", "-1"))  # (first, every other)
 # every redundant point of the fixtures, by curve (generic) or point (shared)
@@ -98,6 +102,11 @@ def command_lines(inputs: list[Path]) -> list[list[str]]:
         for name, at in BLOWUP_POINTS
     ]
     argvs += [["corpus", "--seed", str(s), "--count", str(CORPUS_COUNT)] for s in CORPUS_SEEDS]
+    seeds, count, max_rank = WIDE_CORPUS
+    argvs += [
+        ["corpus", "--seed", str(s), "--count", str(count), "--max-rank", str(max_rank)]
+        for s in seeds
+    ]
     return argvs
 
 
