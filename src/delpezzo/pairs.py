@@ -481,10 +481,10 @@ def _classify_nonrational(
             "be a smooth elliptic curve (genus 1)"
         )
     try:
-        z = analysis.decomposition
+        big = analysis.big
     except CatalogInsufficient as exc:
         return reject(str(exc))
-    if not analysis.big:
+    if not big:
         return reject("not a big anticanonical surface")
     null_ids = analysis.null
     factorization, survivors, dot, p_a, smooth = _blow_down_simulation(s, null_ids)
@@ -502,12 +502,6 @@ def _classify_nonrational(
             "simple elliptic point",
             factorization=factorization,
         )
-    if dot[section][section] >= 0:
-        return reject(
-            "the genus-one section has non-negative self-intersection on the "
-            "minimal resolution",
-            factorization=factorization,
-        )
     others = [cid for cid in survivors if cid != section]
     for cid in others:
         if p_a[cid] != 0 or dot[cid][cid] != -2:
@@ -522,17 +516,11 @@ def _classify_nonrational(
                 "with the classification",
                 factorization=factorization,
             )
+    # Null(P)'s classes are independent (every declared curve meets an ample
+    # class of the base), so by Hodge index the section's reduced square is
+    # negative; adjunction then gives N = pi^*S - sum F_j over the blown-down
+    # curves, and N >= 0 forces N = S with coefficient 1
     chains = connected_components(s, others) if others else ()
-    if any(cid != section for cid, _ in z.negative):
-        return reject(
-            "negative part is not the strict transform of the section alone",
-            chains,
-            factorization,
-        )
-    if z.coefficient(section) != 1:
-        return reject(
-            "section coefficient in the negative part is not 1", chains, factorization
-        )
     case = 1 if section in (null_ids if contracted_ids is None else contracted_ids) else 2
     message = (
         "one simple elliptic point"
@@ -607,17 +595,20 @@ def certify_class_equalities(s: SurfaceModel) -> CertifyReport:
     validated witness).  The snc-boundary, log-resolution and
     minimal-resolution members are the decider's bit: its witness is
     already a validated snc boundary on this surface, so the identity map
-    is its log resolution.  Beside the quintets it checks that each
-    N-coefficient is minus its discrepancy, and that a non-rational weak lc
-    surface with -K big passes the non-rational shape check.  Any
-    disagreement is reported, never reconciled.
+    is its log resolution.  Beside the quintets it checks that a
+    non-rational weak lc surface with -K big passes the non-rational shape
+    check.  Any disagreement is reported, never reconciled.
 
-    The coefficient criteria are not compared with the deciders: a decider
-    is a member only if its criterion holds and its witness validates.  If
-    the criterion holds and the witness fails, the identity puts every
-    model discrepancy in (-1, 0] (klt) or [-1, 0] (weak), so the model
-    member is True and the quintet line reports the disagreement, unless a
-    failed contraction or a broken identity has reported its own line.
+    Each N-coefficient is the negative of its discrepancy, and a model curve
+    outside N has discrepancy 0, by exact algebra rather than by a check:
+    P.E = 0 on the model set, so N's coefficients x solve M x = -K.E, and
+    ``contract`` solves M a = K.E after finding M negative definite, so
+    x = -a.  Nor are the coefficient criteria compared with the deciders:
+    a decider is a member only if its criterion holds and its witness
+    validates.  If the criterion holds and the witness fails, the identity
+    puts every model discrepancy in (-1, 0] (klt) or [-1, 0] (weak), so the
+    model member is True and the quintet line reports the disagreement,
+    unless a failed contraction has reported its own line.
     """
     return AnticanonicalAnalysis(s).certify
 
@@ -769,9 +760,9 @@ class AnticanonicalAnalysis:
     @_field
     def certify(self) -> CertifyReport:
         """The two theorem quintets, each the model route against the decider,
-        and the checks that can tell the routes apart."""
+        and the non-rational shape check."""
         try:
-            z = self.decomposition
+            self.decomposition
         except CatalogInsufficient as exc:
             empty_klt = tuple((name, False) for name in KLT_CLASSES)
             empty_weak = tuple((name, False) for name in WEAK_CLASSES)
@@ -784,22 +775,6 @@ class AnticanonicalAnalysis:
             model = self.model
         except GeometryError as exc:
             model_error = str(exc)
-
-        if model is not None:
-            # independent identity: N-coefficients are minus the discrepancies
-            discs = dict(model.discrepancies)
-            for cid, coeff in z.negative:
-                if cid in discs and discs[cid] != -coeff:
-                    failures.append(
-                        f"negative-part coefficient of {cid!r} does not equal minus "
-                        "its discrepancy"
-                    )
-            n_support = dict(z.negative)
-            for cid in self.model_set:
-                if cid not in n_support and discs.get(cid, Q(0)) != 0:
-                    failures.append(
-                        f"curve {cid!r} has nonzero discrepancy but zero N-coefficient"
-                    )
 
         # the model route against the decider; the other three members of
         # each quintet are the decider's bit (see certify_class_equalities)

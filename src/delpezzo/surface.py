@@ -393,6 +393,24 @@ class _Stage:
                     f"{reprlib.repr(curve_id)} would meet {reprlib.repr(other_id)} negatively; "
                     "two distinct curves cannot do that"
                 )
+        # a curve the blow-downs do not contract maps onto a curve of the
+        # base, so it meets the pullback of an ample class positively; the
+        # contracted ones are the catalog's exceptional curves
+        if self.base.kind == "P2":
+            ample, degree = "h", dual[0]
+        else:
+            ample, degree = "c0 + (|e|+1)f", dual[0] + (abs(self.base.e) + 1) * dual[1]
+        if degree <= 0:
+            raise InvalidSurfaceData(
+                f"{reprlib.repr(curve_id)} has degree <= 0 on the ample class {ample} of "
+                "the base; every curve but the catalog's exceptional ones has positive degree"
+            )
+        # an integral curve of arithmetic genus 0 is smooth rational
+        if p_a == 0 and not smooth:
+            raise InvalidSurfaceData(
+                f"{reprlib.repr(curve_id)} has arithmetic genus 0, so it is smooth; "
+                "it cannot be declared not smooth"
+            )
         curves[curve_id] = _Curve(len(curves), nums, p_a, smooth, "declared-base-curve")
         self.declarations.append(_CurveDecl(curve_id, coords, p_a, smooth, len(self.blowups)))
 

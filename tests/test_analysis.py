@@ -420,18 +420,6 @@ def test_worse_model_tag_exits_three(monkeypatch):
     )
 
 
-def test_wrong_model_discrepancy_exits_three(monkeypatch):
-    def shifted(data):
-        (cid, a), *rest = data.discrepancies
-        return data._replace(discrepancies=((cid, a + 1), *rest))
-
-    plant_in_model(monkeypatch, shifted)
-    assert analyze_failures("f3") == (
-        3,
-        ["negative-part coefficient of 'c0' does not equal minus its discrepancy"],
-    )
-
-
 def test_failed_klt_witness_exits_three(monkeypatch):
     def insufficient(s, via_cone, z=None):
         raise CatalogInsufficient("catalog insufficient: planted")

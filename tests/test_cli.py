@@ -15,7 +15,7 @@ from delpezzo import cli
 from delpezzo.cli import main
 from delpezzo.errors import InvalidSurfaceData
 from delpezzo.lattice import DivisorClass, PicardLattice, format_rational
-from delpezzo.surface import loads
+from delpezzo.surface import declare_curve, from_description, loads
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -396,6 +396,60 @@ def test_long_offending_value_is_named_cut_short(capsys, tmp_path, data, message
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"input error: {message}\n")
     assert len(err.encode()) < 1024
+
+
+_DEGREE = (
+    "has degree <= 0 on the ample class {} of the base; every curve but the "
+    "catalog's exceptional ones has positive degree"
+)
+
+
+@pytest.mark.parametrize(
+    "data,declared,message",
+    [
+        # class 0 meets every curve in 0, and adjunction gives p_a = 1
+        (
+            {"base": {"kind": "P2"}, "curves": [{"id": _LONG, "class": ["0"], "pa": 1}]},
+            ((0,), 1, True),
+            f"{_CUT} {_DEGREE.format('h')}",
+        ),
+        (
+            {"base": {"kind": "hirzebruch", "e": 3},
+             "curves": [{"id": _LONG, "class": ["0", "0"], "pa": 1}]},
+            ((0, 0), 1, True),
+            f"{_CUT} {_DEGREE.format('c0 + (|e|+1)f')}",
+        ),
+        # minus the exceptional curve meets it in 1
+        (
+            {"base": {"kind": "P2"}, "blowups": [{"point": "p1"}],
+             "curves": [{"id": _LONG, "class": ["0", "-1"], "pa": 1, "after": 1}]},
+            ((0, -1), 1, True),
+            f"{_CUT} {_DEGREE.format('h')}",
+        ),
+        # a line said singular, through 4 blown-up points
+        (
+            {"base": {"kind": "P2"},
+             "curves": [{"id": _LONG, "class": ["1"], "pa": 0, "smooth": False}],
+             "blowups": [{"on": [[_LONG, 1]]}] * 4},
+            ((1,), 0, False),
+            f"{_CUT} has arithmetic genus 0, so it is smooth; it cannot be declared "
+            "not smooth",
+        ),
+    ],
+    ids=["class 0", "class 0 on F3", "minus e1", "singular line"],
+)
+def test_class_no_curve_has_exit_two(capsys, tmp_path, data, declared, message):
+    path = tmp_path / "no_curve.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out, err) == (2, "", f"input error: {path}: {message}\n")
+    assert len(err.encode()) < 1024
+    # the same curve declared through the library, on the surface it joins
+    after = data["curves"][0].get("after", 0)
+    s = from_description({**data, "curves": [], "blowups": data.get("blowups", [])[:after]})
+    with pytest.raises(InvalidSurfaceData) as info:
+        declare_curve(s, _LONG, *declared)
+    assert str(info.value) == message
 
 
 def _renamed(value, names):

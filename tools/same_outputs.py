@@ -110,6 +110,20 @@ def command_lines(inputs: list[Path]) -> list[list[str]]:
     return argvs
 
 
+def write_inputs(tmp: Path) -> list[Path]:
+    """The committed fixtures, then the ``line_star`` inputs written as
+    files into ``tmp``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import line_star
+
+    inputs = sorted((ROOT / "fixtures").glob("*.json"))
+    for n, arms, length in LINE_STARS:
+        path = tmp / f"line_star_{n}_{arms}_{length}.json"
+        path.write_text(json.dumps(line_star(n, arms, length)), encoding="utf-8")
+        inputs.append(path)
+    return inputs
+
+
 def run_side(src: Path, argvs: list[list[str]]) -> list[list]:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
@@ -138,9 +152,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import line_star
-
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         tmp = Path(tmp)
         archive = subprocess.run(
@@ -151,12 +162,7 @@ def main(argv=None) -> int:
         ).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "parent", filter="data")
-        inputs = sorted((ROOT / "fixtures").glob("*.json"))
-        for n, arms, length in LINE_STARS:
-            path = tmp / f"line_star_{n}_{arms}_{length}.json"
-            path.write_text(json.dumps(line_star(n, arms, length)), encoding="utf-8")
-            inputs.append(path)
-        argvs = command_lines(inputs)
+        argvs = command_lines(write_inputs(tmp))
         parent = run_side(tmp / "parent" / "src", argvs)
         change = run_side(ROOT / "src", argvs)
 
