@@ -9,7 +9,8 @@ denominator, in lowest terms.  Catalog curves and K are integral, so class
 arithmetic runs on Python ints, and a pairing is one integer dot product
 with the first class's dual vector, divided once by the two denominators.
 Results leave this module as `fractions.Fraction`, apart from the integer
-solve the Zariski rounds read; no floating point enters anywhere.
+solve that the Zariski rounds, the contraction and the witness read; no
+floating point enters anywhere.
 
 Two curves on these smooth surfaces meet in an integer, so an intersection
 matrix holds ints.  Both questions asked of one -- is it negative definite,

@@ -19,6 +19,7 @@ per surface and every decider reads it from there.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import mul
 
 from .errors import (
     CatalogInsufficient,
@@ -27,7 +28,7 @@ from .errors import (
     PreconditionFailure,
     RedundancyViolation,
 )
-from .lattice import Q, format_rational, solve_linear
+from .lattice import Q, _solve_integers, format_rational
 from .singular import (
     KLT_TAGS,
     LC_TAGS,
@@ -85,7 +86,7 @@ class BoundaryDivisor(namedtuple("BoundaryDivisor", "components floor_is_zero sn
 def make_boundary(s: SurfaceModel, components) -> BoundaryDivisor:
     pairs = _as_boundary(s, components)
     snc = is_snc_configuration(s, [cid for cid, _ in pairs])
-    return BoundaryDivisor(pairs, all(c < 1 for _, c in pairs), snc)
+    return BoundaryDivisor(pairs, all(c.numerator < c.denominator for _, c in pairs), snc)
 
 
 # multipliers: the class L on Null(P), as (curve_id, coefficient) pairs
@@ -144,22 +145,29 @@ def _weak_checks(s: SurfaceModel, read: BoundaryDivisor) -> tuple[bool, str]:
 # witness construction
 
 def _interior_multipliers(
-    s: SurfaceModel, null_ids: tuple[str, ...], rhs: list[Q]
-) -> tuple[tuple[str, Q], ...]:
-    matrix = s.gram_of(null_ids)
-    solved = solve_linear(matrix, rhs)
-    if any(x <= 0 for x in solved):
+    s: SurfaceModel, null_ids: tuple[str, ...], rhs: list[int]
+) -> tuple[list[int], int]:
+    """The solution of L.C_i = rhs_i on Null(P), as integer numerators over
+    one positive denominator; every one must be positive."""
+    ys, y_den = _solve_integers(s.gram_of(null_ids), rhs)
+    if any(y <= 0 for y in ys):
         raise CatalogInsufficient(
             "catalog insufficient: interior class on Null(P) is not effective"
         )
-    return tuple(zip(null_ids, solved))
+    return ys, y_den
 
 
 def _witness(s: SurfaceModel, via_cone: bool, z=None) -> tuple[BoundaryDivisor, WitnessParams]:
-    """The klt witness N + eps*L; ``z`` is -K = P + N if the caller has it."""
+    """The klt witness N + eps*L; ``z`` is -K = P + N if the caller has it.
+
+    L's class is never built.  L lives on Null(P), so P.L = 0, and
+    L.C_i = rhs_i on each Null(P) curve by the solve, so the square guard
+    reads (P - eps*L)^2 = P^2 + eps^2 * sum l_i rhs_i, with P^2 read once;
+    eps's degree bound reads L's degrees off the table rows."""
     if z is None:
         z = zariski_decompose(s, s.anticanonical)
-    if z.positive_square <= 0:
+    p_square = z.positive_square
+    if p_square <= 0:
         raise PreconditionFailure("not a big anticanonical surface")
     if z.max_coefficient >= 1:
         raise PreconditionFailure(
@@ -186,23 +194,23 @@ def _witness(s: SurfaceModel, via_cone: bool, z=None) -> tuple[BoundaryDivisor, 
         rhs = []
         for cid in null_ids:
             meets = sum(1 for out, v in zip(outside, s.meets(cid)) if out and v > 0)
-            rhs.append(Q(-(1 + meets)))
+            rhs.append(-(1 + meets))
     else:
-        rhs = [Q(-1)] * len(null_ids)
-    multipliers = _interior_multipliers(s, null_ids, rhs)
-    l_class = s.class_of(multipliers)
+        rhs = [-1] * len(null_ids)
+    ys, y_den = _interior_multipliers(s, null_ids, rhs)
+    multipliers = tuple((cid, Q(y, y_den)) for cid, y in zip(null_ids, ys))
 
     max_n = z.max_coefficient
-    max_l = max(c for _, c in multipliers)
-    epsilon = (1 - max_n) / (2 * max_l)
+    epsilon = (1 - max_n) * y_den / (2 * max(ys))
     # Null(P) is where P has degree zero, so only other curves give a bound
     p_degrees, p_den = s.degrees(z.positive), z.positive.den
-    l_degrees, l_den = combination_degrees(s, multipliers)
+    l_degrees, _ = combination_degrees(s, zip(null_ids, ys))
     for p_degree, l_degree in zip(p_degrees, l_degrees):
         if p_degree > 0 and l_degree > 0:
-            epsilon = min(epsilon, Q(p_degree * l_den, 2 * l_degree * p_den))
+            epsilon = min(epsilon, Q(p_degree * y_den, 2 * l_degree * p_den))
     # the formula controls degrees; the square needs its own guard
-    while (z.positive - l_class.scale(epsilon)).square <= 0:
+    l_square = Q(sum(map(mul, ys, rhs)), y_den)
+    while p_square + epsilon * epsilon * l_square <= 0:
         epsilon /= 2
 
     merged: dict[str, Q] = {cid: coeff for cid, coeff in z.negative}

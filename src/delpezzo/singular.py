@@ -28,9 +28,10 @@ InvalidSurfaceData; zero terms are then dropped.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import mul
 
 from .errors import InvalidSurfaceData, NotContractible
-from .lattice import Q, format_rational, is_negative_definite, solve_linear
+from .lattice import Q, _solve_integers, format_rational, is_negative_definite
 from .surface import SurfaceModel, input_rational
 
 KLT_TAGS = frozenset({"Smooth", "DuVal", "KltNonCanonical"})
@@ -134,7 +135,7 @@ def _as_boundary(s: SurfaceModel, boundary, contracted=()) -> tuple[tuple[str, Q
         q = input_rational(coeff, "boundary coefficient")
         if not s.has_curve(cid):
             raise InvalidSurfaceData(f"boundary curve {cid!r} not in catalog")
-        if q < 0 or q > 1:
+        if q.numerator < 0 or q.numerator > q.denominator:
             raise InvalidSurfaceData(f"boundary coefficient {format_rational(q)} outside [0, 1]")
         if cid in terms:
             raise InvalidSurfaceData(f"boundary curve {cid!r} listed twice")
@@ -145,33 +146,43 @@ def _as_boundary(s: SurfaceModel, boundary, contracted=()) -> tuple[tuple[str, Q
 
 
 def _solve(s: SurfaceModel, curves, boundary):
-    """The catalog-ordered ids of ``curves``, their Gram matrix M, and the
-    solution a of  M a = ((K + boundary) . E_i).  The boundary is read
+    """The catalog-ordered ids of ``curves``, their Gram matrix M, the
+    numerators of (K + boundary) . E_i over the denominator of
+    K + boundary, and the solution a of  M a = ((K + boundary) . E_i)  as
+    integer numerators over one positive denominator.  The right-hand side
+    is read off the scan of -(K + boundary), which is the scan of -K that
+    the decomposition made when there is no boundary.  The boundary is read
     first, so an empty set still rejects a malformed boundary."""
     ids = _as_ids(s, curves)
     boundary = _as_boundary(s, boundary, ids)
     matrix = s.gram_of(ids)
     if not is_negative_definite(matrix):
         raise NotContractible("not contractible")
-    log_canonical = s.canonical + s.class_of(boundary) if boundary else s.canonical
-    rhs = [log_canonical.dot(s.curve(cid).divisor_class) for cid in ids]
-    return ids, matrix, solve_linear(matrix, rhs)
+    target = s.anticanonical - s.class_of(boundary) if boundary else s.anticanonical
+    degrees = s.degrees(target)
+    rhs = [-degrees[s.position(cid)] for cid in ids]
+    nums, den = _solve_integers(matrix, rhs)
+    return ids, matrix, rhs, nums, den * target.den
 
 
 def contract(s: SurfaceModel, curves) -> ContractionData:
-    """Contract a negative-definite catalog curve set; solve discrepancies."""
-    ids, matrix, solved = _solve(s, curves, ())
+    """Contract a negative-definite catalog curve set; solve discrepancies.
+
+    K_Y^2 is read off the solve, not squared from a class: M a = K.E gives
+    (K - sum a_i E_i)^2 = K^2 - sum a_i (K.E_i), and K is integral, so the
+    right-hand side is the integers K.E_i."""
+    ids, matrix, rhs, nums, den = _solve(s, curves, ())
+    solved = tuple(Q(v, den) for v in nums)
     discs = dict(zip(ids, solved))
     components = connected_components(s, ids)
     verdicts = tuple(_classify(s, comp, discs) for comp in components)
-    pulled_back_canonical = s.canonical - s.class_of(discs.items())
     return ContractionData(
         exceptional=ids,
         matrix=matrix,
         discrepancies=tuple(zip(ids, solved)),
         components=components,
         verdicts=verdicts,
-        contracted_canonical_square=pulled_back_canonical.square,
+        contracted_canonical_square=s.canonical.square - Q(sum(map(mul, nums, rhs)), den),
     )
 
 
@@ -186,8 +197,8 @@ def discrepancies_with_boundary(
     and B . E_i != 0 only where they do.
     Solves  sum_j a_j (E_j . E_i) = (K + boundary) . E_i.
     """
-    ids, _, solved = _solve(s, curves, boundary)
-    return tuple(zip(ids, solved))
+    ids, _, _, nums, den = _solve(s, curves, boundary)
+    return tuple((cid, Q(v, den)) for cid, v in zip(ids, nums))
 
 
 def is_snc_configuration(s: SurfaceModel, curves) -> bool:

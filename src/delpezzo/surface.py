@@ -64,6 +64,9 @@ class BaseSurface(Frozen):
         elif kind == "ruled":
             if genus < 0:
                 raise InvalidSurfaceData("base curve genus must be >= 0")
+            # e >= -g on every ruled surface (Nagata; Hartshorne V.2.12.1)
+            if e < -genus:
+                raise InvalidSurfaceData("ruled surface invariant e must be >= -genus")
         else:
             raise InvalidSurfaceData(f"unknown base kind {reprlib.repr(kind)}")
         object.__setattr__(self, "kind", kind)
@@ -141,17 +144,18 @@ class SurfaceModel(Frozen):
 
     Every catalog class is integral, so the model keeps an integer
     intersection table: ``meets`` fills a curve's row on first request,
-    ``degrees`` remembers the last class it scanned, and ``gram_of`` keeps
-    one matrix per curve set, whose one elimination comes with it.  A row
-    or scan pairs one class with the catalog through the class's dual
-    vector, read at each catalog class's nonzero coordinates; those are
-    kept too, from the first row or scan on.  Every fill is idempotent, so
-    concurrent readers can at worst compute a value twice.
+    ``degrees`` keeps one scan per class, keyed by the class's numerators,
+    and ``gram_of`` keeps one matrix per curve set, whose one elimination
+    comes with it.  A row or scan pairs one class with the catalog through
+    the class's dual vector, read at each catalog class's nonzero
+    coordinates; those are kept too, from the first row or scan on.
+    ``anticanonical`` is -K, built once with the model.  Every fill is
+    idempotent, so concurrent readers can at worst compute a value twice.
     """
 
     __slots__ = (
         "base", "blowups", "catalog", "canonical", "lattice", "incidence", "declarations",
-        "_curves_by_id", "_positions", "_meets", "_last_degrees", "_grams",
+        "anticanonical", "_curves_by_id", "_positions", "_meets", "_scans", "_grams",
         "_sparse",
     )
 
@@ -173,10 +177,11 @@ class SurfaceModel(Frozen):
         set_field(self, "lattice", lattice)
         set_field(self, "incidence", incidence)
         set_field(self, "declarations", declarations)
+        set_field(self, "anticanonical", -canonical)
         set_field(self, "_curves_by_id", {r.curve_id: r for r in catalog})
         set_field(self, "_positions", {r.curve_id: i for i, r in enumerate(catalog)})
         set_field(self, "_meets", {})
-        set_field(self, "_last_degrees", None)
+        set_field(self, "_scans", {})
         set_field(self, "_grams", {})
         set_field(self, "_sparse", None)
 
@@ -191,10 +196,6 @@ class SurfaceModel(Frozen):
     @property
     def rank(self) -> int:
         return self.lattice.rank
-
-    @property
-    def anticanonical(self) -> DivisorClass:
-        return -self.canonical
 
     @property
     def rational(self) -> bool:
@@ -234,14 +235,15 @@ class SurfaceModel(Frozen):
 
     def degrees(self, d: DivisorClass) -> tuple[int, ...]:
         """The numerators, over ``d.den``, of d.C for every catalog curve C
-        in catalog order.  Only the last class scanned is remembered."""
+        in catalog order.  One scan is kept per class, keyed by its
+        numerators (which fix the scan whatever the denominator), so a class
+        read again, such as -K by the decomposition and the contraction, or
+        P by the decomposition's check and the null locus, is scanned once."""
         if d.lattice is not self.lattice and d.lattice != self.lattice:
             raise IncompatibleSurfaces("incompatible surfaces")
-        key, last = (d.nums, d.den), self._last_degrees
-        if last is not None and last[0] == key:
-            return last[1]
-        values = self._scan(d.nums)
-        object.__setattr__(self, "_last_degrees", (key, values))
+        values = self._scans.get(d.nums)
+        if values is None:
+            values = self._scans[d.nums] = self._scan(d.nums)
         return values
 
     def _scan(self, nums) -> tuple[int, ...]:

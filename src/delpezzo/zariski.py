@@ -15,10 +15,18 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import CatalogInsufficient, InternalInconsistency
-from .lattice import DivisorClass, Q, _solve_integers, is_negative_definite, weighted_sum
+from .lattice import (
+    DivisorClass,
+    Q,
+    _reduced,
+    _solve_integers,
+    is_negative_definite,
+    weighted_sum,
+)
 from .surface import SurfaceModel
 
 CATALOG_CAVEAT = "relative to declared catalog"
+_ZERO = Q(0)
 
 
 class ZariskiDecomposition(namedtuple("ZariskiDecomposition", "original positive negative")):
@@ -39,7 +47,7 @@ class ZariskiDecomposition(namedtuple("ZariskiDecomposition", "original positive
 
     @property
     def max_coefficient(self) -> Q:
-        return max((c for _, c in self.negative), default=Q(0))
+        return max((c for _, c in self.negative), default=_ZERO)
 
 
 def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
@@ -50,7 +58,8 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
     the support's coefficients are y_i / (y_den * d.den), solved from d's
     degree numerators, and N's degrees are sum y_i * (C_i.C) over the same
     denominator, summed from the table rows of the support.  Fractions are
-    built once, for N's final coefficients.
+    built once, for N's final coefficients, and P is the integer-weighted
+    sum y_den * d - sum y_i C_i over y_den * den.
     """
     d_degrees, den = s.degrees(d), d.den
     support: list[str] = []
@@ -90,9 +99,14 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
         raise CatalogInsufficient(
             "catalog insufficient or divisor not pseudo-effective"
         )
-    negative = tuple((cid, Q(y, y_den * den)) for cid, y in zip(support, ys) if y > 0)
+    terms = [(cid, y) for cid, y in zip(support, ys) if y > 0]
+    negative = tuple((cid, Q(y, y_den * den)) for cid, y in terms)
+    positive, _ = weighted_sum(
+        [(d.nums, y_den)] + [(s.curve(cid).divisor_class.nums, -y) for cid, y in terms],
+        s.rank,
+    )
     decomposition = ZariskiDecomposition(
-        original=d, positive=d - s.class_of(negative), negative=negative
+        original=d, positive=_reduced(s.lattice, tuple(positive), y_den * den), negative=negative
     )
     _verify(s, decomposition)
     return decomposition
@@ -109,9 +123,12 @@ def _verify(s: SurfaceModel, z: ZariskiDecomposition) -> None:
     bug, so it raises InternalInconsistency, which ``python -O`` keeps.
 
     P's degrees come from pairing P with each catalog class, never from
-    the table rows the decomposition read, so a wrong row is caught here.
-    N's support is not re-tested for negative definiteness: its Gram matrix
-    is a principal submatrix of the last round's, which passed that test.
+    the table rows the decomposition read, so a wrong row is caught here;
+    the scan is kept, so the null locus and later tests of P read it.
+    P + N = D compares two routes: P is the decomposition's integer sum,
+    and N's class is built afresh from its Fraction coefficients.  N's
+    support is not re-tested for negative definiteness: its Gram matrix is
+    a principal submatrix of the last round's, which passed that test.
     """
     degrees = s.degrees(z.positive)
     if z.positive + s.class_of(z.negative) != z.original:

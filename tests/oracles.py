@@ -1,10 +1,11 @@
 """Independent reference computations used to pin expected test values.
 
 Deliberately separate from the package internals: determinants are expanded
-by cofactors, linear systems are solved with Cramer's rule, and discrepancy
-systems for exceptional chains are assembled from scratch.  Slow is fine
-here; these exist so the main implementation is checked against a different
-algorithm, not against itself.
+by cofactors, linear systems are solved with Cramer's rule or, where that
+is too slow, by Gauss-Jordan reduction over Fractions with a largest-entry
+pivot, and discrepancy systems for exceptional chains are assembled from
+scratch.  Slow is fine here; these exist so the main implementation is
+checked against a different algorithm, not against itself.
 """
 from __future__ import annotations
 
@@ -44,6 +45,28 @@ def cramer_solve(rows, rhs) -> tuple[Q, ...]:
         ]
         out.append(Q(cofactor_det(col_swapped)) / Q(det))
     return tuple(out)
+
+
+def row_reduce_solve(rows, rhs) -> tuple[Q, ...]:
+    """The solution of rows @ x = rhs by Gauss-Jordan reduction of the
+    augmented matrix over Fractions, O(n^3).  The pivot of each column is
+    its entry of largest absolute value at or below the diagonal (the first
+    such row on a tie), unlike the package's fraction-free elimination,
+    which takes the first nonzero row."""
+    n = len(rows)
+    augmented = [[Q(x) for x in row] + [Q(b)] for row, b in zip(rows, rhs)]
+    for k in range(n):
+        best = max(range(k, n), key=lambda i: (abs(augmented[i][k]), -i))
+        if augmented[best][k] == 0:
+            raise ZeroDivisionError("singular system")
+        augmented[k], augmented[best] = augmented[best], augmented[k]
+        pivot_row = [x / augmented[k][k] for x in augmented[k]]
+        augmented[k] = pivot_row
+        for i in range(n):
+            factor = augmented[i][k]
+            if i != k and factor:
+                augmented[i] = [x - factor * y for x, y in zip(augmented[i], pivot_row)]
+    return tuple(row[n] for row in augmented)
 
 
 def chain_matrix(weights) -> list[list[int]]:

@@ -206,9 +206,9 @@ def test_analyze_reads_each_witness_boundary_once(monkeypatch, name, reads):
 def test_one_elimination_per_curve_set(monkeypatch, build, sizes, witness_solves):
     s = build()
     eliminated, solved, analyses = [], [], []
-    bareiss, solve = lattice._bareiss, pairs.solve_linear
+    bareiss, solve = lattice._bareiss, pairs._solve_integers
     monkeypatch.setattr(lattice, "_bareiss", lambda e: eliminated.append(len(e)) or bareiss(e))
-    monkeypatch.setattr(pairs, "solve_linear", lambda m, rhs: solved.append(m) or solve(m, rhs))
+    monkeypatch.setattr(pairs, "_solve_integers", lambda m, b: solved.append(m) or solve(m, b))
 
     def analysis_of(s):
         analyses.append(AnticanonicalAnalysis(s))

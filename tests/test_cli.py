@@ -452,6 +452,25 @@ def test_class_no_curve_has_exit_two(capsys, tmp_path, data, declared, message):
     assert str(info.value) == message
 
 
+# every ruled surface over a curve of genus g has e >= -g (Nagata;
+# Hartshorne V.2.12.1), so the "negative section" c0^2 = -e is at most g
+@pytest.mark.parametrize("genus,e", [(0, -3), (1, -2), (0, -1), (2, -3)])
+def test_ruled_base_that_cannot_exist_exit_two(capsys, tmp_path, genus, e):
+    path = tmp_path / "ruled.json"
+    path.write_text(json.dumps({"base": {"kind": "ruled", "genus": genus, "e": e}}))
+    message = "ruled surface invariant e must be >= -genus"
+    assert run(capsys, "analyze", str(path)) == (2, "", f"input error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("genus,e", [(1, -1), (2, -2), (0, 0)])
+def test_ruled_base_at_the_bound_loads(capsys, tmp_path, genus, e):
+    path = tmp_path / "ruled.json"
+    path.write_text(json.dumps({"base": {"kind": "ruled", "genus": genus, "e": e}}))
+    code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["surface"]["base"] == {"kind": "ruled", "genus": genus, "e": e}
+
+
 def _renamed(value, names):
     """A JSON value with every string in ``names`` replaced by its image."""
     if isinstance(value, dict):

@@ -334,6 +334,19 @@ def test_integer_solve_agrees_with_cramer(rows, data):
         assert tuple(Q(v, den) for v in nums) == oracles.cramer_solve(ints, rhs)
 
 
+@given(symmetric_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_row_reduction_oracle_agrees_with_cramer(rows, data):
+    # the O(n^3) oracle that the large model sets are solved with, checked
+    # against Cramer's rule where cofactor expansion is still cheap
+    rhs = data.draw(st.lists(small_rationals, min_size=len(rows), max_size=len(rows)))
+    if oracles.cofactor_det(rows) == 0:
+        with pytest.raises(ZeroDivisionError):
+            oracles.row_reduce_solve(rows, rhs)
+    else:
+        assert oracles.row_reduce_solve(rows, rhs) == oracles.cramer_solve(rows, rhs)
+
+
 def test_swap_path_is_not_definite_but_solves():
     matrix = _matrix([[0, 1], [1, 0]])
     assert not is_negative_definite(matrix)

@@ -4,10 +4,12 @@ Run from the root of a checkout:
 
     python3 tools/reach.py
 
-It line-traces, in one process, the 271 command lines of
+It line-traces, in one process, the 391 command lines of
 ``tools/same_outputs.py`` (``command_lines``) through ``delpezzo.cli.main``,
 with the working tree's ``src/`` first on the path.  Tracing starts before
-``delpezzo`` is imported, so module-level statements count as run.  It then
+``delpezzo`` is imported, so module-level statements count as run; it
+also sees the draws of the corpus sample (``write_inputs``), which run
+the code that the ``corpus`` command lines run.  It then
 prints, per file, each statement of ``src/delpezzo`` that produces code and
 never ran, as ``path:line: first source line``, and a summary line.  A
 statement counts as run if any line of it ran; for a compound statement
@@ -80,9 +82,9 @@ def main() -> int:
         return local if frame.f_code.co_filename.startswith(prefix) else None
 
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
-        argvs = same_outputs.command_lines(same_outputs.write_inputs(Path(tmp)))
         sys.settrace(trace)
         try:
+            argvs = same_outputs.command_lines(*same_outputs.write_inputs(Path(tmp)))
             from delpezzo import cli
 
             for argv in argvs:

@@ -4,12 +4,17 @@ Run from the root of a checkout:
 
     python3 tools/same_outputs.py --parent HEAD~1
 
-It runs 271 command lines in-process through ``delpezzo.cli.main``:
+It runs 391 command lines in-process through ``delpezzo.cli.main``:
 
 * ``analyze`` and ``classify`` with ``--format`` text, json and dot,
   ``decompose`` with text and json, and ``witness --method direct`` and
   ``--method cone`` with text and json, on the 12 committed fixtures and
   on seven ``line_star`` inputs (``perfbench/workloads.py``);
+* ``analyze`` and ``classify`` with ``--format json``, and ``witness
+  --method direct`` and ``--method cone`` with ``--format json``, on the
+  first 10 surfaces that ``corpus --seed s --max-rank 40`` keeps, for
+  s = 1 .. 3, drawn with the working tree's ``corpus.random_surface`` as
+  ``perfbench/workloads.py`` draws its sample and written as files;
 * ``decompose --divisor=... --format json`` on six fixtures, with three
   divisors each: a first coordinate of 1/2, 7/3 or 3, then -1/3, -2/5 or
   -1 on every other axis.  They reach classes with a denominator and
@@ -32,6 +37,7 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tarfile
@@ -44,6 +50,8 @@ CORPUS_SEEDS = range(1, 11)
 CORPUS_COUNT = 200
 # (seeds, count, max rank) of the draws above the default rank cap
 WIDE_CORPUS = (range(1, 4), 50, 40)
+# the surfaces of those corpora written as files: the first 10 of each seed
+WIDE_SAMPLE = 10
 DIVISOR_FIXTURES = ("f2", "f3", "cubic10", "star", "pair", "dp3")
 DIVISORS = (("1/2", "-1/3"), ("7/3", "-2/5"), ("3", "-1"))  # (first, every other)
 # every redundant point of the fixtures, by curve (generic) or point (shared)
@@ -78,7 +86,7 @@ json.dump(results, sys.stdout)
 """
 
 
-def command_lines(inputs: list[Path]) -> list[list[str]]:
+def command_lines(inputs: list[Path], sample: list[Path]) -> list[list[str]]:
     argvs = []
     for path in inputs:
         file = str(path)
@@ -101,6 +109,13 @@ def command_lines(inputs: list[Path]) -> list[list[str]]:
         ["blowup", str(ROOT / "fixtures" / f"{name}.json"), "--at", at]
         for name, at in BLOWUP_POINTS
     ]
+    for path in sample:
+        file = str(path)
+        argvs += [[command, file, "--format", "json"] for command in ("analyze", "classify")]
+        argvs += [
+            ["witness", file, "--method", method, "--format", "json"]
+            for method in ("direct", "cone")
+        ]
     argvs += [["corpus", "--seed", str(s), "--count", str(CORPUS_COUNT)] for s in CORPUS_SEEDS]
     seeds, count, max_rank = WIDE_CORPUS
     argvs += [
@@ -110,10 +125,12 @@ def command_lines(inputs: list[Path]) -> list[list[str]]:
     return argvs
 
 
-def write_inputs(tmp: Path) -> list[Path]:
-    """The committed fixtures, then the ``line_star`` inputs written as
-    files into ``tmp``."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
+def write_inputs(tmp: Path) -> tuple[list[Path], list[Path]]:
+    """The committed fixtures and the ``line_star`` inputs, then the corpus
+    sample, each written as files into ``tmp``."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from delpezzo import to_description
+    from delpezzo.corpus import random_surface
     from workloads import line_star
 
     inputs = sorted((ROOT / "fixtures").glob("*.json"))
@@ -121,7 +138,22 @@ def write_inputs(tmp: Path) -> list[Path]:
         path = tmp / f"line_star_{n}_{arms}_{length}.json"
         path.write_text(json.dumps(line_star(n, arms, length)), encoding="utf-8")
         inputs.append(path)
-    return inputs
+    seeds, count, max_rank = WIDE_CORPUS
+    sample = []
+    for seed in seeds:
+        # the draws `run_corpus` makes, so the sample is the head of that corpus
+        rng, kept = random.Random(seed), 0
+        for _ in range(count * 60):
+            s = random_surface(rng, max_rank)
+            if s is None:
+                continue
+            path = tmp / f"corpus{seed}_{kept:02d}.json"
+            path.write_text(json.dumps(to_description(s)), encoding="utf-8")
+            sample.append(path)
+            kept += 1
+            if kept == WIDE_SAMPLE:
+                break
+    return inputs, sample
 
 
 def run_side(src: Path, argvs: list[list[str]]) -> list[list]:
@@ -162,7 +194,7 @@ def main(argv=None) -> int:
         ).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "parent", filter="data")
-        argvs = command_lines(write_inputs(tmp))
+        argvs = command_lines(*write_inputs(tmp))
         parent = run_side(tmp / "parent" / "src", argvs)
         change = run_side(ROOT / "src", argvs)
 
