@@ -24,7 +24,6 @@ from .lattice import (
     PicardLattice,
     Q,
     format_rational,
-    intersect,
     is_negative_definite,
     rational,
     solve_linear,
@@ -75,7 +74,6 @@ from .zariski import (
     CATALOG_CAVEAT,
     ZariskiDecomposition,
     ample_on_catalog,
-    big_test,
     nef_on_catalog,
     null_locus,
     zariski_decompose,

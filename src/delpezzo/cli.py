@@ -376,10 +376,11 @@ def cmd_blowup(args) -> int:
 def cmd_corpus(args) -> int:
     if args.count < 0:
         raise InvalidSurfaceData(f"--count {args.count} is below 0")
+    # every base has Picard rank >= 1, so a cap of 0 could never draw
     cap = _max_rank()
-    if not 0 <= args.max_rank <= cap:
+    if not 1 <= args.max_rank <= cap:
         raise InvalidSurfaceData(
-            f"--max-rank {args.max_rank} is outside 0..{cap}, the DELPEZZO_MAX_RANK cap"
+            f"--max-rank {args.max_rank} is outside 1..{cap}, the DELPEZZO_MAX_RANK cap"
         )
     summary = run_corpus(args.seed, args.count, max_rank=args.max_rank)
     print(summary.render())

@@ -330,11 +330,6 @@ class IntersectionMatrix(Frozen):
         return self._eliminated
 
 
-def intersect(d1: DivisorClass, d2: DivisorClass) -> Q:
-    """Bilinear pairing of two classes on the same surface."""
-    return d1.dot(d2)
-
-
 class _Elimination(namedtuple("_Elimination", "size steps")):
     """The recorded steps of one fraction-free elimination of an integer
     matrix.

@@ -69,12 +69,6 @@ WEAK_CLASSES = (
 class BoundaryDivisor(namedtuple("BoundaryDivisor", "components floor_is_zero snc")):
     __slots__ = ()
 
-    def coefficient(self, curve_id: str) -> Q:
-        for cid, coeff in self.components:
-            if cid == curve_id:
-                return coeff
-        return Q(0)
-
     def describe(self) -> str:
         if not self.components:
             return "0"
@@ -104,9 +98,11 @@ ClassVerdict = namedtuple(
 
 # Both read the record's components afresh with make_boundary and decide
 # from the flags it computes, so their verdict depends on (s, components)
-# only: a hand-built record cannot vouch for itself.  The witness and the
-# weak verdict build their record with make_boundary and run the checks on
-# it directly, so they read each boundary once.
+# only: a hand-built record cannot vouch for itself.  The main witness
+# branch builds its record with make_boundary and runs _klt_checks on it
+# directly, so it reads its boundary once.  The weak verdict tests only
+# its record's snc flag: its boundary is N, so -(K + N) is P, whose
+# nefness zariski._verify has already checked.
 
 def validate_klt_del_pezzo(s: SurfaceModel, boundary: BoundaryDivisor) -> tuple[bool, str]:
     """(X, boundary) is a klt del Pezzo pair relative to the catalog:
@@ -116,7 +112,12 @@ def validate_klt_del_pezzo(s: SurfaceModel, boundary: BoundaryDivisor) -> tuple[
 
 def validate_weak_lc_del_pezzo(s: SurfaceModel, boundary: BoundaryDivisor) -> tuple[bool, str]:
     """Weak variant: snc support, coefficients <= 1, -(K + boundary) nef."""
-    return _weak_checks(s, make_boundary(s, boundary.components))
+    read = make_boundary(s, boundary.components)
+    if not read.snc:
+        return False, "boundary support is not snc"
+    if not nef_on_catalog(s, s.anticanonical - s.class_of(read.components)):
+        return False, "-(K + boundary) is not nef on the catalog"
+    return True, "validated"
 
 
 def _klt_checks(s: SurfaceModel, read: BoundaryDivisor) -> tuple[bool, str]:
@@ -128,16 +129,6 @@ def _klt_checks(s: SurfaceModel, read: BoundaryDivisor) -> tuple[bool, str]:
     target = s.anticanonical - s.class_of(read.components)
     if not ample_on_catalog(s, target):
         return False, "-(K + boundary) is not ample on the catalog"
-    return True, "validated"
-
-
-def _weak_checks(s: SurfaceModel, read: BoundaryDivisor) -> tuple[bool, str]:
-    """The weak validator's checks on a record make_boundary has just built."""
-    if not read.snc:
-        return False, "boundary support is not snc"
-    target = s.anticanonical - s.class_of(read.components)
-    if not nef_on_catalog(s, target):
-        return False, "-(K + boundary) is not nef on the catalog"
     return True, "validated"
 
 
@@ -160,6 +151,11 @@ def _interior_multipliers(
 def _witness(s: SurfaceModel, via_cone: bool, z=None) -> tuple[BoundaryDivisor, WitnessParams]:
     """The klt witness N + eps*L; ``z`` is -K = P + N if the caller has it.
 
+    With Null(P) empty the witness is the empty boundary, unchecked: N's
+    support lies in Null(P), so N = 0 and -K = P, and zariski._verify has
+    found P positive on every catalog curve, so with P^2 > 0 -K is
+    catalog-ample.  Otherwise _klt_checks validates N + eps*L.
+
     L's class is never built.  L lives on Null(P), so P.L = 0, and
     L.C_i = rhs_i on each Null(P) curve by the solve, so the square guard
     reads (P - eps*L)^2 = P^2 + eps^2 * sum l_i rhs_i, with P^2 read once;
@@ -175,11 +171,7 @@ def _witness(s: SurfaceModel, via_cone: bool, z=None) -> tuple[BoundaryDivisor, 
         )
     null_ids = null_locus(s, z)
     if not null_ids:
-        boundary = make_boundary(s, z.negative)
-        ok, why = _klt_checks(s, boundary)
-        if not ok:
-            raise CatalogInsufficient(f"catalog insufficient: {why}")
-        return boundary, WitnessParams(Q(0), ())
+        return make_boundary(s, ()), WitnessParams(Q(0), ())
 
     if not is_snc_configuration(s, null_ids):
         raise NotSimpleNormalCrossings(
@@ -717,7 +709,8 @@ class AnticanonicalAnalysis:
 
     @_field
     def weak_verdict(self) -> ClassVerdict:
-        """Member iff every N-coefficient is <= 1; the witness is N."""
+        """Member iff every N-coefficient is <= 1 and N's support is snc;
+        the witness is N."""
         tag = "weak_lc_any_boundary"
         try:
             z = self.decomposition
@@ -726,9 +719,8 @@ class AnticanonicalAnalysis:
         if z.max_coefficient > 1:
             return ClassVerdict(tag, False, reason=_worst_coefficient(z, ">"))
         boundary = make_boundary(self.s, z.negative)
-        ok, why = _weak_checks(self.s, boundary)
-        if not ok:
-            return ClassVerdict(tag, False, reason=why)
+        if not boundary.snc:
+            return ClassVerdict(tag, False, reason="boundary support is not snc")
         caveat = CATALOG_CAVEAT
         if not self.big:
             caveat += "; anticanonical class is not big on this catalog"

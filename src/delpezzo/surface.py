@@ -106,10 +106,6 @@ class CurveRecord(namedtuple("CurveRecord", "curve_id divisor_class p_a smooth p
 
     __slots__ = ()
 
-    @property
-    def self_intersection(self) -> Q:
-        return self.divisor_class.square
-
 
 class BlowUpRecord(
     namedtuple(

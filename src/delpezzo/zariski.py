@@ -39,12 +39,6 @@ class ZariskiDecomposition(namedtuple("ZariskiDecomposition", "original positive
     def positive_square(self) -> Q:
         return self.positive.square
 
-    def coefficient(self, curve_id: str) -> Q:
-        for cid, coeff in self.negative:
-            if cid == curve_id:
-                return coeff
-        return Q(0)
-
     @property
     def max_coefficient(self) -> Q:
         return max((c for _, c in self.negative), default=_ZERO)
@@ -151,12 +145,6 @@ def null_locus(s: SurfaceModel, z: ZariskiDecomposition) -> tuple[str, ...]:
 
 def nef_on_catalog(s: SurfaceModel, d: DivisorClass) -> bool:
     return all(v >= 0 for v in s.degrees(d))
-
-
-def big_test(s: SurfaceModel, d: DivisorClass) -> bool:
-    """Bigness certified through the positive part: P^2 > 0."""
-    z = zariski_decompose(s, d)
-    return z.positive_square > 0
 
 
 def ample_on_catalog(s: SurfaceModel, d: DivisorClass) -> bool:

@@ -1,13 +1,14 @@
 """Canonical example surfaces, also used to generate the fixtures/ files.
 
-Run ``python -m delpezzo.fixtures [directory]`` to (re)write the JSON files.
+Run ``PYTHONPATH=src python3 tests/surfaces.py [directory]`` from the root
+of a checkout to (re)write the JSON files (default: ``fixtures``).
 """
 from __future__ import annotations
 
 import sys
 from pathlib import Path
 
-from .surface import BlowUpRecord, SurfaceModel, blow_up, build_base, declare_curve, dumps
+from delpezzo.surface import BlowUpRecord, SurfaceModel, blow_up, build_base, declare_curve, dumps
 
 
 def projective_plane() -> SurfaceModel:

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from delpezzo import cli, fixtures, lattice, pairs, singular, surface, zariski
+import surfaces
+from delpezzo import cli, lattice, pairs, singular, surface, zariski
 from delpezzo.errors import CatalogInsufficient, InternalInconsistency
 from delpezzo.lattice import PicardLattice
 from delpezzo.pairs import (
@@ -198,8 +199,8 @@ def test_analyze_reads_each_witness_boundary_once(monkeypatch, name, reads):
     "build,sizes,witness_solves",
     [
         (lambda: from_description(line_star(6, 4, 2)), (1, 5, 9, 11), 0),
-        (fixtures.negative_star, (1, 6, 7), 0),
-        (fixtures.meeting_negative_pair, (2,), 1),
+        (surfaces.negative_star, (1, 6, 7), 0),
+        (surfaces.meeting_negative_pair, (2,), 1),
     ],
     ids=["line_star(6,4,2)", "star", "pair"],
 )
@@ -231,7 +232,7 @@ def test_analyze_reports_are_byte_identical(name):
 
 
 def test_fixture_writer_reproduces_the_committed_files(tmp_path):
-    written = fixtures.write_fixtures(tmp_path)
+    written = surfaces.write_fixtures(tmp_path)
     assert sorted(p.name for p in written) == sorted(p.name for p in FIXTURES.glob("*.json"))
     assert len(written) == 12
     for path in written:
@@ -435,7 +436,17 @@ def test_failed_klt_witness_exits_three(monkeypatch):
 
 
 def test_failed_weak_witness_exits_three(monkeypatch):
-    monkeypatch.setattr(pairs, "_weak_checks", lambda s, b: (False, "planted"))
+    # the weak verdict reads one flag of its record of N, the snc flag: plant
+    # the fault there, and leave the klt witness's records alone
+    s = cli._load(str(FIXTURES / "f3.json"))
+    negative = zariski.zariski_decompose(s, s.anticanonical).negative
+    original = pairs.make_boundary
+
+    def planted(s, components):
+        read = original(s, components)
+        return read._replace(snc=False) if tuple(components) == negative else read
+
+    monkeypatch.setattr(pairs, "make_boundary", planted)
     assert analyze_failures("f3") == (
         3,
         [
@@ -467,7 +478,6 @@ def test_certify_does_not_revalidate(monkeypatch, name):
         "validate_klt_del_pezzo",
         "validate_weak_lc_del_pezzo",
         "_klt_checks",
-        "_weak_checks",
     ):
         monkeypatch.setattr(pairs, fn, lambda *args, fn=fn: called.append(fn))
     assert analysis.certify.consistent
@@ -495,10 +505,10 @@ _PLANTED_FAULTS = [
 def test_verification_survives_optimize_flag(fault, problem):
     # python -O strips assert statements; the decomposition check must stay
     script = (
-        "from delpezzo import fixtures\n"
+        "import surfaces\n"
         "from delpezzo.errors import InternalInconsistency\n"
         "from delpezzo.zariski import _verify, zariski_decompose\n"
-        "s = fixtures.hirzebruch(3)\n"
+        "s = surfaces.hirzebruch(3)\n"
         "z = zariski_decompose(s, s.anticanonical)\n"
         "f = s.curve('f').divisor_class\n"
         "t = (s.curve('c0').divisor_class + f.scale(3)).scale(2)\n"
@@ -513,7 +523,7 @@ def test_verification_survives_optimize_flag(fault, problem):
     result = subprocess.run(
         [sys.executable, "-O", "-c", script],
         cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(str(ROOT / d) for d in ("src", "tests"))},
         capture_output=True,
         text=True,
     )

@@ -665,17 +665,24 @@ def test_corpus_empty(capsys):
         (
             ("--count", "3", "--max-rank", "40"),
             "10",
-            "--max-rank 40 is outside 0..10, the DELPEZZO_MAX_RANK cap",
+            "--max-rank 40 is outside 1..10, the DELPEZZO_MAX_RANK cap",
         ),
         (
             ("--count", "3", "--max-rank", "-1"),
             "64",
-            "--max-rank -1 is outside 0..64, the DELPEZZO_MAX_RANK cap",
+            "--max-rank -1 is outside 1..64, the DELPEZZO_MAX_RANK cap",
+        ),
+        (
+            ("--count", "10000", "--max-rank", "0"),
+            "64",
+            "--max-rank 0 is outside 1..64, the DELPEZZO_MAX_RANK cap",
         ),
     ],
 )
 def test_corpus_limits_exit_two(capsys, monkeypatch, argv, cap, message):
+    # refused before the first draw, so --max-rank 0 exits at once
     monkeypatch.setenv("DELPEZZO_MAX_RANK", cap)
+    monkeypatch.setattr(cli, "run_corpus", lambda *args, **kwargs: pytest.fail("drew"))
     code, out, err = run(capsys, "corpus", "--seed", "1", *argv)
     assert (code, out, err) == (2, "", f"input error: {message}\n")
 

@@ -16,7 +16,6 @@ from delpezzo.lattice import (
     _solve_integers,
     dual_numerators,
     format_rational,
-    intersect,
     is_negative_definite,
     rational,
     solve_linear,
@@ -37,14 +36,14 @@ def test_rational_parsing_round_trip():
 
 def test_intersect_on_plane():
     h = P2.basis_class("h")
-    assert intersect(h.scale(3), h) == 3
-    assert intersect(h, P2.zero()) == 0
+    assert h.scale(3).dot(h) == 3
+    assert h.dot(P2.zero()) == 0
 
 
 def test_intersect_blow_up():
     h = BL1.basis_class("h")
     e = BL1.basis_class("e1")
-    assert intersect(h.scale(3) - e, e) == 1
+    assert (h.scale(3) - e).dot(e) == 1
     assert e.dot(e) == -1
     assert h.dot(e) == 0
 
@@ -109,7 +108,7 @@ def test_dual_vector_pairs_like_dense_gram_oracle(case, data):
 
 def test_incompatible_bases_rejected():
     with pytest.raises(IncompatibleSurfaces, match="incompatible surfaces"):
-        intersect(P2.basis_class("h"), BL1.basis_class("h"))
+        P2.basis_class("h").dot(BL1.basis_class("h"))
 
 
 small_rationals = st.fractions(
@@ -126,10 +125,10 @@ small_rationals = st.fractions(
 )
 def test_pairing_is_bilinear(a, b, vecs):
     d1, d2, d3 = (DivisorClass(BL1, coords) for coords in vecs)
-    left = intersect(d1.scale(a) + d2.scale(b), d3)
-    right = a * intersect(d1, d3) + b * intersect(d2, d3)
+    left = (d1.scale(a) + d2.scale(b)).dot(d3)
+    right = a * d1.dot(d3) + b * d2.dot(d3)
     assert left == right
-    assert intersect(d1, d2) == intersect(d2, d1)
+    assert d1.dot(d2) == d2.dot(d1)
 
 
 @given(classes_on_a_blown_up_base(), small_rationals)

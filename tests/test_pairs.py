@@ -8,7 +8,8 @@ from fractions import Fraction as Q
 import pytest
 
 import oracles
-from delpezzo import corpus, fixtures, pairs, singular, surface
+import surfaces
+from delpezzo import corpus, pairs, singular, surface
 from delpezzo.errors import (
     GeometryError,
     InvalidSurfaceData,
@@ -67,19 +68,19 @@ def corpus_draws(seed, count, max_rank=12):
 # -- deciders ---------------------------------------------------------------
 
 def test_plane_is_klt_with_zero_boundary():
-    verdict = decide_klt_pair_exists(fixtures.projective_plane())
+    verdict = decide_klt_pair_exists(surfaces.projective_plane())
     assert verdict.member
     assert verdict.witness.components == ()
 
 
 def test_hirzebruch_three_klt_true():
-    verdict = decide_klt_pair_exists(fixtures.hirzebruch(3))
+    verdict = decide_klt_pair_exists(surfaces.hirzebruch(3))
     assert verdict.member
-    assert verdict.witness.coefficient("c0") < 1
+    assert dict(verdict.witness.components).get("c0", 0) < 1
 
 
 def test_cubic_fixture_klt_false_weak_true():
-    s = fixtures.cubic_with_points(10)
+    s = surfaces.cubic_with_points(10)
     klt = decide_klt_pair_exists(s)
     assert not klt.member
     weak = decide_weak_lc_pair_exists(s)
@@ -89,27 +90,27 @@ def test_cubic_fixture_klt_false_weak_true():
 
 
 def test_star_weak_false():
-    verdict = decide_weak_lc_pair_exists(fixtures.negative_star())
+    verdict = decide_weak_lc_pair_exists(surfaces.negative_star())
     assert not verdict.member
     assert "4/3" in verdict.reason
 
 
 def test_dp_fixtures_all_klt():
     for k in (3, 8):
-        verdict = decide_klt_pair_exists(fixtures.del_pezzo(k))
+        verdict = decide_klt_pair_exists(surfaces.del_pezzo(k))
         assert verdict.member, k
         assert verdict.witness.components == ()
 
 
 def test_verdict_caveat_is_catalog_relative():
-    verdict = decide_klt_pair_exists(fixtures.hirzebruch(2))
+    verdict = decide_klt_pair_exists(surfaces.hirzebruch(2))
     assert "relative to declared catalog" in verdict.caveat
 
 
 # -- witness constructions ---------------------------------------------------
 
 def test_f2_direct_witness():
-    s = fixtures.hirzebruch(2)
+    s = surfaces.hirzebruch(2)
     boundary, params = _witness(s, via_cone=False)
     assert params.multipliers == (("c0", oracles.F2_L_COEFF),)
     assert boundary.floor_is_zero and boundary.snc
@@ -118,15 +119,15 @@ def test_f2_direct_witness():
 
 
 def test_f3_direct_witness():
-    s = fixtures.hirzebruch(3)
+    s = surfaces.hirzebruch(3)
     boundary, params = _witness(s, via_cone=False)
     assert params.multipliers == (("c0", oracles.F3_L_COEFF),)
     # Delta = N + eps L = (1/3 + eps/3) c0
-    assert boundary.coefficient("c0") == Q(1, 3) + params.epsilon * Q(1, 3)
+    assert dict(boundary.components).get("c0", 0) == Q(1, 3) + params.epsilon * Q(1, 3)
 
 
 def test_pair_fixture_witness_frozen_values():
-    s = fixtures.meeting_negative_pair()
+    s = surfaces.meeting_negative_pair()
     boundary, params = _witness(s, via_cone=False)
     assert dict(params.multipliers) == {
         "l": oracles.PAIR_L_COEFFS[0],
@@ -138,7 +139,7 @@ def test_pair_fixture_witness_frozen_values():
 
 
 def test_cone_witness_differs_but_validates():
-    s = fixtures.hirzebruch(2)
+    s = surfaces.hirzebruch(2)
     direct, p_direct = _witness(s, via_cone=False)
     cone, p_cone = _witness(s, via_cone=True)
     assert p_direct.multipliers != p_cone.multipliers
@@ -156,10 +157,10 @@ def test_both_constructions_validate_on_klt_fixtures(name):
     # from the deciders because every klt witness validates, and so does
     # every weak witness N
     if name.startswith("corpus"):
-        surfaces = [a.s for a in corpus_draws(int(name[len("corpus"):]), 20)]
+        models = [a.s for a in corpus_draws(int(name[len("corpus"):]), 20)]
     else:
-        surfaces = [fixtures.FIXTURES[name]()]
-    for s in surfaces:
+        models = [surfaces.FIXTURES[name]()]
+    for s in models:
         z = zariski_decompose(s, s.anticanonical)
         if z.positive_square > 0 and z.max_coefficient < 1:
             for construct in (construct_klt_boundary, construct_klt_boundary_via_cone):
@@ -172,9 +173,9 @@ def test_both_constructions_validate_on_klt_fixtures(name):
 
 def test_witness_construction_refuses_non_klt():
     with pytest.raises(PreconditionFailure):
-        construct_klt_boundary(fixtures.cubic_with_points(10))
+        construct_klt_boundary(surfaces.cubic_with_points(10))
     with pytest.raises(PreconditionFailure):
-        construct_klt_boundary_via_cone(fixtures.negative_star())
+        construct_klt_boundary_via_cone(surfaces.negative_star())
 
 
 # -- corollary biconditional -------------------------------------------------
@@ -184,7 +185,7 @@ def test_witness_construction_refuses_non_klt():
     ["p2", "f2", "f3", "dp3", "dp8", "cubic10", "star", "pair", "elliptic_ruled"],
 )
 def test_klt_decider_iff_floor_zero_iff_witness(name):
-    s = fixtures.FIXTURES[name]()
+    s = surfaces.FIXTURES[name]()
     z = zariski_decompose(s, s.anticanonical)
     floor_zero = z.max_coefficient < 1 and z.positive_square > 0
     verdict = decide_klt_pair_exists(s)
@@ -202,15 +203,15 @@ def test_klt_decider_iff_floor_zero_iff_witness(name):
 # -- log-resolution effectivity ----------------------------------------------
 
 def test_identity_resolution_is_trivially_effective():
-    s = fixtures.hirzebruch(3)
+    s = surfaces.hirzebruch(3)
     boundary = construct_klt_boundary(s)
     check = check_EP_condition(s, boundary.components, ())
     assert check.effective and check.discrepancies == ()
 
 
 def test_nine_point_configuration():
-    base = fixtures.nine_point_pair_base()
-    check = check_EP_condition(base, NINE_POINT_BOUNDARY, fixtures.nine_point_records())
+    base = surfaces.nine_point_pair_base()
+    check = check_EP_condition(base, NINE_POINT_BOUNDARY, surfaces.nine_point_records())
     # the pair is klt (discrepancy 7/10 everywhere) ...
     assert check.pair_is_klt
     assert all(a == oracles.NINE_POINT_DISCREPANCY for _, a in check.discrepancies)
@@ -232,9 +233,9 @@ _NEAR_CHAIN = (
 def _resolution_inputs():
     """(smooth model, boundary, records) for the one-stage resolution."""
     return (
-        (fixtures.nine_point_pair_base(), NINE_POINT_BOUNDARY, fixtures.nine_point_records()),
-        (fixtures.hirzebruch(2), (("f", Q(1, 2)), ("c0", Q(1, 3))), (_EP_RECORD,)),
-        (fixtures.projective_plane(), (("h", Q(1, 2)),), _NEAR_CHAIN),
+        (surfaces.nine_point_pair_base(), NINE_POINT_BOUNDARY, surfaces.nine_point_records()),
+        (surfaces.hirzebruch(2), (("f", Q(1, 2)), ("c0", Q(1, 3))), (_EP_RECORD,)),
+        (surfaces.projective_plane(), (("h", Q(1, 2)),), _NEAR_CHAIN),
     )
 
 
@@ -284,7 +285,7 @@ def test_one_stage_resolution_matches_stepwise_blow_ups(monkeypatch):
     "bad", [BlowUpRecord("q", (("nope", 1),)), BlowUpRecord("p1", (("e1", 1),))]
 )
 def test_bad_record_mid_resolution_has_the_stepwise_message(bad):
-    s_down, records = fixtures.projective_plane(), (_NEAR_CHAIN[0], bad, _NEAR_CHAIN[2])
+    s_down, records = surfaces.projective_plane(), (_NEAR_CHAIN[0], bad, _NEAR_CHAIN[2])
     with pytest.raises(InvalidSurfaceData) as stepwise:
         _stepwise_resolution(s_down, (), records)
     with pytest.raises(InvalidSurfaceData) as staged:
@@ -294,7 +295,7 @@ def test_bad_record_mid_resolution_has_the_stepwise_message(bad):
 
 def test_contraction_route_on_f3():
     # the EP divisor of a contraction is minus the discrepancies of (Y, D)
-    s = fixtures.hirzebruch(3)
+    s = surfaces.hirzebruch(3)
     divisor = tuple((cid, -a) for cid, a in singular.discrepancies_with_boundary(s, ("c0",), ()))
     assert all(c >= 0 for _, c in divisor)
     assert divisor == (("c0", Q(1, 3)),)
@@ -304,7 +305,7 @@ def ep_sweep():
     """(surface, contracted subset of Null(P), boundary) triples: the 12
     fixtures and 20 corpus draws each of seeds 1 and 7, every subset of
     Null(P) with the rest of the direct witness as the boundary."""
-    analyses = [AnticanonicalAnalysis(build()) for _, build in sorted(fixtures.FIXTURES.items())]
+    analyses = [AnticanonicalAnalysis(build()) for _, build in sorted(surfaces.FIXTURES.items())]
     analyses += list(corpus_draws(1, 20)) + list(corpus_draws(7, 20))
     for analysis in analyses:
         try:
@@ -354,31 +355,31 @@ def solves(monkeypatch):
 
 
 def test_contraction_route_makes_one_elimination(solves):
-    singular.discrepancies_with_boundary(fixtures.hirzebruch(2), ("c0",), (("f", Q(1, 2)),))
+    singular.discrepancies_with_boundary(surfaces.hirzebruch(2), ("c0",), (("f", Q(1, 2)),))
     assert solves == {"singular": 1, "pairs": 0}
 
 
 def test_good_boundary_solves_the_contraction_once(solves):
-    s = fixtures.hirzebruch(3)
+    s = surfaces.hirzebruch(3)
     pushforward_pair(s, ("c0",), AnticanonicalAnalysis(s).witness[0].components)
     assert solves["singular"] == 1
 
 
 def test_unknown_contracted_curve_is_invalid_data():
-    f2, chain = fixtures.hirzebruch(2), fixtures.elliptic_ruled_with_chain()
+    f2, chain = surfaces.hirzebruch(2), surfaces.elliptic_ruled_with_chain()
     for call in (
         lambda: contract(f2, ("c0", "nope")),
         lambda: pushforward_pair(f2, ("nope",), ()),
         lambda: classify_nonrational(chain, contracted=("e1", "nope")),
-        lambda: cox_finitely_generated(fixtures.projective_plane(), contracted=("nope",)),
-        lambda: classify_nonrational(fixtures.projective_plane(), contracted=("nope",)),
+        lambda: cox_finitely_generated(surfaces.projective_plane(), contracted=("nope",)),
+        lambda: classify_nonrational(surfaces.projective_plane(), contracted=("nope",)),
     ):
         with pytest.raises(InvalidSurfaceData, match="'nope' not in catalog"):
             call()
 
 
 def test_unknown_boundary_curve_is_invalid_data():
-    s = fixtures.hirzebruch(2)
+    s = surfaces.hirzebruch(2)
     for call in (
         lambda: singular.discrepancies_with_boundary(s, ("c0",), (("nope", Q(1, 2)),)),
         lambda: pushforward_pair(s, (), (("nope", Q(1, 2)),)),
@@ -389,7 +390,7 @@ def test_unknown_boundary_curve_is_invalid_data():
 
 
 def test_boundary_coefficient_above_one_is_invalid_data():
-    s = fixtures.hirzebruch(2)
+    s = surfaces.hirzebruch(2)
     for call in (
         lambda: check_EP_condition(s, (("f", 3),), ()),
         lambda: pushforward_pair(s, (), (("f", 3),)),
@@ -408,7 +409,7 @@ _EP_RECORD = BlowUpRecord("p", (("f", 1),), None, "e")
 def _boundary_entry_points():
     """The six pair entry points, each as a function of a boundary; the
     validators get it as a record whose flags say it is fine."""
-    down = fixtures.hirzebruch(2)
+    down = surfaces.hirzebruch(2)
     up = blow_up(down, _EP_RECORD)
     return (
         lambda b: singular.discrepancies_with_boundary(up, ("e",), b),
@@ -449,7 +450,7 @@ def test_malformed_boundary_has_one_message_at_every_entry_point(boundary, messa
 
 def _curve_set_entry_points():
     """Every entry point that reads a curve set, each as a function of it."""
-    s = fixtures.hirzebruch(2)
+    s = surfaces.hirzebruch(2)
     return (
         lambda c: contract(s, c),
         lambda c: singular.connected_components(s, c),
@@ -487,7 +488,7 @@ def test_contracted_boundary_curve_has_one_message():
 
 
 def test_zero_boundary_terms_are_dropped():
-    s = declare_curve(fixtures.projective_plane(), "cub", (3,), 1)
+    s = declare_curve(surfaces.projective_plane(), "cub", (3,), 1)
     with_zero = check_EP_condition(s, [("h", Q(1, 2)), ("cub", 0)], ())
     assert with_zero == check_EP_condition(s, [("h", Q(1, 2))], ())
 
@@ -495,16 +496,16 @@ def test_zero_boundary_terms_are_dropped():
 def test_repeated_boundary_id_is_invalid_data():
     # half a line twice is the line, whose coefficient 1 is not klt
     with pytest.raises(InvalidSurfaceData, match="'h' listed twice"):
-        make_boundary(fixtures.projective_plane(), [("h", Q(1, 2)), ("h", Q(1, 2))])
+        make_boundary(surfaces.projective_plane(), [("h", Q(1, 2)), ("h", Q(1, 2))])
     with pytest.raises(InvalidSurfaceData, match="'f' listed twice"):
-        pushforward_pair(fixtures.hirzebruch(2), ("c0",), [("f", Q(3, 4)), ("f", Q(3, 4))])
+        pushforward_pair(surfaces.hirzebruch(2), ("c0",), [("f", Q(3, 4)), ("f", Q(3, 4))])
 
 
 # -- good boundaries: the direct witness pushed down a contraction ------------
 
 @pytest.mark.parametrize("name,expected", [("f2", Q(0)), ("f3", Q(1, 3))])
 def test_good_boundary_pipeline(name, expected):
-    s = fixtures.FIXTURES[name]()
+    s = surfaces.FIXTURES[name]()
     push = pushforward_pair(s, ("c0",), AnticanonicalAnalysis(s).witness[0].components)
     # boundary supported entirely on the contracted curve
     assert push.boundary_downstairs == ()
@@ -515,7 +516,7 @@ def test_good_boundary_pipeline(name, expected):
 
 
 def test_good_boundary_trivial_on_plane():
-    s = fixtures.projective_plane()
+    s = surfaces.projective_plane()
     push = pushforward_pair(s, (), AnticanonicalAnalysis(s).witness[0].components)
     assert push.boundary_downstairs == () and all(a <= 0 for _, a in push.discrepancies)
 
@@ -523,13 +524,13 @@ def test_good_boundary_trivial_on_plane():
 # -- pushforward --------------------------------------------------------------
 
 def test_pushforward_identity():
-    s = fixtures.projective_plane()
+    s = surfaces.projective_plane()
     result = pushforward_pair(s, (), ())
     assert result.klt_del_pezzo
 
 
 def test_pushforward_f2_is_klt_del_pezzo():
-    s = fixtures.hirzebruch(2)
+    s = surfaces.hirzebruch(2)
     boundary = construct_klt_boundary(s)
     result = pushforward_pair(s, ("c0",), boundary.components)
     assert result.klt_del_pezzo
@@ -537,7 +538,7 @@ def test_pushforward_f2_is_klt_del_pezzo():
 
 
 def test_pushforward_of_coefficient_one_component_not_klt():
-    s = fixtures.cubic_with_points(10)
+    s = surfaces.cubic_with_points(10)
     result = pushforward_pair(s, ("c",), (("c", Q(1)),))
     assert not result.klt
     assert "discrepancy -1" in result.reason
@@ -545,7 +546,7 @@ def test_pushforward_of_coefficient_one_component_not_klt():
 
 def test_pushforward_recertifies_all_klt_fixtures():
     for name in ("p2", "f2", "f3", "dp3", "dp8", "pair"):
-        s = fixtures.FIXTURES[name]()
+        s = surfaces.FIXTURES[name]()
         boundary = construct_klt_boundary(s)
         z = zariski_decompose(s, s.anticanonical)
         null_ids = tuple(
@@ -560,12 +561,12 @@ def test_pushforward_recertifies_all_klt_fixtures():
 # -- redundant points ----------------------------------------------------------
 
 def test_no_redundant_points_on_plane_or_f3():
-    assert find_redundant_points(fixtures.projective_plane()) == ()
-    assert find_redundant_points(fixtures.hirzebruch(3)) == ()
+    assert find_redundant_points(surfaces.projective_plane()) == ()
+    assert find_redundant_points(surfaces.hirzebruch(3)) == ()
 
 
 def test_cubic_fixture_generic_redundant_point():
-    points = find_redundant_points(fixtures.cubic_with_points(10))
+    points = find_redundant_points(surfaces.cubic_with_points(10))
     assert len(points) == 1
     assert points[0].kind == "generic"
     assert points[0].curve_ids == ("c",)
@@ -573,7 +574,7 @@ def test_cubic_fixture_generic_redundant_point():
 
 
 def test_meeting_pair_shared_redundant_point():
-    points = find_redundant_points(fixtures.meeting_negative_pair())
+    points = find_redundant_points(surfaces.meeting_negative_pair())
     assert len(points) == 1
     point = points[0]
     assert point.kind == "shared"
@@ -597,7 +598,7 @@ def test_redundant_points_match_an_enumeration_of_every_pair(spec):
 
 
 def test_redundant_blow_up_law_generic():
-    s = fixtures.cubic_with_points(10)
+    s = surfaces.cubic_with_points(10)
     before = zariski_decompose(s, s.anticanonical)
     result = redundant_blow_up(s, find_redundant_points(s)[0])
     after = zariski_decompose(result.model, result.model.anticanonical)
@@ -606,7 +607,7 @@ def test_redundant_blow_up_law_generic():
 
 
 def test_redundant_blow_up_law_shared():
-    s = fixtures.meeting_negative_pair()
+    s = surfaces.meeting_negative_pair()
     result = redundant_blow_up(s, find_redundant_points(s)[0])
     coeffs = dict(result.negative_after)
     assert coeffs["l"] == oracles.PAIR_COEFFS[0]
@@ -617,7 +618,7 @@ def test_redundant_blow_up_law_shared():
 @pytest.mark.parametrize(
     "build,count",
     [
-        (fixtures.negative_star, 7),
+        (surfaces.negative_star, 7),
         (lambda: from_description(line_star(6, 4, 2)), 21),
         (lambda: from_description(line_star(10, 5, 1)), 11),
         (lambda: from_description(line_star(56, 2, 3)), 4),
@@ -637,7 +638,7 @@ def test_redundant_blow_up_law_at_every_redundant_point(build, count):
 
 
 def test_two_redundant_blow_ups_compose():
-    s = fixtures.cubic_with_points(10)
+    s = surfaces.cubic_with_points(10)
     first = redundant_blow_up(s, find_redundant_points(s)[0])
     second = redundant_blow_up(
         first.model, find_redundant_points(first.model)[0]
@@ -647,7 +648,7 @@ def test_two_redundant_blow_ups_compose():
 
 
 def test_non_redundant_point_rejected():
-    s = fixtures.hirzebruch(3)
+    s = surfaces.hirzebruch(3)
     fake = RedundantPoint("generic", ("c0",), Q(1, 3))
     with pytest.raises(RedundancyViolation):
         redundant_blow_up(s, fake)
@@ -655,7 +656,7 @@ def test_non_redundant_point_rejected():
 
 def test_class_verdicts_invariant_under_redundant_blow_up():
     for name in ("cubic10", "pair", "elliptic_ruled"):
-        s = fixtures.FIXTURES[name]()
+        s = surfaces.FIXTURES[name]()
         before = certify_class_equalities(s)
         result = redundant_blow_up(s, find_redundant_points(s)[0])
         after = certify_class_equalities(result.model)
@@ -678,7 +679,7 @@ def _relabelled(s, **flags):
 def _through_section_and_fibre(*records):
     """The elliptic ruled surface with e = 1 blown up at the point where c0
     meets f, then at the given records."""
-    s = blow_up(fixtures.elliptic_ruled(1), BlowUpRecord("p1", (("c0", 1), ("f", 1))))
+    s = blow_up(surfaces.elliptic_ruled(1), BlowUpRecord("p1", (("c0", 1), ("f", 1))))
     for rec in records:
         s = blow_up(s, rec)
     return s
@@ -687,17 +688,17 @@ def _through_section_and_fibre(*records):
 @pytest.mark.parametrize(
     "build,message",
     [
-        (fixtures.projective_plane, "requires a ruled surface over a curve of genus >= 1"),
+        (surfaces.projective_plane, "requires a ruled surface over a curve of genus >= 1"),
         # -K = 2 c0 has square 0
         (lambda: build_base("ruled", e=0, genus=1), "not a big anticanonical surface"),
         # c0 said rational is blown down
         (
-            lambda: _relabelled(fixtures.elliptic_ruled(1), c0={"p_a": 0}),
+            lambda: _relabelled(surfaces.elliptic_ruled(1), c0={"p_a": 0}),
             "inconsistent with the classification: expected exactly one genus-one "
             "section on the minimal resolution, found 0",
         ),
         (
-            lambda: _relabelled(fixtures.elliptic_ruled(1), c0={"smooth": False}),
+            lambda: _relabelled(surfaces.elliptic_ruled(1), c0={"smooth": False}),
             "the genus-one curve is not smooth; it cannot be contracted to a simple "
             "elliptic point",
         ),
@@ -726,7 +727,7 @@ def test_nonrational_classification_rejects(build, message):
 
 
 def test_elliptic_ruled_classifies_case_one():
-    report = classify_nonrational(fixtures.elliptic_ruled(1))
+    report = classify_nonrational(surfaces.elliptic_ruled(1))
     assert report.ok
     assert report.case == 1
     assert report.elliptic_curve == "c0"
@@ -734,7 +735,7 @@ def test_elliptic_ruled_classifies_case_one():
 
 
 def test_classification_after_one_redundant_blow_up():
-    s = fixtures.elliptic_ruled(1)
+    s = surfaces.elliptic_ruled(1)
     result = redundant_blow_up(s, find_redundant_points(s)[0])
     report = classify_nonrational(result.model)
     assert report.ok and report.case == 1
@@ -742,14 +743,14 @@ def test_classification_after_one_redundant_blow_up():
 
 
 def test_chain_fixture_factors_to_minimal():
-    report = classify_nonrational(fixtures.elliptic_ruled_with_chain())
+    report = classify_nonrational(surfaces.elliptic_ruled_with_chain())
     assert report.ok and report.case == 1
     # e1 is a (-2)-curve until e2 is blown down
     assert report.factorization == ("e2", "e1")
 
 
 def test_case_two_when_elliptic_curve_survives():
-    s = fixtures.elliptic_ruled_with_chain()
+    s = surfaces.elliptic_ruled_with_chain()
     report = classify_nonrational(s, contracted=("e1",))
     assert report.ok and report.case == 2
     # the contracted chain really is an A1
@@ -781,7 +782,7 @@ def test_nonaxis_minus_one_curve_is_blown_down():
 def model_set_analyses():
     """The 12 fixtures, and 20 corpus draws each of seeds 1-3 at rank caps
     12 and 40."""
-    analyses = [AnticanonicalAnalysis(build()) for _, build in sorted(fixtures.FIXTURES.items())]
+    analyses = [AnticanonicalAnalysis(build()) for _, build in sorted(surfaces.FIXTURES.items())]
     for max_rank in (12, 40):
         for seed in (1, 2, 3):
             analyses += corpus_draws(seed, 20, max_rank)
@@ -800,12 +801,31 @@ def test_negative_part_is_minus_the_discrepancies():
         classes = [s.curve(c).divisor_class.coords for c in ids]
         rhs = [oracles.dense_pairing(rows, s.canonical.coords, c) for c in classes]
         gram = oracles.curve_gram(rows, classes)
-        expected = tuple(-z.coefficient(c) for c in ids)
+        expected = tuple(-dict(z.negative).get(c, 0) for c in ids)
         assert [sum(map(operator.mul, row, expected)) for row in gram] == rhs, ids
         assert oracles.row_reduce_solve(gram, rhs) == expected, ids
         assert analysis.model.discrepancies == tuple(zip(ids, expected))
     assert len(model_set_analyses()) == 132
     assert max(len(a.model_set) for a in model_set_analyses()) == 25
+
+
+def test_public_validators_accept_every_witness():
+    # the weak verdict tests only N's snc flag, and the klt witness with
+    # Null(P) empty is returned unchecked: the validators still run every
+    # check (snc, floor, ampleness or nefness) on what they return
+    klt = weak = empty = 0
+    for analysis in model_set_analyses():
+        s = analysis.s
+        if analysis.klt_verdict.member:
+            klt += 1
+            empty += not analysis.null
+            witness = analysis.klt_verdict.witness
+            assert validate_klt_del_pezzo(s, witness) == (True, "validated")
+        if analysis.weak_verdict.member:
+            weak += 1
+            witness = analysis.weak_verdict.witness
+            assert validate_weak_lc_del_pezzo(s, witness) == (True, "validated")
+    assert (klt, weak, empty) == (116, 122, 35)
 
 
 def test_contracted_canonical_square_is_the_class_route():
@@ -934,9 +954,9 @@ def test_genus_two_base_rejected():
 
 
 def test_cox_verdicts():
-    assert cox_finitely_generated(fixtures.projective_plane())[0]
-    assert cox_finitely_generated(fixtures.elliptic_ruled(1))[0]
-    chain = fixtures.elliptic_ruled_with_chain()
+    assert cox_finitely_generated(surfaces.projective_plane())[0]
+    assert cox_finitely_generated(surfaces.elliptic_ruled(1))[0]
+    chain = surfaces.elliptic_ruled_with_chain()
     assert cox_finitely_generated(chain)[0]  # default: anticanonical model
     ok, reason = cox_finitely_generated(chain, contracted=("e1",))
     assert not ok and "case 2" in reason
@@ -944,7 +964,7 @@ def test_cox_verdicts():
 
 def test_cox_precondition():
     with pytest.raises(PreconditionFailure):
-        cox_finitely_generated(fixtures.negative_star())
+        cox_finitely_generated(surfaces.negative_star())
 
 
 # -- the quintet cross-check ---------------------------------------------------
@@ -965,7 +985,7 @@ def test_cox_precondition():
     ],
 )
 def test_certify_on_fixtures(name, klt, weak):
-    report = certify_class_equalities(fixtures.FIXTURES[name]())
+    report = certify_class_equalities(surfaces.FIXTURES[name]())
     assert report.consistent, report.failures
     assert report.klt_member == klt
     assert report.weak_member == weak
@@ -974,7 +994,7 @@ def test_certify_on_fixtures(name, klt, weak):
 
 
 def test_weak_validator_demands_snc():
-    s = fixtures.projective_plane()
+    s = surfaces.projective_plane()
     from delpezzo.surface import declare_curve
 
     s = declare_curve(s, "nodal", (3,), 1, smooth=False)
@@ -1005,7 +1025,7 @@ def test_weak_validator_demands_snc():
     ids=["floor", "not ample", "not nef"],
 )
 def test_validator_failure_reasons(name, components, klt, weak):
-    s = fixtures.FIXTURES[name]()
+    s = surfaces.FIXTURES[name]()
     boundary = make_boundary(s, components)
     assert validate_klt_del_pezzo(s, boundary) == (klt == "validated", klt)
     assert validate_weak_lc_del_pezzo(s, boundary) == (weak == "validated", weak)
@@ -1021,7 +1041,7 @@ def test_validator_failure_reasons(name, components, klt, weak):
 )
 def test_validators_read_the_components_not_the_flags(components, message):
     # each record's flags say the boundary is fine; its components say not
-    s = fixtures.projective_plane()
+    s = surfaces.projective_plane()
     for validate in (validate_klt_del_pezzo, validate_weak_lc_del_pezzo):
         with pytest.raises(InvalidSurfaceData) as info:
             validate(s, BoundaryDivisor(components, True, True))
@@ -1031,7 +1051,7 @@ def test_validators_read_the_components_not_the_flags(components, message):
 def test_blow_down_simulation_matches_the_class_oracle():
     # the nodal cubic blown up at its node, whose strict transform is smooth
     # rational and meets e twice: contracting e gives the nodal cubic back
-    s = declare_curve(fixtures.projective_plane(), "nod", (3,), 1, smooth=False)
+    s = declare_curve(surfaces.projective_plane(), "nod", (3,), 1, smooth=False)
     up = blow_up(s, BlowUpRecord("p", (("nod", 2),), None, "e"))
     nod, e = up.curve("nod"), up.curve("e")
     assert nod.smooth and up.meets("nod")[up.position("e")] == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from delpezzo import fixtures
+import surfaces
 from delpezzo.errors import InvalidSurfaceData, NotContractible
 from delpezzo.lattice import IntersectionMatrix, solve_linear
 from delpezzo.singular import (
@@ -19,35 +19,35 @@ from delpezzo.surface import BlowUpRecord, SurfaceModel, blow_up, build_base, de
 
 
 def test_minus_two_curve_is_du_val():
-    s, chain = fixtures.exceptional_chain((2,))
+    s, chain = surfaces.exceptional_chain((2,))
     data = contract(s, chain)
     assert data.discrepancies == (("e1", Q(0)),)
     assert data.tags == ("DuVal",)
 
 
 def test_minus_three_curve_discrepancy():
-    s, chain = fixtures.exceptional_chain((3,))
+    s, chain = surfaces.exceptional_chain((3,))
     data = contract(s, chain)
     assert data.discrepancies == (("e1", oracles.SINGLE_MINUS_3),)
     assert data.tags == ("KltNonCanonical",)
 
 
 def test_minus_one_curve_contracts_to_smooth_point():
-    s, chain = fixtures.exceptional_chain((1,))
+    s, chain = surfaces.exceptional_chain((1,))
     data = contract(s, chain)
     assert data.discrepancies == (("e1", Q(1)),)
     assert data.tags == ("Smooth",)
 
 
 def test_elliptic_curve_gives_simple_elliptic():
-    s = fixtures.cubic_with_points(10)
+    s = surfaces.cubic_with_points(10)
     data = contract(s, ("c",))
     assert data.discrepancies == (("c", Q(-1)),)
     assert data.tags == ("SimpleElliptic",)
 
 
 def test_star_is_worse_than_lc():
-    s = fixtures.negative_star()
+    s = surfaces.negative_star()
     curves = ("l", "e1", "e2", "e3", "e4", "e5", "e6")
     data = contract(s, curves)
     assert data.tags == ("WorseThanLc",)
@@ -55,14 +55,14 @@ def test_star_is_worse_than_lc():
 
 
 def test_hirzebruch_jung_two_three_chain():
-    s, chain = fixtures.exceptional_chain((2, 3))
+    s, chain = surfaces.exceptional_chain((2, 3))
     data = contract(s, chain)
     assert tuple(a for _, a in data.discrepancies) == oracles.HJ_CHAIN_2_3
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_a_n_chains_have_zero_discrepancies(n):
-    s, tower = fixtures.exceptional_chain(tuple([2] * n) + (1,))
+    s, tower = surfaces.exceptional_chain(tuple([2] * n) + (1,))
     chain = tower[:n]  # drop the final (-1)-curve
     data = contract(s, chain)
     assert all(a == 0 for _, a in data.discrepancies)
@@ -74,7 +74,7 @@ def test_a_n_chains_have_zero_discrepancies(n):
 
 
 def test_disconnected_components_get_separate_verdicts():
-    s, chain = fixtures.exceptional_chain((2, 1))
+    s, chain = surfaces.exceptional_chain((2, 1))
     # e1 is a (-2); add a disjoint (-3) tower elsewhere
     s = blow_up(s, BlowUpRecord("z1"))
     new_e = s.blowups[-1].exceptional_id
@@ -94,7 +94,7 @@ def test_not_negative_definite_rejected():
 
 
 def test_boundary_discrepancy_on_hirzebruch():
-    s = fixtures.hirzebruch(2)
+    s = surfaces.hirzebruch(2)
     out = discrepancies_with_boundary(s, ("c0",), (("f", Q(1, 2)),))
     assert out == (("c0", oracles.F2_BOUNDARY_HALF),)
     out = discrepancies_with_boundary(s, ("c0",), (("f", Q(1)),))
@@ -102,14 +102,14 @@ def test_boundary_discrepancy_on_hirzebruch():
 
 
 def test_boundary_empty_reduces_to_contract():
-    s = fixtures.hirzebruch(3)
+    s = surfaces.hirzebruch(3)
     assert discrepancies_with_boundary(s, ("c0",), ()) == contract(
         s, ("c0",)
     ).discrepancies
 
 
 def test_boundary_validation():
-    s = fixtures.hirzebruch(2)
+    s = surfaces.hirzebruch(2)
     with pytest.raises(InvalidSurfaceData, match="outside"):
         discrepancies_with_boundary(s, ("c0",), (("f", Q(3, 2)),))
     with pytest.raises(InvalidSurfaceData, match="contracted"):
@@ -119,7 +119,7 @@ def test_boundary_validation():
 
 
 def test_contract_invariant_under_catalog_permutation():
-    s = fixtures.negative_star()
+    s = surfaces.negative_star()
     curves = ("l", "e1", "e2", "e3", "e4", "e5", "e6")
     a = contract(s, curves)
     reversed_catalog = SurfaceModel(
@@ -132,10 +132,10 @@ def test_contract_invariant_under_catalog_permutation():
 
 
 def test_snc_configurations():
-    s, chain = fixtures.exceptional_chain((2, 2))
+    s, chain = surfaces.exceptional_chain((2, 2))
     assert is_snc_configuration(s, chain)  # a chain meeting once
     # two disjoint (-2)-curves
-    s2, _ = fixtures.exceptional_chain((2, 1))
+    s2, _ = surfaces.exceptional_chain((2, 1))
     assert is_snc_configuration(s2, ("e1",))
     # nodal cubic: smooth_flag false
     s3 = build_base("P2")
@@ -149,7 +149,7 @@ def test_snc_configurations():
 
 
 def test_dual_graph_of_a2_chain():
-    s, chain = fixtures.exceptional_chain((2, 2))
+    s, chain = surfaces.exceptional_chain((2, 2))
     graph = dual_graph(s, chain)
     assert graph.nodes == (("e1", Q(-2), 0), ("e2", Q(-2), 0))
     assert graph.edges == (("e1", "e2", Q(1)),)
@@ -159,14 +159,14 @@ def test_dual_graph_of_a2_chain():
 
 
 def test_dual_graph_single_elliptic_node():
-    s = fixtures.cubic_with_points(10)
+    s = surfaces.cubic_with_points(10)
     graph = dual_graph(s, ("c",))
     assert graph.nodes == (("c", Q(-1), 1),)
     assert graph.edges == ()
 
 
 def test_dual_graph_f2_section():
-    s = fixtures.hirzebruch(2)
+    s = surfaces.hirzebruch(2)
     graph = dual_graph(s, ("c0",))
     assert graph.nodes == (("c0", Q(-2), 0),)
 
@@ -201,7 +201,7 @@ def test_negativity_lemma_property(data):
 
 def test_negativity_lemma_on_fixture_contractions():
     for name in ("f2", "f3", "pair", "star"):
-        s = fixtures.FIXTURES[name]()
+        s = surfaces.FIXTURES[name]()
         from delpezzo.zariski import null_locus, zariski_decompose
 
         z = zariski_decompose(s, s.anticanonical)

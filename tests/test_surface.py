@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from delpezzo import corpus, fixtures, lattice
+import surfaces
+from delpezzo import corpus, lattice
 from delpezzo.errors import IncompatibleSurfaces, InvalidSurfaceData
 from delpezzo.lattice import DivisorClass, PicardLattice, format_rational
 from delpezzo.singular import is_snc_configuration
@@ -211,7 +212,7 @@ def test_strict_transform_intersections_drop_by_products():
 
 
 def test_adjunction_invariant_through_tower():
-    s, chain = fixtures.exceptional_chain((2, 3, 4))
+    s, chain = surfaces.exceptional_chain((2, 3, 4))
     for record in s.catalog:
         assert arithmetic_genus(s, record.divisor_class) == record.p_a
     weights = [-s.curve(c).divisor_class.square for c in chain]
@@ -248,7 +249,7 @@ def test_infinitely_near_point_requires_exceptional():
 
 
 def test_round_trip_is_lossless_and_canonical():
-    for name, builder in fixtures.FIXTURES.items():
+    for name, builder in surfaces.FIXTURES.items():
         s = builder()
         text = dumps(s)
         reparsed = loads(text)
@@ -288,7 +289,7 @@ def test_json_text_refuses_inexact_values(value):
 
 
 def test_round_trip_preserves_catalog():
-    s = fixtures.meeting_negative_pair()
+    s = surfaces.meeting_negative_pair()
     r = loads(dumps(s))
     assert r.curve_ids() == s.curve_ids()
     for a, b in zip(r.catalog, s.catalog):
@@ -297,7 +298,7 @@ def test_round_trip_preserves_catalog():
 
 
 def test_max_rank_cap():
-    data = to_description(fixtures.cubic_with_points(10))
+    data = to_description(surfaces.cubic_with_points(10))
     with pytest.raises(InvalidSurfaceData, match="exceeds the cap"):
         from_description(data, max_rank=5)
 
@@ -719,7 +720,7 @@ def test_gram_matrix_is_kept_per_curve_set(monkeypatch):
     eliminated = []
     bareiss = lattice._bareiss
     monkeypatch.setattr(lattice, "_bareiss", lambda e: eliminated.append(len(e)) or bareiss(e))
-    s = fixtures.negative_star()
+    s = surfaces.negative_star()
     ids = s.curve_ids()
     a, b = ids[:2], ids[1:]
     first = s.gram_of(a)
@@ -732,7 +733,7 @@ def test_gram_matrix_is_kept_per_curve_set(monkeypatch):
 
 
 def test_degrees_refuse_a_class_of_another_surface():
-    s, other = fixtures.hirzebruch(2), fixtures.hirzebruch(3)
+    s, other = surfaces.hirzebruch(2), surfaces.hirzebruch(3)
     with pytest.raises(IncompatibleSurfaces):
         s.degrees(other.anticanonical)
 
@@ -740,10 +741,10 @@ def test_degrees_refuse_a_class_of_another_surface():
 def off_diagonal_models():
     """A Hirzebruch and a ruled surface whose classes use both c0 and f, so
     scans read the base block's off-diagonal c0.f = 1."""
-    hirzebruch = declare_curve(fixtures.hirzebruch(1), "s", (1, 1), 0)
+    hirzebruch = declare_curve(surfaces.hirzebruch(1), "s", (1, 1), 0)
     hirzebruch = blow_up(hirzebruch, BlowUpRecord("p1", (("c0", 1), ("f", 1))))
     hirzebruch = blow_up(hirzebruch, BlowUpRecord("p2", (("s", 1),)))
-    ruled = blow_up(fixtures.elliptic_ruled(1), BlowUpRecord("p1", (("c0", 1), ("f", 1))))
+    ruled = blow_up(surfaces.elliptic_ruled(1), BlowUpRecord("p1", (("c0", 1), ("f", 1))))
     ruled = blow_up(ruled, BlowUpRecord("p2", (("e1", 1),), near="e1"))
     return [hirzebruch, ruled]
 

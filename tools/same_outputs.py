@@ -4,7 +4,7 @@ Run from the root of a checkout:
 
     python3 tools/same_outputs.py --parent HEAD~1
 
-It runs 391 command lines in-process through ``delpezzo.cli.main``:
+It runs 415 command lines in-process through ``delpezzo.cli.main``:
 
 * ``analyze`` and ``classify`` with ``--format`` text, json and dot,
   ``decompose`` with text and json, and ``witness --method direct`` and
@@ -21,6 +21,9 @@ It runs 391 command lines in-process through ``delpezzo.cli.main``:
   supports that fail with exit 2;
 * ``blowup --at`` at each of the 11 redundant points of the fixtures, and
   at a point of ``star`` that is not one, which exits 2;
+* ``analyze --assert klt_any_boundary`` and ``--assert
+  weak_lc_any_boundary`` on the 12 committed fixtures, which exit 1 where
+  the verdict is false;
 * ``corpus --seed s --count 200`` for s = 1 .. 10, at the default rank
   cap of 12, and ``corpus --seed s --count 50 --max-rank 40`` for
   s = 1 .. 3.
@@ -65,6 +68,7 @@ BLOWUP_POINTS = (
     *(("star", f"p{i}") for i in range(1, 7)),
     ("star", "nope"),
 )
+ASSERTED = ("klt_any_boundary", "weak_lc_any_boundary")
 
 # Runs a JSON list of argv lists, read from stdin, through cli.main and
 # writes one [exit code, stdout, stderr] per command line as JSON.
@@ -108,6 +112,11 @@ def command_lines(inputs: list[Path], sample: list[Path]) -> list[list[str]]:
     argvs += [
         ["blowup", str(ROOT / "fixtures" / f"{name}.json"), "--at", at]
         for name, at in BLOWUP_POINTS
+    ]
+    argvs += [
+        ["analyze", str(path), "--assert", verdict]
+        for path in sorted((ROOT / "fixtures").glob("*.json"))
+        for verdict in ASSERTED
     ]
     for path in sample:
         file = str(path)
