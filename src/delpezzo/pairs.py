@@ -135,33 +135,28 @@ def _klt_checks(s: SurfaceModel, read: BoundaryDivisor) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # witness construction
 
-def _interior_multipliers(
-    s: SurfaceModel, null_ids: tuple[str, ...], rhs: list[int]
-) -> tuple[list[int], int]:
-    """The solution of L.C_i = rhs_i on Null(P), as integer numerators over
-    one positive denominator; every one must be positive."""
-    ys, y_den = _solve_integers(s.gram_of(null_ids), rhs)
-    if any(y <= 0 for y in ys):
-        raise CatalogInsufficient(
-            "catalog insufficient: interior class on Null(P) is not effective"
-        )
-    return ys, y_den
+def _witness(
+    analysis: AnticanonicalAnalysis, via_cone: bool
+) -> tuple[BoundaryDivisor, WitnessParams]:
+    """The klt witness N + eps*L, read off the analysis's -K = P + N.
 
-
-def _witness(s: SurfaceModel, via_cone: bool, z=None) -> tuple[BoundaryDivisor, WitnessParams]:
-    """The klt witness N + eps*L; ``z`` is -K = P + N if the caller has it.
-
-    With Null(P) empty the witness is the empty boundary, unchecked: N's
-    support lies in Null(P), so N = 0 and -K = P, and zariski._verify has
-    found P positive on every catalog curve, so with P^2 > 0 -K is
-    catalog-ample.  Otherwise _klt_checks validates N + eps*L.
+    With Null(P) empty the witness is the empty boundary, unchecked: N = 0,
+    and zariski._verify found P = -K positive on every catalog curve, so
+    with P^2 > 0 -K is catalog-ample.  Otherwise _klt_checks on N + eps*L
+    is the one gate; once P^2 > 0 and max N < 1, exact algebra settles the
+    rest.  Null(P) is snc: N's coefficients there solve M n = -K.C, and
+    curves meet non-negatively, so n_T >= (-M_T)^-1 (K.C)_T on each T in
+    Null(P), a Stieltjes matrix's inverse being >= 0.  So n_C >= 1 +
+    (2p_a - 2)/(-C^2) >= 1 on a singular C (p_a >= 1), and n_C, n_D >= 1 on
+    smooth rational C, D with C.D >= 2, as (-M_T)(1, 1) <= (K.C)_T.
+    L > 0: P^perp is negative definite (Hodge index), so -M is a Stieltjes
+    matrix, its inverse is >= 0 with a positive diagonal, and rhs < 0.
 
     L's class is never built.  L lives on Null(P), so P.L = 0, and
     L.C_i = rhs_i on each Null(P) curve by the solve, so the square guard
     reads (P - eps*L)^2 = P^2 + eps^2 * sum l_i rhs_i, with P^2 read once;
     eps's degree bound reads L's degrees off the table rows."""
-    if z is None:
-        z = zariski_decompose(s, s.anticanonical)
+    s, z = analysis.s, analysis.decomposition
     p_square = z.positive_square
     if p_square <= 0:
         raise PreconditionFailure("not a big anticanonical surface")
@@ -169,14 +164,9 @@ def _witness(s: SurfaceModel, via_cone: bool, z=None) -> tuple[BoundaryDivisor, 
         raise PreconditionFailure(
             "negative part has a coefficient >= 1; no klt boundary exists"
         )
-    null_ids = null_locus(s, z)
+    null_ids = analysis.null
     if not null_ids:
         return make_boundary(s, ()), WitnessParams(Q(0), ())
-
-    if not is_snc_configuration(s, null_ids):
-        raise NotSimpleNormalCrossings(
-            "Null(P) does not have snc support relative to the catalog"
-        )
 
     if via_cone:
         # an interior point of the cone on Null(P): weight each curve by how
@@ -189,11 +179,10 @@ def _witness(s: SurfaceModel, via_cone: bool, z=None) -> tuple[BoundaryDivisor, 
             rhs.append(-(1 + meets))
     else:
         rhs = [-1] * len(null_ids)
-    ys, y_den = _interior_multipliers(s, null_ids, rhs)
+    ys, y_den = _solve_integers(s.gram_of(null_ids), rhs)
     multipliers = tuple((cid, Q(y, y_den)) for cid, y in zip(null_ids, ys))
 
-    max_n = z.max_coefficient
-    epsilon = (1 - max_n) * y_den / (2 * max(ys))
+    epsilon = (1 - z.max_coefficient) * y_den / (2 * max(ys))
     # Null(P) is where P has degree zero, so only other curves give a bound
     p_degrees, p_den = s.degrees(z.positive), z.positive.den
     l_degrees, _ = combination_degrees(s, zip(null_ids, ys))
@@ -222,7 +211,7 @@ def construct_klt_boundary(s: SurfaceModel) -> BoundaryDivisor:
 
 def construct_klt_boundary_via_cone(s: SurfaceModel) -> BoundaryDivisor:
     """Alternative witness through an interior point of Cone(Null(P))."""
-    return _witness(s, via_cone=True)[0]
+    return _witness(AnticanonicalAnalysis(s), via_cone=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +672,7 @@ class AnticanonicalAnalysis:
     @_field
     def witness(self) -> tuple[BoundaryDivisor, WitnessParams]:
         """The direct klt witness N + eps*L and its parameters."""
-        return _witness(self.s, via_cone=False, z=self.decomposition)
+        return _witness(self, via_cone=False)
 
     @_field
     def klt_verdict(self) -> ClassVerdict:
@@ -731,20 +720,14 @@ class AnticanonicalAnalysis:
         """Catalog-expressible points where N has multiplicity >= 1."""
         z = self.decomposition
         coeff = dict(z.negative)
-        found = []
-        for cid, c in z.negative:
-            if c >= 1:
-                found.append(RedundantPoint("generic", (cid,), c))
+        found = [RedundantPoint("generic", (cid,), c) for cid, c in z.negative if c >= 1]
         support = [cid for cid, _ in z.negative]
         for i, a in enumerate(support):
             for b in support[i + 1:]:
-                shared = self.s.shared_points(a, b)
-                if not shared:
-                    continue
+                point_id = self.s.shared_point(a, b)
                 total = coeff[a] + coeff[b]
-                if total >= 1:
-                    for point_id, _, _ in shared:
-                        found.append(RedundantPoint("shared", (a, b), total, point_id))
+                if point_id is not None and total >= 1:
+                    found.append(RedundantPoint("shared", (a, b), total, point_id))
         return tuple(found)
 
     @_field

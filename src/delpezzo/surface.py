@@ -122,11 +122,6 @@ class BlowUpRecord(
     __slots__ = ()
 
 
-# One recorded shared point between a pair of curves: (point id, local
-# multiplicity on the first curve of the sorted pair, on the second).
-SharedPoint = tuple[str, int, int]
-
-
 class _CurveDecl(namedtuple("_CurveDecl", "curve_id coords p_a smooth after")):
     """Replay data for a user-declared curve (for lossless round-trips);
     ``after`` is the number of blow-ups already applied when declared."""
@@ -281,9 +276,9 @@ class SurfaceModel(Frozen):
         total, den = weighted_sum(terms, self.rank)
         return _reduced(self.lattice, tuple(total), den)
 
-    def shared_points(self, a: str, b: str) -> tuple[SharedPoint, ...]:
-        key = (a, b) if a <= b else (b, a)
-        return self.incidence.get(key, ())
+    def shared_point(self, a: str, b: str) -> str | None:
+        """``incidence`` maps a sorted curve pair to its shared point's id."""
+        return self.incidence.get((a, b) if a <= b else (b, a))
 
 
 def arithmetic_genus(s: SurfaceModel, divisor_class: DivisorClass) -> Q:
@@ -434,7 +429,7 @@ class _Stage:
                 raise InvalidSurfaceData(
                     f"infinitely-near target {reprlib.repr(rec.near)} not in catalog"
                 )
-            if curves[rec.near].provenance not in ("exceptional", "strict-transform"):
+            if curves[rec.near].provenance != "exceptional":
                 raise InvalidSurfaceData("infinitely-near points must sit on an exceptional curve")
             seen.setdefault(rec.near, 1)
         # catalog order for determinism
@@ -495,11 +490,8 @@ class _Stage:
             for cid_b, _ in incident[i + 1:]:
                 incidence.pop((cid_a, cid_b) if cid_a <= cid_b else (cid_b, cid_a), None)
         # every incident curve now meets the new exceptional over this point
-        for cid, mult in incident:
-            if cid <= exc_id:
-                incidence[cid, exc_id] = ((point_id, mult, 1),)
-            else:
-                incidence[exc_id, cid] = ((point_id, 1, mult),)
+        for cid, _ in incident:
+            incidence[(cid, exc_id) if cid <= exc_id else (exc_id, cid)] = point_id
 
         self.blowups.append(BlowUpRecord(point_id, tuple(incident), rec.near, exc_id))
         self.points.add(point_id)

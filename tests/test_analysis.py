@@ -422,7 +422,7 @@ def test_worse_model_tag_exits_three(monkeypatch):
 
 
 def test_failed_klt_witness_exits_three(monkeypatch):
-    def insufficient(s, via_cone, z=None):
+    def insufficient(analysis, via_cone):
         raise CatalogInsufficient("catalog insufficient: planted")
 
     monkeypatch.setattr(pairs, "_witness", insufficient)

@@ -111,7 +111,7 @@ def test_verdict_caveat_is_catalog_relative():
 
 def test_f2_direct_witness():
     s = surfaces.hirzebruch(2)
-    boundary, params = _witness(s, via_cone=False)
+    boundary, params = _witness(AnticanonicalAnalysis(s), via_cone=False)
     assert params.multipliers == (("c0", oracles.F2_L_COEFF),)
     assert boundary.floor_is_zero and boundary.snc
     target = s.anticanonical - s.class_of(boundary.components)
@@ -120,7 +120,7 @@ def test_f2_direct_witness():
 
 def test_f3_direct_witness():
     s = surfaces.hirzebruch(3)
-    boundary, params = _witness(s, via_cone=False)
+    boundary, params = _witness(AnticanonicalAnalysis(s), via_cone=False)
     assert params.multipliers == (("c0", oracles.F3_L_COEFF),)
     # Delta = N + eps L = (1/3 + eps/3) c0
     assert dict(boundary.components).get("c0", 0) == Q(1, 3) + params.epsilon * Q(1, 3)
@@ -128,7 +128,7 @@ def test_f3_direct_witness():
 
 def test_pair_fixture_witness_frozen_values():
     s = surfaces.meeting_negative_pair()
-    boundary, params = _witness(s, via_cone=False)
+    boundary, params = _witness(AnticanonicalAnalysis(s), via_cone=False)
     assert dict(params.multipliers) == {
         "l": oracles.PAIR_L_COEFFS[0],
         "e7": oracles.PAIR_L_COEFFS[1],
@@ -140,8 +140,9 @@ def test_pair_fixture_witness_frozen_values():
 
 def test_cone_witness_differs_but_validates():
     s = surfaces.hirzebruch(2)
-    direct, p_direct = _witness(s, via_cone=False)
-    cone, p_cone = _witness(s, via_cone=True)
+    analysis = AnticanonicalAnalysis(s)
+    direct, p_direct = _witness(analysis, via_cone=False)
+    cone, p_cone = _witness(analysis, via_cone=True)
     assert p_direct.multipliers != p_cone.multipliers
     assert p_cone.multipliers == (("c0", Q(1)),)
     for boundary in (direct, cone):
@@ -591,7 +592,8 @@ def test_redundant_points_match_an_enumeration_of_every_pair(spec):
     expected = [RedundantPoint("generic", (a,), c) for a, c in negative if c >= 1]
     for (a, ca), (b, cb) in itertools.combinations(negative, 2):
         if ca + cb >= 1:
-            for point_id, _, _ in s.shared_points(a, b):
+            point_id = s.shared_point(a, b)
+            if point_id is not None:
                 expected.append(RedundantPoint("shared", (a, b), ca + cb, point_id))
     assert sum(p.kind == "shared" for p in expected) >= 4
     assert find_redundant_points(s) == tuple(expected)
@@ -812,20 +814,29 @@ def test_negative_part_is_minus_the_discrepancies():
 def test_public_validators_accept_every_witness():
     # the weak verdict tests only N's snc flag, and the klt witness with
     # Null(P) empty is returned unchecked: the validators still run every
-    # check (snc, floor, ampleness or nefness) on what they return
+    # check (snc, floor, ampleness or nefness) on what they return.  The
+    # witness checks neither that Null(P) is snc nor that L is positive, as
+    # exact algebra settles both once P^2 > 0 and max N < 1: both hold here
     klt = weak = empty = 0
+    nonempty = {False: 0, True: 0}
     for analysis in model_set_analyses():
         s = analysis.s
         if analysis.klt_verdict.member:
             klt += 1
             empty += not analysis.null
+            assert singular.is_snc_configuration(s, analysis.null)
             witness = analysis.klt_verdict.witness
             assert validate_klt_del_pezzo(s, witness) == (True, "validated")
+            for via_cone in (False, True):
+                _, (_, multipliers) = _witness(analysis, via_cone)
+                assert all(c > 0 for _, c in multipliers)
+                nonempty[via_cone] += bool(multipliers)
         if analysis.weak_verdict.member:
             weak += 1
             witness = analysis.weak_verdict.witness
             assert validate_weak_lc_del_pezzo(s, witness) == (True, "validated")
     assert (klt, weak, empty) == (116, 122, 35)
+    assert nonempty == {False: 81, True: 81}
 
 
 def test_contracted_canonical_square_is_the_class_route():
@@ -852,7 +863,7 @@ def test_witness_square_guard_is_the_class_route():
         for via_cone in (False, True):
             try:
                 _, (epsilon, multipliers) = (
-                    _witness(s, True, z) if via_cone else analysis.witness
+                    _witness(analysis, True) if via_cone else analysis.witness
                 )
             except GeometryError:
                 continue
@@ -891,6 +902,7 @@ def test_witness_epsilon_halves_only_while_the_square_needs_it():
                 continue
             if not multipliers:
                 continue
+            assert all(c > 0 for _, c in multipliers)
             rows = oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))
             l_class = [0] * s.rank
             for cid, c in multipliers:

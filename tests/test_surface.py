@@ -138,11 +138,12 @@ def test_point_through_a_curve_and_its_exceptional_clears_their_shared_point():
     s = build_base("P2")
     s = declare_curve(s, "c", (3,), 1, smooth=False)
     s = blow_up(s, BlowUpRecord("p1", incidences=(("c", 2),)))
-    assert s.incidence == {("c", "e1"): (("p1", 2, 1),)}
+    assert s.incidence == {("c", "e1"): "p1"}
     # the exceptional side has multiplicity 1, so the point is used up
     s = blow_up(s, BlowUpRecord("p2", incidences=(("c", 1), ("e1", 1))))
-    assert s.shared_points("c", "e1") == ()
-    assert s.incidence == {("c", "e2"): (("p2", 1, 1),), ("e1", "e2"): (("p2", 1, 1),)}
+    assert s.shared_point("c", "e1") is None
+    assert s.shared_point("e2", "c") == "p2"
+    assert s.incidence == {("c", "e2"): "p2", ("e1", "e2"): "p2"}
     assert s.curve("c").divisor_class.dot(s.curve("e1").divisor_class) == 1
 
 
@@ -410,6 +411,11 @@ THROUGH_P1 = {"class": ["1", "-1"], "pa": 0, "after": 1}
             # has a non-integral class
             _plane([{"id": "x", "class": ["3/2", "-1/2"], "pa": 0, "after": 1}], [{}]),
             "class of 'x': coordinate h = 3/2 is not an integer",
+        ),
+        (
+            # a blown-up line is a strict transform, not an exceptional curve
+            _plane([LINE], [{"on": [["l", 1]]}, {"near": "l"}]),
+            "infinitely-near points must sit on an exceptional curve",
         ),
     ],
 )

@@ -29,18 +29,10 @@ Later reports record their own command line under ``"argv"``.
 
 The parent commit (``git archive``) and the change (the working tree's
 tracked and unignored files) are copied into a temporary directory, so
-both sides start alike: no bytecode caches, no leftovers.  First it times
-start-up: ``python -m delpezzo.cli analyze fixtures/F.json --format json`` as
-a new process, for F = p2 and dp8, and the bare import ``python -S -c
-"import delpezzo.cli"``, ``STARTUP_REPEATS`` times per side with the sides
-alternating, once with cold bytecode (``PYTHONDONTWRITEBYTECODE=1`` on the
-fresh copy, so every package module is compiled, as in the benchmark's
-set-up) and once warm (a temporary ``PYTHONPYCACHEPREFIX``, primed by one
-untimed call), next to a bare ``python -c pass`` and ``python -S -c pass``;
-both sides must print the same stdout.  Then, for each workload and each seed
-``1 .. pairs`` it runs ``perfbench/run.py --seconds 20`` once on each side,
-the parent first in odd pairs and the change first in even pairs, so that a
-drift of the machine's speed hits both sides alike.  Then it runs one traced
+both sides start alike: no bytecode caches, no leftovers.  For each workload
+and each seed ``1 .. pairs`` it runs ``perfbench/run.py --seconds 20`` once
+on each side, the parent first in odd pairs and the change first in even
+pairs, so that a drift of the machine's speed hits both sides alike.  Then it runs one traced
 pass (``--trace 1``, seed 1) per side, optionally one held-out pair on the
 claimed workload, and optionally ``LINE_STAR_REPEATS`` (11) single timed
 calls per side of ``analyze --format json`` on ``line_star`` inputs, the
@@ -53,7 +45,6 @@ Only the standard library is used.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import os
@@ -64,7 +55,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,10 +63,6 @@ WORKLOADS = ("fixtures", "wide_support", "high_rank", "corpus")
 SECONDS = 20  # the run length BENCHMARK.json gives perfbench/run.py
 TRACE_SEED = 1
 LINE_STAR_REPEATS = 11
-STARTUP_REPEATS = 5
-STARTUP_FIXTURES = ("p2", "dp8")
-# the package import alone, without ``site``, and its floor
-IMPORT_ONLY = "import delpezzo.cli"
 
 # Times one in-process `analyze --format json` on a line_star input built by
 # the benchmark's own generator; prints seconds, exit code and stdout digest.
@@ -231,70 +217,6 @@ def single_calls(roots: dict, specs: list[str]) -> dict:
     return out
 
 
-def _timed(argv: list[str], root: Path, env: dict) -> tuple[float, str]:
-    """Wall seconds of one process and the SHA-256 of its stdout."""
-    start = time.perf_counter()
-    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True)
-    seconds = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode} in {root}:\n{proc.stderr}")
-    return seconds, hashlib.sha256(proc.stdout).hexdigest()
-
-
-def startup(roots: dict) -> dict:
-    """Process wall times of single ``analyze`` calls and of the bare package
-    import, per bytecode state."""
-    base = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    out = {
-        "command": "python -m delpezzo.cli analyze fixtures/F.json --format json",
-        "import_command": f"python -S -c {IMPORT_ONLY!r}",
-        "repeats": STARTUP_REPEATS,
-    }
-    with tempfile.TemporaryDirectory(prefix="pycache-") as prefix:
-        states = {
-            "cold": {"PYTHONDONTWRITEBYTECODE": "1"},
-            "warm": {"PYTHONPYCACHEPREFIX": prefix},
-        }
-        for state, extra in states.items():
-            envs = {side: {**base, **extra, "PYTHONPATH": str(roots[side] / "src")}
-                    for side in SIDES}
-            commands = {
-                name: [sys.executable, "-m", "delpezzo.cli", "analyze",
-                       f"fixtures/{name}.json", "--format", "json"]
-                for name in STARTUP_FIXTURES
-            }
-            commands[IMPORT_ONLY] = [sys.executable, "-S", "-c", IMPORT_ONLY]
-            for name, argv in commands.items():
-                if state == "warm":
-                    for side in SIDES:
-                        _timed(argv, roots[side], envs[side])
-                seconds = {side: [] for side in SIDES}
-                digests = set()
-                for i in range(STARTUP_REPEATS):
-                    for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                        t, digest = _timed(argv, roots[side], envs[side])
-                        seconds[side].append(t)
-                        digests.add(digest)
-                if len(digests) != 1:
-                    raise SystemExit(f"{' '.join(argv[1:])}: the sides' stdout differs")
-                medians = {side: statistics.median(seconds[side]) for side in SIDES}
-                change = round(medians["change"] / medians["parent"] - 1, 4)
-                out[f"{state} {name}"] = {
-                    "seconds_median": medians,
-                    "relative_change_of_median": change,
-                    "seconds_runs": seconds,
-                }
-                print(f"  start-up {state} {name} {medians}", file=sys.stderr)
-    for flags in ((), ("-S",)):
-        argv = [sys.executable, *flags, "-c", "pass"]
-        bare = [_timed(argv, ROOT, base)[0] for _ in range(STARTUP_REPEATS)]
-        out[f"bare python {' '.join(argv[1:])}"] = {
-            "seconds_median": statistics.median(bare),
-            "seconds_runs": bare,
-        }
-    return out
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
@@ -319,7 +241,6 @@ def main(argv=None) -> int:
         roots = {side: scratch / side for side in SIDES}
         unpack(parent, roots["parent"])
         copy_working_tree(roots["change"])
-        startup_block = startup(roots)
         workloads = {}
         for workload in WORKLOADS:
             print(f"{workload}:", file=sys.stderr)
@@ -363,7 +284,6 @@ def main(argv=None) -> int:
         }
         if args.claim_workload and args.claim_metric:
             report["claim"] = claim(args, roots, workloads[args.claim_workload]["metrics"])
-        report["startup"] = startup_block
         report["workloads"] = workloads
         if args.line_star:
             report["single_calls"] = single_calls(roots, args.line_star)
