@@ -153,12 +153,12 @@ def _analysis(s: SurfaceModel) -> dict:
         "rational": s.rational,
         "anticanonical": {
             "class": _class_strings(s.anticanonical),
-            "square": format_rational(s.anticanonical.square),
+            "square": format_rational(s.canonical_square),
         },
         "zariski": {
             "positive": _class_strings(z.positive),
             "negative": _pairs_json(z.negative),
-            "positive_square": format_rational(z.positive_square),
+            "positive_square": format_rational(analysis.positive_square),
             "big": analysis.big,
         },
         "null_locus": {"curves": list(null), "snc": snc},
@@ -254,14 +254,15 @@ def cmd_decompose(args) -> int:
         d = s.anticanonical
     z = zariski_decompose(s, d)
     null = null_locus(s, z)
+    p_square = z.positive_square
     data = {
         "divisor": _class_strings(d),
         "positive": _class_strings(z.positive),
         "negative": _pairs_json(z.negative),
-        "positive_square": format_rational(z.positive_square),
+        "positive_square": format_rational(p_square),
         "null_locus": list(null),
         "nef_on_catalog": zariski.nef_on_catalog(s, d),
-        "big": z.positive_square > 0,
+        "big": p_square > 0,
         "ample_on_catalog": zariski.ample_on_catalog(s, d),
         "caveat": CATALOG_CAVEAT,
     }

@@ -154,13 +154,15 @@ def _witness(
 
     L's class is never built.  L lives on Null(P), so P.L = 0, and
     L.C_i = rhs_i on each Null(P) curve by the solve, so the square guard
-    reads (P - eps*L)^2 = P^2 + eps^2 * sum l_i rhs_i, with P^2 read once;
-    eps's degree bound reads L's degrees off the table rows."""
+    reads (P - eps*L)^2 = P^2 + eps^2 * sum l_i rhs_i, with the analysis's
+    P^2; eps's degree bound reads L's degrees off the table rows and finds
+    the least P.C / L.C by cross-multiplying integers, so it builds one
+    Fraction."""
     s, z = analysis.s, analysis.decomposition
-    p_square = z.positive_square
+    p_square, max_coefficient = analysis.positive_square, analysis.max_coefficient
     if p_square <= 0:
         raise PreconditionFailure("not a big anticanonical surface")
-    if z.max_coefficient >= 1:
+    if max_coefficient >= 1:
         raise PreconditionFailure(
             "negative part has a coefficient >= 1; no klt boundary exists"
         )
@@ -182,13 +184,16 @@ def _witness(
     ys, y_den = _solve_integers(s.gram_of(null_ids), rhs)
     multipliers = tuple((cid, Q(y, y_den)) for cid, y in zip(null_ids, ys))
 
-    epsilon = (1 - z.max_coefficient) * y_den / (2 * max(ys))
+    epsilon = (1 - max_coefficient) * y_den / (2 * max(ys))
     # Null(P) is where P has degree zero, so only other curves give a bound
-    p_degrees, p_den = s.degrees(z.positive), z.positive.den
     l_degrees, _ = combination_degrees(s, zip(null_ids, ys))
-    for p_degree, l_degree in zip(p_degrees, l_degrees):
+    p_least, l_least = 0, 0  # the least P.C / L.C so far, 0/0 before any
+    for p_degree, l_degree in zip(s.degrees(z.positive), l_degrees):
         if p_degree > 0 and l_degree > 0:
-            epsilon = min(epsilon, Q(p_degree * y_den, 2 * l_degree * p_den))
+            if not l_least or p_degree * l_least < p_least * l_degree:
+                p_least, l_least = p_degree, l_degree
+    if l_least:
+        epsilon = min(epsilon, Q(p_least * y_den, 2 * l_least * z.positive.den))
     # the formula controls degrees; the square needs its own guard
     l_square = Q(sum(map(mul, ys, rhs)), y_den)
     while p_square + epsilon * epsilon * l_square <= 0:
@@ -652,9 +657,19 @@ class AnticanonicalAnalysis:
         return null_locus(self.s, self.decomposition)
 
     @_field
+    def positive_square(self) -> Q:
+        """P^2, paired once."""
+        return self.decomposition.positive_square
+
+    @_field
+    def max_coefficient(self) -> Q:
+        """The largest N-coefficient, 0 when N = 0."""
+        return self.decomposition.max_coefficient
+
+    @_field
     def big(self) -> bool:
         """-K is big on the catalog: P^2 > 0."""
-        return self.decomposition.positive_square > 0
+        return self.positive_square > 0
 
     @_field
     def model_set(self) -> tuple[str, ...]:
@@ -686,7 +701,7 @@ class AnticanonicalAnalysis:
             return ClassVerdict(
                 tag, False, reason="not a big anticanonical surface", applicable=False
             )
-        if z.max_coefficient >= 1:
+        if self.max_coefficient >= 1:
             return ClassVerdict(tag, False, reason=_worst_coefficient(z, ">="))
         try:
             boundary, params = self.witness
@@ -705,7 +720,7 @@ class AnticanonicalAnalysis:
             z = self.decomposition
         except CatalogInsufficient as exc:
             return ClassVerdict(tag, False, reason=str(exc), applicable=False)
-        if z.max_coefficient > 1:
+        if self.max_coefficient > 1:
             return ClassVerdict(tag, False, reason=_worst_coefficient(z, ">"))
         boundary = make_boundary(self.s, z.negative)
         if not boundary.snc:
@@ -718,16 +733,24 @@ class AnticanonicalAnalysis:
     @_field
     def redundant_points(self) -> tuple[RedundantPoint, ...]:
         """Catalog-expressible points where N has multiplicity >= 1."""
-        z = self.decomposition
-        coeff = dict(z.negative)
-        found = [RedundantPoint("generic", (cid,), c) for cid, c in z.negative if c >= 1]
-        support = [cid for cid, _ in z.negative]
-        for i, a in enumerate(support):
-            for b in support[i + 1:]:
-                point_id = self.s.shared_point(a, b)
-                total = coeff[a] + coeff[b]
-                if point_id is not None and total >= 1:
-                    found.append(RedundantPoint("shared", (a, b), total, point_id))
+        s, negative = self.s, self.decomposition.negative
+        found = [
+            RedundantPoint("generic", (cid,), c)
+            for cid, c in negative
+            if c.numerator >= c.denominator
+        ]
+        # shared points of two N-curves, ordered by the curves' positions
+        coeff, position = dict(negative), s.position
+        shared = sorted(
+            (sorted(map(position, pair)), point_id)
+            for pair, point_id in s.incidence.items()
+            if pair[0] in coeff and pair[1] in coeff
+        )
+        for (i, j), point_id in shared:
+            a, b = s.catalog[i].curve_id, s.catalog[j].curve_id
+            total = coeff[a] + coeff[b]
+            if total >= 1:
+                found.append(RedundantPoint("shared", (a, b), total, point_id))
         return tuple(found)
 
     @_field

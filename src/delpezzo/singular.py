@@ -182,7 +182,7 @@ def contract(s: SurfaceModel, curves) -> ContractionData:
         discrepancies=tuple(zip(ids, solved)),
         components=components,
         verdicts=verdicts,
-        contracted_canonical_square=s.canonical.square - Q(sum(map(mul, nums, rhs)), den),
+        contracted_canonical_square=s.canonical_square - Q(sum(map(mul, nums, rhs)), den),
     )
 
 

@@ -140,14 +140,15 @@ class SurfaceModel(Frozen):
     comes with it.  A row or scan pairs one class with the catalog through
     the class's dual vector, read at each catalog class's nonzero
     coordinates; those are kept too, from the first row or scan on.
-    ``anticanonical`` is -K, built once with the model.  Every fill is
+    ``anticanonical`` is -K, built once with the model, and
+    ``canonical_square`` is K^2, paired on first request.  Every fill is
     idempotent, so concurrent readers can at worst compute a value twice.
     """
 
     __slots__ = (
         "base", "blowups", "catalog", "canonical", "lattice", "incidence", "declarations",
         "anticanonical", "_curves_by_id", "_positions", "_meets", "_scans", "_grams",
-        "_sparse",
+        "_sparse", "_canonical_square",
     )
 
     def __init__(
@@ -175,6 +176,7 @@ class SurfaceModel(Frozen):
         set_field(self, "_scans", {})
         set_field(self, "_grams", {})
         set_field(self, "_sparse", None)
+        set_field(self, "_canonical_square", None)
 
     def __repr__(self):
         return (
@@ -191,6 +193,15 @@ class SurfaceModel(Frozen):
     @property
     def rational(self) -> bool:
         return self.base.rational
+
+    @property
+    def canonical_square(self) -> Q:
+        """K^2, which is also (-K)^2."""
+        square = self._canonical_square
+        if square is None:
+            square = self.canonical.square
+            object.__setattr__(self, "_canonical_square", square)
+        return square
 
     def curve(self, curve_id: str) -> CurveRecord:
         try:
@@ -625,66 +636,64 @@ def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
         raise InvalidSurfaceData(
             f"Picard rank {len(stage.labels) + len(blowups)} exceeds the cap {max_rank}"
         )
-    # curves by the stage they join, in file order, with their message prefix
-    pending: dict[int, list[tuple[dict, str]]] = {}
+    # curves by the stage they join, in file order; a field's message gains
+    # its entry's prefix only when the field is refused
+    pending: dict[int, list[dict]] = {}
     for entry in curves:
-        where = f"curve {reprlib.repr(entry.get('id'))}:"
-        after = input_int(entry.get("after", 0), f"{where} after")
-        if not 0 <= after <= len(blowups):
-            raise InvalidSurfaceData(
-                f"{where} after {after} is outside "
-                f"0..{len(blowups)}, the number of blow-ups"
-            )
-        pending.setdefault(after, []).append((entry, where))
+        try:
+            after = input_int(entry.get("after", 0), "after")
+            if not 0 <= after <= len(blowups):
+                raise InvalidSurfaceData(
+                    f"after {after} is outside 0..{len(blowups)}, the number of blow-ups"
+                )
+        except InvalidSurfaceData as exc:
+            raise InvalidSurfaceData(f"curve {reprlib.repr(entry.get('id'))}: {exc}") from None
+        pending.setdefault(after, []).append(entry)
 
     def declare_pending(after: int):
-        for entry, where in pending.get(after, ()):
-            coords = tuple(
-                input_rational(x, f"{where} class coordinate")
-                for x in _input_list(entry["class"], f"{where} class")
-            )
-            if len(coords) != len(stage.labels):
-                raise InvalidSurfaceData(
-                    f"{where} class has {len(coords)} "
-                    f"coordinates, surface has rank {len(stage.labels)}"
+        for entry in pending.get(after, ()):
+            try:
+                coords = tuple(
+                    input_rational(x, "class coordinate")
+                    for x in _input_list(entry["class"], "class")
                 )
-            smooth = entry.get("smooth", True)
-            if not isinstance(smooth, bool):
-                raise InvalidSurfaceData(
-                    f"{where} smooth {reprlib.repr(smooth)} is not true or false"
-                )
-            stage.declare(
-                _input_name(entry["id"], f"{where} id"),
-                coords,
-                input_int(entry["pa"], f"{where} pa"),
-                smooth,
-            )
+                if len(coords) != len(stage.labels):
+                    raise InvalidSurfaceData(
+                        f"class has {len(coords)} coordinates, "
+                        f"surface has rank {len(stage.labels)}"
+                    )
+                smooth = entry.get("smooth", True)
+                if not isinstance(smooth, bool):
+                    raise InvalidSurfaceData(f"smooth {reprlib.repr(smooth)} is not true or false")
+                curve_id = _input_name(entry["id"], "id")
+                p_a = input_int(entry["pa"], "pa")
+            except InvalidSurfaceData as exc:
+                raise InvalidSurfaceData(f"curve {reprlib.repr(entry.get('id'))}: {exc}") from None
+            stage.declare(curve_id, coords, p_a, smooth)
 
     try:
         declare_pending(0)
         for i, entry in enumerate(blowups):
-            point = _input_name(entry.get("point"), f"blow-up {i + 1}: point", True)
-            point_id = point or f"p{i + 1}"
-            where = f"blow-up {reprlib.repr(point_id)}:"
-            incidences = []
-            for pair in _input_list(entry.get("on", []), f"{where} on"):
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise InvalidSurfaceData(
-                        f"{where} incidence {reprlib.repr(pair)} "
-                        "is not a [curve, multiplicity] pair"
-                    )
-                cid, mult = pair
-                incidences.append(
-                    (_input_name(cid, f"{where} curve"), input_int(mult, f"{where} multiplicity"))
+            point_id = None
+            try:
+                point_id = _input_name(entry.get("point"), "point", True) or f"p{i + 1}"
+                incidences = []
+                for pair in _input_list(entry.get("on", []), "on"):
+                    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                        raise InvalidSurfaceData(
+                            f"incidence {reprlib.repr(pair)} is not a [curve, multiplicity] pair"
+                        )
+                    cid, mult = pair
+                    incidences.append((_input_name(cid, "curve"), input_int(mult, "multiplicity")))
+                rec = BlowUpRecord(
+                    point_id=point_id,
+                    incidences=tuple(incidences),
+                    near=_input_name(entry.get("near"), "near", True),
+                    exceptional_id=_input_name(entry.get("exceptional"), "exceptional", True),
                 )
-            rec = BlowUpRecord(
-                point_id=point_id,
-                incidences=tuple(incidences),
-                near=_input_name(entry.get("near"), f"{where} near", True),
-                exceptional_id=_input_name(
-                    entry.get("exceptional"), f"{where} exceptional", True
-                ),
-            )
+            except InvalidSurfaceData as exc:
+                where = i + 1 if point_id is None else reprlib.repr(point_id)
+                raise InvalidSurfaceData(f"blow-up {where}: {exc}") from None
             stage.blow_up(rec)
             declare_pending(i + 1)
     except KeyError as exc:

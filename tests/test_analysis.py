@@ -190,6 +190,30 @@ def test_analyze_reads_each_witness_boundary_once(monkeypatch, name, reads):
     assert len(made) == reads
 
 
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS) + ["line_star(36,2,2)"])
+def test_analyze_squares_each_class_once(monkeypatch, tmp_path, name):
+    # P^2 is paired once per analysis and K^2 once per model, whether the
+    # reader asks for K or for -K
+    path = FIXTURES / f"{name}.json"
+    if name not in REPORT_DIGESTS:
+        path = tmp_path / "line_star.json"
+        path.write_text(json.dumps(line_star(36, 2, 2)))
+    squared, models = [], []
+    pair, load = PicardLattice.pair, cli._load
+
+    def counted(lattice, a, b):
+        if a is b:
+            squared.append(a)
+        return pair(lattice, a, b)
+
+    monkeypatch.setattr(PicardLattice, "pair", counted)
+    monkeypatch.setattr(cli, "_load", lambda p: models.append(load(p)) or models[-1])
+    assert run_cli("analyze", str(path), "--format", "json")[0] == 0
+    (s,) = models
+    assert len({id(d) for d in squared}) == len(squared)
+    assert sum(d is s.canonical or d is s.anticanonical for d in squared) == 1
+
+
 # the sizes of the eliminations one analysis runs: one per Zariski round
 # with a nonempty support (the first round has none, so it eliminates
 # nothing), and none more, since the contraction and the witness ask for

@@ -314,6 +314,18 @@ def _line_with_one_blow_up(curve=None, blowup=None, **top):
         ),
         (_line_with_one_blow_up(curves="x"), "curves 'x' is not a list"),
         (_line_with_one_blow_up(blowups=[1]), "blowups: entry 1 is not an object"),
+        (_line_with_one_blow_up({"class": 5}), "curve 'l': class 5 is not a list"),
+        (
+            _line_with_one_blow_up({"class": ["1", "0"]}),
+            "curve 'l': class has 2 coordinates, surface has rank 1",
+        ),
+        (_line_with_one_blow_up({"id": 5}), "curve 5: id 5 is not a string"),
+        (
+            _line_with_one_blow_up(blowup={"on": [[5, 1]]}),
+            "blow-up 'p1': curve 5 is not a string",
+        ),
+        (_line_with_one_blow_up(blowup={"near": 5}), "blow-up 'p1': near 5 is not a string"),
+        (_line_with_one_blow_up(blowup={"point": 5}), "blow-up 1: point 5 is not a string"),
     ],
 )
 def test_malformed_surface_field_exit_two(capsys, tmp_path, data, message):
