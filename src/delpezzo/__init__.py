@@ -75,7 +75,6 @@ from .zariski import (
     ZariskiDecomposition,
     ample_on_catalog,
     nef_on_catalog,
-    null_locus,
     zariski_decompose,
 )
 

@@ -34,7 +34,7 @@ from .surface import (
     json_text,
     to_description,
 )
-from .zariski import CATALOG_CAVEAT, null_locus, zariski_decompose
+from .zariski import CATALOG_CAVEAT, zariski_decompose
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -109,7 +109,7 @@ def _verdict_json(v) -> dict:
 def _analysis(s: SurfaceModel) -> dict:
     analysis = AnticanonicalAnalysis(s)
     z = analysis.decomposition
-    null = analysis.null
+    null = z.null
     snc = singular.is_snc_configuration(s, null)
     report = analysis.certify
     try:
@@ -158,7 +158,7 @@ def _analysis(s: SurfaceModel) -> dict:
         "zariski": {
             "positive": _class_strings(z.positive),
             "negative": _pairs_json(z.negative),
-            "positive_square": format_rational(analysis.positive_square),
+            "positive_square": format_rational(z.positive_square),
             "big": analysis.big,
         },
         "null_locus": {"curves": list(null), "snc": snc},
@@ -253,16 +253,14 @@ def cmd_decompose(args) -> int:
     else:
         d = s.anticanonical
     z = zariski_decompose(s, d)
-    null = null_locus(s, z)
-    p_square = z.positive_square
     data = {
         "divisor": _class_strings(d),
         "positive": _class_strings(z.positive),
         "negative": _pairs_json(z.negative),
-        "positive_square": format_rational(p_square),
-        "null_locus": list(null),
+        "positive_square": format_rational(z.positive_square),
+        "null_locus": list(z.null),
         "nef_on_catalog": zariski.nef_on_catalog(s, d),
-        "big": p_square > 0,
+        "big": z.positive_square > 0,
         "ample_on_catalog": zariski.ample_on_catalog(s, d),
         "caveat": CATALOG_CAVEAT,
     }
@@ -345,6 +343,12 @@ def cmd_witness(args) -> int:
 
 def cmd_blowup(args) -> int:
     s = _load(args.file)
+    cap = _max_rank()
+    if s.rank + 1 > cap:
+        raise InvalidSurfaceData(
+            f"blowup would raise Picard rank {s.rank} to {s.rank + 1}, "
+            f"which exceeds the cap {cap}"
+        )
     analysis = AnticanonicalAnalysis(s)
     points = analysis.redundant_points
     target = None
@@ -369,7 +373,7 @@ def cmd_blowup(args) -> int:
             f"no redundant point matches {reprlib.repr(args.at)} "
             f"(known: {'; '.join(known) or 'none'})"
         )
-    result = redundant_blow_up(s, target, z=analysis.decomposition)
+    result = redundant_blow_up(analysis, target)
     sys.stdout.write(dumps(result.model))
     return EXIT_OK
 

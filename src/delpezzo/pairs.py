@@ -46,7 +46,6 @@ from .zariski import (
     ample_on_catalog,
     combination_degrees,
     nef_on_catalog,
-    null_locus,
     zariski_decompose,
 )
 
@@ -154,19 +153,19 @@ def _witness(
 
     L's class is never built.  L lives on Null(P), so P.L = 0, and
     L.C_i = rhs_i on each Null(P) curve by the solve, so the square guard
-    reads (P - eps*L)^2 = P^2 + eps^2 * sum l_i rhs_i, with the analysis's
-    P^2; eps's degree bound reads L's degrees off the table rows and finds
-    the least P.C / L.C by cross-multiplying integers, so it builds one
-    Fraction."""
+    reads (P - eps*L)^2 = P^2 + eps^2 * sum l_i rhs_i, with the
+    decomposition's P^2; eps's degree bound reads L's degrees off the table
+    rows and finds the least P.C / L.C by cross-multiplying integers, so it
+    builds one Fraction."""
     s, z = analysis.s, analysis.decomposition
-    p_square, max_coefficient = analysis.positive_square, analysis.max_coefficient
+    p_square, max_coefficient = z.positive_square, z.max_coefficient
     if p_square <= 0:
         raise PreconditionFailure("not a big anticanonical surface")
     if max_coefficient >= 1:
         raise PreconditionFailure(
             "negative part has a coefficient >= 1; no klt boundary exists"
         )
-    null_ids = analysis.null
+    null_ids = z.null
     if not null_ids:
         return make_boundary(s, ()), WitnessParams(Q(0), ())
 
@@ -364,12 +363,14 @@ RedundantBlowUp = namedtuple(
 )
 
 
-def redundant_blow_up(s: SurfaceModel, location: RedundantPoint, z=None) -> RedundantBlowUp:
-    """Blow up a redundant point and verify the decomposition pullback law:
-    the new positive part is the pullback of the old, and the new negative
-    part is the pullback of the old minus the exceptional curve.  ``z`` is
-    -K = P + N on ``s`` if the caller has it."""
-    z_before = zariski_decompose(s, s.anticanonical) if z is None else z
+def redundant_blow_up(
+    analysis: AnticanonicalAnalysis, location: RedundantPoint
+) -> RedundantBlowUp:
+    """Blow up a redundant point of the analysis's surface and verify the
+    decomposition pullback law: the new positive part is the pullback of
+    the old, and the new negative part is the pullback of the old minus the
+    exceptional curve."""
+    s, z_before = analysis.s, analysis.decomposition
     rec = BlowUpRecord(
         point_id=f"r{len(s.blowups) + 1}",
         incidences=tuple((cid, 1) for cid in location.curve_ids),
@@ -480,7 +481,7 @@ def _classify_nonrational(
         return reject(str(exc))
     if not big:
         return reject("not a big anticanonical surface")
-    null_ids = analysis.null
+    null_ids = analysis.decomposition.null
     factorization, survivors, dot, p_a, smooth = _blow_down_simulation(s, null_ids)
     elliptics = [cid for cid in survivors if p_a[cid] == 1]
     if len(elliptics) != 1:
@@ -652,32 +653,16 @@ class AnticanonicalAnalysis:
         return zariski_decompose(self.s, self.s.anticanonical)
 
     @_field
-    def null(self) -> tuple[str, ...]:
-        """Null(P): the catalog-ordered ids of the curves of P-degree zero."""
-        return null_locus(self.s, self.decomposition)
-
-    @_field
-    def positive_square(self) -> Q:
-        """P^2, paired once."""
-        return self.decomposition.positive_square
-
-    @_field
-    def max_coefficient(self) -> Q:
-        """The largest N-coefficient, 0 when N = 0."""
-        return self.decomposition.max_coefficient
-
-    @_field
     def big(self) -> bool:
         """-K is big on the catalog: P^2 > 0."""
-        return self.positive_square > 0
+        return self.decomposition.positive_square > 0
 
     @_field
     def model_set(self) -> tuple[str, ...]:
         """The curves the anticanonical model contracts: Null(P) when -K is
         big, else the support of N."""
-        if self.big:
-            return self.null
-        return tuple(cid for cid, _ in self.decomposition.negative)
+        z = self.decomposition
+        return z.null if self.big else tuple(cid for cid, _ in z.negative)
 
     @_field
     def model(self):
@@ -701,7 +686,7 @@ class AnticanonicalAnalysis:
             return ClassVerdict(
                 tag, False, reason="not a big anticanonical surface", applicable=False
             )
-        if self.max_coefficient >= 1:
+        if z.max_coefficient >= 1:
             return ClassVerdict(tag, False, reason=_worst_coefficient(z, ">="))
         try:
             boundary, params = self.witness
@@ -720,7 +705,7 @@ class AnticanonicalAnalysis:
             z = self.decomposition
         except CatalogInsufficient as exc:
             return ClassVerdict(tag, False, reason=str(exc), applicable=False)
-        if self.max_coefficient > 1:
+        if z.max_coefficient > 1:
             return ClassVerdict(tag, False, reason=_worst_coefficient(z, ">"))
         boundary = make_boundary(self.s, z.negative)
         if not boundary.snc:

@@ -287,10 +287,6 @@ class SurfaceModel(Frozen):
         total, den = weighted_sum(terms, self.rank)
         return _reduced(self.lattice, tuple(total), den)
 
-    def shared_point(self, a: str, b: str) -> str | None:
-        """``incidence`` maps a sorted curve pair to its shared point's id."""
-        return self.incidence.get((a, b) if a <= b else (b, a))
-
 
 def arithmetic_genus(s: SurfaceModel, divisor_class: DivisorClass) -> Q:
     """(C^2 + K.C)/2 + 1, the adjunction genus of a class."""

@@ -29,19 +29,18 @@ CATALOG_CAVEAT = "relative to declared catalog"
 _ZERO = Q(0)
 
 
-class ZariskiDecomposition(namedtuple("ZariskiDecomposition", "original positive negative")):
+class ZariskiDecomposition(
+    namedtuple(
+        "ZariskiDecomposition", "original positive negative positive_square max_coefficient null"
+    )
+):
     """D = P + N: ``positive`` is P, ``negative`` holds N as (curve id,
-    coefficient) pairs."""
+    coefficient) pairs, ``positive_square`` is P^2, ``max_coefficient`` is
+    the largest N-coefficient (0 when N = 0), and ``null`` is Null(P), the
+    catalog-ordered ids of the curves of P-degree zero (it contains the
+    support of N)."""
 
     __slots__ = ()
-
-    @property
-    def positive_square(self) -> Q:
-        return self.positive.square
-
-    @property
-    def max_coefficient(self) -> Q:
-        return max((c for _, c in self.negative), default=_ZERO)
 
 
 def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
@@ -99,11 +98,12 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
         [(d.nums, y_den)] + [(s.curve(cid).divisor_class.nums, -y) for cid, y in terms],
         s.rank,
     )
+    positive = _reduced(s.lattice, tuple(positive), y_den * den)
+    max_coefficient = Q(max(y for _, y in terms), y_den * den) if terms else _ZERO
     decomposition = ZariskiDecomposition(
-        original=d, positive=_reduced(s.lattice, tuple(positive), y_den * den), negative=negative
+        d, positive, negative, positive.square, max_coefficient, null=()
     )
-    _verify(s, decomposition)
-    return decomposition
+    return decomposition._replace(null=_verify(s, decomposition))
 
 
 def combination_degrees(s: SurfaceModel, components) -> tuple[list[int], int]:
@@ -112,13 +112,14 @@ def combination_degrees(s: SurfaceModel, components) -> tuple[list[int], int]:
     return weighted_sum(((s.meets(cid), c) for cid, c in components), len(s.catalog))
 
 
-def _verify(s: SurfaceModel, z: ZariskiDecomposition) -> None:
-    """Re-check the defining properties of a decomposition.  A failure is a
-    bug, so it raises InternalInconsistency, which ``python -O`` keeps.
+def _verify(s: SurfaceModel, z: ZariskiDecomposition) -> tuple[str, ...]:
+    """Re-check the defining properties of a decomposition and return
+    Null(P).  A failure is a bug, so it raises InternalInconsistency, which
+    ``python -O`` keeps.
 
     P's degrees come from pairing P with each catalog class, never from
     the table rows the decomposition read, so a wrong row is caught here;
-    the scan is kept, so the null locus and later tests of P read it.
+    Null(P) is read off that scan, and the scan is kept for later tests of P.
     P + N = D compares two routes: P is the decomposition's integer sum,
     and N's class is built afresh from its Fraction coefficients.  N's
     support is not re-tested for negative definiteness: its Gram matrix is
@@ -132,15 +133,8 @@ def _verify(s: SurfaceModel, z: ZariskiDecomposition) -> None:
     elif any(v < 0 for v in degrees):
         problem = "P is negative on a catalog curve"
     else:
-        return
+        return tuple(r.curve_id for r, v in zip(s.catalog, degrees) if v == 0)
     raise InternalInconsistency(f"Zariski decomposition: {problem}")
-
-
-def null_locus(s: SurfaceModel, z: ZariskiDecomposition) -> tuple[str, ...]:
-    """The catalog-ordered ids of all catalog curves of P-degree zero
-    (contains the support of N)."""
-    degrees = s.degrees(z.positive)
-    return tuple(r.curve_id for r, v in zip(s.catalog, degrees) if v == 0)
 
 
 def nef_on_catalog(s: SurfaceModel, d: DivisorClass) -> bool:

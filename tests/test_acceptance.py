@@ -18,7 +18,6 @@ from delpezzo.pairs import (
     cox_finitely_generated,
     decide_klt_pair_exists,
     decide_weak_lc_pair_exists,
-    find_redundant_points,
     make_boundary,
     pushforward_pair,
     redundant_blow_up,
@@ -158,14 +157,15 @@ def test_criterion_5_redundant_blow_up_law():
     details = []
     for name in ("cubic10", "pair", "elliptic_ruled", "elliptic_ruled_chain"):
         s = surfaces.FIXTURES[name]()
-        points = find_redundant_points(s)
+        a = AnticanonicalAnalysis(s)
+        points = a.redundant_points
         if not points:
             ok = False
             details.append(f"{name}: no redundant point found")
             continue
         before_classes = certify_class_equalities(s)
         z_before = zariski_decompose(s, s.anticanonical)
-        result = redundant_blow_up(s, points[0])  # verifies P/N pullback law
+        result = redundant_blow_up(a, points[0])  # verifies P/N pullback law
         z_after = zariski_decompose(result.model, result.model.anticanonical)
         if z_after.positive != extend_to(z_before.positive, result.model):
             ok = False

@@ -617,6 +617,22 @@ def test_blowup_unknown_location(capsys):
     assert "no redundant point" in err
 
 
+def test_blowup_at_the_rank_cap_exits_two(capsys, tmp_path):
+    # line_star(30, 16, 2) is rank 63; one blow-up in general position
+    # makes it 64, which loads, but its blow-up at l would not
+    from test_analysis import line_star
+
+    data = line_star(30, 16, 2)
+    data["blowups"].append({"point": "g", "exceptional": "eg", "on": []})
+    path = tmp_path / "rank64.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "analyze", str(path))[0] == 0
+    code, out, err = run(capsys, "blowup", str(path), "--at", "l")
+    assert (code, out, err) == (
+        2, "", "input error: blowup would raise Picard rank 64 to 65, which exceeds the cap 64\n"
+    )
+
+
 def test_classify_f3(capsys):
     code, out, _ = run(capsys, "classify", str(FIXTURES / "f3.json"))
     assert code == 0

@@ -313,7 +313,7 @@ def ep_sweep():
             witness = analysis.witness[0].components
         except GeometryError:
             continue
-        null = analysis.null
+        null = analysis.decomposition.null
         for k in range(len(null) + 1):
             for contracted in itertools.combinations(null, k):
                 boundary = tuple((c, q) for c, q in witness if c not in contracted)
@@ -592,7 +592,7 @@ def test_redundant_points_match_an_enumeration_of_every_pair(spec):
     expected = [RedundantPoint("generic", (a,), c) for a, c in negative if c >= 1]
     for (a, ca), (b, cb) in itertools.combinations(negative, 2):
         if ca + cb >= 1:
-            point_id = s.shared_point(a, b)
+            point_id = s.incidence.get((a, b) if a <= b else (b, a))
             if point_id is not None:
                 expected.append(RedundantPoint("shared", (a, b), ca + cb, point_id))
     assert sum(p.kind == "shared" for p in expected) >= 4
@@ -602,15 +602,16 @@ def test_redundant_points_match_an_enumeration_of_every_pair(spec):
 def test_redundant_blow_up_law_generic():
     s = surfaces.cubic_with_points(10)
     before = zariski_decompose(s, s.anticanonical)
-    result = redundant_blow_up(s, find_redundant_points(s)[0])
+    a = AnticanonicalAnalysis(s)
+    result = redundant_blow_up(a, a.redundant_points[0])
     after = zariski_decompose(result.model, result.model.anticanonical)
     assert after.positive == extend_to(before.positive, result.model)
     assert dict(after.negative) == {"c": Q(1)}
 
 
 def test_redundant_blow_up_law_shared():
-    s = surfaces.meeting_negative_pair()
-    result = redundant_blow_up(s, find_redundant_points(s)[0])
+    a = AnticanonicalAnalysis(surfaces.meeting_negative_pair())
+    result = redundant_blow_up(a, a.redundant_points[0])
     coeffs = dict(result.negative_after)
     assert coeffs["l"] == oracles.PAIR_COEFFS[0]
     assert coeffs["e7"] == oracles.PAIR_COEFFS[1]
@@ -630,21 +631,20 @@ def test_redundant_blow_up_law_shared():
 def test_redundant_blow_up_law_at_every_redundant_point(build, count):
     # each blow-up decomposes -K again, on supports of up to 12 curves, and
     # raises RedundancyViolation if P or N does not pull back
-    s = build()
-    z = zariski_decompose(s, s.anticanonical)
-    points = find_redundant_points(s)
-    assert len(points) == count
-    for point in points:
-        result = redundant_blow_up(s, point, z)
+    a = AnticanonicalAnalysis(build())
+    z = a.decomposition
+    assert len(a.redundant_points) == count
+    for point in a.redundant_points:
+        result = redundant_blow_up(a, point)
         assert result.pulled_back_positive == extend_to(z.positive, result.model)
 
 
 def test_two_redundant_blow_ups_compose():
     s = surfaces.cubic_with_points(10)
-    first = redundant_blow_up(s, find_redundant_points(s)[0])
-    second = redundant_blow_up(
-        first.model, find_redundant_points(first.model)[0]
-    )
+    a = AnticanonicalAnalysis(s)
+    first = redundant_blow_up(a, a.redundant_points[0])
+    a = AnticanonicalAnalysis(first.model)
+    second = redundant_blow_up(a, a.redundant_points[0])
     assert dict(second.negative_after) == {"c": Q(1)}
     assert second.model.rank == s.rank + 2
 
@@ -653,14 +653,15 @@ def test_non_redundant_point_rejected():
     s = surfaces.hirzebruch(3)
     fake = RedundantPoint("generic", ("c0",), Q(1, 3))
     with pytest.raises(RedundancyViolation):
-        redundant_blow_up(s, fake)
+        redundant_blow_up(AnticanonicalAnalysis(s), fake)
 
 
 def test_class_verdicts_invariant_under_redundant_blow_up():
     for name in ("cubic10", "pair", "elliptic_ruled"):
         s = surfaces.FIXTURES[name]()
         before = certify_class_equalities(s)
-        result = redundant_blow_up(s, find_redundant_points(s)[0])
+        a = AnticanonicalAnalysis(s)
+        result = redundant_blow_up(a, a.redundant_points[0])
         after = certify_class_equalities(result.model)
         assert dict(before.klt) == dict(after.klt), name
         assert dict(before.weak) == dict(after.weak), name
@@ -737,8 +738,8 @@ def test_elliptic_ruled_classifies_case_one():
 
 
 def test_classification_after_one_redundant_blow_up():
-    s = surfaces.elliptic_ruled(1)
-    result = redundant_blow_up(s, find_redundant_points(s)[0])
+    a = AnticanonicalAnalysis(surfaces.elliptic_ruled(1))
+    result = redundant_blow_up(a, a.redundant_points[0])
     report = classify_nonrational(result.model)
     assert report.ok and report.case == 1
     assert len(report.factorization) == 1
@@ -823,8 +824,9 @@ def test_public_validators_accept_every_witness():
         s = analysis.s
         if analysis.klt_verdict.member:
             klt += 1
-            empty += not analysis.null
-            assert singular.is_snc_configuration(s, analysis.null)
+            null = analysis.decomposition.null
+            empty += not null
+            assert singular.is_snc_configuration(s, null)
             witness = analysis.klt_verdict.witness
             assert validate_klt_del_pezzo(s, witness) == (True, "validated")
             for via_cone in (False, True):
@@ -930,7 +932,7 @@ def assert_section_alone(analysis):
     and the section's square on the minimal resolution is negative."""
     section = analysis.nonrational.elliptic_curve
     assert analysis.decomposition.negative == ((section, 1),)
-    _, _, dot, _, _ = pairs._blow_down_simulation(analysis.s, analysis.null)
+    _, _, dot, _, _ = pairs._blow_down_simulation(analysis.s, analysis.decomposition.null)
     assert dot[section][section] < 0
 
 

@@ -162,14 +162,23 @@ def test_surface_model_keeps_identity_equality_and_field_order():
         s.extra = None
 
 
-def test_zariski_decomposition_is_a_tuple():
+def test_zariski_decomposition_is_a_tuple(monkeypatch):
     s = surfaces.hirzebruch(3)
     z = zariski_decompose(s, s.anticanonical)
-    original, positive, negative = z
-    assert z == (original, positive, negative)
+    original, positive, negative, positive_square, max_coefficient, null = z
+    assert z == (original, positive, negative, positive_square, max_coefficient, null)
     assert negative == (("c0", Q(1, 3)),)
-    assert dict(z.negative).get("c0", 0) == z.max_coefficient == Q(1, 3)
-    assert z.positive_square == positive.square
+    assert null == ("c0",)
+    # the record holds what it settled: reading it pairs nothing
+    calls = []
+    pair = PicardLattice.pair
+    monkeypatch.setattr(PicardLattice, "pair", lambda *args: calls.append(1) or pair(*args))
+    for _ in range(2):
+        assert dict(z.negative).get("c0", 0) == z.max_coefficient == Q(1, 3)
+        assert z.positive_square == positive_square
+        assert z.null == null
+    assert calls == []
+    assert positive_square == positive.square
     assert z._replace(negative=()) != z
 
 

@@ -202,10 +202,10 @@ def test_negativity_lemma_property(data):
 def test_negativity_lemma_on_fixture_contractions():
     for name in ("f2", "f3", "pair", "star"):
         s = surfaces.FIXTURES[name]()
-        from delpezzo.zariski import null_locus, zariski_decompose
+        from delpezzo.zariski import zariski_decompose
 
         z = zariski_decompose(s, s.anticanonical)
-        ids = null_locus(s, z) if z.positive_square > 0 else tuple(
+        ids = z.null if z.positive_square > 0 else tuple(
             c for c, _ in z.negative
         )
         data = contract(s, ids)

@@ -141,8 +141,8 @@ def test_point_through_a_curve_and_its_exceptional_clears_their_shared_point():
     assert s.incidence == {("c", "e1"): "p1"}
     # the exceptional side has multiplicity 1, so the point is used up
     s = blow_up(s, BlowUpRecord("p2", incidences=(("c", 1), ("e1", 1))))
-    assert s.shared_point("c", "e1") is None
-    assert s.shared_point("e2", "c") == "p2"
+    assert ("c", "e1") not in s.incidence
+    assert s.incidence[("c", "e2")] == "p2"
     assert s.incidence == {("c", "e2"): "p2", ("e1", "e2"): "p2"}
     assert s.curve("c").divisor_class.dot(s.curve("e1").divisor_class) == 1
 

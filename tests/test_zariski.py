@@ -22,7 +22,6 @@ from delpezzo.surface import (
 from delpezzo.zariski import (
     ample_on_catalog,
     nef_on_catalog,
-    null_locus,
     zariski_decompose,
 )
 from test_analysis import line_star
@@ -39,7 +38,7 @@ def test_plane_anticanonical_is_its_own_positive_part():
     z = zariski_decompose(s, s.anticanonical)
     assert z.negative == ()
     assert z.positive == s.anticanonical
-    assert null_locus(s, z) == ()
+    assert z.null == ()
 
 
 def test_hirzebruch_three_decomposition():
@@ -59,7 +58,7 @@ def test_hirzebruch_two_decomposition():
     z = zariski_decompose(s, s.anticanonical)
     assert z.negative == ()
     assert z.positive_square == oracles.F2_POSITIVE_SQUARE
-    assert null_locus(s, z) == ("c0",)
+    assert z.null == ("c0",)
 
 
 def test_ten_points_on_cubic_collapses():
@@ -69,7 +68,7 @@ def test_ten_points_on_cubic_collapses():
     assert z.positive.is_zero()
     assert z.positive_square == 0
     # support of N is inside the null locus; with P = 0 that is everything
-    null = null_locus(s, z)
+    null = z.null
     assert set(cid for cid, _ in z.negative) <= set(null)
     assert set(null) == set(s.curve_ids())
 
@@ -113,7 +112,7 @@ def test_invariants_on_every_fixture(name):
     assert all(c > 0 for _, c in z.negative)
     for record in s.catalog:
         assert z.positive.dot(record.divisor_class) >= 0
-    null = null_locus(s, z)
+    null = z.null
     assert set(cid for cid, _ in z.negative) <= set(null)
     # decomposing twice gives identical results
     again = zariski_decompose(s, s.anticanonical)
@@ -163,8 +162,7 @@ def test_positive_square_matches_contracted_canonical_square():
     for name in ("f2", "f3", "pair"):
         s = surfaces.FIXTURES[name]()
         z = zariski_decompose(s, s.anticanonical)
-        null = null_locus(s, z)
-        data = contract(s, null)
+        data = contract(s, z.null)
         assert data.contracted_canonical_square == z.positive_square, name
 
 
@@ -221,6 +219,13 @@ def test_decomposition_matches_textbook_oracle():
             positive, negative = expected
             assert z.positive.coords == positive
             assert z.negative == tuple((s.catalog[i].curve_id, c) for i, c in negative)
+            assert z.positive_square == oracles.dense_pairing(rows, positive, positive)
+            assert z.max_coefficient == max((c for _, c in negative), default=0)
+            assert z.null == tuple(
+                r.curve_id
+                for r, curve in zip(s.catalog, curves)
+                if oracles.dense_pairing(rows, positive, curve) == 0
+            )
             outcomes.add(("decomposes" if negative else "nef", scaled))
     assert outcomes == {
         (outcome, scaled) for outcome in ("fails", "decomposes", "nef") for scaled in (False, True)

@@ -4,7 +4,7 @@ Run from the root of a checkout:
 
     python3 tools/reach.py
 
-It line-traces, in one process, the 415 command lines of
+It line-traces, in one process, the 435 command lines of
 ``tools/same_outputs.py`` (``command_lines``) through ``delpezzo.cli.main``,
 with the working tree's ``src/`` first on the path.  Tracing starts before
 ``delpezzo`` is imported, so module-level statements count as run; it

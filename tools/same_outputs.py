@@ -4,7 +4,7 @@ Run from the root of a checkout:
 
     python3 tools/same_outputs.py --parent HEAD~1
 
-It runs 415 command lines in-process through ``delpezzo.cli.main``:
+It runs 435 command lines in-process through ``delpezzo.cli.main``:
 
 * ``analyze`` and ``classify`` with ``--format`` text, json and dot,
   ``decompose`` with text and json, and ``witness --method direct`` and
@@ -21,6 +21,9 @@ It runs 415 command lines in-process through ``delpezzo.cli.main``:
   supports that fail with exit 2;
 * ``blowup --at`` at each of the 11 redundant points of the fixtures, and
   at a point of ``star`` that is not one, which exits 2;
+* ``blowup --at`` at the first redundant point of each ``line_star`` input
+  and corpus-sample surface that has one, chosen with the working tree's
+  ``AnticanonicalAnalysis`` when the inputs are written;
 * ``analyze --assert klt_any_boundary`` and ``--assert
   weak_lc_any_boundary`` on the 12 committed fixtures, which exit 1 where
   the verdict is false;
@@ -90,7 +93,9 @@ json.dump(results, sys.stdout)
 """
 
 
-def command_lines(inputs: list[Path], sample: list[Path]) -> list[list[str]]:
+def command_lines(
+    inputs: list[Path], sample: list[Path], blowups: list[tuple[Path, str]]
+) -> list[list[str]]:
     argvs = []
     for path in inputs:
         file = str(path)
@@ -113,6 +118,7 @@ def command_lines(inputs: list[Path], sample: list[Path]) -> list[list[str]]:
         ["blowup", str(ROOT / "fixtures" / f"{name}.json"), "--at", at]
         for name, at in BLOWUP_POINTS
     ]
+    argvs += [["blowup", str(path), "--at", at] for path, at in blowups]
     argvs += [
         ["analyze", str(path), "--assert", verdict]
         for path in sorted((ROOT / "fixtures").glob("*.json"))
@@ -134,19 +140,32 @@ def command_lines(inputs: list[Path], sample: list[Path]) -> list[list[str]]:
     return argvs
 
 
-def write_inputs(tmp: Path) -> tuple[list[Path], list[Path]]:
+def write_inputs(tmp: Path) -> tuple[list[Path], list[Path], list[tuple[Path, str]]]:
     """The committed fixtures and the ``line_star`` inputs, then the corpus
-    sample, each written as files into ``tmp``."""
+    sample, each written as files into ``tmp``, and (file, ``--at`` value)
+    for the first redundant point of each written surface that has one."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from delpezzo import to_description
+    from delpezzo import AnticanonicalAnalysis, GeometryError, from_description, to_description
     from delpezzo.corpus import random_surface
     from workloads import line_star
+
+    blowups = []
+
+    def first_redundant_point(path, s):
+        try:
+            points = AnticanonicalAnalysis(s).redundant_points
+        except GeometryError:  # -K is not pseudo-effective on the catalog
+            return
+        if points:
+            blowups.append((path, points[0].point_id or ",".join(points[0].curve_ids)))
 
     inputs = sorted((ROOT / "fixtures").glob("*.json"))
     for n, arms, length in LINE_STARS:
         path = tmp / f"line_star_{n}_{arms}_{length}.json"
-        path.write_text(json.dumps(line_star(n, arms, length)), encoding="utf-8")
+        data = line_star(n, arms, length)
+        path.write_text(json.dumps(data), encoding="utf-8")
         inputs.append(path)
+        first_redundant_point(path, from_description(data))
     seeds, count, max_rank = WIDE_CORPUS
     sample = []
     for seed in seeds:
@@ -159,10 +178,11 @@ def write_inputs(tmp: Path) -> tuple[list[Path], list[Path]]:
             path = tmp / f"corpus{seed}_{kept:02d}.json"
             path.write_text(json.dumps(to_description(s)), encoding="utf-8")
             sample.append(path)
+            first_redundant_point(path, s)
             kept += 1
             if kept == WIDE_SAMPLE:
                 break
-    return inputs, sample
+    return inputs, sample, blowups
 
 
 def run_side(src: Path, argvs: list[list[str]]) -> list[list]:
