@@ -32,7 +32,6 @@ from .surface import (
     from_description,
     input_rational,
     json_text,
-    to_description,
 )
 from .zariski import CATALOG_CAVEAT, zariski_decompose
 
@@ -148,7 +147,7 @@ def _analysis(s: SurfaceModel) -> dict:
         for p in analysis.redundant_points
     ]
     out = {
-        "surface": to_description(s),
+        "surface": s,
         "rank": s.rank,
         "rational": s.rational,
         "anticanonical": {

@@ -135,9 +135,12 @@ def _symmetric_integers(rows, what: str) -> tuple[tuple[int, ...], ...]:
     refused."""
     block = tuple(map(tuple, rows))
     if not set(map(type, chain.from_iterable(block))) <= {int}:
-        values = [[rational(x) for x in row] for row in block]
-        if any(x.denominator != 1 for row in values for x in row):
-            raise ValueError(f"{what} entries must be integers")
+        try:
+            values = [[rational(x) for x in row] for row in block]
+            if any(x.denominator != 1 for row in values for x in row):
+                raise ValueError
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(f"{what} entries must be integers") from None
         block = tuple(tuple(x.numerator for x in row) for row in values)
     if block != tuple(zip(*block)):
         raise ValueError(f"{what} must be symmetric")

@@ -28,7 +28,7 @@ import json
 import reprlib
 from collections import namedtuple
 from itertools import compress
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import IncompatibleSurfaces, InvalidSurfaceData
 from .lattice import (
@@ -136,10 +136,11 @@ class SurfaceModel(Frozen):
     Every catalog class is integral, so the model keeps an integer
     intersection table: ``meets`` fills a curve's row on first request,
     ``degrees`` keeps one scan per class, keyed by the class's numerators,
-    and ``gram_of`` keeps one matrix per curve set, whose one elimination
-    comes with it.  A row or scan pairs one class with the catalog through
-    the class's dual vector, read at each catalog class's nonzero
-    coordinates; those are kept too, from the first row or scan on.
+    and ``gram_of`` keeps one matrix per curve set, sliced off the rows,
+    whose one elimination comes with it.  A row or scan pairs one class
+    with the catalog through the class's dual vector, read at each catalog
+    class's nonzero coordinates.  A stage hands those over as ``sparse``;
+    a model built by hand reads them off its classes on first use.
     ``anticanonical`` is -K, built once with the model, and
     ``canonical_square`` is K^2, paired on first request.  Every fill is
     idempotent, so concurrent readers can at worst compute a value twice.
@@ -160,6 +161,7 @@ class SurfaceModel(Frozen):
         lattice: PicardLattice,
         incidence: dict,
         declarations: tuple[_CurveDecl, ...],
+        sparse: tuple | None = None,
     ):
         set_field = object.__setattr__
         set_field(self, "base", base)
@@ -175,7 +177,7 @@ class SurfaceModel(Frozen):
         set_field(self, "_meets", {})
         set_field(self, "_scans", {})
         set_field(self, "_grams", {})
-        set_field(self, "_sparse", None)
+        set_field(self, "_sparse", sparse)
         set_field(self, "_canonical_square", None)
 
     def __repr__(self):
@@ -248,24 +250,28 @@ class SurfaceModel(Frozen):
             values = self._scans[d.nums] = self._scan(d.nums)
         return values
 
-    def _scan(self, nums) -> tuple[int, ...]:
-        """The integer pairing of ``nums`` with every catalog class, in
-        catalog order."""
+    def _nonzeros(self) -> tuple:
+        """Each catalog class's nonzero positions and values, in catalog
+        order: 1-3 of them, apart from a curve through many blown-up
+        points."""
         sparse = self._sparse
         if sparse is None:
-            # each class's nonzero positions and values: 1-3 of them,
-            # apart from a curve through many blown-up points
             axes = range(self.rank)
             sparse = tuple([
                 (tuple(compress(axes, x)), tuple(filter(None, x)))
                 for x in [r.divisor_class.nums for r in self.catalog]
             ])
             object.__setattr__(self, "_sparse", sparse)
+        return sparse
+
+    def _scan(self, nums) -> tuple[int, ...]:
+        """The integer pairing of ``nums`` with every catalog class, in
+        catalog order."""
         dual = dual_numerators(self.lattice.gram, nums, self.rank)
         at = dual.__getitem__
         return tuple([
             dual[idx[0]] * vals[0] if len(idx) == 1 else sum(map(mul, map(at, idx), vals))
-            for idx, vals in sparse
+            for idx, vals in self._nonzeros()
         ])
 
     def gram_of(self, curve_ids) -> IntersectionMatrix:
@@ -276,9 +282,12 @@ class SurfaceModel(Frozen):
         matrix = self._grams.get(ids)
         if matrix is None:
             positions = [self.position(c) for c in ids]
-            matrix = self._grams[ids] = IntersectionMatrix(
-                ids, tuple(tuple(row[p] for p in positions) for row in map(self.meets, ids))
-            )
+            rows = map(self.meets, ids)
+            if len(positions) > 1:
+                entries = tuple(map(itemgetter(*positions), rows))
+            else:  # itemgetter takes an index, and with one returns a scalar
+                entries = tuple([tuple([row[p] for p in positions]) for row in rows])
+            matrix = self._grams[ids] = IntersectionMatrix(ids, entries)
         return matrix
 
     def class_of(self, components) -> DivisorClass:
@@ -325,12 +334,13 @@ def blow_up(s: SurfaceModel, rec: BlowUpRecord) -> SurfaceModel:
 
 class _Curve:
     """A catalog curve in a ``_Stage``.  Its class is integral: ``nums``
-    covers the base block and reads as padded with zeros."""
+    covers the base block and reads as padded with zeros, and ``idx`` and
+    ``vals`` hold its nonzero positions and values."""
 
-    __slots__ = ("position", "nums", "p_a", "smooth", "provenance")
+    __slots__ = ("position", "nums", "idx", "vals", "p_a", "smooth", "provenance")
 
-    def __init__(self, position, nums, p_a, smooth, provenance):
-        self.position, self.nums = position, nums
+    def __init__(self, position, nums, idx, vals, p_a, smooth, provenance):
+        self.position, self.nums, self.idx, self.vals = position, nums, idx, vals
         self.p_a, self.smooth, self.provenance = p_a, smooth, provenance
 
 
@@ -340,9 +350,10 @@ class _Stage:
 
     def __init__(self, base: BaseSurface):
         labels, self.gram, canonical, seeds = base.seed()
+        axes = range(len(labels))
         self.base, self.labels, self.canonical = base, list(labels), list(canonical)
         self.curves = {
-            cid: _Curve(i, [int(j == i) for j in range(len(labels))], p_a, True, provenance)
+            cid: _Curve(i, [int(j == i) for j in axes], [i], [1], p_a, True, provenance)
             for i, (cid, p_a, provenance) in enumerate(seeds)
         }
         self.incidence, self.declarations = {}, []
@@ -354,9 +365,11 @@ class _Stage:
         stage.base, stage.gram = s.base, s.lattice.gram
         stage.labels, stage.canonical = list(s.lattice.labels), list(s.canonical.nums)
         curves = stage.curves = {}
-        for i, r in enumerate(s.catalog):
+        for i, (r, (idx, vals)) in enumerate(zip(s.catalog, s._nonzeros())):
             nums = list(r.divisor_class.nums)
-            curves[r.curve_id] = _Curve(i, nums, r.p_a, r.smooth, r.provenance)
+            curves[r.curve_id] = _Curve(
+                i, nums, list(idx), list(vals), r.p_a, r.smooth, r.provenance
+            )
         stage.incidence, stage.declarations = dict(s.incidence), list(s.declarations)
         stage.blowups, stage.points = list(s.blowups), {b.point_id for b in s.blowups}
         return stage
@@ -411,7 +424,10 @@ class _Stage:
                 f"{reprlib.repr(curve_id)} has arithmetic genus 0, so it is smooth; "
                 "it cannot be declared not smooth"
             )
-        curves[curve_id] = _Curve(len(curves), nums, p_a, smooth, "declared-base-curve")
+        idx = [i for i, x in enumerate(nums) if x]
+        curves[curve_id] = _Curve(
+            len(curves), nums, idx, [nums[i] for i in idx], p_a, smooth, "declared-base-curve"
+        )
         self.declarations.append(_CurveDecl(curve_id, coords, p_a, smooth, len(self.blowups)))
 
     def blow_up(self, rec: BlowUpRecord) -> None:
@@ -478,13 +494,15 @@ class _Stage:
             curve = curves[curve_id]
             curve.nums += [0] * (axis - len(curve.nums))
             curve.nums.append(-mult)
+            curve.idx.append(axis)
+            curve.vals.append(-mult)
             curve.p_a -= mult * (mult - 1) // 2
             # an integral curve whose genus drops to 0 is smooth rational
             if mult >= 2 and curve.p_a == 0:
                 curve.smooth = True
             if curve.provenance != "exceptional":
                 curve.provenance = "strict-transform"
-        curves[exc_id] = _Curve(len(curves), [0] * axis + [1], 0, True, "exceptional")
+        curves[exc_id] = _Curve(len(curves), [0] * axis + [1], [axis], [1], 0, True, "exceptional")
         self.labels.append(exc_id)
         self.canonical.append(1)
 
@@ -505,10 +523,11 @@ class _Stage:
 
     def model(self) -> SurfaceModel:
         lattice = PicardLattice(tuple(self.labels), self.gram)
-        rank, catalog = lattice.rank, []
+        rank, catalog, sparse = lattice.rank, [], []
         for cid, c in self.curves.items():
             d = _divisor(lattice, (*c.nums, *(0,) * (rank - len(c.nums))), 1)
             catalog.append(CurveRecord(cid, d, c.p_a, c.smooth, c.provenance))
+            sparse.append((tuple(c.idx), tuple(c.vals)))
         return SurfaceModel(
             base=self.base,
             blowups=tuple(self.blowups),
@@ -517,6 +536,7 @@ class _Stage:
             lattice=lattice,
             incidence=self.incidence,
             declarations=tuple(self.declarations),
+            sparse=tuple(sparse),
         )
 
 
@@ -703,11 +723,13 @@ _escape = json.encoder.encode_basestring_ascii  # the C function json.dumps uses
 def json_text(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for
     str-keyed dicts, lists and tuples, strings, ints, booleans and None.
+    A ``SurfaceModel`` is written as ``to_description`` of it would be,
+    straight from its records.
 
     CPython runs its C encoder only when ``indent`` is None; with an indent
     json.dumps runs a pure-Python generator, and this one walk takes about
-    half its time.  Anything else, a float or a non-str key included, raises
-    TypeError: reports are exact.
+    half its time.  Anything else, a float or a non-str key included,
+    raises TypeError: reports are exact.
     """
     parts = []
     append = parts.append
@@ -721,6 +743,14 @@ def json_text(value) -> str:
                 return
             inner = nl + "  "
             sep, rest = "[" + inner, "," + inner
+            if isinstance(v[0], str):
+                # a list of strings, such as a class, in one join; at the
+                # first non-string the item loop writes it instead
+                try:
+                    append(f"{sep}{rest.join(map(_escape, v))}{nl}]")
+                    return
+                except TypeError:
+                    pass
             for item in v:
                 append(sep)
                 sep = rest
@@ -749,6 +779,8 @@ def json_text(value) -> str:
             append("null")
         elif isinstance(v, int):
             append(int.__repr__(v))
+        elif isinstance(v, SurfaceModel):
+            append(_surface_text(v, nl))
         else:
             raise TypeError(f"{type(v).__name__} {v!r} is not an exact JSON value")
 
@@ -756,8 +788,56 @@ def json_text(value) -> str:
     return "".join(parts)
 
 
+def _json_list(items: list[str], nl: str) -> str:
+    """A JSON array of already written values, indented as ``json_text``
+    indents it at line prefix ``nl``."""
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _surface_text(s: SurfaceModel, nl: str) -> str:
+    """``json_text(to_description(s))`` at line prefix ``nl``, written
+    straight from the model's records, one f-string per record; keys are
+    in sorted order."""
+    i1 = nl + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    i4 = i3 + "  "
+    i5 = i4 + "  "
+    b = s.base
+    base = f'"kind": {_escape(b.kind)}'
+    if b.kind == "ruled":
+        base = f'"e": {b.e},{i2}"genus": {b.genus},{i2}{base}'
+    elif b.kind == "hirzebruch":
+        base = f'"e": {b.e},{i2}{base}'
+    curves = []
+    for d in s.declarations:
+        after = f'"after": {d.after},{i3}' if d.after else ""
+        coords = _json_list([f'"{format_rational(x)}"' for x in d.coords], i3)
+        curves.append(
+            f'{{{i3}{after}"class": {coords},{i3}"id": {_escape(d.curve_id)},'
+            f'{i3}"pa": {d.p_a},{i3}"smooth": {"true" if d.smooth else "false"}{i2}}}'
+        )
+    blowups = []
+    for r in s.blowups:
+        near = "" if r.near is None else f'"near": {_escape(r.near)},{i3}'
+        on = _json_list(
+            [f"[{i5}{_escape(cid)},{i5}{mult}{i4}]" for cid, mult in r.incidences], i3
+        )
+        blowups.append(
+            f'{{{i3}"exceptional": {_escape(r.exceptional_id)},{i3}{near}"on": {on},'
+            f'{i3}"point": {_escape(r.point_id)}{i2}}}'
+        )
+    return (
+        f'{{{i1}"base": {{{i2}{base}{i1}}},{i1}"blowups": {_json_list(blowups, i1)},'
+        f'{i1}"curves": {_json_list(curves, i1)}{nl}}}'
+    )
+
+
 def dumps(s: SurfaceModel) -> str:
-    return json_text(to_description(s)) + "\n"
+    return json_text(s) + "\n"
 
 
 def loads(text: str, max_rank: int = 64) -> SurfaceModel:

@@ -160,9 +160,17 @@ def test_class_arithmetic_keeps_one_canonical_form(case, q):
         assert hash(same) == hash(d1)
 
 
+# entries that `rational` refuses, each with its own exception there: a
+# float, a bool, a zero denominator and a string that is no number
+NOT_RATIONAL = (1.5, True, "1/0", "x")
+
+
 def test_non_integral_base_block_rejected():
     with pytest.raises(ValueError, match="gram matrix"):
         PicardLattice(("c0", "f"), ((Q(-1), Q(1, 2)), (Q(1, 2), Q(0))))
+    for x in NOT_RATIONAL:
+        with pytest.raises(ValueError, match="^gram matrix entries must be integers$"):
+            PicardLattice(("c0", "f"), ((x, 1), (1, 0)))
 
 
 def test_intersection_matrix_entries_are_integers():
@@ -170,6 +178,9 @@ def test_intersection_matrix_entries_are_integers():
         IntersectionMatrix(("a",), ((Q(1, 2),),))
     with pytest.raises(ValueError, match="intersection matrix entries must be integers"):
         IntersectionMatrix(("a", "b"), ((-2, Q(1, 3)), (Q(1, 3), -2)))
+    for x in NOT_RATIONAL:
+        with pytest.raises(ValueError, match="^intersection matrix entries must be integers$"):
+            IntersectionMatrix(("a",), ((x,),))
     # an int-valued rational is stored as its int
     matrix = IntersectionMatrix(("a", "b"), ((Q(-2), Q(1)), (Q(1), Q(-2))))
     assert matrix == IntersectionMatrix(("a", "b"), ((-2, 1), (1, -2)))

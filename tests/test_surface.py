@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import surfaces
-from delpezzo import corpus, lattice
+from delpezzo import cli, corpus, lattice
 from delpezzo.errors import IncompatibleSurfaces, InvalidSurfaceData
 from delpezzo.lattice import DivisorClass, PicardLattice, format_rational
 from delpezzo.singular import is_snc_configuration
@@ -39,6 +39,7 @@ from delpezzo.surface import (
 )
 from delpezzo.zariski import zariski_decompose
 from test_analysis import line_star
+from test_cli import QUOTED_IDS
 
 
 def test_projective_plane_base():
@@ -268,7 +269,10 @@ _JSON_VALUES = st.recursive(
     | st.booleans()
     | st.integers()
     | st.integers(min_value=-(10**80), max_value=10**80)
-    | _JSON_STRINGS,
+    | _JSON_STRINGS
+    # string-only lists, such as a class, which json_text writes in one join
+    | st.lists(_JSON_STRINGS, min_size=1, max_size=6)
+    | st.lists(_JSON_STRINGS, min_size=1, max_size=6).map(tuple),
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
     | st.dictionaries(_JSON_STRINGS, children, max_size=4),
@@ -282,7 +286,12 @@ def test_json_text_is_json_dumps(value):
 
 
 @pytest.mark.parametrize(
-    "value", [1.0, Q(1, 2), [{"a": [0.5]}], {1: "a"}, {"a": {None: 1}}, {True: 0}, {1, 2}]
+    "value",
+    [
+        1.0, Q(1, 2), [{"a": [0.5]}], {1: "a"}, {"a": {None: 1}}, {True: 0}, {1, 2},
+        # a list that starts with a string leaves its one join for the item loop
+        ["a", 1.5], ("a", Q(1, 2)),
+    ],
 )
 def test_json_text_refuses_inexact_values(value):
     with pytest.raises(TypeError):
@@ -844,3 +853,119 @@ def test_corpus_stage_matches_stepwise_blow_ups(max_rank):
         for _ in range(5):
             staged, stepwise = _stage_and_stepwise(rng, max_rank)
             assert _model_fields(staged) == _model_fields(stepwise)
+
+
+def curve_after_blow_up():
+    """A curve declared after the first blow-up, so its record has
+    ``"after": 1``, then one declared after the second, and a blow-up at
+    a point infinitely near the last exceptional curve."""
+    s = blow_up(build_base("P2"), BlowUpRecord("p1"))
+    s = declare_curve(s, "conic", (2, -1), 0)
+    s = blow_up(s, BlowUpRecord("p2", incidences=(("conic", 1),)))
+    s = declare_curve(s, "line", (1, 0, -1), 0)
+    return blow_up(s, BlowUpRecord("q", near="e2"))
+
+
+# QUOTED_IDS with ids that hold a non-ASCII letter and control characters,
+# which json.dumps writes as \u escapes
+UNUSUAL_IDS = dict(
+    QUOTED_IDS,
+    curves=QUOTED_IDS["curves"] + [{"id": "r\u00e9seau", "class": ["1"], "pa": 0}],
+    blowups=QUOTED_IDS["blowups"]
+    + [{"point": "\x01", "exceptional": "\u00f1\x1f", "on": [["r\u00e9seau", 1]]}],
+)
+
+
+def echo_models():
+    """Models that reach every branch of the surface echo: the fixtures
+    (with ruled bases), the head of three corpora above the default rank
+    cap (with ``near`` records and Hirzebruch bases), a curve declared
+    after a blow-up, and ids that need escapes."""
+    sample = [s for seed in (1, 2, 3) for s in corpus_head(seed, max_rank=40)]
+    assert any(r.near is not None for s in sample for r in s.blowups)
+    models = fixture_models() + sample + [
+        curve_after_blow_up(),
+        from_description(QUOTED_IDS),
+        from_description(UNUSUAL_IDS),
+    ]
+    assert {s.base.kind for s in models} == {"P2", "hirzebruch", "ruled"}
+    return models
+
+
+def test_surface_echo_is_json_dumps_of_its_description():
+    for s in echo_models():
+        expected = json.dumps(to_description(s), sort_keys=True, indent=2)
+        assert json_text(s) == expected
+        assert dumps(s) == expected + "\n"
+    assert '"after": 2' in dumps(curve_after_blow_up())
+    assert "\\u00f1\\u001f" in dumps(from_description(UNUSUAL_IDS))
+
+
+def test_analyze_report_echoes_the_surface_description(capsys, tmp_path):
+    for k, s in enumerate([*fixture_models()[:3], curve_after_blow_up(),
+                           from_description(UNUSUAL_IDS)]):
+        path = tmp_path / f"surface{k}.json"
+        path.write_text(dumps(s), encoding="utf-8")
+        assert cli.main(["analyze", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["surface"] == to_description(s)
+
+
+def dense_nonzeros(s):
+    """Each catalog class's nonzero positions and values, read off its
+    dense coordinates."""
+    out = []
+    for r in s.catalog:
+        nums = r.divisor_class.nums
+        out.append((
+            tuple(k for k in range(len(nums)) if nums[k] != 0),
+            tuple(v for v in nums if v != 0),
+        ))
+    return tuple(out)
+
+
+def assert_rows_match_dense(s):
+    """The sparse rows are the dense classes' nonzeros, and every table
+    row matches the dense pairing."""
+    assert s._nonzeros() == dense_nonzeros(s)
+    rows = oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))
+    coords = [r.divisor_class.coords for r in s.catalog]
+    for r in s.catalog:
+        expected = tuple(oracles.dense_pairing(rows, r.divisor_class.coords, b) for b in coords)
+        assert s.meets(r.curve_id) == expected
+
+
+def test_stage_hands_over_its_sparse_rows():
+    models = fixture_models() + [s for seed in (1, 2, 3) for s in corpus_head(seed, max_rank=40)]
+    for s in models:
+        # the stage built them, so the model does not read them off the classes
+        assert s._sparse is not None
+        assert_rows_match_dense(s)
+
+
+def test_sparse_rows_follow_each_step_of_a_chain():
+    # build_base, declare_curve and blow_up: each later step copies the
+    # model's rows onto a stage
+    steps = [build_base("hirzebruch", e=1)]
+    steps.append(declare_curve(steps[-1], "s", (1, 1), 0))
+    steps.append(blow_up(steps[-1], BlowUpRecord("p1", (("c0", 1), ("f", 1)))))
+    steps.append(declare_curve(steps[-1], "t", (1, 2, -1), 0))
+    steps.append(blow_up(steps[-1], BlowUpRecord("p2", (("s", 1), ("t", 1)))))
+    steps.append(blow_up(steps[-1], BlowUpRecord("p3", near="e2")))
+    steps.append(blow_up(steps[-1], BlowUpRecord("p4", (("e3", 1),))))
+    for s in steps:
+        assert s._sparse is not None
+        assert_rows_match_dense(s)
+
+
+def test_hand_built_model_reads_its_sparse_rows_off_the_classes():
+    for s in fixture_models() + off_diagonal_models():
+        rebuilt = SurfaceModel(
+            s.base, s.blowups, s.catalog[::-1], s.canonical, s.lattice, s.incidence,
+            s.declarations,
+        )
+        assert rebuilt._sparse is None
+        assert_rows_match_dense(rebuilt)
+        # a stage made from it starts from those rows
+        grown = blow_up(rebuilt, BlowUpRecord("extra"))
+        assert_rows_match_dense(grown)

@@ -4,7 +4,7 @@ Run from the root of a checkout:
 
     python3 tools/same_outputs.py --parent HEAD~1
 
-It runs 435 command lines in-process through ``delpezzo.cli.main``:
+It runs 441 command lines in-process through ``delpezzo.cli.main``:
 
 * ``analyze`` and ``classify`` with ``--format`` text, json and dot,
   ``decompose`` with text and json, and ``witness --method direct`` and
@@ -24,6 +24,11 @@ It runs 435 command lines in-process through ``delpezzo.cli.main``:
 * ``blowup --at`` at the first redundant point of each ``line_star`` input
   and corpus-sample surface that has one, chosen with the working tree's
   ``AnticanonicalAnalysis`` when the inputs are written;
+* ``analyze --format json``, ``classify --format json`` and ``blowup
+  --at`` at a redundant point on two written surfaces (``WRITTEN``) that
+  reach the surface echo's rarer records: a curve declared ``"after": 2``
+  next to ``near`` blow-ups, and ids with quotes, a backslash and a
+  non-ASCII letter;
 * ``analyze --assert klt_any_boundary`` and ``--assert
   weak_lc_any_boundary`` on the 12 committed fixtures, which exit 1 where
   the verdict is false;
@@ -72,6 +77,47 @@ BLOWUP_POINTS = (
     ("star", "nope"),
 )
 ASSERTED = ("klt_any_boundary", "weak_lc_any_boundary")
+# (name, description, --at value): surfaces written for their records
+WRITTEN = (
+    (
+        "after_near",
+        {
+            "base": {"kind": "P2"},
+            "curves": [{"id": "l", "class": ["1", "-1", "-1"], "pa": 0, "after": 2}],
+            "blowups": [
+                {"point": "p1", "exceptional": "e1"},
+                {"point": "p2", "exceptional": "e2"},
+                *(
+                    {"point": f"p{i}", "exceptional": f"e{i}", "on": [["l", 1]]}
+                    for i in range(3, 7)
+                ),
+                {"point": "q1", "exceptional": "f1", "near": "e1"},
+                {"point": "q2", "exceptional": "f2", "near": "e2"},
+                {"point": "q3", "exceptional": "f3", "on": [["e3", 1]]},
+            ],
+        },
+        "p3",
+    ),
+    (
+        "quoted_star",
+        {
+            "base": {"kind": "P2"},
+            "curves": [{"id": 'l"x', "class": ["1"], "pa": 0}],
+            "blowups": [
+                {"point": "p1", "exceptional": "a\\b", "on": [['l"x', 1]]},
+                *(
+                    {"point": f"p{i}", "exceptional": f"e{i}", "on": [['l"x', 1]]}
+                    for i in range(2, 6)
+                ),
+                {"point": "q1", "exceptional": "f1", "on": [["a\\b", 1]]},
+                {"point": "p6", "exceptional": "\u00e96", "on": [['l"x', 1]]},
+                {"point": "q2", "exceptional": "f2", "on": [["\u00e96", 1]]},
+                {"point": "q3", "exceptional": "f3", "on": [["e2", 1]]},
+            ],
+        },
+        "p6",
+    ),
+)
 
 # Runs a JSON list of argv lists, read from stdin, through cli.main and
 # writes one [exit code, stdout, stderr] per command line as JSON.
@@ -94,7 +140,10 @@ json.dump(results, sys.stdout)
 
 
 def command_lines(
-    inputs: list[Path], sample: list[Path], blowups: list[tuple[Path, str]]
+    inputs: list[Path],
+    sample: list[Path],
+    blowups: list[tuple[Path, str]],
+    written: list[tuple[Path, str]],
 ) -> list[list[str]]:
     argvs = []
     for path in inputs:
@@ -119,6 +168,10 @@ def command_lines(
         for name, at in BLOWUP_POINTS
     ]
     argvs += [["blowup", str(path), "--at", at] for path, at in blowups]
+    for path, at in written:
+        file = str(path)
+        argvs += [[command, file, "--format", "json"] for command in ("analyze", "classify")]
+        argvs.append(["blowup", file, "--at", at])
     argvs += [
         ["analyze", str(path), "--assert", verdict]
         for path in sorted((ROOT / "fixtures").glob("*.json"))
@@ -140,10 +193,13 @@ def command_lines(
     return argvs
 
 
-def write_inputs(tmp: Path) -> tuple[list[Path], list[Path], list[tuple[Path, str]]]:
+def write_inputs(
+    tmp: Path,
+) -> tuple[list[Path], list[Path], list[tuple[Path, str]], list[tuple[Path, str]]]:
     """The committed fixtures and the ``line_star`` inputs, then the corpus
-    sample, each written as files into ``tmp``, and (file, ``--at`` value)
-    for the first redundant point of each written surface that has one."""
+    sample, each written as files into ``tmp``; (file, ``--at`` value) for
+    the first redundant point of each of those that has one; and (file,
+    ``--at`` value) for the ``WRITTEN`` surfaces."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from delpezzo import AnticanonicalAnalysis, GeometryError, from_description, to_description
     from delpezzo.corpus import random_surface
@@ -182,7 +238,12 @@ def write_inputs(tmp: Path) -> tuple[list[Path], list[Path], list[tuple[Path, st
             kept += 1
             if kept == WIDE_SAMPLE:
                 break
-    return inputs, sample, blowups
+    written = []
+    for name, data, at in WRITTEN:
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        written.append((path, at))
+    return inputs, sample, blowups, written
 
 
 def run_side(src: Path, argvs: list[list[str]]) -> list[list]:
