@@ -83,6 +83,7 @@ class PicardLattice(Frozen):
     it.  So ``gram`` holds only the base block: the pairing on the first
     ``len(gram)`` labels (1x1 for P2, 2x2 for Hirzebruch and ruled bases),
     as integers.  Every label after the block is an orthogonal (-1)-axis.
+    The labels are distinct.
     """
 
     __slots__ = ("labels", "gram")
@@ -91,6 +92,9 @@ class PicardLattice(Frozen):
         n = len(gram)
         if n > len(labels) or any(len(row) != n for row in gram):
             raise ValueError("gram matrix does not match basis size")
+        if len(set(labels)) != len(labels):
+            label = next(x for i, x in enumerate(labels) if x in labels[:i])
+            raise ValueError(f"basis label {label!r} already in use")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "gram", _symmetric_integers(gram, "gram matrix"))
 
@@ -115,12 +119,6 @@ class PicardLattice(Frozen):
     def basis_class(self, label: str) -> "DivisorClass":
         i = self.labels.index(label)
         return _divisor(self, (0,) * i + (1,) + (0,) * (self.rank - i - 1), 1)
-
-    def extended(self, label: str) -> "PicardLattice":
-        """Orthogonal rank-one extension by a (-1)-class (a blow-up)."""
-        if label in self.labels:
-            raise ValueError(f"basis label {label!r} already in use")
-        return PicardLattice(self.labels + (label,), self.gram)
 
     def pair(self, a: "DivisorClass", b: "DivisorClass") -> Q:
         x = a.nums
@@ -254,16 +252,6 @@ class DivisorClass:
         f = rational(factor)
         p, q = f.numerator, f.denominator
         return _reduced(self.lattice, tuple(p * v for v in self.nums), self.den * q)
-
-    def lift(self, lattice: PicardLattice, tail: tuple[int, ...]) -> "DivisorClass":
-        """This class on ``lattice``, which extends its own by ``len(tail)``
-        axes, with the integer coordinates ``tail`` appended."""
-        if len(self.nums) + len(tail) != len(lattice.labels):
-            raise ValueError("coordinate length does not match Picard rank")
-        den = self.den
-        if den != 1:
-            tail = tuple(v * den for v in tail)
-        return _divisor(lattice, self.nums + tail, den)
 
     def dot(self, other: "DivisorClass") -> Q:
         self._check(other)

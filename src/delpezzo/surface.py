@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import reprlib
 from collections import namedtuple
-from itertools import compress
 from operator import itemgetter, mul
 
 from .errors import IncompatibleSurfaces, InvalidSurfaceData
@@ -139,17 +138,19 @@ class SurfaceModel(Frozen):
     and ``gram_of`` keeps one matrix per curve set, sliced off the rows,
     whose one elimination comes with it.  A row or scan pairs one class
     with the catalog through the class's dual vector, read at each catalog
-    class's nonzero coordinates.  A stage hands those over as ``sparse``;
-    a model built by hand reads them off its classes on first use.
-    ``anticanonical`` is -K, built once with the model, and
-    ``canonical_square`` is K^2, paired on first request.  Every fill is
-    idempotent, so concurrent readers can at worst compute a value twice.
+    class's nonzero coordinates: ``sparse`` holds their positions and
+    values, in catalog order.  ``anticanonical`` (-K) and
+    ``canonical_square`` (K^2) are set when the model is built.  Every fill
+    is idempotent, so concurrent readers can at worst compute a value twice.
+
+    The constructor is the stage's: every builder runs one ``_Stage``, and
+    ``_Stage.model`` hands over the eight fields.
     """
 
     __slots__ = (
         "base", "blowups", "catalog", "canonical", "lattice", "incidence", "declarations",
-        "anticanonical", "_curves_by_id", "_positions", "_meets", "_scans", "_grams",
-        "_sparse", "_canonical_square",
+        "anticanonical", "canonical_square", "_positions", "_meets", "_scans", "_grams",
+        "_sparse",
     )
 
     def __init__(
@@ -161,7 +162,7 @@ class SurfaceModel(Frozen):
         lattice: PicardLattice,
         incidence: dict,
         declarations: tuple[_CurveDecl, ...],
-        sparse: tuple | None = None,
+        sparse: tuple,
     ):
         set_field = object.__setattr__
         set_field(self, "base", base)
@@ -172,13 +173,12 @@ class SurfaceModel(Frozen):
         set_field(self, "incidence", incidence)
         set_field(self, "declarations", declarations)
         set_field(self, "anticanonical", -canonical)
-        set_field(self, "_curves_by_id", {r.curve_id: r for r in catalog})
+        set_field(self, "canonical_square", canonical.square)
         set_field(self, "_positions", {r.curve_id: i for i, r in enumerate(catalog)})
         set_field(self, "_meets", {})
         set_field(self, "_scans", {})
         set_field(self, "_grams", {})
         set_field(self, "_sparse", sparse)
-        set_field(self, "_canonical_square", None)
 
     def __repr__(self):
         return (
@@ -196,23 +196,14 @@ class SurfaceModel(Frozen):
     def rational(self) -> bool:
         return self.base.rational
 
-    @property
-    def canonical_square(self) -> Q:
-        """K^2, which is also (-K)^2."""
-        square = self._canonical_square
-        if square is None:
-            square = self.canonical.square
-            object.__setattr__(self, "_canonical_square", square)
-        return square
-
     def curve(self, curve_id: str) -> CurveRecord:
         try:
-            return self._curves_by_id[curve_id]
+            return self.catalog[self._positions[curve_id]]
         except KeyError:
             raise KeyError(f"no curve {curve_id!r} in catalog") from None
 
     def has_curve(self, curve_id: str) -> bool:
-        return curve_id in self._curves_by_id
+        return curve_id in self._positions
 
     def curve_ids(self) -> tuple[str, ...]:
         return tuple(r.curve_id for r in self.catalog)
@@ -250,20 +241,6 @@ class SurfaceModel(Frozen):
             values = self._scans[d.nums] = self._scan(d.nums)
         return values
 
-    def _nonzeros(self) -> tuple:
-        """Each catalog class's nonzero positions and values, in catalog
-        order: 1-3 of them, apart from a curve through many blown-up
-        points."""
-        sparse = self._sparse
-        if sparse is None:
-            axes = range(self.rank)
-            sparse = tuple([
-                (tuple(compress(axes, x)), tuple(filter(None, x)))
-                for x in [r.divisor_class.nums for r in self.catalog]
-            ])
-            object.__setattr__(self, "_sparse", sparse)
-        return sparse
-
     def _scan(self, nums) -> tuple[int, ...]:
         """The integer pairing of ``nums`` with every catalog class, in
         catalog order."""
@@ -271,7 +248,7 @@ class SurfaceModel(Frozen):
         at = dual.__getitem__
         return tuple([
             dual[idx[0]] * vals[0] if len(idx) == 1 else sum(map(mul, map(at, idx), vals))
-            for idx, vals in self._nonzeros()
+            for idx, vals in self._sparse
         ])
 
     def gram_of(self, curve_ids) -> IntersectionMatrix:
@@ -365,7 +342,7 @@ class _Stage:
         stage.base, stage.gram = s.base, s.lattice.gram
         stage.labels, stage.canonical = list(s.lattice.labels), list(s.canonical.nums)
         curves = stage.curves = {}
-        for i, (r, (idx, vals)) in enumerate(zip(s.catalog, s._nonzeros())):
+        for i, (r, (idx, vals)) in enumerate(zip(s.catalog, s._sparse)):
             nums = list(r.divisor_class.nums)
             curves[r.curve_id] = _Curve(
                 i, nums, list(idx), list(vals), r.p_a, r.smooth, r.provenance
@@ -545,7 +522,7 @@ def extend_to(d: DivisorClass, child: SurfaceModel) -> DivisorClass:
     labels = child.lattice.labels
     if labels[: d.lattice.rank] != d.lattice.labels:
         raise InvalidSurfaceData("target surface is not a blow-up of the source")
-    return d.lift(child.lattice, (0,) * (child.rank - d.lattice.rank))
+    return _divisor(child.lattice, d.nums + (0,) * (child.rank - d.lattice.rank), d.den)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,15 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from delpezzo.surface import BlowUpRecord, SurfaceModel, blow_up, build_base, declare_curve, dumps
+from delpezzo.surface import (
+    BlowUpRecord,
+    SurfaceModel,
+    _Stage,
+    blow_up,
+    build_base,
+    declare_curve,
+    dumps,
+)
 
 
 def projective_plane() -> SurfaceModel:
@@ -157,6 +165,23 @@ def exceptional_chain(weights: tuple[int, ...]) -> tuple[SurfaceModel, tuple[str
                 BlowUpRecord(point_id=f"x{i}_{extra}", incidences=((f"e{i}", 1),)),
             )
     return s, chain
+
+
+def rebuilt(s: SurfaceModel, order=None, **flags) -> SurfaceModel:
+    """``s`` built again through a stage, with its catalog in ``order`` (a
+    permutation of its curve ids) and the named curves' ``p_a`` or
+    ``smooth`` replaced, as in ``rebuilt(s, c0={"p_a": 0})``: catalogs that
+    no surface file can declare."""
+    stage = _Stage.of(s)
+    curves = stage.curves
+    if order is not None:
+        curves = stage.curves = {cid: curves[cid] for cid in order}
+        for i, curve in enumerate(curves.values()):
+            curve.position = i
+    for cid, fields in flags.items():
+        for name, value in fields.items():
+            setattr(curves[cid], name, value)
+    return stage.model()
 
 
 FIXTURES = {

@@ -20,10 +20,10 @@ from delpezzo.lattice import (
     rational,
     solve_linear,
 )
-from delpezzo.surface import build_base
+from delpezzo.surface import BlowUpRecord, blow_up, build_base
 
 P2 = PicardLattice(("h",), ((Q(1),),))
-BL1 = P2.extended("e1")
+BL1 = PicardLattice(("h", "e1"), ((Q(1),),))
 
 
 def test_rational_parsing_round_trip():
@@ -62,13 +62,19 @@ def test_malformed_base_block_rejected(labels, gram):
 
 
 def test_extension_appends_a_minus_one_axis():
-    lattice = build_base("hirzebruch", e=3).lattice.extended("e1").extended("e2")
+    s = build_base("hirzebruch", e=3)
+    lattice = blow_up(blow_up(s, BlowUpRecord("p1")), BlowUpRecord("p2")).lattice
     assert lattice.labels == ("c0", "f", "e1", "e2")
     assert len(lattice.gram) == 2
     e1, e2 = lattice.basis_class("e1"), lattice.basis_class("e2")
     assert (e1.square, e2.square, e1.dot(e2)) == (-1, -1, 0)
     with pytest.raises(ValueError, match="already in use"):
-        lattice.extended("e1")
+        PicardLattice(lattice.labels + ("e1",), lattice.gram)
+
+
+def test_duplicate_basis_labels_rejected():
+    with pytest.raises(ValueError, match="^basis label 'h' already in use$"):
+        PicardLattice(("h", "h"), ((1,),))
 
 
 @st.composite
@@ -77,9 +83,8 @@ def classes_on_a_blown_up_base(draw):
     e = 0 if kind == "P2" else draw(st.integers(min_value=0, max_value=4))
     genus = draw(st.integers(min_value=0, max_value=2)) if kind == "ruled" else 0
     blowups = draw(st.integers(min_value=0, max_value=8))
-    lattice = build_base(kind, e=e, genus=genus).lattice
-    for i in range(blowups):
-        lattice = lattice.extended(f"e{i + 1}")
+    base = build_base(kind, e=e, genus=genus).lattice
+    lattice = PicardLattice(base.labels + tuple(f"e{i + 1}" for i in range(blowups)), base.gram)
     vector = st.lists(small_rationals, min_size=lattice.rank, max_size=lattice.rank)
     a, b = draw(vector), draw(vector)
     return oracles.dense_gram(kind, e, blowups), lattice, a, b
@@ -143,8 +148,6 @@ def test_class_arithmetic_agrees_with_elementwise_oracle(case, factor):
     assert d1.scale(factor).coords == oracles.class_scaled(a, factor)
     assert d1.is_zero() == oracles.class_is_zero(a)
     assert d1.scale(0).is_zero() and (d1 - d1).is_zero()
-    blown_up = lattice.extended("x")
-    assert d1.lift(blown_up, (-2,)).coords == tuple(a) + (Q(-2),)
 
 
 nonzero_rationals = small_rationals.filter(bool)

@@ -39,7 +39,6 @@ from delpezzo.pairs import (
 from delpezzo.singular import contract
 from delpezzo.surface import (
     BlowUpRecord,
-    SurfaceModel,
     blow_up,
     build_base,
     declare_curve,
@@ -670,15 +669,6 @@ def test_class_verdicts_invariant_under_redundant_blow_up():
 
 # -- non-rational classification and Cox --------------------------------------
 
-def _relabelled(s, **flags):
-    """``s`` with the named catalog records' p_a or smooth flag replaced, a
-    catalog that no surface file can declare."""
-    catalog = tuple(r._replace(**flags.get(r.curve_id, {})) for r in s.catalog)
-    return SurfaceModel(
-        s.base, s.blowups, catalog, s.canonical, s.lattice, s.incidence, s.declarations
-    )
-
-
 def _through_section_and_fibre(*records):
     """The elliptic ruled surface with e = 1 blown up at the point where c0
     meets f, then at the given records."""
@@ -696,12 +686,12 @@ def _through_section_and_fibre(*records):
         (lambda: build_base("ruled", e=0, genus=1), "not a big anticanonical surface"),
         # c0 said rational is blown down
         (
-            lambda: _relabelled(surfaces.elliptic_ruled(1), c0={"p_a": 0}),
+            lambda: surfaces.rebuilt(surfaces.elliptic_ruled(1), c0={"p_a": 0}),
             "inconsistent with the classification: expected exactly one genus-one "
             "section on the minimal resolution, found 0",
         ),
         (
-            lambda: _relabelled(surfaces.elliptic_ruled(1), c0={"smooth": False}),
+            lambda: surfaces.rebuilt(surfaces.elliptic_ruled(1), c0={"smooth": False}),
             "the genus-one curve is not smooth; it cannot be contracted to a simple "
             "elliptic point",
         ),

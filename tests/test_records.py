@@ -148,8 +148,14 @@ def test_records_of_different_values_differ():
 
 def test_surface_model_keeps_identity_equality_and_field_order():
     s = surfaces.hirzebruch(2)
-    fields = (s.base, s.blowups, s.catalog, s.canonical, s.lattice, s.incidence, s.declarations)
-    names = ("base", "blowups", "catalog", "canonical", "lattice", "incidence", "declarations")
+    fields = (
+        s.base, s.blowups, s.catalog, s.canonical, s.lattice, s.incidence, s.declarations,
+        s._sparse,
+    )
+    names = (
+        "base", "blowups", "catalog", "canonical", "lattice", "incidence", "declarations",
+        "sparse",
+    )
     by_position = SurfaceModel(*fields)
     by_keyword = SurfaceModel(**dict(zip(names, fields)))
     assert by_position != s and by_position == by_position

@@ -15,7 +15,7 @@ from delpezzo.singular import (
     dual_graph,
     is_snc_configuration,
 )
-from delpezzo.surface import BlowUpRecord, SurfaceModel, blow_up, build_base, declare_curve
+from delpezzo.surface import BlowUpRecord, blow_up, build_base, declare_curve
 
 
 def test_minus_two_curve_is_du_val():
@@ -122,10 +122,7 @@ def test_contract_invariant_under_catalog_permutation():
     s = surfaces.negative_star()
     curves = ("l", "e1", "e2", "e3", "e4", "e5", "e6")
     a = contract(s, curves)
-    reversed_catalog = SurfaceModel(
-        s.base, s.blowups, tuple(reversed(s.catalog)), s.canonical, s.lattice, s.incidence,
-        s.declarations,
-    )
+    reversed_catalog = surfaces.rebuilt(s, order=s.curve_ids()[::-1])
     b = contract(reversed_catalog, curves)
     assert dict(a.discrepancies) == dict(b.discrepancies)
     assert a.contracted_canonical_square == b.contracted_canonical_square

@@ -15,11 +15,11 @@ import surfaces
 from delpezzo import cli, corpus, lattice
 from delpezzo.errors import IncompatibleSurfaces, InvalidSurfaceData
 from delpezzo.lattice import DivisorClass, PicardLattice, format_rational
+from delpezzo.pairs import AnticanonicalAnalysis, check_EP_condition, redundant_blow_up
 from delpezzo.singular import is_snc_configuration
 from delpezzo.surface import (
     BaseSurface,
     BlowUpRecord,
-    SurfaceModel,
     _Stage,
     _input_list,
     _input_object,
@@ -772,12 +772,11 @@ def test_scans_of_a_constructed_model_match_dense_oracle():
         rows = oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))
         ids = s.curve_ids()
         # the original model scans first, so a catalog kept per lattice
-        # (which the two models share) would be read in a stale order
+        # (the two models' lattices are equal) would be read in a stale order
         s.meets(ids[0])
-        catalog = s.catalog[::-1]
-        rebuilt = SurfaceModel(
-            s.base, s.blowups, catalog, s.canonical, s.lattice, s.incidence, s.declarations
-        )
+        rebuilt = surfaces.rebuilt(s, order=ids[::-1])
+        catalog = rebuilt.catalog
+        assert catalog == s.catalog[::-1]
         coords = [r.divisor_class.coords for r in catalog]
 
         def oracle_degrees(d):
@@ -787,7 +786,6 @@ def test_scans_of_a_constructed_model_match_dense_oracle():
             return tuple(Q(v, d.den) for v in rebuilt.degrees(d))
 
         minus_k = s.anticanonical
-        # a scan before any row fills the sparse catalog as well as a row
         assert degrees(minus_k) == oracle_degrees(minus_k)
         for r in catalog:
             assert rebuilt.meets(r.curve_id) == s.meets(r.curve_id)[::-1]
@@ -927,7 +925,7 @@ def dense_nonzeros(s):
 def assert_rows_match_dense(s):
     """The sparse rows are the dense classes' nonzeros, and every table
     row matches the dense pairing."""
-    assert s._nonzeros() == dense_nonzeros(s)
+    assert s._sparse == dense_nonzeros(s)
     rows = oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))
     coords = [r.divisor_class.coords for r in s.catalog]
     for r in s.catalog:
@@ -935,12 +933,36 @@ def assert_rows_match_dense(s):
         assert s.meets(r.curve_id) == expected
 
 
+def builder_models():
+    """One model from each builder: ``build_base``, ``declare_curve``,
+    ``blow_up``, ``loads``, a ``corpus`` draw, a ``check_EP_condition``
+    resolution and a ``redundant_blow_up`` model."""
+    base = build_base("hirzebruch", e=1)
+    declared = declare_curve(base, "s", (1, 1), 0)
+    blown = blow_up(declared, BlowUpRecord("p1", (("c0", 1), ("f", 1))))
+    check = check_EP_condition(surfaces.hirzebruch(3), (), (BlowUpRecord("p1", (("c0", 1),)),))
+    analysis = AnticanonicalAnalysis(surfaces.meeting_negative_pair())
+    return [
+        base, declared, blown, loads(dumps(blown)), corpus_head(1, count=1)[0], check.resolved,
+        redundant_blow_up(analysis, analysis.redundant_points[0]).model,
+    ]
+
+
 def test_stage_hands_over_its_sparse_rows():
     models = fixture_models() + [s for seed in (1, 2, 3) for s in corpus_head(seed, max_rank=40)]
-    for s in models:
-        # the stage built them, so the model does not read them off the classes
-        assert s._sparse is not None
+    for s in models + builder_models():
         assert_rows_match_dense(s)
+
+
+def test_every_builder_hands_over_k_squared():
+    models = fixture_models() + corpus_head(1) + corpus_head(2) + builder_models()
+    models += [from_description(line_star(*spec)) for spec in BENCHMARK_LINE_STARS]
+    for s in models:
+        kind, k = s.base.kind, len(s.blowups)
+        rows = oracles.dense_gram(kind, s.base.e, k)
+        assert s.canonical_square == oracles.quadratic_form(rows, s.canonical.coords)
+        base_square = 9 if kind == "P2" else 8 * (1 - s.base.genus)
+        assert s.canonical_square == base_square - k
 
 
 def test_sparse_rows_follow_each_step_of_a_chain():
@@ -960,11 +982,7 @@ def test_sparse_rows_follow_each_step_of_a_chain():
 
 def test_hand_built_model_reads_its_sparse_rows_off_the_classes():
     for s in fixture_models() + off_diagonal_models():
-        rebuilt = SurfaceModel(
-            s.base, s.blowups, s.catalog[::-1], s.canonical, s.lattice, s.incidence,
-            s.declarations,
-        )
-        assert rebuilt._sparse is None
+        rebuilt = surfaces.rebuilt(s, order=s.curve_ids()[::-1])
         assert_rows_match_dense(rebuilt)
         # a stage made from it starts from those rows
         grown = blow_up(rebuilt, BlowUpRecord("extra"))

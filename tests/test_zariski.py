@@ -123,10 +123,7 @@ def test_invariants_on_every_fixture(name):
 def test_uniqueness_under_catalog_permutation(name):
     s = surfaces.FIXTURES[name]()
     z = zariski_decompose(s, s.anticanonical)
-    reversed_catalog = SurfaceModel(
-        s.base, s.blowups, tuple(reversed(s.catalog)), s.canonical, s.lattice, s.incidence,
-        s.declarations,
-    )
+    reversed_catalog = surfaces.rebuilt(s, order=s.curve_ids()[::-1])
     z2 = zariski_decompose(reversed_catalog, reversed_catalog.anticanonical)
     assert dict(z.negative) == dict(z2.negative)
     assert z.positive == z2.positive

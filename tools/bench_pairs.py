@@ -4,42 +4,23 @@ Run from the root of a checkout:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --out BENCH_N.json
 
-BENCH_3.json was made with, in addition, ``--claim-workload wide_support
---claim-metric analyze_ms_p50 --claim-threshold -0.4 --held-out-seed 11
---line-star 20,10,2 --line-star 30,16,2``, BENCH_4.json with
-``--claim-workload high_rank --claim-metric analyze_ms_p50
---claim-threshold -0.3 --held-out-seed 11 --line-star 30,16,2``,
-BENCH_5.json with ``--claim-workload high_rank --claim-metric
-analyze_ms_p50 --claim-threshold -0.4 --held-out-seed 11 --line-star
-30,16,2``, BENCH_6.json with ``--claim-workload high_rank
---claim-metric analyze_ms_p50 --claim-threshold -0.2 --held-out-seed 11
---line-star 30,16,2``, BENCH_7.json with ``--claim-workload fixtures
---claim-metric setup_s --claim-threshold -0.15 --held-out-seed 11``,
-BENCH_8.json with ``--claim-workload fixtures --claim-metric
-analyze_ms_p50 --claim-threshold -0.25 --held-out-seed 11``,
-BENCH_9.json with ``--claim-workload high_rank --claim-metric
-analyze_ms_p50 --claim-threshold -0.2 --held-out-seed 11 --line-star
-30,16,2``, BENCH_10.json with ``--claim-workload high_rank
---claim-metric analyze_ms_p50 --claim-threshold -0.12 --held-out-seed 11
---line-star 30,16,2``, BENCH_11.json with ``--claim-workload
-wide_support --claim-metric analyze_ms_p50 --claim-threshold -0.08
---held-out-seed 11 --line-star 30,16,2``, and BENCH_12.json and
-BENCH_13.json, which claim no gain, with ``--line-star 30,16,2`` only.
-Later reports record their own command line under ``"argv"``.
+Every report records its own command line under ``"argv"``.
 
 The parent commit (``git archive``) and the change (the working tree's
 tracked and unignored files) are copied into a temporary directory, so
 both sides start alike: no bytecode caches, no leftovers.  For each workload
 and each seed ``1 .. pairs`` it runs ``perfbench/run.py --seconds 20`` once
 on each side, the parent first in odd pairs and the change first in even
-pairs, so that a drift of the machine's speed hits both sides alike.  Then it runs one traced
-pass (``--trace 1``, seed 1) per side, optionally one held-out pair on the
-claimed workload, and optionally ``LINE_STAR_REPEATS`` (11) single timed
-calls per side of ``analyze --format json`` on ``line_star`` inputs, the
-sides alternating, reported as each side's quartiles.  Per metric it writes
-the quartiles of each side, the relative change of the medians, how many
-pairs the change won, and whether the gap of the medians exceeds the
-parent's interquartile range.  The temporary directory is removed at exit.
+pairs, so that a drift of the machine's speed hits both sides alike.  Then it runs
+the traced pass (``--trace 1``, seed 1) twice per side, in the order parent,
+change, change, parent, so that a linear drift adds as much to each side's
+mean, and optionally one held-out pair on the claimed workload.  Per
+end-to-end metric it writes the quartiles of each side, the relative
+change of the medians, how many pairs the change won, and whether the gap
+of the medians exceeds the parent's interquartile range.  Per timed layer
+it writes both traced readings of each side and their mean; a count is
+written once per side, and ``counts_differ`` names any count whose two
+runs on one side disagree.  The temporary directory is removed at exit.
 Only the standard library is used.
 """
 from __future__ import annotations
@@ -62,29 +43,7 @@ SIDES = ("parent", "change")
 WORKLOADS = ("fixtures", "wide_support", "high_rank", "corpus")
 SECONDS = 20  # the run length BENCHMARK.json gives perfbench/run.py
 TRACE_SEED = 1
-LINE_STAR_REPEATS = 11
-
-# Times one in-process `analyze --format json` on a line_star input built by
-# the benchmark's own generator; prints seconds, exit code and stdout digest.
-SINGLE_CALL = """
-import contextlib, hashlib, io, json, sys, tempfile, time
-from pathlib import Path
-root, n, arms, length = Path(sys.argv[1]), *map(int, sys.argv[2:5])
-sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-from workloads import line_star
-from delpezzo import cli
-path = Path(tempfile.mkdtemp()) / "line_star.json"
-path.write_text(json.dumps(line_star(n, arms, length)))
-out = io.StringIO()
-start = time.perf_counter()
-with contextlib.redirect_stdout(out):
-    code = cli.main(["analyze", str(path), "--format", "json"])
-seconds = time.perf_counter() - start
-path.unlink()
-path.parent.rmdir()
-print(json.dumps({"seconds": seconds, "code": code,
-                  "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}))
-"""
+TRACE_ORDER = ("parent", "change", "change", "parent")
 
 
 def git(*args: str) -> str:
@@ -132,6 +91,8 @@ def run_bench(root: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def quartiles(values: list[float]) -> dict:
+    # statistics.quantiles needs two values; one value is its own quartiles
+    values = values if len(values) > 1 else values * 2
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
 
@@ -190,30 +151,23 @@ def claim(args, roots: dict, metrics: dict) -> dict:
     return out
 
 
-def single_calls(roots: dict, specs: list[str]) -> dict:
-    out = {}
-    for spec in specs:
-        n, arms, length = spec.split(",")
-        seconds = {side: [] for side in SIDES}
-        digests = {side: set() for side in SIDES}
-        for i in range(LINE_STAR_REPEATS):
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                proc = subprocess.run(
-                    [sys.executable, "-c", SINGLE_CALL, str(roots[side]), n, arms, length],
-                    check=True, capture_output=True, text=True,
-                )
-                result = json.loads(proc.stdout)
-                if result["code"] != 0:
-                    raise SystemExit(f"line_star({spec}) exited {result['code']} on the {side}")
-                seconds[side].append(result["seconds"])
-                digests[side].add(result["sha256"])
-        out[f"line_star({spec})"] = {
-            "rank": 1 + int(n) + int(arms) * int(length),
-            "seconds_quartiles": {side: quartiles(seconds[side]) for side in SIDES},
-            "seconds_runs": seconds,
-            "stdout_identical": len(digests["parent"] | digests["change"]) == 1,
-        }
-        print(f"  line_star({spec}) {out[f'line_star({spec})']['seconds_quartiles']}", file=sys.stderr)
+def layers(traced: dict, timed: set) -> dict:
+    """The per-layer metrics of each side's two traced runs: a timed layer
+    as both readings and their mean, a count as its one value."""
+    out = {"correct": {side: all(r["correct"] for r in traced[side]) for side in SIDES}}
+    differ = []
+    for name in traced["change"][0]["metrics"]:
+        readings = {side: [r["metrics"][name]["value"] for r in traced[side]] for side in SIDES}
+        if name in timed:
+            out[name] = {
+                side: {"runs": runs, "mean": statistics.fmean(runs)}
+                for side, runs in readings.items()
+            }
+        else:
+            out[name] = {side: runs[0] for side, runs in readings.items()}
+            differ += [f"{name} ({side})" for side, runs in readings.items() if runs[0] != runs[1]]
+    if differ:
+        out["counts_differ"] = differ
     return out
 
 
@@ -228,13 +182,14 @@ def main(argv=None) -> int:
         help="relative change of the medians the claim needs, e.g. -0.4 for 40%% lower",
     )
     parser.add_argument("--held-out-seed", type=int, help="one more pair on the claimed workload")
-    parser.add_argument("--line-star", action="append", default=[], metavar="N,ARMS,LEN")
     parser.add_argument("--out", required=True)
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m for m in spec["end_to_end"]}
+    # times, and the trace's overhead, which is a ratio of times
+    timed = {m["name"] for m in spec["per_layer"] if m["unit"] == "ms"} | {"trace.overhead"}
     parent = git("rev-parse", args.parent)
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
@@ -248,7 +203,9 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     runs[side].append(run_bench(roots[side], workload, i + 1, 0))
-            traced = {side: run_bench(roots[side], workload, TRACE_SEED, 1) for side in SIDES}
+            traced = {side: [] for side in SIDES}
+            for side in TRACE_ORDER:
+                traced[side].append(run_bench(roots[side], workload, TRACE_SEED, 1))
             workloads[workload] = {
                 "pairs": args.pairs,
                 "correct_all": all(r["correct"] for side in SIDES for r in runs[side]),
@@ -262,13 +219,7 @@ def main(argv=None) -> int:
                     )
                     for name, m in metrics.items()
                 },
-                f"traced_seed{TRACE_SEED}": {
-                    "correct": {side: traced[side]["correct"] for side in SIDES},
-                    **{
-                        name: {side: traced[side]["metrics"][name]["value"] for side in SIDES}
-                        for name in traced["change"]["metrics"]
-                    },
-                },
+                f"traced_seed{TRACE_SEED}": layers(traced, timed),
             }
         report = {
             "argv": ["tools/bench_pairs.py", *argv],
@@ -278,15 +229,15 @@ def main(argv=None) -> int:
             f"{platform.python_version()}; times are scaled by the benchmark's Fraction "
             "probe (perfbench/README.md)",
             "method": f"{args.pairs} pairs per workload, seeds 1-{args.pairs}; odd pairs "
-            "run parent first, even pairs run change first; one traced run (--trace 1, "
-            f"seed {TRACE_SEED}) per side per workload; made by tools/bench_pairs.py",
+            "run parent first, even pairs run change first; two traced runs (--trace 1, "
+            f"seed {TRACE_SEED}) per side per workload in the order parent, change, change, "
+            "parent, each timed layer written as both readings and their mean, so that a "
+            "linear drift cancels; made by tools/bench_pairs.py",
             "parent": parent,
         }
         if args.claim_workload and args.claim_metric:
             report["claim"] = claim(args, roots, workloads[args.claim_workload]["metrics"])
         report["workloads"] = workloads
-        if args.line_star:
-            report["single_calls"] = single_calls(roots, args.line_star)
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

@@ -4,11 +4,11 @@ Run from the root of a checkout:
 
     python3 tools/reach.py
 
-It line-traces, in one process, the 435 command lines of
-``tools/same_outputs.py`` (``command_lines``) through ``delpezzo.cli.main``,
-with the working tree's ``src/`` first on the path.  Tracing starts before
-``delpezzo`` is imported, so module-level statements count as run; it
-also sees the draws of the corpus sample (``write_inputs``), which run
+It line-traces, in one process, the command lines of
+``tools/same_outputs.py`` (``command_lines``, counted in its docstring)
+through ``delpezzo.cli.main``, with the working tree's ``src/`` first on
+the path.  Tracing starts before ``delpezzo`` is imported, so
+module-level statements count as run; it also sees the draws of the corpus sample (``write_inputs``), which run
 the code that the ``corpus`` command lines run.  It then
 prints, per file, each statement of ``src/delpezzo`` that produces code and
 never ran, as ``path:line: first source line``, and a summary line.  A
@@ -16,7 +16,7 @@ statement counts as run if any line of it ran; for a compound statement
 (``if``, ``for``, ``def``, ...) only its header counts, not its body.
 Docstrings and other statements that compile to no line of code are left
 out.  The exit status is 0.  Only the standard library is used; a run takes
-11-17 s on a 2-core Xeon.
+11-17 s on a 2-core Xeon, and lists 247 statements.
 """
 from __future__ import annotations
 
