@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
-import os
 import reprlib
 import sys
 
 from . import pairs, singular, zariski
-from .corpus import run_corpus
+from .corpus import MAX_DRAW_RANK, run_corpus
 from .errors import GeometryError, InternalInconsistency, InvalidSurfaceData, NumberTooLong
 from .lattice import DivisorClass, format_rational
 from .pairs import (
@@ -26,13 +24,7 @@ from .pairs import (
     AnticanonicalAnalysis,
     redundant_blow_up,
 )
-from .surface import (
-    SurfaceModel,
-    dumps,
-    from_description,
-    input_rational,
-    json_text,
-)
+from .surface import MAX_RANK, SurfaceModel, dumps, input_rational, json_text, loads
 from .zariski import CATALOG_CAVEAT, zariski_decompose
 
 EXIT_OK = 0
@@ -41,31 +33,16 @@ EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
 
 
-def _max_rank() -> int:
-    raw = os.environ.get("DELPEZZO_MAX_RANK", "64")
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidSurfaceData(f"DELPEZZO_MAX_RANK={reprlib.repr(raw)} is not an integer")
-
-
 def _load(path: str) -> SurfaceModel:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise InvalidSurfaceData(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise InvalidSurfaceData(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
-    except json.JSONDecodeError as exc:
-        raise InvalidSurfaceData(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    except ValueError as exc:  # an int literal too long to convert
-        raise InvalidSurfaceData(f"{path}: invalid JSON: {exc}")
-    except RecursionError:
-        raise InvalidSurfaceData(f"{path}: invalid JSON: nested too deeply")
-    max_rank = _max_rank()
     try:
-        return from_description(data, max_rank=max_rank)
+        return loads(text)
     except InvalidSurfaceData as exc:
         raise InvalidSurfaceData(f"{path}: {exc}")
 
@@ -342,11 +319,10 @@ def cmd_witness(args) -> int:
 
 def cmd_blowup(args) -> int:
     s = _load(args.file)
-    cap = _max_rank()
-    if s.rank + 1 > cap:
+    if s.rank + 1 > MAX_RANK:
         raise InvalidSurfaceData(
             f"blowup would raise Picard rank {s.rank} to {s.rank + 1}, "
-            f"which exceeds the cap {cap}"
+            f"which exceeds the cap {MAX_RANK}"
         )
     analysis = AnticanonicalAnalysis(s)
     points = analysis.redundant_points
@@ -381,10 +357,9 @@ def cmd_corpus(args) -> int:
     if args.count < 0:
         raise InvalidSurfaceData(f"--count {args.count} is below 0")
     # every base has Picard rank >= 1, so a cap of 0 could never draw
-    cap = _max_rank()
-    if not 1 <= args.max_rank <= cap:
+    if not 1 <= args.max_rank <= MAX_RANK:
         raise InvalidSurfaceData(
-            f"--max-rank {args.max_rank} is outside 1..{cap}, the DELPEZZO_MAX_RANK cap"
+            f"--max-rank {args.max_rank} is outside 1..{MAX_RANK}, the rank cap"
         )
     summary = run_corpus(args.seed, args.count, max_rank=args.max_rank)
     print(summary.render())
@@ -443,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor = sub.add_parser("corpus", help="random consistency harness")
     p_cor.add_argument("--seed", type=int, required=True)
     p_cor.add_argument("--count", type=int, required=True)
-    p_cor.add_argument("--max-rank", type=int, default=12)
+    p_cor.add_argument("--max-rank", type=int, default=MAX_DRAW_RANK)
     return parser
 
 

@@ -22,6 +22,9 @@ from .pairs import AnticanonicalAnalysis
 from .surface import BaseSurface, BlowUpRecord, SurfaceModel, _Stage
 
 
+# the largest Picard rank a draw reaches unless the caller names another
+MAX_DRAW_RANK = 12
+
 # status is "ok", "inconsistent" or "error"
 CorpusEntry = namedtuple("CorpusEntry", "index base rank status detail")
 
@@ -99,13 +102,13 @@ def _random_analysis(rng: random.Random, max_rank: int) -> AnticanonicalAnalysis
         return None
 
 
-def random_surface(rng: random.Random, max_rank: int = 12) -> SurfaceModel | None:
+def random_surface(rng: random.Random, max_rank: int = MAX_DRAW_RANK) -> SurfaceModel | None:
     """One candidate surface, or None if it is not big anticanonical."""
     analysis = _random_analysis(rng, max_rank)
     return None if analysis is None else analysis.s
 
 
-def run_corpus(seed: int, count: int, max_rank: int = 12) -> CorpusSummary:
+def run_corpus(seed: int, count: int, max_rank: int = MAX_DRAW_RANK) -> CorpusSummary:
     rng = random.Random(seed)
     entries = []
     attempts = 0

@@ -44,6 +44,10 @@ from .lattice import (
     weighted_sum,
 )
 
+# the largest Picard rank a surface description may declare; every rank up
+# to it finishes in a tested time
+MAX_RANK = 64
+
 
 class BaseSurface(Frozen):
     """The minimal surface a model starts from: ``kind`` is "P2",
@@ -197,10 +201,7 @@ class SurfaceModel(Frozen):
         return self.base.rational
 
     def curve(self, curve_id: str) -> CurveRecord:
-        try:
-            return self.catalog[self._positions[curve_id]]
-        except KeyError:
-            raise KeyError(f"no curve {curve_id!r} in catalog") from None
+        return self.catalog[self.position(curve_id)]
 
     def has_curve(self, curve_id: str) -> bool:
         return curve_id in self._positions
@@ -606,7 +607,7 @@ def _input_object(value, where: str) -> dict:
     return value
 
 
-def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
+def from_description(data: dict) -> SurfaceModel:
     """The model a surface description declares, read in one pass.
 
     A blow-up adds an orthogonal (-1)-axis, so after k blow-ups a curve's
@@ -625,9 +626,9 @@ def from_description(data: dict, max_rank: int = 64) -> SurfaceModel:
 
     curves = _input_list(data.get("curves", []), "curves", of_objects=True)
     blowups = _input_list(data.get("blowups", []), "blowups", of_objects=True)
-    if len(stage.labels) + len(blowups) > max_rank:
+    if len(stage.labels) + len(blowups) > MAX_RANK:
         raise InvalidSurfaceData(
-            f"Picard rank {len(stage.labels) + len(blowups)} exceeds the cap {max_rank}"
+            f"Picard rank {len(stage.labels) + len(blowups)} exceeds the cap {MAX_RANK}"
         )
     # curves by the stage they join, in file order; a field's message gains
     # its entry's prefix only when the field is refused
@@ -817,11 +818,13 @@ def dumps(s: SurfaceModel) -> str:
     return json_text(s) + "\n"
 
 
-def loads(text: str, max_rank: int = 64) -> SurfaceModel:
+def loads(text: str) -> SurfaceModel:
     try:
         data = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
+    except json.JSONDecodeError as exc:
+        raise InvalidSurfaceData(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an int literal too long to convert
         raise InvalidSurfaceData(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise InvalidSurfaceData("invalid JSON: nested too deeply") from None
-    return from_description(data, max_rank=max_rank)
+    return from_description(data)

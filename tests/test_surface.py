@@ -39,7 +39,7 @@ from delpezzo.surface import (
 )
 from delpezzo.zariski import zariski_decompose
 from test_analysis import line_star
-from test_cli import QUOTED_IDS
+from test_cli import QUOTED_IDS, RANK_65
 
 
 def test_projective_plane_base():
@@ -308,9 +308,9 @@ def test_round_trip_preserves_catalog():
 
 
 def test_max_rank_cap():
-    data = to_description(surfaces.cubic_with_points(10))
-    with pytest.raises(InvalidSurfaceData, match="exceeds the cap"):
-        from_description(data, max_rank=5)
+    with pytest.raises(InvalidSurfaceData) as info:
+        loads(json.dumps(RANK_65))
+    assert str(info.value) == "Picard rank 65 exceeds the cap 64"
 
 
 def test_curve_declared_after_blow_up_round_trips():
@@ -434,7 +434,7 @@ def test_rejected_description_names_its_fault(data, message):
     assert str(info.value) == message
 
 
-def _stepwise_from_description(data, max_rank=64):
+def _stepwise_from_description(data):
     """The reference route: a description replayed one step at a time
     through the public ``build_base``, ``declare_curve`` and ``blow_up``,
     with a whole model after every step.  It reads fields with the loader's
@@ -452,10 +452,8 @@ def _stepwise_from_description(data, max_rank=64):
     )
     curves = _input_list(data.get("curves", []), "curves", of_objects=True)
     blowups = _input_list(data.get("blowups", []), "blowups", of_objects=True)
-    if s.rank + len(blowups) > max_rank:
-        raise InvalidSurfaceData(
-            f"Picard rank {s.rank + len(blowups)} exceeds the cap {max_rank}"
-        )
+    if s.rank + len(blowups) > 64:
+        raise InvalidSurfaceData(f"Picard rank {s.rank + len(blowups)} exceeds the cap 64")
     afters = []
     for entry in curves:
         after = input_int(entry.get("after", 0), f"curve {entry.get('id')!r}: after")

@@ -4,7 +4,7 @@ Run from the root of a checkout:
 
     python3 tools/same_outputs.py --parent HEAD~1
 
-It runs 441 command lines in-process through ``delpezzo.cli.main``:
+It runs 447 command lines in-process through ``delpezzo.cli.main``:
 
 * ``analyze`` and ``classify`` with ``--format`` text, json and dot,
   ``decompose`` with text and json, and ``witness --method direct`` and
@@ -32,6 +32,11 @@ It runs 441 command lines in-process through ``delpezzo.cli.main``:
 * ``analyze --assert klt_any_boundary`` and ``--assert
   weak_lc_any_boundary`` on the 12 committed fixtures, which exit 1 where
   the verdict is false;
+* ``analyze`` on six inputs that the loader refuses, one per message
+  (``EDGE``): a JSON syntax error, brackets nested 200000 deep, an int
+  literal longer than ``sys.get_int_max_str_digits()``, bytes that are not
+  UTF-8, a path that does not exist, and P2 with 64 blow-ups, which is
+  rank 65, one above the rank cap;
 * ``corpus --seed s --count 200`` for s = 1 .. 10, at the default rank
   cap of 12, and ``corpus --seed s --count 50 --max-rank 40`` for
   s = 1 .. 3.
@@ -118,6 +123,28 @@ WRITTEN = (
         "p6",
     ),
 )
+# (name, file bytes) of the inputs the loader refuses; None writes no file
+EDGE = (
+    ("syntax", b"{ not json"),
+    ("deep", b"[" * 200000 + b"]" * 200000),
+    (
+        "long_int",
+        b'{"base": {"kind": "P2"}, "curves": [{"id": "l", "class": ["1"], "pa": '
+        + b"1" * (sys.get_int_max_str_digits() + 1)
+        + b"}]}",
+    ),
+    ("not_utf8", b"\xff\xfe{}"),
+    ("missing", None),
+    (
+        "rank65",
+        json.dumps(
+            {
+                "base": {"kind": "P2"},
+                "blowups": [{"point": f"p{i}", "exceptional": f"e{i}"} for i in range(64)],
+            }
+        ).encode(),
+    ),
+)
 
 # Runs a JSON list of argv lists, read from stdin, through cli.main and
 # writes one [exit code, stdout, stderr] per command line as JSON.
@@ -144,6 +171,7 @@ def command_lines(
     sample: list[Path],
     blowups: list[tuple[Path, str]],
     written: list[tuple[Path, str]],
+    edge: list[Path],
 ) -> list[list[str]]:
     argvs = []
     for path in inputs:
@@ -177,6 +205,7 @@ def command_lines(
         for path in sorted((ROOT / "fixtures").glob("*.json"))
         for verdict in ASSERTED
     ]
+    argvs += [["analyze", str(path)] for path in edge]
     for path in sample:
         file = str(path)
         argvs += [[command, file, "--format", "json"] for command in ("analyze", "classify")]
@@ -195,11 +224,11 @@ def command_lines(
 
 def write_inputs(
     tmp: Path,
-) -> tuple[list[Path], list[Path], list[tuple[Path, str]], list[tuple[Path, str]]]:
+) -> tuple[list[Path], list[Path], list[tuple[Path, str]], list[tuple[Path, str]], list[Path]]:
     """The committed fixtures and the ``line_star`` inputs, then the corpus
     sample, each written as files into ``tmp``; (file, ``--at`` value) for
-    the first redundant point of each of those that has one; and (file,
-    ``--at`` value) for the ``WRITTEN`` surfaces."""
+    the first redundant point of each of those that has one; (file,
+    ``--at`` value) for the ``WRITTEN`` surfaces; and the ``EDGE`` files."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from delpezzo import AnticanonicalAnalysis, GeometryError, from_description, to_description
     from delpezzo.corpus import random_surface
@@ -243,7 +272,13 @@ def write_inputs(
         path = tmp / f"{name}.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         written.append((path, at))
-    return inputs, sample, blowups, written
+    edge = []
+    for name, content in EDGE:
+        path = tmp / f"{name}.json"
+        if content is not None:
+            path.write_bytes(content)
+        edge.append(path)
+    return inputs, sample, blowups, written, edge
 
 
 def run_side(src: Path, argvs: list[list[str]]) -> list[list]:
