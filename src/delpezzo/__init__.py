@@ -56,6 +56,7 @@ from .singular import (
     is_snc_configuration,
 )
 from .surface import (
+    MAX_CURVES,
     MAX_RANK,
     BaseSurface,
     BlowUpRecord,

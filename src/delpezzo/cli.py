@@ -24,7 +24,7 @@ from .pairs import (
     AnticanonicalAnalysis,
     redundant_blow_up,
 )
-from .surface import MAX_RANK, SurfaceModel, dumps, input_rational, json_text, loads
+from .surface import MAX_CURVES, MAX_RANK, SurfaceModel, dumps, input_rational, json_text, loads
 from .zariski import CATALOG_CAVEAT, zariski_decompose
 
 EXIT_OK = 0
@@ -323,6 +323,11 @@ def cmd_blowup(args) -> int:
         raise InvalidSurfaceData(
             f"blowup would raise Picard rank {s.rank} to {s.rank + 1}, "
             f"which exceeds the cap {MAX_RANK}"
+        )
+    if len(s.catalog) + 1 > MAX_CURVES:
+        raise InvalidSurfaceData(
+            f"blowup would raise the catalog size {len(s.catalog)} to "
+            f"{len(s.catalog) + 1}, which exceeds the cap {MAX_CURVES}"
         )
     analysis = AnticanonicalAnalysis(s)
     points = analysis.redundant_points

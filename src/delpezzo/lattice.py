@@ -8,6 +8,10 @@ A divisor class is a tuple of integer numerators over one positive
 denominator, in lowest terms.  Catalog curves and K are integral, so class
 arithmetic runs on Python ints, and a pairing is one integer dot product
 with the first class's dual vector, divided once by the two denominators.
+A catalog curve usually has one to three nonzero coordinates, so the kernels
+that read many classes take them sparse, as (positions, values):
+``dual_entries`` gives the nonzero entries of a class's dual vector, and
+``weighted_sum`` sums integer-weighted classes at their nonzeros only.
 Results leave this module as `fractions.Fraction`, apart from the integer
 solve that the Zariski rounds, the contraction and the witness read; no
 floating point enters anywhere.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
@@ -161,6 +166,25 @@ def dual_numerators(gram, x, size: int) -> list[int]:
     return g
 
 
+def dual_entries(gram, positions, values):
+    """An iterator over the entries, as (axis, value) pairs, of
+    ``dual_numerators`` of the class with ``values`` at the ascending
+    ``positions`` (a dense class passes every position): the base block's
+    nonzero rows times the class on the block, then -v on each (-1)-axis
+    the class has.  A curve with k coordinates off the block gives at most
+    k + len(gram) entries, whatever the rank."""
+    n = len(gram)
+    cut = bisect_left(positions, n)  # the block's coordinates come first
+    block = []
+    if cut:
+        head, head_values = positions[:cut], values[:cut]
+        for k, row in enumerate(gram):
+            g = sum(map(operator.mul, map(row.__getitem__, head), head_values))
+            if g:
+                block.append((k, g))
+    return chain(block, zip(positions[cut:], map(operator.neg, values[cut:])))
+
+
 def numerators(values) -> tuple[tuple[int, ...], int]:
     """Rationals as integer numerators over their least common denominator."""
     den = math.lcm(*(x.denominator for x in values))
@@ -168,19 +192,19 @@ def numerators(values) -> tuple[tuple[int, ...], int]:
 
 
 def weighted_sum(terms, size: int) -> tuple[list[int], int]:
-    """The sum of c * v over (integer vector v of length ``size``, rational
-    c) pairs, as integer numerators over the least common denominator of
-    the c, summed one coordinate at a time."""
-    vectors, weights = [], []
-    for v, c in terms:
-        vectors.append(v)
-        # an int weight has denominator 1 and needs no Fraction
-        weights.append(c if type(c) is int else rational(c))
-    if not vectors:
-        return [0] * size, 1
-    den = math.lcm(*(c.denominator for c in weights))
-    factors = [c.numerator * (den // c.denominator) for c in weights]
-    return [sum(map(operator.mul, factors, column)) for column in zip(*vectors)], den
+    """The sum of c * v over (sparse vector v, rational c) pairs, as ``size``
+    integer numerators over the least common denominator of the c.  A
+    vector is (positions, values) with ints as values; a dense one passes
+    every position.  Each term costs its number of positions."""
+    # an int weight has denominator 1 and needs no Fraction
+    terms = [(v, c if type(c) is int else rational(c)) for v, c in terms]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    total = [0] * size
+    for (positions, values), c in terms:
+        factor = c.numerator * (den // c.denominator)
+        for k, v in zip(positions, values):
+            total[k] += factor * v
+    return total, den
 
 
 class DivisorClass:

@@ -176,7 +176,8 @@ def _witness(
         outside = [r.curve_id not in null_ids for r in s.catalog]
         rhs = []
         for cid in null_ids:
-            meets = sum(1 for out, v in zip(outside, s.meets(cid)) if out and v > 0)
+            positions, values = s.nonzeros(s.position(cid))
+            meets = sum(1 for k, v in zip(positions, values) if v > 0 and outside[k])
             rhs.append(-(1 + meets))
     else:
         rhs = [-1] * len(null_ids)

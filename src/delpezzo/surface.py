@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import reprlib
 from collections import namedtuple
+from itertools import compress
 from operator import itemgetter, mul
 
 from .errors import IncompatibleSurfaces, InvalidSurfaceData
@@ -38,6 +39,7 @@ from .lattice import (
     Q,
     _divisor,
     _reduced,
+    dual_entries,
     dual_numerators,
     format_rational,
     rational,
@@ -47,6 +49,11 @@ from .lattice import (
 # the largest Picard rank a surface description may declare; every rank up
 # to it finishes in a tested time
 MAX_RANK = 64
+# the largest catalog a surface description may declare, base curves and
+# exceptional curves included.  Loading pairs each declared curve with every
+# earlier one, so its time grows with the square of the catalog; the 240
+# (-1)-curves of a degree-1 del Pezzo surface fit
+MAX_CURVES = 256
 
 
 class BaseSurface(Frozen):
@@ -138,14 +145,19 @@ class SurfaceModel(Frozen):
 
     Every catalog class is integral, so the model keeps an integer
     intersection table: ``meets`` fills a curve's row on first request,
+    ``nonzeros`` keeps that row's nonzero entries, read off ``meets``,
     ``degrees`` keeps one scan per class, keyed by the class's numerators,
     and ``gram_of`` keeps one matrix per curve set, sliced off the rows,
-    whose one elimination comes with it.  A row or scan pairs one class
-    with the catalog through the class's dual vector, read at each catalog
-    class's nonzero coordinates: ``sparse`` holds their positions and
-    values, in catalog order.  ``anticanonical`` (-K) and
-    ``canonical_square`` (K^2) are set when the model is built.  Every fill
-    is idempotent, so concurrent readers can at worst compute a value twice.
+    whose one elimination comes with it.  ``sparse`` holds each catalog
+    class's nonzero positions and values, in catalog order, and the model
+    keeps its transpose: one column per lattice axis, the catalog
+    positions and values nonzero there.  A row or scan pairs one class with
+    the catalog by reading the columns of its dual vector's nonzero
+    entries, so a curve's row costs the lengths of the few columns it
+    touches, and a dense class such as -K reads them all once.
+    ``anticanonical`` (-K) and ``canonical_square`` (K^2) are set when the
+    model is built.  Every fill is idempotent, so concurrent readers can at
+    worst compute a value twice.
 
     The constructor is the stage's: every builder runs one ``_Stage``, and
     ``_Stage.model`` hands over the eight fields.
@@ -153,8 +165,8 @@ class SurfaceModel(Frozen):
 
     __slots__ = (
         "base", "blowups", "catalog", "canonical", "lattice", "incidence", "declarations",
-        "anticanonical", "canonical_square", "_positions", "_meets", "_scans", "_grams",
-        "_sparse",
+        "anticanonical", "canonical_square", "_positions", "_meets", "_nonzeros", "_scans",
+        "_grams", "_sparse", "_columns",
     )
 
     def __init__(
@@ -180,9 +192,18 @@ class SurfaceModel(Frozen):
         set_field(self, "canonical_square", canonical.square)
         set_field(self, "_positions", {r.curve_id: i for i, r in enumerate(catalog)})
         set_field(self, "_meets", {})
+        set_field(self, "_nonzeros", {})
         set_field(self, "_scans", {})
         set_field(self, "_grams", {})
         set_field(self, "_sparse", sparse)
+        columns = [[] for _ in range(lattice.rank)]
+        for position, (idx, vals) in enumerate(sparse):
+            if len(idx) == 1:  # most catalog classes: one exceptional axis
+                columns[idx[0]].append((position, vals[0]))
+                continue
+            for k, v in zip(idx, vals):
+                columns[k].append((position, v))
+        set_field(self, "_columns", columns)
 
     def __repr__(self):
         return (
@@ -226,8 +247,20 @@ class SurfaceModel(Frozen):
         catalog order: one row of the table, paired on first request."""
         row = self._meets.get(curve_id)
         if row is None:
-            row = self._meets[curve_id] = self._scan(self.curve(curve_id).divisor_class.nums)
+            row = self._meets[curve_id] = self._scan(*self._sparse[self.position(curve_id)])
         return row
+
+    def nonzeros(self, position: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The nonzero entries of the row of the curve at ``position``, as
+        (catalog positions, values), read off ``meets`` on first request:
+        its square and the curves it meets, usually a few."""
+        entries = self._nonzeros.get(position)
+        if entries is None:
+            row = self.meets(self.catalog[position].curve_id)
+            entries = self._nonzeros[position] = (
+                tuple(compress(range(len(row)), row)), tuple(compress(row, row))
+            )
+        return entries
 
     def degrees(self, d: DivisorClass) -> tuple[int, ...]:
         """The numerators, over ``d.den``, of d.C for every catalog curve C
@@ -237,20 +270,22 @@ class SurfaceModel(Frozen):
         P by the decomposition's check and the null locus, is scanned once."""
         if d.lattice is not self.lattice and d.lattice != self.lattice:
             raise IncompatibleSurfaces("incompatible surfaces")
-        values = self._scans.get(d.nums)
+        nums = d.nums
+        values = self._scans.get(nums)
         if values is None:
-            values = self._scans[d.nums] = self._scan(d.nums)
+            values = self._scans[nums] = self._scan(range(len(nums)), nums)
         return values
 
-    def _scan(self, nums) -> tuple[int, ...]:
-        """The integer pairing of ``nums`` with every catalog class, in
-        catalog order."""
-        dual = dual_numerators(self.lattice.gram, nums, self.rank)
-        at = dual.__getitem__
-        return tuple([
-            dual[idx[0]] * vals[0] if len(idx) == 1 else sum(map(mul, map(at, idx), vals))
-            for idx, vals in self._sparse
-        ])
+    def _scan(self, positions, values) -> tuple[int, ...]:
+        """The integer pairing of the class with ``values`` at the ascending
+        ``positions`` with every catalog class, in catalog order: each
+        nonzero entry of its dual vector times the column of its axis."""
+        row = [0] * len(self.catalog)
+        columns = self._columns
+        for k, g in dual_entries(self.lattice.gram, positions, values):
+            for position, v in columns[k]:
+                row[position] += g * v
+        return tuple(row)
 
     def gram_of(self, curve_ids) -> IntersectionMatrix:
         """The Gram matrix of the given ids, in their order.  One matrix is
@@ -270,7 +305,7 @@ class SurfaceModel(Frozen):
 
     def class_of(self, components) -> DivisorClass:
         """Sum of coefficient * curve class over (curve_id, Q) pairs."""
-        terms = ((self.curve(cid).divisor_class.nums, c) for cid, c in components)
+        terms = ((self._sparse[self.position(cid)], c) for cid, c in components)
         total, den = weighted_sum(terms, self.rank)
         return _reduced(self.lattice, tuple(total), den)
 
@@ -630,6 +665,9 @@ def from_description(data: dict) -> SurfaceModel:
         raise InvalidSurfaceData(
             f"Picard rank {len(stage.labels) + len(blowups)} exceeds the cap {MAX_RANK}"
         )
+    size = len(stage.curves) + len(curves) + len(blowups)
+    if size > MAX_CURVES:
+        raise InvalidSurfaceData(f"catalog size {size} exceeds the cap {MAX_CURVES}")
     # curves by the stage they join, in file order; a field's message gains
     # its entry's prefix only when the field is refused
     pending: dict[int, list[dict]] = {}

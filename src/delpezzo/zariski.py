@@ -47,56 +47,49 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
     """Split d = P + N with P nonnegative on the catalog and orthogonal to
     the negative-definite support of N.
 
-    d is paired with the catalog once, and every round runs in integers:
-    the support's coefficients are y_i / (y_den * d.den), solved from d's
-    degree numerators, and N's degrees are sum y_i * (C_i.C) over the same
-    denominator, summed from the table rows of the support.  Fractions are
-    built once, for N's final coefficients, and P is the integer-weighted
-    sum y_den * d - sum y_i C_i over y_den * den.
+    d is paired with the catalog once, and every round runs in integers on
+    catalog positions: the support's coefficients are y_i / (y_den * d.den),
+    solved from d's degree numerators, and N's degrees are sum y_i * (C_i.C)
+    over the same denominator, summed from the nonzero entries of the
+    support's table rows.  The first round's support is every curve with
+    d.C < 0, and the support only grows, so a curve outside it can turn
+    negative only where N meets it positively: each round tests only the
+    positions that the support's rows touch.  Fractions are built once, for
+    N's final coefficients, and P is the integer-weighted sparse sum
+    y_den * d - sum y_i C_i over y_den * den.
     """
     d_degrees, den = s.degrees(d), d.den
-    support: list[str] = []
-    # N = (sum y_i C_i) / (y_den * den); the first round's support is empty
-    ys, y_den, n_degrees = [], 1, [0] * len(d_degrees)
-    while True:
+    support: list[int] = []
+    # N = (sum y_i C_i) / (y_den * den); the first round's N is 0
+    ys, y_den = [], 1
+    newly_negative = [k for k, x in enumerate(d_degrees) if x < 0]
+    while newly_negative:
+        support = sorted(support + newly_negative)
         if len(support) >= s.rank:
             raise CatalogInsufficient(
                 "catalog insufficient or divisor not pseudo-effective"
             )
-        if support:
-            matrix = s.gram_of(support)
-            if not is_negative_definite(matrix):
-                raise CatalogInsufficient(
-                    "catalog insufficient or divisor not pseudo-effective"
-                )
-            ys, y_den = _solve_integers(
-                matrix, [d_degrees[s.position(cid)] for cid in support]
+        matrix = s.gram_of([s.catalog[k].curve_id for k in support])
+        if not is_negative_definite(matrix):
+            raise CatalogInsufficient(
+                "catalog insufficient or divisor not pseudo-effective"
             )
-            n_degrees, _ = combination_degrees(s, zip(support, ys))
+        ys, y_den = _solve_integers(matrix, [d_degrees[k] for k in support])
+        rows = [s.nonzeros(k) for k in support]
+        n_degrees, _ = weighted_sum(zip(rows, ys), len(d_degrees))
         # y_den * den * (P.C) = y_den * (d.C numerator) - (N.C numerator)
         current = set(support)
-        newly_negative = {
-            r.curve_id
-            for r, x, y in zip(s.catalog, d_degrees, n_degrees)
-            if y_den * x < y and r.curve_id not in current
-        }
-        if not newly_negative:
-            break
-        support = [
-            r.curve_id
-            for r in s.catalog
-            if r.curve_id in current or r.curve_id in newly_negative
-        ]
+        touched = {k for positions, _ in rows for k in positions} - current
+        newly_negative = [k for k in touched if y_den * d_degrees[k] < n_degrees[k]]
 
     if any(y < 0 for y in ys):
         raise CatalogInsufficient(
             "catalog insufficient or divisor not pseudo-effective"
         )
-    terms = [(cid, y) for cid, y in zip(support, ys) if y > 0]
-    negative = tuple((cid, Q(y, y_den * den)) for cid, y in terms)
+    terms = [(k, y) for k, y in zip(support, ys) if y > 0]
+    negative = tuple((s.catalog[k].curve_id, Q(y, y_den * den)) for k, y in terms)
     positive, _ = weighted_sum(
-        [(d.nums, y_den)] + [(s.curve(cid).divisor_class.nums, -y) for cid, y in terms],
-        s.rank,
+        [((range(s.rank), d.nums), y_den)] + [(s._sparse[k], -y) for k, y in terms], s.rank
     )
     positive = _reduced(s.lattice, tuple(positive), y_den * den)
     max_coefficient = Q(max(y for _, y in terms), y_den * den) if terms else _ZERO
@@ -108,8 +101,11 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
 
 def combination_degrees(s: SurfaceModel, components) -> tuple[list[int], int]:
     """The numerators, over their common denominator, of (sum c_i C_i).C
-    for every catalog curve C, summed from the table rows of the C_i."""
-    return weighted_sum(((s.meets(cid), c) for cid, c in components), len(s.catalog))
+    for every catalog curve C, summed from the nonzero entries of the table
+    rows of the C_i."""
+    return weighted_sum(
+        ((s.nonzeros(s.position(cid)), c) for cid, c in components), len(s.catalog)
+    )
 
 
 def _verify(s: SurfaceModel, z: ZariskiDecomposition) -> tuple[str, ...]:

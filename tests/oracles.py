@@ -128,9 +128,11 @@ def dense_gram(kind: str, e: int, blowups: int) -> list[list[Q]]:
 def dense_pairing(rows, a, b) -> Q:
     """a^T G b summed over every entry of the Gram matrix.  Entries stay in
     their own arithmetic (ints stay ints), and a term with a zero
-    coordinate adds nothing, so it is skipped."""
+    coordinate or a zero Gram entry adds nothing, so it is skipped."""
     b_terms = [(j, y) for j, y in enumerate(b) if y]
-    return Q(sum(x * rows[i][j] * y for i, x in enumerate(a) if x for j, y in b_terms))
+    return Q(sum(
+        x * rows[i][j] * y for i, x in enumerate(a) if x for j, y in b_terms if rows[i][j]
+    ))
 
 
 def curve_gram(rows, curves) -> list[list[int]]:
@@ -187,6 +189,45 @@ def is_negative_definite_by_minors(rows) -> bool:
     return True
 
 
+def solve_from_last(rows, rhs) -> tuple[Q, ...] | None:
+    """The solution of rows @ x = rhs for a negative definite matrix, or
+    None if the matrix is not negative definite.
+
+    Gaussian elimination over Fractions from the last row up, with no row
+    swap, on rows kept as {column: entry} dicts.  Pivot k is the ratio of
+    the trailing principal minors of sizes n - k and n - k - 1, so by
+    Sylvester's criterion the matrix is negative definite exactly when
+    every pivot is negative.  O(n^3) at worst, unlike the cofactor
+    expansion; on a forest of curves whose leaves come last, as on a
+    ``line_star`` catalog, nothing fills in.  The package's elimination
+    runs forward, fraction-free, with a first-nonzero pivot.
+    """
+    n = len(rows)
+    reduced = [{j: Q(x) for j, x in enumerate(row) if x} for row in rows]
+    b = [Q(x) for x in rhs]
+    for k in reversed(range(n)):
+        pivot = reduced[k].get(k, 0)
+        if pivot >= 0:
+            return None
+        for i in range(k):
+            if k in reduced[i]:
+                factor = reduced[i].pop(k) / pivot
+                for j, y in reduced[k].items():
+                    if j != k:
+                        reduced[i][j] = reduced[i].get(j, 0) - factor * y
+                b[i] -= factor * b[k]
+    x: list[Q] = []
+    for k in range(n):
+        tail = sum(y * x[j] for j, y in reduced[k].items() if j != k)
+        x.append((b[k] - tail) / reduced[k][k])
+    return tuple(x)
+
+
+# the largest block that oracle_zariski expands by cofactors; the cost of an
+# expansion grows with the factorial of the block's size
+COFACTOR_SIZE = 8
+
+
 def oracle_zariski(rows, curves, meets, d):
     """The Zariski decomposition of d relative to a list of curve classes,
     by the textbook support-growing loop over a dense Gram matrix.
@@ -196,7 +237,9 @@ def oracle_zariski(rows, curves, meets, d):
     index, coefficient) pairs with a positive coefficient, in index order),
     or None where the loop gives up: the support reaches the rank, the
     rounds exceed rank + 1, the support is not negative definite, or a
-    final coefficient is negative.
+    final coefficient is negative.  A support of at most ``COFACTOR_SIZE``
+    curves is tested and solved by cofactors and Cramer's rule, a larger
+    one by ``solve_from_last``.
     """
     n = len(rows)
     d_degrees = [dense_pairing(rows, d, b) for b in curves]
@@ -210,15 +253,22 @@ def oracle_zariski(rows, curves, meets, d):
         if len(support) >= n or rounds > n + 1:
             return None
         block = [[meets[i][j] for j in support] for i in support]
-        if support and not is_negative_definite_by_minors(block):
+        rhs = [scaled[i] for i in support]
+        if len(support) > COFACTOR_SIZE:
+            solved = solve_from_last(block, rhs)
+            if solved is None:
+                return None
+        elif support and not is_negative_definite_by_minors(block):
             return None
-        solved = cramer_solve(block, [scaled[i] for i in support]) if support else ()
+        else:
+            solved = cramer_solve(block, rhs) if support else ()
         coeffs = [c / scale for c in solved]
         newly = [
             k
             for k in range(len(curves))
             if k not in support
-            and d_degrees[k] - sum(c * meets[i][k] for i, c in zip(support, coeffs)) < 0
+            and d_degrees[k] - sum(c * meets[i][k] for i, c in zip(support, coeffs) if meets[i][k])
+            < 0
         ]
         if not newly:
             break

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
 import argparse
 import hashlib
+import itertools
 import json
 import re
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -723,6 +725,62 @@ def test_rank_cap_is_fixed(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "analyze", str(path))
     assert (code, out, err) == (
         2, "", f"input error: {path}: Picard rank 65 exceeds the cap 64\n"
+    )
+
+
+def catalog_of(size, blowups=63):
+    """P2 blown up at ``blowups`` points in general position, then lines
+    declared after the blow-ups, each through two of the points, until the
+    catalog holds ``size`` curves.  Two distinct pairs of points share at
+    most one point, so every two lines meet non-negatively.  With 63
+    blow-ups the rank is 64, the rank cap, and every class has the full
+    64 coordinates, so each declared line pairs at full length."""
+    pairs = itertools.combinations(range(1, blowups + 1), 2)
+    lines = [
+        {
+            "id": f"l{i}_{j}",
+            "class": ["1"] + ["-1" if k in (i, j) else "0" for k in range(1, blowups + 1)],
+            "pa": 0,
+            "after": blowups,
+        }
+        for i, j in itertools.islice(pairs, size - 1 - blowups)
+    ]
+    return {
+        "base": {"kind": "P2"},
+        "curves": lines,
+        "blowups": [{"point": f"p{i}", "exceptional": f"e{i}"} for i in range(1, blowups + 1)],
+    }
+
+
+def test_catalog_cap_is_fixed_and_bounds_the_time(capsys, tmp_path):
+    # the largest catalog the cap admits, at the rank cap, loads and
+    # analyzes in bounded time (about 0.07 s on a 2-CPU x86_64); one more
+    # curve is refused before any is declared
+    assert cli.MAX_CURVES == 256
+    at_cap, over = tmp_path / "at_cap.json", tmp_path / "over.json"
+    at_cap.write_text(json.dumps(catalog_of(256)))
+    over.write_text(json.dumps(catalog_of(257)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", str(at_cap), "--format", "json")
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["surface"]["curves"]) == 256 - 64
+    code, out, err = run(capsys, "analyze", str(over))
+    assert (code, out, err) == (
+        2, "", f"input error: {over}: catalog size 257 exceeds the cap 256\n"
+    )
+
+
+def test_blowup_at_the_catalog_cap_exits_two(capsys, tmp_path):
+    # rank 63, so the rank cap admits one more blow-up, but the catalog cap
+    # does not
+    path = tmp_path / "at_cap.json"
+    path.write_text(json.dumps(catalog_of(256, blowups=62)))
+    assert run(capsys, "analyze", str(path))[0] == 0
+    code, out, err = run(capsys, "blowup", str(path), "--at", "l1_2")
+    assert (code, out, err) == (
+        2, "", "input error: blowup would raise the catalog size 256 to 257, "
+        "which exceeds the cap 256\n"
     )
 
 

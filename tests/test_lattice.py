@@ -360,6 +360,19 @@ def test_row_reduction_oracle_agrees_with_cramer(rows, data):
         assert oracles.row_reduce_solve(rows, rhs) == oracles.cramer_solve(rows, rhs)
 
 
+@given(symmetric_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_backward_elimination_oracle_agrees_with_cofactors(rows, data):
+    # the O(n^3) oracle that large Zariski supports are tested and solved
+    # with, checked against the cofactor minors and Cramer's rule
+    rhs = data.draw(st.lists(small_rationals, min_size=len(rows), max_size=len(rows)))
+    solved = oracles.solve_from_last(rows, rhs)
+    if oracles.is_negative_definite_by_minors(rows):
+        assert solved == oracles.cramer_solve(rows, rhs)
+    else:
+        assert solved is None
+
+
 def test_swap_path_is_not_definite_but_solves():
     matrix = _matrix([[0, 1], [1, 0]])
     assert not is_negative_definite(matrix)

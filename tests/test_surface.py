@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 import oracles
 import surfaces
+import delpezzo
 from delpezzo import cli, corpus, lattice
 from delpezzo.errors import IncompatibleSurfaces, InvalidSurfaceData
 from delpezzo.lattice import DivisorClass, PicardLattice, format_rational
 from delpezzo.pairs import AnticanonicalAnalysis, check_EP_condition, redundant_blow_up
 from delpezzo.singular import is_snc_configuration
 from delpezzo.surface import (
+    MAX_CURVES,
     BaseSurface,
     BlowUpRecord,
     _Stage,
@@ -39,7 +41,7 @@ from delpezzo.surface import (
 )
 from delpezzo.zariski import zariski_decompose
 from test_analysis import line_star
-from test_cli import QUOTED_IDS, RANK_65
+from test_cli import QUOTED_IDS, RANK_65, catalog_of
 
 
 def test_projective_plane_base():
@@ -311,6 +313,20 @@ def test_max_rank_cap():
     with pytest.raises(InvalidSurfaceData) as info:
         loads(json.dumps(RANK_65))
     assert str(info.value) == "Picard rank 65 exceeds the cap 64"
+
+
+def test_catalog_cap():
+    assert delpezzo.MAX_CURVES == MAX_CURVES == 256
+    s = from_description(catalog_of(256))
+    assert (len(s.catalog), s.rank) == (256, 64)
+    # a smaller rank leaves room for more declared curves, up to the same cap
+    assert len(from_description(catalog_of(256, blowups=30)).catalog) == 256
+    for data in (catalog_of(257), catalog_of(257, blowups=30)):
+        # refused before the first curve is read: a malformed one is not seen
+        data["curves"][0]["class"] = "nope"
+        with pytest.raises(InvalidSurfaceData) as info:
+            from_description(data)
+        assert str(info.value) == "catalog size 257 exceeds the cap 256"
 
 
 def test_curve_declared_after_blow_up_round_trips():
@@ -694,6 +710,37 @@ def test_intersection_table_matches_dense_oracle():
         # the one remembered scan is replaced as the scanned class changes
         for d in (minus_k, positive, minus_k, positive):
             assert degrees(d) == oracle_degrees(d)
+
+
+def assert_rows_and_scans_match_dense_oracle(s):
+    """Every table row, the nonzero entries kept for it, and the scans of
+    -K and of its positive part, against the dense pairing.  The nonzero
+    entries are asked for before some rows and after others."""
+    rows = oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))
+    coords = [r.divisor_class.coords for r in s.catalog]
+    for k, (r, a) in enumerate(zip(s.catalog, coords)):
+        expected = tuple(oracles.dense_pairing(rows, a, b) for b in coords)
+        if k % 2:
+            assert s.meets(r.curve_id) == expected
+        nonzero = [j for j, v in enumerate(expected) if v]
+        assert s.nonzeros(k) == (tuple(nonzero), tuple(expected[j] for j in nonzero))
+        assert s.meets(r.curve_id) == expected
+    minus_k = s.anticanonical
+    for d in (minus_k, zariski_decompose(s, minus_k).positive):
+        expected = tuple(oracles.dense_pairing(rows, d.coords, b) for b in coords)
+        assert tuple(Q(v, d.den) for v in s.degrees(d)) == expected
+
+
+def test_rows_and_scans_read_at_nonzeros_match_dense_oracle():
+    # rows and scans read the column index; reversing the catalog reorders
+    # every column
+    models = fixture_models() + corpus_head(1) + corpus_head(2)
+    models += [from_description(line_star(*spec)) for spec in BENCHMARK_LINE_STARS]
+    for s in models:
+        assert_rows_and_scans_match_dense_oracle(s)
+        assert_rows_and_scans_match_dense_oracle(
+            surfaces.rebuilt(s, order=s.curve_ids()[::-1])
+        )
 
 
 def test_remembered_gram_matrix_survives_concurrent_readers():

@@ -25,7 +25,7 @@ from delpezzo.zariski import (
     zariski_decompose,
 )
 from test_analysis import line_star
-from test_surface import corpus_head, fixture_models
+from test_surface import BENCHMARK_LINE_STARS, corpus_head, fixture_models
 
 ALL_FIXTURES = [
     "p2", "f2", "f3", "dp3", "dp8", "cubic10", "star", "pair",
@@ -192,41 +192,59 @@ def _random_classes(s, rng, count):
 RATIONAL_FACTORS = (Q(1, 2), Q(1, 3), Q(5, 6))
 
 
+def _oracle_outcomes(s, seed):
+    """Decompose -K and 20 classes drawn from ``seed``, each also scaled by
+    a rational factor, and compare every result with the textbook oracle;
+    return the (outcome, scaled) pairs seen."""
+    outcomes = set()
+    # an integral Gram matrix: the oracle's determinants stay in ints
+    rows = [[int(x) for x in row] for row in oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))]
+    curves = [tuple(map(int, r.divisor_class.coords)) for r in s.catalog]
+    meets = oracles.curve_gram(rows, curves)
+    drawn = [s.anticanonical, *_random_classes(s, random.Random(seed), 20)]
+    classes = [(d, False) for d in drawn] + [
+        (d.scale(RATIONAL_FACTORS[k % len(RATIONAL_FACTORS)]), True)
+        for k, d in enumerate(drawn)
+    ]
+    for d, scaled in classes:
+        expected = oracles.oracle_zariski(rows, curves, meets, d.coords)
+        try:
+            z = zariski_decompose(s, d)
+        except CatalogInsufficient:
+            assert expected is None, (seed, d.coords)
+            outcomes.add(("fails", scaled))
+            continue
+        assert expected is not None, (seed, d.coords)
+        positive, negative = expected
+        assert z.positive.coords == positive
+        assert z.negative == tuple((s.catalog[i].curve_id, c) for i, c in negative)
+        assert z.positive_square == oracles.dense_pairing(rows, positive, positive)
+        assert z.max_coefficient == max((c for _, c in negative), default=0)
+        assert z.null == tuple(
+            r.curve_id
+            for r, curve in zip(s.catalog, curves)
+            if oracles.dense_pairing(rows, positive, curve) == 0
+        )
+        outcomes.add(("decomposes" if negative else "nef", scaled))
+    return outcomes
+
+
 def test_decomposition_matches_textbook_oracle():
     outcomes = set()
     for index, s in enumerate(fixture_models() + corpus_head(1) + corpus_head(2)):
-        # an integral Gram matrix: the oracle's determinants stay in ints
-        rows = [[int(x) for x in row] for row in oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))]
-        curves = [tuple(map(int, r.divisor_class.coords)) for r in s.catalog]
-        meets = oracles.curve_gram(rows, curves)
-        drawn = [s.anticanonical, *_random_classes(s, random.Random(index), 20)]
-        classes = [(d, False) for d in drawn] + [
-            (d.scale(RATIONAL_FACTORS[k % len(RATIONAL_FACTORS)]), True)
-            for k, d in enumerate(drawn)
-        ]
-        for d, scaled in classes:
-            expected = oracles.oracle_zariski(rows, curves, meets, d.coords)
-            try:
-                z = zariski_decompose(s, d)
-            except CatalogInsufficient:
-                assert expected is None, (index, d.coords)
-                outcomes.add(("fails", scaled))
-                continue
-            assert expected is not None, (index, d.coords)
-            positive, negative = expected
-            assert z.positive.coords == positive
-            assert z.negative == tuple((s.catalog[i].curve_id, c) for i, c in negative)
-            assert z.positive_square == oracles.dense_pairing(rows, positive, positive)
-            assert z.max_coefficient == max((c for _, c in negative), default=0)
-            assert z.null == tuple(
-                r.curve_id
-                for r, curve in zip(s.catalog, curves)
-                if oracles.dense_pairing(rows, positive, curve) == 0
-            )
-            outcomes.add(("decomposes" if negative else "nef", scaled))
+        outcomes |= _oracle_outcomes(s, index)
     assert outcomes == {
         (outcome, scaled) for outcome in ("fails", "decomposes", "nef") for scaled in (False, True)
     }
+
+
+def test_rounds_that_skip_untouched_curves_match_textbook_oracle_on_line_stars():
+    # ranks 25, 21, 41 and 63: a round tests only the curves that the
+    # support's rows touch, and the oracle tests every curve in every round
+    outcomes = set()
+    for index, spec in enumerate(BENCHMARK_LINE_STARS):
+        outcomes |= _oracle_outcomes(from_description(line_star(*spec)), index)
+    assert {outcome for outcome, _ in outcomes} == {"fails", "decomposes"}
 
 
 def _with_wrong_entry(monkeypatch, curve_id, other_id, delta):

@@ -4,7 +4,7 @@ Run from the root of a checkout:
 
     python3 tools/same_outputs.py --parent HEAD~1
 
-It runs 447 command lines in-process through ``delpezzo.cli.main``:
+It runs 460 command lines in-process through ``delpezzo.cli.main``:
 
 * ``analyze`` and ``classify`` with ``--format`` text, json and dot,
   ``decompose`` with text and json, and ``witness --method direct`` and
@@ -15,10 +15,12 @@ It runs 447 command lines in-process through ``delpezzo.cli.main``:
   first 10 surfaces that ``corpus --seed s --max-rank 40`` keeps, for
   s = 1 .. 3, drawn with the working tree's ``corpus.random_surface`` as
   ``perfbench/workloads.py`` draws its sample and written as files;
-* ``decompose --divisor=... --format json`` on six fixtures, with three
-  divisors each: a first coordinate of 1/2, 7/3 or 3, then -1/3, -2/5 or
-  -1 on every other axis.  They reach classes with a denominator and
-  supports that fail with exit 2;
+* ``decompose --divisor=... --format json`` on six fixtures and on the
+  four ``line_star`` inputs of the benchmark (ranks 25, 21, 41 and 63),
+  with three divisors each: a first coordinate of 1/2, 7/3 or 3, then
+  -1/3, -2/5 or -1 on every other axis.  They reach classes with a
+  denominator, supports of up to 11 curves and supports that fail with
+  exit 2;
 * ``blowup --at`` at each of the 11 redundant points of the fixtures, and
   at a point of ``star`` that is not one, which exits 2;
 * ``blowup --at`` at the first redundant point of each ``line_star`` input
@@ -35,8 +37,9 @@ It runs 447 command lines in-process through ``delpezzo.cli.main``:
 * ``analyze`` on six inputs that the loader refuses, one per message
   (``EDGE``): a JSON syntax error, brackets nested 200000 deep, an int
   literal longer than ``sys.get_int_max_str_digits()``, bytes that are not
-  UTF-8, a path that does not exist, and P2 with 64 blow-ups, which is
-  rank 65, one above the rank cap;
+  UTF-8, a path that does not exist, P2 with 64 blow-ups, which is
+  rank 65, one above the rank cap, and P2 with 256 declared lines, a
+  catalog of 257 curves, one above the catalog cap;
 * ``corpus --seed s --count 200`` for s = 1 .. 10, at the default rank
   cap of 12, and ``corpus --seed s --count 50 --max-rank 40`` for
   s = 1 .. 3.
@@ -69,6 +72,10 @@ WIDE_CORPUS = (range(1, 4), 50, 40)
 # the surfaces of those corpora written as files: the first 10 of each seed
 WIDE_SAMPLE = 10
 DIVISOR_FIXTURES = ("f2", "f3", "cubic10", "star", "pair", "dp3")
+# the benchmark's wide_support and high_rank members
+DIVISOR_LINE_STARS = tuple(
+    f"line_star_{n}_{arms}_{length}" for n, arms, length in LINE_STARS[:4]
+)
 DIVISORS = (("1/2", "-1/3"), ("7/3", "-2/5"), ("3", "-1"))  # (first, every other)
 # every redundant point of the fixtures, by curve (generic) or point (shared)
 # id, then one id that names none
@@ -144,6 +151,15 @@ EDGE = (
             }
         ).encode(),
     ),
+    (
+        "catalog257",
+        json.dumps(
+            {
+                "base": {"kind": "P2"},
+                "curves": [{"id": f"l{i}", "class": ["1"], "pa": 0} for i in range(256)],
+            }
+        ).encode(),
+    ),
 )
 
 # Runs a JSON list of argv lists, read from stdin, through cli.main and
@@ -184,8 +200,9 @@ def command_lines(
             for method in ("direct", "cone")
             for f in ("text", "json")
         ]
-    for name in DIVISOR_FIXTURES:
-        path = ROOT / "fixtures" / f"{name}.json"
+    divisor_inputs = [ROOT / "fixtures" / f"{name}.json" for name in DIVISOR_FIXTURES]
+    divisor_inputs += [path for path in inputs if path.stem in DIVISOR_LINE_STARS]
+    for path in divisor_inputs:
         data = json.loads(path.read_text(encoding="utf-8"))
         rank = (1 if data["base"]["kind"] == "P2" else 2) + len(data.get("blowups", []))
         for first, rest in DIVISORS:
