@@ -8,10 +8,11 @@ A divisor class is a tuple of integer numerators over one positive
 denominator, in lowest terms.  Catalog curves and K are integral, so class
 arithmetic runs on Python ints, and a pairing is one integer dot product
 with the first class's dual vector, divided once by the two denominators.
-A catalog curve usually has one to three nonzero coordinates, so the kernels
-that read many classes take them sparse, as (positions, values):
-``dual_entries`` gives the nonzero entries of a class's dual vector, and
-``weighted_sum`` sums integer-weighted classes at their nonzeros only.
+One kernel gives that dual vector: ``dual_entries``, which reads a class as
+its nonzeros, (positions, values); a dense class passes every position.  A
+catalog curve usually has one to three nonzero coordinates, and it is
+stored as just those, so ``weighted_sum`` also sums integer-weighted
+classes at their nonzeros only.
 Results leave this module as `fractions.Fraction`, apart from the integer
 solve that the Zariski rounds, the contraction and the witness read; no
 floating point enters anywhere.
@@ -126,8 +127,8 @@ class PicardLattice(Frozen):
         return _divisor(self, (0,) * i + (1,) + (0,) * (self.rank - i - 1), 1)
 
     def pair(self, a: "DivisorClass", b: "DivisorClass") -> Q:
-        x = a.nums
-        total = sum(map(operator.mul, dual_numerators(self.gram, x, len(x)), b.nums))
+        x, y = a.nums, b.nums
+        total = sum(g * y[k] for k, g in dual_entries(self.gram, range(len(x)), x))
         den = a.den * b.den
         return Fraction(total) if den == 1 else Fraction(total, den)
 
@@ -150,29 +151,14 @@ def _symmetric_integers(rows, what: str) -> tuple[tuple[int, ...], ...]:
     return block
 
 
-def dual_numerators(gram, x, size: int) -> list[int]:
-    """The integer vector g with sum(g[k] * y[k]) the pairing of the
-    numerator vectors x and y on a lattice with base block ``gram``, for
-    every y of at most ``size`` coordinates: the base block's rows times x
-    on the block, -x on the (-1)-axes, and zeros past x.  Both vectors
-    cover the base block; past it, a shorter one reads as padded with
-    zeros, so a class on a blow-up pairs with one on an earlier stage as
-    their common prefix does.  Computing g once pairs x with many classes
-    at one product each."""
-    n = len(gram)
-    g = [sum(map(operator.mul, row, x)) for row in gram]
-    g += [-v for v in x[n:]]
-    g += [0] * (size - len(x))
-    return g
-
-
 def dual_entries(gram, positions, values):
-    """An iterator over the entries, as (axis, value) pairs, of
-    ``dual_numerators`` of the class with ``values`` at the ascending
-    ``positions`` (a dense class passes every position): the base block's
-    nonzero rows times the class on the block, then -v on each (-1)-axis
-    the class has.  A curve with k coordinates off the block gives at most
-    k + len(gram) entries, whatever the rank."""
+    """The dual vector of the integral class with ``values`` at the
+    ascending ``positions`` (a dense class passes every position), as an
+    iterator over its entries, (axis, value) pairs: the base block's nonzero
+    rows times the class on the block, then -v on each (-1)-axis the class
+    has.  Every other entry is zero, so the class pairs with a class y as
+    the sum of g * y[axis] over the entries.  A curve with k coordinates off
+    the block gives at most k + len(gram) entries, whatever the rank."""
     n = len(gram)
     cut = bisect_left(positions, n)  # the block's coordinates come first
     block = []

@@ -40,7 +40,6 @@ from .lattice import (
     _divisor,
     _reduced,
     dual_entries,
-    dual_numerators,
     format_rational,
     rational,
     weighted_sum,
@@ -111,8 +110,11 @@ class BaseSurface(Frozen):
         return self.kind in ("P2", "hirzebruch") or self.genus == 0
 
 
-class CurveRecord(namedtuple("CurveRecord", "curve_id divisor_class p_a smooth provenance")):
-    """One tracked curve: class, arithmetic genus, smoothness, origin."""
+class CurveRecord(namedtuple("CurveRecord", "curve_id sparse p_a smooth provenance")):
+    """One tracked curve: its integral class, as ``sparse``, the nonzero
+    coordinates (ascending positions, values) in two tuples; its arithmetic
+    genus, smoothness and origin.  ``SurfaceModel.class_of`` gives the
+    class as a ``DivisorClass``."""
 
     __slots__ = ()
 
@@ -148,25 +150,25 @@ class SurfaceModel(Frozen):
     ``nonzeros`` keeps that row's nonzero entries, read off ``meets``,
     ``degrees`` keeps one scan per class, keyed by the class's numerators,
     and ``gram_of`` keeps one matrix per curve set, sliced off the rows,
-    whose one elimination comes with it.  ``sparse`` holds each catalog
-    class's nonzero positions and values, in catalog order, and the model
-    keeps its transpose: one column per lattice axis, the catalog
-    positions and values nonzero there.  A row or scan pairs one class with
-    the catalog by reading the columns of its dual vector's nonzero
-    entries, so a curve's row costs the lengths of the few columns it
-    touches, and a dense class such as -K reads them all once.
+    whose one elimination comes with it.  Each catalog record holds its
+    class's nonzero positions and values, and the model keeps their
+    transpose: one column per lattice axis, the catalog positions and
+    values nonzero there.  A row or scan pairs one class with the catalog
+    by reading the columns of its dual vector's nonzero entries, so a
+    curve's row costs the lengths of the few columns it touches, and a
+    dense class such as -K reads them all once.
     ``anticanonical`` (-K) and ``canonical_square`` (K^2) are set when the
     model is built.  Every fill is idempotent, so concurrent readers can at
     worst compute a value twice.
 
     The constructor is the stage's: every builder runs one ``_Stage``, and
-    ``_Stage.model`` hands over the eight fields.
+    ``_Stage.model`` hands over the seven fields.
     """
 
     __slots__ = (
         "base", "blowups", "catalog", "canonical", "lattice", "incidence", "declarations",
         "anticanonical", "canonical_square", "_positions", "_meets", "_nonzeros", "_scans",
-        "_grams", "_sparse", "_columns",
+        "_grams", "_columns",
     )
 
     def __init__(
@@ -178,7 +180,6 @@ class SurfaceModel(Frozen):
         lattice: PicardLattice,
         incidence: dict,
         declarations: tuple[_CurveDecl, ...],
-        sparse: tuple,
     ):
         set_field = object.__setattr__
         set_field(self, "base", base)
@@ -195,9 +196,8 @@ class SurfaceModel(Frozen):
         set_field(self, "_nonzeros", {})
         set_field(self, "_scans", {})
         set_field(self, "_grams", {})
-        set_field(self, "_sparse", sparse)
         columns = [[] for _ in range(lattice.rank)]
-        for position, (idx, vals) in enumerate(sparse):
+        for position, (idx, vals) in enumerate(r.sparse for r in catalog):
             if len(idx) == 1:  # most catalog classes: one exceptional axis
                 columns[idx[0]].append((position, vals[0]))
                 continue
@@ -247,7 +247,7 @@ class SurfaceModel(Frozen):
         catalog order: one row of the table, paired on first request."""
         row = self._meets.get(curve_id)
         if row is None:
-            row = self._meets[curve_id] = self._scan(*self._sparse[self.position(curve_id)])
+            row = self._meets[curve_id] = self._scan(*self.curve(curve_id).sparse)
         return row
 
     def nonzeros(self, position: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -305,7 +305,7 @@ class SurfaceModel(Frozen):
 
     def class_of(self, components) -> DivisorClass:
         """Sum of coefficient * curve class over (curve_id, Q) pairs."""
-        terms = ((self._sparse[self.position(cid)], c) for cid, c in components)
+        terms = ((self.curve(cid).sparse, c) for cid, c in components)
         total, den = weighted_sum(terms, self.rank)
         return _reduced(self.lattice, tuple(total), den)
 
@@ -346,14 +346,14 @@ def blow_up(s: SurfaceModel, rec: BlowUpRecord) -> SurfaceModel:
 
 
 class _Curve:
-    """A catalog curve in a ``_Stage``.  Its class is integral: ``nums``
-    covers the base block and reads as padded with zeros, and ``idx`` and
-    ``vals`` hold its nonzero positions and values."""
+    """A catalog curve in a ``_Stage``.  Its class is integral, stored as
+    its nonzeros: ``idx`` holds the ascending positions and ``vals`` the
+    values.  A blow-up appends to both, so the class needs no padding."""
 
-    __slots__ = ("position", "nums", "idx", "vals", "p_a", "smooth", "provenance")
+    __slots__ = ("position", "idx", "vals", "p_a", "smooth", "provenance")
 
-    def __init__(self, position, nums, idx, vals, p_a, smooth, provenance):
-        self.position, self.nums, self.idx, self.vals = position, nums, idx, vals
+    def __init__(self, position, idx, vals, p_a, smooth, provenance):
+        self.position, self.idx, self.vals = position, idx, vals
         self.p_a, self.smooth, self.provenance = p_a, smooth, provenance
 
 
@@ -363,10 +363,9 @@ class _Stage:
 
     def __init__(self, base: BaseSurface):
         labels, self.gram, canonical, seeds = base.seed()
-        axes = range(len(labels))
         self.base, self.labels, self.canonical = base, list(labels), list(canonical)
         self.curves = {
-            cid: _Curve(i, [int(j == i) for j in axes], [i], [1], p_a, True, provenance)
+            cid: _Curve(i, [i], [1], p_a, True, provenance)
             for i, (cid, p_a, provenance) in enumerate(seeds)
         }
         self.incidence, self.declarations = {}, []
@@ -378,11 +377,9 @@ class _Stage:
         stage.base, stage.gram = s.base, s.lattice.gram
         stage.labels, stage.canonical = list(s.lattice.labels), list(s.canonical.nums)
         curves = stage.curves = {}
-        for i, (r, (idx, vals)) in enumerate(zip(s.catalog, s._sparse)):
-            nums = list(r.divisor_class.nums)
-            curves[r.curve_id] = _Curve(
-                i, nums, list(idx), list(vals), r.p_a, r.smooth, r.provenance
-            )
+        for i, r in enumerate(s.catalog):
+            idx, vals = r.sparse
+            curves[r.curve_id] = _Curve(i, list(idx), list(vals), r.p_a, r.smooth, r.provenance)
         stage.incidence, stage.declarations = dict(s.incidence), list(s.declarations)
         stage.blowups, stage.points = list(s.blowups), {b.point_id for b in s.blowups}
         return stage
@@ -400,9 +397,12 @@ class _Stage:
                     f"{format_rational(x)} is not an integer"
                 )
         nums, curves = [x.numerator for x in coords], self.curves
-        dual = dual_numerators(self.gram, nums, len(nums))
+        idx = [i for i, x in enumerate(nums) if x]
+        vals = [nums[i] for i in idx]
+        dual = self.dual(idx, vals)
+        at = dual.__getitem__
         # C^2 + K.C is even for an integral class, since K is characteristic
-        twice = sum(map(mul, dual, nums)) + sum(map(mul, dual, self.canonical))
+        twice = sum(map(mul, map(at, idx), vals)) + sum(map(mul, dual, self.canonical))
         if twice != 2 * (p_a - 1):
             raise InvalidSurfaceData(
                 f"adjunction violation for {reprlib.repr(curve_id)}: declared p_a={p_a}, "
@@ -410,11 +410,10 @@ class _Stage:
             )
         if p_a < 0:
             raise InvalidSurfaceData(f"negative arithmetic genus for {reprlib.repr(curve_id)}")
-        # an earlier curve's class is a prefix of stage length, and the
-        # product stops at its end
+        # each earlier curve is paired at its own nonzeros
         for other_id, other in curves.items():
             # a copy of a negative curve meets it negatively too
-            if sum(map(mul, dual, other.nums)) < 0:
+            if sum(map(mul, map(at, other.idx), other.vals)) < 0:
                 raise InvalidSurfaceData(
                     f"{reprlib.repr(curve_id)} would meet {reprlib.repr(other_id)} negatively; "
                     "two distinct curves cannot do that"
@@ -437,10 +436,7 @@ class _Stage:
                 f"{reprlib.repr(curve_id)} has arithmetic genus 0, so it is smooth; "
                 "it cannot be declared not smooth"
             )
-        idx = [i for i, x in enumerate(nums) if x]
-        curves[curve_id] = _Curve(
-            len(curves), nums, idx, [nums[i] for i in idx], p_a, smooth, "declared-base-curve"
-        )
+        curves[curve_id] = _Curve(len(curves), idx, vals, p_a, smooth, "declared-base-curve")
         self.declarations.append(_CurveDecl(curve_id, coords, p_a, smooth, len(self.blowups)))
 
     def blow_up(self, rec: BlowUpRecord) -> None:
@@ -489,10 +485,11 @@ class _Stage:
                     f"{reprlib.repr(curve_id)} permits"
                 )
         for i, (cid_a, mult_a) in enumerate(incident[:-1]):
-            nums = curves[cid_a].nums
-            dual = dual_numerators(self.gram, nums, len(nums))
+            a = curves[cid_a]
+            at = self.dual(a.idx, a.vals).__getitem__
             for cid_b, mult_b in incident[i + 1:]:
-                total = sum(map(mul, dual, curves[cid_b].nums))
+                b = curves[cid_b]
+                total = sum(map(mul, map(at, b.idx), b.vals))
                 if mult_a * mult_b > total:
                     raise InvalidSurfaceData(
                         "multiplicity exceeds what intersection numbers permit: "
@@ -505,8 +502,6 @@ class _Stage:
         axis = len(self.labels)
         for curve_id, mult in incident:
             curve = curves[curve_id]
-            curve.nums += [0] * (axis - len(curve.nums))
-            curve.nums.append(-mult)
             curve.idx.append(axis)
             curve.vals.append(-mult)
             curve.p_a -= mult * (mult - 1) // 2
@@ -515,7 +510,7 @@ class _Stage:
                 curve.smooth = True
             if curve.provenance != "exceptional":
                 curve.provenance = "strict-transform"
-        curves[exc_id] = _Curve(len(curves), [0] * axis + [1], [axis], [1], 0, True, "exceptional")
+        curves[exc_id] = _Curve(len(curves), [axis], [1], 0, True, "exceptional")
         self.labels.append(exc_id)
         self.canonical.append(1)
 
@@ -534,22 +529,29 @@ class _Stage:
         self.blowups.append(BlowUpRecord(point_id, tuple(incident), rec.near, exc_id))
         self.points.add(point_id)
 
+    def dual(self, idx, vals) -> list[int]:
+        """``dual_entries`` of the class with ``vals`` at ``idx``, laid out
+        as a list of the stage's rank, so that pairing it with a catalog
+        class reads one entry per nonzero coordinate of that class."""
+        dual = [0] * len(self.labels)
+        for k, g in dual_entries(self.gram, idx, vals):
+            dual[k] = g
+        return dual
+
     def model(self) -> SurfaceModel:
         lattice = PicardLattice(tuple(self.labels), self.gram)
-        rank, catalog, sparse = lattice.rank, [], []
-        for cid, c in self.curves.items():
-            d = _divisor(lattice, (*c.nums, *(0,) * (rank - len(c.nums))), 1)
-            catalog.append(CurveRecord(cid, d, c.p_a, c.smooth, c.provenance))
-            sparse.append((tuple(c.idx), tuple(c.vals)))
+        catalog = tuple(
+            CurveRecord(cid, (tuple(c.idx), tuple(c.vals)), c.p_a, c.smooth, c.provenance)
+            for cid, c in self.curves.items()
+        )
         return SurfaceModel(
             base=self.base,
             blowups=tuple(self.blowups),
-            catalog=tuple(catalog),
+            catalog=catalog,
             canonical=_divisor(lattice, tuple(self.canonical), 1),
             lattice=lattice,
             incidence=self.incidence,
             declarations=tuple(self.declarations),
-            sparse=tuple(sparse),
         )
 
 

@@ -89,7 +89,7 @@ def zariski_decompose(s: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
     terms = [(k, y) for k, y in zip(support, ys) if y > 0]
     negative = tuple((s.catalog[k].curve_id, Q(y, y_den * den)) for k, y in terms)
     positive, _ = weighted_sum(
-        [((range(s.rank), d.nums), y_den)] + [(s._sparse[k], -y) for k, y in terms], s.rank
+        [((range(s.rank), d.nums), y_den)] + [(s.catalog[k].sparse, -y) for k, y in terms], s.rank
     )
     positive = _reduced(s.lattice, tuple(positive), y_den * den)
     max_coefficient = Q(max(y for _, y in terms), y_den * den) if terms else _ZERO

@@ -125,6 +125,15 @@ def dense_gram(kind: str, e: int, blowups: int) -> list[list[Q]]:
     return rows
 
 
+def dense_coords(rank: int, sparse) -> tuple[int, ...]:
+    """The class with the nonzeros ``sparse``, (positions, values), written
+    out at each of its ``rank`` coordinates."""
+    coords = [0] * rank
+    for k, v in zip(*sparse):
+        coords[k] = v
+    return tuple(coords)
+
+
 def dense_pairing(rows, a, b) -> Q:
     """a^T G b summed over every entry of the Gram matrix.  Entries stay in
     their own arithmetic (ints stay ints), and a term with a zero

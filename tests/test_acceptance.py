@@ -269,7 +269,7 @@ def test_criterion_9_pushforward_recertifies():
         boundary = construct_klt_boundary(s)
         z = zariski_decompose(s, s.anticanonical)
         null_ids = tuple(
-            r.curve_id for r in s.catalog if z.positive.dot(r.divisor_class) == 0
+            r.curve_id for r in s.catalog if z.positive.dot(s.class_of([(r.curve_id, 1)])) == 0
         )
         result = pushforward_pair(s, null_ids, boundary.components)
         if not result.klt_del_pezzo:

@@ -534,8 +534,8 @@ def test_verification_survives_optimize_flag(fault, problem):
         "from delpezzo.zariski import _verify, zariski_decompose\n"
         "s = surfaces.hirzebruch(3)\n"
         "z = zariski_decompose(s, s.anticanonical)\n"
-        "f = s.curve('f').divisor_class\n"
-        "t = (s.curve('c0').divisor_class + f.scale(3)).scale(2)\n"
+        "f = s.class_of([('f', 1)])\n"
+        "t = (s.class_of([('c0', 1)]) + f.scale(3)).scale(2)\n"
         f"bad = z._replace({fault})\n"
         "try:\n"
         "    _verify(s, bad)\n"

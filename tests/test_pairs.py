@@ -114,7 +114,7 @@ def test_f2_direct_witness():
     assert params.multipliers == (("c0", oracles.F2_L_COEFF),)
     assert boundary.floor_is_zero and boundary.snc
     target = s.anticanonical - s.class_of(boundary.components)
-    assert target.dot(s.curve("c0").divisor_class) > 0
+    assert target.dot(s.class_of([("c0", 1)])) > 0
 
 
 def test_f3_direct_witness():
@@ -327,8 +327,8 @@ def test_contraction_route_matches_the_two_solve_oracle():
         expected = oracles.ep_divisor(
             rows,
             s.canonical.coords,
-            [s.curve(c).divisor_class.coords for c in contracted],
-            [(s.curve(c).divisor_class.coords, q) for c, q in boundary],
+            [oracles.dense_coords(s.rank, s.curve(c).sparse) for c in contracted],
+            [(oracles.dense_coords(s.rank, s.curve(c).sparse), q) for c, q in boundary],
         )
         discs = singular.discrepancies_with_boundary(s, contracted, boundary)
         divisor = tuple((cid, -a) for cid, a in discs)
@@ -552,7 +552,7 @@ def test_pushforward_recertifies_all_klt_fixtures():
         null_ids = tuple(
             r.curve_id
             for r in s.catalog
-            if z.positive.dot(r.divisor_class) == 0
+            if z.positive.dot(s.class_of([(r.curve_id, 1)])) == 0
         )
         result = pushforward_pair(s, null_ids, boundary.components)
         assert result.klt_del_pezzo, (name, result.reason)
@@ -791,7 +791,7 @@ def test_negative_part_is_minus_the_discrepancies():
     for analysis in model_set_analyses():
         s, ids, z = analysis.s, analysis.model_set, analysis.decomposition
         rows = oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))
-        classes = [s.curve(c).divisor_class.coords for c in ids]
+        classes = [oracles.dense_coords(s.rank, s.curve(c).sparse) for c in ids]
         rhs = [oracles.dense_pairing(rows, s.canonical.coords, c) for c in classes]
         gram = oracles.curve_gram(rows, classes)
         expected = tuple(-dict(z.negative).get(c, 0) for c in ids)
@@ -839,7 +839,7 @@ def test_contracted_canonical_square_is_the_class_route():
         rows = oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))
         pulled_back = s.canonical.coords
         for cid, a in model.discrepancies:
-            term = oracles.class_scaled(s.curve(cid).divisor_class.coords, a)
+            term = oracles.class_scaled(oracles.dense_coords(s.rank, s.curve(cid).sparse), a)
             pulled_back = oracles.class_difference(pulled_back, term)
         assert model.contracted_canonical_square == oracles.quadratic_form(rows, pulled_back)
 
@@ -862,7 +862,7 @@ def test_witness_square_guard_is_the_class_route():
             if not multipliers:
                 continue
             built[via_cone] += 1
-            classes = [s.curve(cid).divisor_class.coords for cid, _ in multipliers]
+            classes = [oracles.dense_coords(s.rank, s.curve(cid).sparse) for cid, _ in multipliers]
             gram = oracles.curve_gram(rows, classes)
             coeffs = [c for _, c in multipliers]
             l_square = sum(x * g * y for x, row in zip(coeffs, gram) for g, y in zip(row, coeffs))
@@ -898,13 +898,14 @@ def test_witness_epsilon_halves_only_while_the_square_needs_it():
             rows = oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))
             l_class = [0] * s.rank
             for cid, c in multipliers:
-                term = oracles.class_scaled(s.curve(cid).divisor_class.coords, c)
+                term = oracles.class_scaled(oracles.dense_coords(s.rank, s.curve(cid).sparse), c)
                 l_class = oracles.class_sum(l_class, term)
             p = z.positive.coords
             expected = (1 - z.max_coefficient) / (2 * max(c for _, c in multipliers))
             for r in s.catalog:
-                p_degree = oracles.dense_pairing(rows, p, r.divisor_class.coords)
-                l_degree = oracles.dense_pairing(rows, l_class, r.divisor_class.coords)
+                c = oracles.dense_coords(s.rank, r.sparse)
+                p_degree = oracles.dense_pairing(rows, p, c)
+                l_degree = oracles.dense_pairing(rows, l_class, c)
                 if p_degree > 0 and l_degree > 0:
                     expected = min(expected, p_degree / (2 * l_degree))
             while oracles.quadratic_form(
@@ -1064,8 +1065,8 @@ def test_blow_down_simulation_matches_the_class_oracle():
     expected = oracles.castelnuovo_image(
         rows,
         up.canonical.coords,
-        e.divisor_class.coords,
-        nod.divisor_class.coords,
+        oracles.dense_coords(up.rank, e.sparse),
+        oracles.dense_coords(up.rank, nod.sparse),
         nod.smooth,
     )
     assert factorization == ("e",) and survivors == ["nod"]

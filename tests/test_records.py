@@ -18,7 +18,6 @@ from delpezzo import (
     BoundaryDivisor,
     ClassVerdict,
     CurveRecord,
-    DivisorClass,
     IntersectionMatrix,
     PicardLattice,
     Q,
@@ -54,10 +53,9 @@ RECORDS = [
     ),
     (
         "CurveRecord",
-        lambda: CurveRecord("c", DivisorClass(_lattice(), (1, -1)), 0, True, "declared-base-curve"),
-        "CurveRecord(curve_id='c', divisor_class=DivisorClass(lattice=PicardLattice("
-        "labels=('h', 'e1'), gram=((1,),)), coords=(Fraction(1, 1), Fraction(-1, 1))), "
-        "p_a=0, smooth=True, provenance='declared-base-curve')",
+        lambda: CurveRecord("c", ((0, 1), (1, -1)), 0, True, "declared-base-curve"),
+        "CurveRecord(curve_id='c', sparse=((0, 1), (1, -1)), p_a=0, smooth=True, "
+        "provenance='declared-base-curve')",
     ),
     (
         "BlowUpRecord",
@@ -148,14 +146,8 @@ def test_records_of_different_values_differ():
 
 def test_surface_model_keeps_identity_equality_and_field_order():
     s = surfaces.hirzebruch(2)
-    fields = (
-        s.base, s.blowups, s.catalog, s.canonical, s.lattice, s.incidence, s.declarations,
-        s._sparse,
-    )
-    names = (
-        "base", "blowups", "catalog", "canonical", "lattice", "incidence", "declarations",
-        "sparse",
-    )
+    fields = (s.base, s.blowups, s.catalog, s.canonical, s.lattice, s.incidence, s.declarations)
+    names = ("base", "blowups", "catalog", "canonical", "lattice", "incidence", "declarations")
     by_position = SurfaceModel(*fields)
     by_keyword = SurfaceModel(**dict(zip(names, fields)))
     assert by_position != s and by_position == by_position

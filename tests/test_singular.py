@@ -207,7 +207,7 @@ def test_negativity_lemma_on_fixture_contractions():
         )
         data = contract(s, ids)
         k_degrees = [
-            s.canonical.dot(s.curve(c).divisor_class) for c in data.exceptional
+            s.canonical.dot(s.class_of([(c, 1)])) for c in data.exceptional
         ]
         if all(d <= 0 for d in k_degrees):
             assert all(a >= 0 for _, a in data.discrepancies), name

@@ -48,16 +48,16 @@ def test_projective_plane_base():
     s = build_base("P2")
     assert s.rank == 1
     assert s.canonical.coords == (Q(-3),)
-    h = s.curve("h")
-    assert h.divisor_class.square == 1
-    assert arithmetic_genus(s, h.divisor_class) == 0
+    h = s.class_of([("h", 1)])
+    assert h.square == 1
+    assert arithmetic_genus(s, h) == 0
 
 
 def test_hirzebruch_two_base():
     s = build_base("hirzebruch", e=2)
     assert s.canonical.coords == (Q(-2), Q(-4))
-    c0 = s.curve("c0").divisor_class
-    f = s.curve("f").divisor_class
+    c0 = s.class_of([("c0", 1)])
+    f = s.class_of([("f", 1)])
     assert c0.square == -2 and f.square == 0 and c0.dot(f) == 1
     # adjunction oracle on both seed curves
     assert oracles.adjunction_genus(c0.square, s.canonical.dot(c0)) == 0
@@ -68,7 +68,7 @@ def test_hirzebruch_two_base():
 def test_elliptic_ruled_base():
     s = build_base("ruled", e=0, genus=1)
     assert s.canonical.coords == (Q(-2), Q(0))
-    f = s.curve("f").divisor_class
+    f = s.class_of([("f", 1)])
     assert s.anticanonical.dot(f) == 2
     assert s.curve("c0").p_a == 1
     assert not s.rational
@@ -98,11 +98,11 @@ def test_blow_up_point_on_line():
     s = build_base("P2")
     s = blow_up(s, BlowUpRecord("p1", incidences=(("h", 1),)))
     assert s.rank == 2
-    line = s.curve("h").divisor_class
+    line = s.class_of([("h", 1)])
     assert line.square == 0
     assert s.canonical.coords == (Q(-3), Q(1))
     e = s.curve("e1")
-    assert e.divisor_class.square == -1 and e.p_a == 0
+    assert s.class_of([("e1", 1)]).square == -1 and e.p_a == 0
 
 
 def test_blow_up_point_on_cubic_keeps_genus():
@@ -110,7 +110,7 @@ def test_blow_up_point_on_cubic_keeps_genus():
     s = declare_curve(s, "c", (3,), 1)
     s = blow_up(s, BlowUpRecord("p1", incidences=(("c", 1),)))
     c = s.curve("c")
-    assert c.divisor_class.square == 8
+    assert s.class_of([("c", 1)]).square == 8
     assert c.p_a == 1
     assert c.provenance == "strict-transform"
 
@@ -119,7 +119,7 @@ def test_blow_up_free_point_changes_nothing_else():
     s = build_base("P2")
     s = declare_curve(s, "c", (3,), 1)
     s = blow_up(s, BlowUpRecord("p1"))
-    assert s.curve("c").divisor_class.coords == (Q(3), Q(0))
+    assert s.class_of([("c", 1)]).coords == (Q(3), Q(0))
     assert s.rank == 2
 
 
@@ -129,9 +129,9 @@ def test_blow_up_node_multiplicity_two():
     s = blow_up(s, BlowUpRecord("p1", incidences=(("nodal", 2),)))
     c = s.curve("nodal")
     assert c.p_a == 0
-    assert c.divisor_class.square == 9 - 4
+    assert s.class_of([("nodal", 1)]).square == 9 - 4
     # adjunction still holds
-    assert arithmetic_genus(s, c.divisor_class) == 0
+    assert arithmetic_genus(s, s.class_of([("nodal", 1)])) == 0
     # an integral curve of arithmetic genus 0 is smooth rational
     assert c.smooth and is_snc_configuration(s, ("nodal",))
     assert loads(dumps(s)).curve("nodal").smooth
@@ -147,7 +147,7 @@ def test_point_through_a_curve_and_its_exceptional_clears_their_shared_point():
     assert ("c", "e1") not in s.incidence
     assert s.incidence[("c", "e2")] == "p2"
     assert s.incidence == {("c", "e2"): "p2", ("e1", "e2"): "p2"}
-    assert s.curve("c").divisor_class.dot(s.curve("e1").divisor_class) == 1
+    assert s.class_of([("c", 1)]).dot(s.class_of([("e1", 1)])) == 1
 
 
 @pytest.mark.parametrize(
@@ -196,30 +196,29 @@ def test_canonical_is_pullback_plus_exceptional():
     before = s.canonical
     s2 = blow_up(s, BlowUpRecord("p1", incidences=(("h", 1),)))
     lifted = extend_to(before, s2)
-    e = s2.curve("e1").divisor_class
+    e = s2.class_of([("e1", 1)])
     assert s2.canonical == lifted + e
     # verified against every catalog curve
     for record in s2.catalog:
-        assert s2.canonical.dot(record.divisor_class) == (lifted + e).dot(
-            record.divisor_class
-        )
+        c = s2.class_of([(record.curve_id, 1)])
+        assert s2.canonical.dot(c) == (lifted + e).dot(c)
 
 
 def test_strict_transform_intersections_drop_by_products():
     s = build_base("P2")
     s = declare_curve(s, "a", (2,), 0)
     s = declare_curve(s, "b", (1,), 0)
-    old = s.curve("a").divisor_class.dot(s.curve("b").divisor_class)
+    old = s.class_of([("a", 1)]).dot(s.class_of([("b", 1)]))
     s = blow_up(s, BlowUpRecord("p1", incidences=(("a", 1), ("b", 1))))
-    new = s.curve("a").divisor_class.dot(s.curve("b").divisor_class)
+    new = s.class_of([("a", 1)]).dot(s.class_of([("b", 1)]))
     assert new == old - 1
 
 
 def test_adjunction_invariant_through_tower():
     s, chain = surfaces.exceptional_chain((2, 3, 4))
     for record in s.catalog:
-        assert arithmetic_genus(s, record.divisor_class) == record.p_a
-    weights = [-s.curve(c).divisor_class.square for c in chain]
+        assert arithmetic_genus(s, s.class_of([(record.curve_id, 1)])) == record.p_a
+    weights = [-s.class_of([(c, 1)]).square for c in chain]
     assert weights == [2, 3, 4]
 
 
@@ -240,9 +239,9 @@ def test_triple_incident_blow_up_allowed():
     s = blow_up(
         s, BlowUpRecord("p1", incidences=(("a", 1), ("b", 1), ("c", 1)))
     )
-    cls = {cid: s.curve(cid).divisor_class for cid in "abc"}
+    cls = {cid: s.class_of([(cid, 1)]) for cid in "abc"}
     assert cls["a"].dot(cls["b"]) == 0
-    assert cls["a"].dot(s.curve("e1").divisor_class) == 1
+    assert cls["a"].dot(s.class_of([("e1", 1)])) == 1
 
 
 def test_infinitely_near_point_requires_exceptional():
@@ -305,7 +304,7 @@ def test_round_trip_preserves_catalog():
     r = loads(dumps(s))
     assert r.curve_ids() == s.curve_ids()
     for a, b in zip(r.catalog, s.catalog):
-        assert a.divisor_class.coords == b.divisor_class.coords
+        assert a.sparse == b.sparse
         assert a.p_a == b.p_a and a.smooth == b.smooth
 
 
@@ -339,7 +338,7 @@ def test_curve_declared_after_blow_up_round_trips():
     assert '"after": 1' in text
     reparsed = loads(text)
     assert to_description(reparsed) == to_description(s)
-    assert reparsed.curve("conic").divisor_class.coords == (Q(2), Q(-1), Q(-1))
+    assert reparsed.class_of([("conic", 1)]).coords == (Q(2), Q(-1), Q(-1))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -357,13 +356,13 @@ def test_blow_up_lifts_classes_by_one_coordinate(seed):
         exc = t.lattice.basis_class(rec.exceptional_id)
         mults = dict(rec.incidences)
         for old in s.catalog:
-            lifted = extend_to(old.divisor_class, t)
+            lifted = extend_to(s.class_of([(old.curve_id, 1)]), t)
             expected = lifted - exc.scale(mults.get(old.curve_id, 0))
-            assert t.curve(old.curve_id).divisor_class == expected
-        assert t.curve(rec.exceptional_id).divisor_class == exc
+            assert t.class_of([(old.curve_id, 1)]) == expected
+        assert t.class_of([(rec.exceptional_id, 1)]) == exc
         assert t.canonical == extend_to(s.canonical, t) + exc
         for record in t.catalog:
-            assert arithmetic_genus(t, record.divisor_class) == record.p_a
+            assert arithmetic_genus(t, t.class_of([(record.curve_id, 1)])) == record.p_a
         s = t
 
 
@@ -540,7 +539,7 @@ def _model_fields(s):
     """Everything a model holds, with the incidence map in insertion order."""
     return (
         [
-            (r.curve_id, r.divisor_class.nums, r.divisor_class.den, r.p_a, r.smooth, r.provenance)
+            (r.curve_id, r.sparse, r.p_a, r.smooth, r.provenance)
             for r in s.catalog
         ],
         (s.canonical.nums, s.canonical.den),
@@ -580,7 +579,7 @@ def _random_description(seed):
         record = stage.catalog[rng.randrange(len(stage.catalog))]
         data["curves"].append({
             "id": f"copy{copy}",
-            "class": [format_rational(x) for x in record.divisor_class.coords],
+            "class": [format_rational(x) for x in stage.class_of([(record.curve_id, 1)]).coords],
             "pa": record.p_a,
             "smooth": record.smooth,
             "after": len(stage.blowups),
@@ -685,7 +684,7 @@ def test_intersection_table_matches_dense_oracle():
     for s in models:
         rows = oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))
         ids = s.curve_ids()
-        coords = [s.curve(cid).divisor_class.coords for cid in ids]
+        coords = [oracles.dense_coords(s.rank, s.curve(cid).sparse) for cid in ids]
         expected = [tuple(oracles.dense_pairing(rows, a, b) for b in coords) for a in coords]
         for cid, row in zip(ids, expected):
             assert s.meets(cid) == row
@@ -717,7 +716,7 @@ def assert_rows_and_scans_match_dense_oracle(s):
     -K and of its positive part, against the dense pairing.  The nonzero
     entries are asked for before some rows and after others."""
     rows = oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))
-    coords = [r.divisor_class.coords for r in s.catalog]
+    coords = [oracles.dense_coords(s.rank, r.sparse) for r in s.catalog]
     for k, (r, a) in enumerate(zip(s.catalog, coords)):
         expected = tuple(oracles.dense_pairing(rows, a, b) for b in coords)
         if k % 2:
@@ -822,7 +821,7 @@ def test_scans_of_a_constructed_model_match_dense_oracle():
         rebuilt = surfaces.rebuilt(s, order=ids[::-1])
         catalog = rebuilt.catalog
         assert catalog == s.catalog[::-1]
-        coords = [r.divisor_class.coords for r in catalog]
+        coords = [oracles.dense_coords(rebuilt.rank, r.sparse) for r in catalog]
 
         def oracle_degrees(d):
             return tuple(oracles.dense_pairing(rows, d.coords, b) for b in coords)
@@ -832,9 +831,11 @@ def test_scans_of_a_constructed_model_match_dense_oracle():
 
         minus_k = s.anticanonical
         assert degrees(minus_k) == oracle_degrees(minus_k)
-        for r in catalog:
+        for r, a in zip(catalog, coords):
             assert rebuilt.meets(r.curve_id) == s.meets(r.curve_id)[::-1]
-            assert rebuilt.meets(r.curve_id) == oracle_degrees(r.divisor_class)
+            assert rebuilt.meets(r.curve_id) == tuple(
+                oracles.dense_pairing(rows, a, b) for b in coords
+            )
         positive = zariski_decompose(rebuilt, minus_k).positive
         fractional += positive.den > 1
         assert degrees(positive) == oracle_degrees(positive)
@@ -954,27 +955,17 @@ def test_analyze_report_echoes_the_surface_description(capsys, tmp_path):
         assert report["surface"] == to_description(s)
 
 
-def dense_nonzeros(s):
-    """Each catalog class's nonzero positions and values, read off its
-    dense coordinates."""
-    out = []
-    for r in s.catalog:
-        nums = r.divisor_class.nums
-        out.append((
-            tuple(k for k in range(len(nums)) if nums[k] != 0),
-            tuple(v for v in nums if v != 0),
-        ))
-    return tuple(out)
-
-
 def assert_rows_match_dense(s):
-    """The sparse rows are the dense classes' nonzeros, and every table
-    row matches the dense pairing."""
-    assert s._sparse == dense_nonzeros(s)
-    rows = oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))
-    coords = [r.divisor_class.coords for r in s.catalog]
+    """Each record holds its class's nonzeros at ascending positions, as
+    ``dual_entries`` reads them, and every table row matches the dense
+    pairing of the classes that those nonzeros write out."""
     for r in s.catalog:
-        expected = tuple(oracles.dense_pairing(rows, r.divisor_class.coords, b) for b in coords)
+        positions, values = r.sparse
+        assert list(positions) == sorted(set(positions)) and all(values)
+    rows = oracles.dense_gram(s.base.kind, s.base.e, len(s.blowups))
+    coords = [oracles.dense_coords(s.rank, r.sparse) for r in s.catalog]
+    for r, a in zip(s.catalog, coords):
+        expected = tuple(oracles.dense_pairing(rows, a, b) for b in coords)
         assert s.meets(r.curve_id) == expected
 
 
@@ -1021,7 +1012,6 @@ def test_sparse_rows_follow_each_step_of_a_chain():
     steps.append(blow_up(steps[-1], BlowUpRecord("p3", near="e2")))
     steps.append(blow_up(steps[-1], BlowUpRecord("p4", (("e3", 1),))))
     for s in steps:
-        assert s._sparse is not None
         assert_rows_match_dense(s)
 
 
@@ -1032,3 +1022,80 @@ def test_hand_built_model_reads_its_sparse_rows_off_the_classes():
         # a stage made from it starts from those rows
         grown = blow_up(rebuilt, BlowUpRecord("extra"))
         assert_rows_match_dense(grown)
+
+
+@st.composite
+def small_stages(draw):
+    """P2 or F1 with a nodal anticanonical curve ``c`` declared (genus 1, so
+    it admits a double point), then up to four blow-ups, each free or at a
+    point of one catalog curve."""
+    kind = draw(st.sampled_from(("P2", "hirzebruch")))
+    s = build_base(kind, e=0 if kind == "P2" else 1)
+    s = declare_curve(s, "c", (3,) if kind == "P2" else (2, 3), 1, smooth=False)
+    for i in range(draw(st.integers(min_value=0, max_value=4))):
+        on = draw(st.sampled_from((None, *s.curve_ids())))
+        s = blow_up(s, BlowUpRecord(f"p{i + 1}", () if on is None else ((on, 1),)))
+    return s
+
+
+def oracle_stage(s):
+    """The dense Gram matrix, K and an ample class of ``s``'s base, written
+    out from the surface conventions, and its catalog's classes written out
+    from the records."""
+    k = len(s.blowups)
+    rows = oracles.dense_gram(s.base.kind, s.base.e, k)
+    if s.base.kind == "P2":
+        canonical, ample = (-3,) + (1,) * k, (1,) + (0,) * k
+    else:  # F1: K = -2c0 - 3f, and c0 + 2f is ample
+        canonical, ample = (-2, -3) + (1,) * k, (1, 2) + (0,) * k
+    classes = {r.curve_id: oracles.dense_coords(s.rank, r.sparse) for r in s.catalog}
+    return rows, canonical, ample, classes
+
+
+def refusal(build) -> str:
+    """The loader's message when ``build()`` is refused, else ''."""
+    try:
+        build()
+    except InvalidSurfaceData as exc:
+        return str(exc)
+    return ""
+
+
+@given(small_stages(), st.data())
+def test_declare_refuses_where_the_oracle_pairings_say(s, data):
+    rows, canonical, ample, classes = oracle_stage(s)
+    coords = data.draw(st.lists(st.integers(-3, 3), min_size=s.rank, max_size=s.rank))
+    # C^2 + K.C is even; the genus is the adjunction genus or one off it
+    twice = oracles.dense_pairing(rows, coords, coords) + oracles.dense_pairing(
+        rows, canonical, coords
+    )
+    p_a = int(twice) // 2 + 1 + data.draw(st.sampled_from((0, 0, -1, 1)))
+    message = refusal(lambda: declare_curve(s, "q", tuple(coords), p_a))
+    assert message.startswith("adjunction violation") == (twice != 2 * p_a - 2)
+    if twice != 2 * p_a - 2 or p_a < 0:
+        return
+    negative = any(oracles.dense_pairing(rows, coords, d) < 0 for d in classes.values())
+    assert ("would meet" in message and "negatively" in message) == negative
+    if not negative:
+        # the last refusal left for a smooth curve is the degree on the ample class
+        degree = oracles.dense_pairing(rows, ample, coords)
+        assert ("has degree <= 0 on the ample class" in message) == (degree <= 0)
+        assert (message != "") == (degree <= 0)
+
+
+@given(small_stages(), st.data())
+def test_two_curve_blow_up_refuses_where_the_oracle_pairing_says(s, data):
+    rows, _, _, classes = oracle_stage(s)
+    ids = st.sampled_from(s.curve_ids())
+    a, b = data.draw(st.lists(ids, min_size=2, max_size=2, unique=True))
+    m_a, m_b = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    meet = oracles.dense_pairing(rows, classes[a], classes[b])
+    message = refusal(lambda: blow_up(s, BlowUpRecord("q", ((a, m_a), (b, m_b)))))
+    # a double point needs a curve declared singular of genus >= 1, checked first
+    admitted = all(
+        m == 1 or (not s.curve(c).smooth and s.curve(c).p_a >= 1) for c, m in ((a, m_a), (b, m_b))
+    )
+    bound = message.startswith("multiplicity exceeds what intersection numbers permit")
+    assert bound == (admitted and m_a * m_b > meet)
+    if admitted:
+        assert (message == "") == (m_a * m_b <= meet)

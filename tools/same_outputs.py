@@ -4,7 +4,7 @@ Run from the root of a checkout:
 
     python3 tools/same_outputs.py --parent HEAD~1
 
-It runs 460 command lines in-process through ``delpezzo.cli.main``:
+It runs 471 command lines in-process through ``delpezzo.cli.main``:
 
 * ``analyze`` and ``classify`` with ``--format`` text, json and dot,
   ``decompose`` with text and json, and ``witness --method direct`` and
@@ -27,19 +27,24 @@ It runs 460 command lines in-process through ``delpezzo.cli.main``:
   and corpus-sample surface that has one, chosen with the working tree's
   ``AnticanonicalAnalysis`` when the inputs are written;
 * ``analyze --format json``, ``classify --format json`` and ``blowup
-  --at`` at a redundant point on two written surfaces (``WRITTEN``) that
-  reach the surface echo's rarer records: a curve declared ``"after": 2``
-  next to ``near`` blow-ups, and ids with quotes, a backslash and a
-  non-ASCII letter;
+  --at`` at a redundant point on four written surfaces (``WRITTEN``) that
+  reach the surface echo's rarer records and the loader's checks off P2: a
+  curve declared ``"after": 2`` next to ``near`` blow-ups, ids with quotes,
+  a backslash and a non-ASCII letter, and a Hirzebruch and a ruled base
+  that each declare curves before and after their blow-ups;
 * ``analyze --assert klt_any_boundary`` and ``--assert
   weak_lc_any_boundary`` on the 12 committed fixtures, which exit 1 where
   the verdict is false;
-* ``analyze`` on six inputs that the loader refuses, one per message
+* ``analyze`` on twelve inputs that the loader refuses, one per message
   (``EDGE``): a JSON syntax error, brackets nested 200000 deep, an int
   literal longer than ``sys.get_int_max_str_digits()``, bytes that are not
   UTF-8, a path that does not exist, P2 with 64 blow-ups, which is
-  rank 65, one above the rank cap, and P2 with 256 declared lines, a
-  catalog of 257 curves, one above the catalog cap;
+  rank 65, one above the rank cap, P2 with 256 declared lines, a
+  catalog of 257 curves, one above the catalog cap, and five curves or
+  blow-ups that the stage's pairings refuse: a declared genus that
+  adjunction contradicts, a curve meeting an exceptional curve negatively,
+  a curve of degree 0 on the ample class of P2 and of F1, and two lines
+  blown up twice at shared points, past what their meeting permits;
 * ``corpus --seed s --count 200`` for s = 1 .. 10, at the default rank
   cap of 12, and ``corpus --seed s --count 50 --max-rank 40`` for
   s = 1 .. 3.
@@ -129,7 +134,59 @@ WRITTEN = (
         },
         "p6",
     ),
+    (
+        "hirzebruch_after",
+        {
+            "base": {"kind": "hirzebruch", "e": 3},
+            "curves": [
+                {"id": "s", "class": ["1", "3"], "pa": 0},
+                {"id": "g", "class": ["0", "1"], "pa": 0},
+                {"id": "t", "class": ["0", "1", "0", "-1"], "pa": 0, "after": 2},
+            ],
+            "blowups": [
+                {"point": "p1", "exceptional": "e1", "on": [["c0", 1], ["f", 1]]},
+                {"point": "p2", "exceptional": "e2", "on": [["c0", 1]]},
+                {"point": "p3", "exceptional": "e3", "on": [["t", 1], ["e2", 1]]},
+                {"point": "p4", "exceptional": "e4", "near": "e3"},
+            ],
+        },
+        "p2",
+    ),
+    (
+        "ruled_after",
+        {
+            "base": {"kind": "ruled", "e": 1, "genus": 1},
+            "curves": [
+                {"id": "s", "class": ["1", "1"], "pa": 1},
+                {"id": "t", "class": ["0", "1", "0", "-1"], "pa": 0, "after": 2},
+            ],
+            "blowups": [
+                {"point": "p1", "exceptional": "e1", "on": [["s", 1], ["f", 1]]},
+                {"point": "p2", "exceptional": "e2", "on": [["c0", 1]]},
+                {"point": "p3", "exceptional": "e3", "on": [["t", 1], ["e2", 1]]},
+            ],
+        },
+        "p2",
+    ),
 )
+
+
+P2 = {"kind": "P2"}
+
+
+def _refused(base: dict, curves: list, blowups: list) -> bytes:
+    """The bytes of a surface file for ``EDGE``, one whose curves or
+    blow-ups the loader's checks refuse."""
+    return json.dumps({"base": base, "curves": curves, "blowups": blowups}).encode()
+
+
+def _after_one(base: dict, cls: list[str], pa: int) -> bytes:
+    """``_refused`` of one free blow-up and then one curve, declared after
+    it with class ``cls`` and genus ``pa``."""
+    curve = {"id": "q", "class": cls, "pa": pa, "after": 1}
+    return _refused(base, [curve], [{"point": "p1", "exceptional": "e1"}])
+
+
 # (name, file bytes) of the inputs the loader refuses; None writes no file
 EDGE = (
     ("syntax", b"{ not json"),
@@ -159,6 +216,25 @@ EDGE = (
                 "curves": [{"id": f"l{i}", "class": ["1"], "pa": 0} for i in range(256)],
             }
         ).encode(),
+    ),
+    # 2p_a - 2 = -2 for 2h - e1, not 0
+    ("adjunction", _after_one(P2, ["2", "-1"], 1)),
+    # (3h + e1).e1 = -1
+    ("meets_negatively", _after_one(P2, ["3", "1"], 0)),
+    # -e1 passes adjunction with p_a = 1 and meets every curve nonnegatively
+    ("degree_p2", _after_one(P2, ["0", "-1"], 1)),
+    ("degree_f1", _after_one({"kind": "hirzebruch", "e": 1}, ["0", "0", "-1"], 1)),
+    # after p1 the strict transforms of a and b are disjoint
+    (
+        "multiplicity",
+        _refused(
+            P2,
+            [{"id": "a", "class": ["1"], "pa": 0}, {"id": "b", "class": ["1"], "pa": 0}],
+            [
+                {"point": f"p{i}", "exceptional": f"e{i}", "on": [["a", 1], ["b", 1]]}
+                for i in (1, 2)
+            ],
+        ),
     ),
 )
 
