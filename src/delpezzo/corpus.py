@@ -127,7 +127,7 @@ def run_corpus(seed: int, count: int, max_rank: int = MAX_DRAW_RANK) -> CorpusSu
             index += 1
             continue
         if report.consistent:
-            detail = f"klt={report.klt_member} weak={report.weak_member}"
+            detail = f"klt={analysis.klt_verdict.member} weak={analysis.weak_verdict.member}"
             entries.append(CorpusEntry(index, base, s.rank, "ok", detail))
         else:
             entries.append(

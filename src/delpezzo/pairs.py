@@ -11,7 +11,8 @@ decomposition -K = P + N relative to the catalog:
 
 Every verdict is relative to the declared catalog and says so.  A verdict
 with member=True always carries a witness that was machine-verified before
-being returned.
+being returned.  A surface whose catalog gives no -K = P + N has no verdict:
+each function below that reads -K raises the decomposition's error.
 
 The decomposition is unique, so ``AnticanonicalAnalysis`` computes it once
 per surface and every decider reads it from there.
@@ -85,10 +86,11 @@ def make_boundary(s: SurfaceModel, components) -> BoundaryDivisor:
 # multipliers: the class L on Null(P), as (curve_id, coefficient) pairs
 WitnessParams = namedtuple("WitnessParams", "epsilon multipliers")
 
+# applicable is False only on the klt verdict of a surface whose -K is not big
 ClassVerdict = namedtuple(
     "ClassVerdict",
-    "class_tag member witness reason caveat applicable params",
-    defaults=(None, "", CATALOG_CAVEAT, True, None),
+    "member witness reason caveat applicable",
+    defaults=(None, "", CATALOG_CAVEAT, True),
 )
 
 
@@ -227,14 +229,14 @@ def decide_klt_pair_exists(s: SurfaceModel) -> ClassVerdict:
 
     Member iff -K is big (positive part square > 0) and every coefficient of
     the negative part is < 1; the returned witness is the validated snc
-    boundary supported on Null(P).
+    boundary supported on Null(P).  CatalogInsufficient if -K has no P + N.
     """
     return AnticanonicalAnalysis(s).klt_verdict
 
 
 def decide_weak_lc_pair_exists(s: SurfaceModel) -> ClassVerdict:
     """Does some effective boundary make the surface a weak lc del Pezzo
-    pair?  Member iff every N-coefficient is <= 1; the witness is N."""
+    pair?  Member iff N is snc with coefficients <= 1; the witness is N."""
     return AnticanonicalAnalysis(s).weak_verdict
 
 
@@ -456,7 +458,8 @@ def classify_nonrational(
     contracted to a simple elliptic point, everything else disjoint chains
     of (-2)-curves, reached from the minimal resolution by redundant
     blow-ups.  ``contracted`` picks which curves define the model under
-    judgment (default: all of Null(P), the anticanonical model)."""
+    judgment (default: all of Null(P), the anticanonical model).  A base
+    other than an elliptic ruled one is rejected before -K is read."""
     contracted_ids = None if contracted is None else _as_ids(s, contracted)
     return _classify_nonrational(AnticanonicalAnalysis(s), contracted_ids)
 
@@ -476,11 +479,7 @@ def _classify_nonrational(
             "inconsistent with the non-rational classification: the base must "
             "be a smooth elliptic curve (genus 1)"
         )
-    try:
-        big = analysis.big
-    except CatalogInsufficient as exc:
-        return reject(str(exc))
-    if not big:
+    if not analysis.big:
         return reject("not a big anticanonical surface")
     null_ids = analysis.decomposition.null
     factorization, survivors, dot, p_a, smooth = _blow_down_simulation(s, null_ids)
@@ -530,8 +529,8 @@ def cox_finitely_generated(s: SurfaceModel, contracted=None) -> tuple[bool, str]
     """Is the Cox ring of the contracted model finitely generated?
 
     True iff the surface is rational or the contraction produces exactly one
-    simple elliptic singularity.  Precondition: the surface carries a weak
-    lc del Pezzo pair (decide_weak_lc_pair_exists is true).
+    simple elliptic singularity.  PreconditionFailure if no weak lc del
+    Pezzo pair exists; CatalogInsufficient if -K has no P + N.
     """
     contracted_ids = None if contracted is None else _as_ids(s, contracted)
     return _cox(AnticanonicalAnalysis(s), contracted_ids)
@@ -563,7 +562,7 @@ def _cox(analysis: AnticanonicalAnalysis, ids) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # the cross-check of the two theorem quintets
 
-class CertifyReport(namedtuple("CertifyReport", "applicable klt weak failures")):
+class CertifyReport(namedtuple("CertifyReport", "klt weak failures")):
     """``klt`` and ``weak`` hold each quintet as (class name, verdict) pairs
     in the order of KLT_CLASSES and WEAK_CLASSES; ``failures`` lists every
     disagreement found."""
@@ -573,14 +572,6 @@ class CertifyReport(namedtuple("CertifyReport", "applicable klt weak failures"))
     @property
     def consistent(self) -> bool:
         return not self.failures
-
-    @property
-    def klt_member(self) -> bool:
-        return dict(self.klt)["klt_any_boundary"]
-
-    @property
-    def weak_member(self) -> bool:
-        return dict(self.weak)["weak_lc_any_boundary"]
 
 
 def certify_class_equalities(s: SurfaceModel) -> CertifyReport:
@@ -641,7 +632,8 @@ class AnticanonicalAnalysis:
     Create one per surface and pass it on.  Every field is computed lazily
     and at most once per surface, success or failure: later reads return
     the same value or re-raise the same GeometryError.  No state outlives
-    the object.
+    the object.  Without -K = P + N every field re-raises CatalogInsufficient,
+    but ``nonrational`` first rejects a base that is not elliptic ruled.
     """
 
     def __init__(self, s: SurfaceModel):
@@ -678,43 +670,31 @@ class AnticanonicalAnalysis:
     @_field
     def klt_verdict(self) -> ClassVerdict:
         """Member iff -K is big and every N-coefficient is < 1."""
-        tag = "klt_any_boundary"
-        try:
-            z = self.decomposition
-        except CatalogInsufficient as exc:
-            return ClassVerdict(tag, False, reason=str(exc), applicable=False)
+        z = self.decomposition
         if not self.big:
-            return ClassVerdict(
-                tag, False, reason="not a big anticanonical surface", applicable=False
-            )
+            return ClassVerdict(False, reason="not a big anticanonical surface", applicable=False)
         if z.max_coefficient >= 1:
-            return ClassVerdict(tag, False, reason=_worst_coefficient(z, ">="))
+            return ClassVerdict(False, reason=_worst_coefficient(z, ">="))
         try:
-            boundary, params = self.witness
+            boundary = self.witness[0]
         except GeometryError as exc:
-            return ClassVerdict(tag, False, reason=str(exc))
-        return ClassVerdict(
-            tag, True, witness=boundary, reason="validated boundary", params=params
-        )
+            return ClassVerdict(False, reason=str(exc))
+        return ClassVerdict(True, witness=boundary, reason="validated boundary")
 
     @_field
     def weak_verdict(self) -> ClassVerdict:
         """Member iff every N-coefficient is <= 1 and N's support is snc;
         the witness is N."""
-        tag = "weak_lc_any_boundary"
-        try:
-            z = self.decomposition
-        except CatalogInsufficient as exc:
-            return ClassVerdict(tag, False, reason=str(exc), applicable=False)
+        z = self.decomposition
         if z.max_coefficient > 1:
-            return ClassVerdict(tag, False, reason=_worst_coefficient(z, ">"))
+            return ClassVerdict(False, reason=_worst_coefficient(z, ">"))
         boundary = make_boundary(self.s, z.negative)
         if not boundary.snc:
-            return ClassVerdict(tag, False, reason="boundary support is not snc")
+            return ClassVerdict(False, reason="boundary support is not snc")
         caveat = CATALOG_CAVEAT
         if not self.big:
             caveat += "; anticanonical class is not big on this catalog"
-        return ClassVerdict(tag, True, witness=boundary, reason="boundary N validated", caveat=caveat)
+        return ClassVerdict(True, witness=boundary, reason="boundary N validated", caveat=caveat)
 
     @_field
     def redundant_points(self) -> tuple[RedundantPoint, ...]:
@@ -753,13 +733,7 @@ class AnticanonicalAnalysis:
     def certify(self) -> CertifyReport:
         """The two theorem quintets, each the model route against the decider,
         and the non-rational shape check."""
-        try:
-            self.decomposition
-        except CatalogInsufficient as exc:
-            empty_klt = tuple((name, False) for name in KLT_CLASSES)
-            empty_weak = tuple((name, False) for name in WEAK_CLASSES)
-            return CertifyReport(False, empty_klt, empty_weak, (str(exc),))
-
+        big = self.big  # raises the decomposition's error before the model's try
         failures: list[str] = []
         model_error = None
         model = None
@@ -773,7 +747,7 @@ class AnticanonicalAnalysis:
         klt_any = self.klt_verdict.member
         weak_any = self.weak_verdict.member
         klt_model = bool(
-            self.big and model is not None and all(t in KLT_TAGS for t in model.tags)
+            big and model is not None and all(t in KLT_TAGS for t in model.tags)
         )
         weak_model = bool(model is not None and all(t in LC_TAGS for t in model.tags))
         klt = tuple(zip(KLT_CLASSES, (klt_model,) + (klt_any,) * 4))
@@ -790,9 +764,9 @@ class AnticanonicalAnalysis:
             )
         # by the classification, a non-rational weak lc surface with -K big
         # has the shape that the non-rational check looks for
-        if weak_any and self.big and not self.s.rational and not self.nonrational.ok:
+        if weak_any and big and not self.s.rational and not self.nonrational.ok:
             failures.append(
                 "non-rational weak lc surface fails the classification: "
                 + self.nonrational.message
             )
-        return CertifyReport(True, klt, weak, tuple(failures))
+        return CertifyReport(klt, weak, tuple(failures))

@@ -1,6 +1,7 @@
 """One anticanonical analysis per surface: work counts, byte identity of
-the reports, the non-pseudo-effective path, and the un-strippable check of
-the decomposition."""
+the reports, the non-pseudo-effective path, the failure reports, and the
+un-strippable check of the decomposition."""
+import ast
 import contextlib
 import hashlib
 import io
@@ -15,13 +16,18 @@ import pytest
 
 import surfaces
 from delpezzo import cli, lattice, pairs, singular, surface, zariski
-from delpezzo.errors import CatalogInsufficient, InternalInconsistency
+from delpezzo.errors import CatalogInsufficient, InternalInconsistency, NotContractible
 from delpezzo.lattice import PicardLattice
 from delpezzo.pairs import (
     AnticanonicalAnalysis,
     certify_class_equalities,
+    classify_nonrational,
+    construct_klt_boundary,
+    construct_klt_boundary_via_cone,
+    cox_finitely_generated,
     decide_klt_pair_exists,
     decide_weak_lc_pair_exists,
+    find_redundant_points,
 )
 from delpezzo.surface import from_description
 
@@ -374,30 +380,60 @@ def test_blowup_decomposes_each_surface_once(calls):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BLOWUP_DIGEST
 
 
+# a ruled base over an elliptic curve, e = 0, with three points of f blown
+# up: -K.f' = -1 puts f' in N, then c0 (c0^2 = 0) joins a support that is
+# not negative definite
+RULED_NOT_PSEUDO_EFFECTIVE = {
+    "base": {"kind": "ruled", "e": 0, "genus": 1},
+    "blowups": [
+        {"point": f"p{i}", "exceptional": f"e{i}", "on": [["f", 1]]} for i in (1, 2, 3)
+    ],
+}
+# the public functions that read -K = P + N off a surface
+PAIR_FUNCTIONS = (
+    decide_klt_pair_exists,
+    decide_weak_lc_pair_exists,
+    certify_class_equalities,
+    classify_nonrational,
+    cox_finitely_generated,
+    find_redundant_points,
+    construct_klt_boundary,
+    construct_klt_boundary_via_cone,
+)
+FIELDS = [name for name, v in vars(AnticanonicalAnalysis).items() if isinstance(v, property)]
+
+
 def test_not_pseudo_effective_surface(tmp_path, calls):
-    path = tmp_path / "line_star_10_6_3.json"
-    path.write_text(json.dumps(line_star(10, 6, 3)))
-    assert run_cli("analyze", str(path)) == (2, "", f"error: {NOT_PSEUDO_EFFECTIVE}\n")
+    # without -K = P + N there is no verdict: every reader raises the
+    # decomposition's error, except that the non-rational check rejects a
+    # rational base before it reads -K
+    for name, description in (
+        ("line_star_10_6_3", line_star(10, 6, 3)),
+        ("ruled", RULED_NOT_PSEUDO_EFFECTIVE),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(description))
+        for command in ("analyze", "classify"):
+            assert run_cli(command, str(path)) == (2, "", f"error: {NOT_PSEUDO_EFFECTIVE}\n")
 
-    s = from_description(line_star(10, 6, 3))
-    for verdict in (decide_klt_pair_exists(s), decide_weak_lc_pair_exists(s)):
-        assert not verdict.member and not verdict.applicable
-        assert verdict.reason == NOT_PSEUDO_EFFECTIVE
-    report = certify_class_equalities(s)
-    assert not report.applicable
-    assert report.consistent is False
-    assert report.failures == (NOT_PSEUDO_EFFECTIVE,)
-    assert not any(v for _, v in report.klt + report.weak)
+        s = from_description(description)
+        for function in PAIR_FUNCTIONS:
+            if s.rational and function is classify_nonrational:
+                assert function(s).message.startswith("requires a ruled surface")
+                continue
+            with pytest.raises(CatalogInsufficient, match=NOT_PSEUDO_EFFECTIVE):
+                function(s)
 
-    # a failed field is not recomputed: one decomposition for every read
-    calls["zariski_decompose"] = 0
-    analysis = AnticanonicalAnalysis(s)
-    assert analysis.certify == report
-    assert not analysis.klt_verdict.applicable
-    for _ in range(2):
-        with pytest.raises(CatalogInsufficient):
-            analysis.model
-    assert calls["zariski_decompose"] == 1
+        # a failed field is not recomputed: one decomposition for every read
+        calls["zariski_decompose"] = 0
+        analysis = AnticanonicalAnalysis(s)
+        for field in FIELDS * 2:
+            if s.rational and field == "nonrational":
+                assert analysis.nonrational.message.startswith("requires a ruled surface")
+                continue
+            with pytest.raises(CatalogInsufficient, match=NOT_PSEUDO_EFFECTIVE):
+                getattr(analysis, field)
+        assert calls["zariski_decompose"] == 1, name
 
 
 def test_internal_inconsistency_exits_three(monkeypatch):
@@ -443,6 +479,36 @@ def test_worse_model_tag_exits_three(monkeypatch):
             "weak_lc_minimal_resolution=True",
         ],
     )
+
+
+def test_failed_contraction_is_reported_and_exits_three(monkeypatch):
+    def not_contractible(data):
+        raise NotContractible("planted")
+
+    plant_in_model(monkeypatch, not_contractible)
+    path = str(FIXTURES / "f3.json")
+    code, out, err = run_cli("analyze", path, "--format", "json")
+    assert (code, err) == (3, "")
+    data = json.loads(out)
+    assert data["model"] == {"error": "planted"}
+    assert data["consistent"] is False
+    failures = [
+        "model contraction failed: planted",
+        "klt quintet disagrees: klt_model=False, klt_any_boundary=True, "
+        "klt_snc_boundary=True, klt_log_resolution=True, klt_minimal_resolution=True",
+        "weak quintet disagrees: weak_lc_model=False, weak_lc_any_boundary=True, "
+        "weak_lc_snc_boundary=True, weak_lc_log_resolution=True, "
+        "weak_lc_minimal_resolution=True",
+    ]
+    assert data["failures"] == failures
+
+    code, out, err = run_cli("analyze", path)
+    assert (code, err) == (3, "")
+    lines = out.splitlines()
+    assert "anticanonical model: planted" in lines
+    assert "consistent: False" in lines
+    start = lines.index("consistent: False") + 1
+    assert lines[start:start + 3] == [f"  FAILURE: {f}" for f in failures]
 
 
 def test_failed_klt_witness_exits_three(monkeypatch):
@@ -553,6 +619,17 @@ def test_verification_survives_optimize_flag(fault, problem):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"Zariski decomposition: {problem}\n"
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips them, so no check of the package may be one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "delpezzo").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_rank_cap_finishes_in_bounded_time(tmp_path):

@@ -990,10 +990,11 @@ def test_cox_precondition():
     ],
 )
 def test_certify_on_fixtures(name, klt, weak):
-    report = certify_class_equalities(surfaces.FIXTURES[name]())
+    s = surfaces.FIXTURES[name]()
+    report = certify_class_equalities(s)
     assert report.consistent, report.failures
-    assert report.klt_member == klt
-    assert report.weak_member == weak
+    assert decide_klt_pair_exists(s).member == klt
+    assert decide_weak_lc_pair_exists(s).member == weak
     assert all(v == klt for _, v in report.klt)
     assert all(v == weak for _, v in report.weak)
 

@@ -69,9 +69,9 @@ RECORDS = [
     ),
     (
         "ClassVerdict",
-        lambda: ClassVerdict("klt_model", True, reason="r"),
-        "ClassVerdict(class_tag='klt_model', member=True, witness=None, reason='r', "
-        "caveat='relative to declared catalog', applicable=True, params=None)",
+        lambda: ClassVerdict(True, reason="r"),
+        "ClassVerdict(member=True, witness=None, reason='r', "
+        "caveat='relative to declared catalog', applicable=True)",
     ),
     (
         "SingularityVerdict",
@@ -113,9 +113,8 @@ RECORDS = [
     ),
     (
         "CertifyReport",
-        lambda: CertifyReport(True, (("k", True),), (("w", False),), ()),
-        "CertifyReport(applicable=True, klt=(('k', True),), weak=(('w', False),), "
-        "failures=())",
+        lambda: CertifyReport((("k", True),), (("w", False),), ()),
+        "CertifyReport(klt=(('k', True),), weak=(('w', False),), failures=())",
     ),
 ]
 

@@ -4,7 +4,7 @@ Run from the root of a checkout:
 
     python3 tools/same_outputs.py --parent HEAD~1
 
-It runs 471 command lines in-process through ``delpezzo.cli.main``:
+It runs 511 command lines in-process through ``delpezzo.cli.main``:
 
 * ``analyze`` and ``classify`` with ``--format`` text, json and dot,
   ``decompose`` with text and json, and ``witness --method direct`` and
@@ -35,7 +35,7 @@ It runs 471 command lines in-process through ``delpezzo.cli.main``:
 * ``analyze --assert klt_any_boundary`` and ``--assert
   weak_lc_any_boundary`` on the 12 committed fixtures, which exit 1 where
   the verdict is false;
-* ``analyze`` on twelve inputs that the loader refuses, one per message
+* ``analyze`` on 44 inputs that the loader refuses, one per message
   (``EDGE``): a JSON syntax error, brackets nested 200000 deep, an int
   literal longer than ``sys.get_int_max_str_digits()``, bytes that are not
   UTF-8, a path that does not exist, P2 with 64 blow-ups, which is
@@ -44,7 +44,14 @@ It runs 471 command lines in-process through ``delpezzo.cli.main``:
   blow-ups that the stage's pairings refuse: a declared genus that
   adjunction contradicts, a curve meeting an exceptional curve negatively,
   a curve of degree 0 on the ample class of P2 and of F1, and two lines
-  blown up twice at shared points, past what their meeting permits;
+  blown up twice at shared points, past what their meeting permits; then
+  six base parameters, four declared curves and nine blow-up records that
+  the stage refuses, and thirteen malformed fields;
+* eight more command lines (``EDGE_COMMANDS``): ``decompose --divisor``
+  of the wrong length, ``blowup`` past the rank cap and past the catalog
+  cap, ``corpus --count -1`` and ``--max-rank 0``, ``analyze`` and
+  ``classify`` on a ruled surface whose -K has no Zariski decomposition,
+  which exit 2, and ``classify`` on a ruled base of genus 2;
 * ``corpus --seed s --count 200`` for s = 1 .. 10, at the default rank
   cap of 12, and ``corpus --seed s --count 50 --max-rank 40`` for
   s = 1 .. 3.
@@ -236,6 +243,90 @@ EDGE = (
             ],
         ),
     ),
+    # the base's parameters
+    ("p2_with_e", _refused({"kind": "P2", "e": 1}, [], [])),
+    ("hirzebruch_negative_e", _refused({"kind": "hirzebruch", "e": -1}, [], [])),
+    ("hirzebruch_genus", _refused({"kind": "hirzebruch", "e": 1, "genus": 1}, [], [])),
+    ("ruled_negative_genus", _refused({"kind": "ruled", "genus": -1}, [], [])),
+    ("ruled_e_below_genus", _refused({"kind": "ruled", "e": -2, "genus": 1}, [], [])),
+    ("unknown_kind", _refused({"kind": "torus"}, [], [])),
+    # declared curves that the stage refuses
+    ("id_in_use", _refused(P2, [{"id": "h", "class": ["1"], "pa": 0}], [])),
+    ("fractional_class", _refused(P2, [{"id": "q", "class": ["1/2"], "pa": 0}], [])),
+    # h - 2e1 passes adjunction with p_a = -1
+    ("negative_genus", _after_one(P2, ["1", "-2"], -1)),
+    (
+        "genus_0_not_smooth",
+        _refused(P2, [{"id": "q", "class": ["1"], "pa": 0, "smooth": False}], []),
+    ),
+    # blow-up records that the stage refuses
+    ("unknown_incidence", _refused(P2, [], [{"point": "p1", "on": [["q", 1]]}])),
+    ("multiplicity_0", _refused(P2, [], [{"point": "p1", "on": [["h", 0]]}])),
+    ("listed_twice", _refused(P2, [], [{"point": "p1", "on": [["h", 1], ["h", 1]]}])),
+    ("near_unknown", _refused(P2, [], [{"point": "p1", "near": "q"}])),
+    ("near_not_exceptional", _refused(P2, [], [{"point": "p1", "near": "h"}])),
+    ("point_in_use", _refused(P2, [], [{"point": "p1"}, {"point": "p1"}])),
+    ("exceptional_in_use", _refused(P2, [], [{"point": "p1", "exceptional": "h"}])),
+    ("smooth_double_point", _refused(P2, [], [{"point": "p1", "on": [["h", 2]]}])),
+    # a nodal cubic (p_a 1) has no triple point
+    (
+        "triple_point",
+        _refused(
+            P2,
+            [{"id": "c", "class": ["3"], "pa": 1, "smooth": False}],
+            [{"point": "p1", "on": [["c", 3]]}],
+        ),
+    ),
+    # malformed fields
+    ("not_an_object", b"[]"),
+    ("no_base", b"{}"),
+    ("curves_not_a_list", json.dumps({"base": P2, "curves": {}}).encode()),
+    ("curve_not_an_object", json.dumps({"base": P2, "curves": [1]}).encode()),
+    ("after_out_of_range", _refused(P2, [{"id": "q", "class": ["1"], "pa": 0, "after": 1}], [])),
+    ("class_length", _refused(P2, [{"id": "q", "class": ["1", "0"], "pa": 0}], [])),
+    ("class_not_rational", _refused(P2, [{"id": "q", "class": ["x"], "pa": 0}], [])),
+    ("smooth_not_bool", _refused(P2, [{"id": "q", "class": ["1"], "pa": 0, "smooth": "yes"}], [])),
+    ("id_not_a_string", _refused(P2, [{"id": 5, "class": ["1"], "pa": 0}], [])),
+    ("pa_not_an_integer", _refused(P2, [{"id": "q", "class": ["1"], "pa": "0"}], [])),
+    ("point_not_a_string", _refused(P2, [], [{"point": 5}])),
+    ("incidence_not_a_pair", _refused(P2, [], [{"point": "p1", "on": [["h"]]}])),
+    ("missing_pa", _refused(P2, [{"id": "q", "class": ["1"]}], [])),
+)
+
+# (name, file bytes) of the surfaces that EDGE_COMMANDS reads
+EDGE_FILES = (
+    # rank 64, at the rank cap
+    ("rank64", _refused(P2, [], [{"point": f"p{i}"} for i in range(1, 64)])),
+    # 256 curves, at the catalog cap
+    (
+        "catalog256",
+        _refused(P2, [{"id": f"l{i}", "class": ["1"], "pa": 0} for i in range(1, 256)], []),
+    ),
+    # -K.f' = -1 puts f' in N, and then c0 (c0^2 = 0) in a support that is
+    # not negative definite: -K has no Zariski decomposition
+    (
+        "ruled_not_pseudo_effective",
+        _refused(
+            {"kind": "ruled", "e": 0, "genus": 1},
+            [],
+            [{"point": f"p{i}", "exceptional": f"e{i}", "on": [["f", 1]]} for i in (1, 2, 3)],
+        ),
+    ),
+    # -K big, with N = 3/2 c0: the non-rational check rejects a base of genus 2
+    ("ruled_genus_2", _refused({"kind": "ruled", "e": 4, "genus": 2}, [], [])),
+)
+# command lines beyond `analyze` on EDGE: the options that the CLI refuses,
+# and the two ruled surfaces; "{name}" is the file of that name in EDGE_FILES
+# or among the committed fixtures
+EDGE_COMMANDS = (
+    ("decompose", "{p2}", "--divisor=1,0"),
+    ("blowup", "{rank64}", "--at", "e1"),
+    ("blowup", "{catalog256}", "--at", "l1"),
+    ("corpus", "--seed", "1", "--count", "-1"),
+    ("corpus", "--seed", "1", "--count", "1", "--max-rank", "0"),
+    ("analyze", "{ruled_not_pseudo_effective}"),
+    ("classify", "{ruled_not_pseudo_effective}"),
+    ("classify", "{ruled_genus_2}"),
 )
 
 # Runs a JSON list of argv lists, read from stdin, through cli.main and
@@ -264,6 +355,7 @@ def command_lines(
     blowups: list[tuple[Path, str]],
     written: list[tuple[Path, str]],
     edge: list[Path],
+    edge_files: dict[str, str],
 ) -> list[list[str]]:
     argvs = []
     for path in inputs:
@@ -299,6 +391,7 @@ def command_lines(
         for verdict in ASSERTED
     ]
     argvs += [["analyze", str(path)] for path in edge]
+    argvs += [[arg.format(**edge_files) for arg in argv] for argv in EDGE_COMMANDS]
     for path in sample:
         file = str(path)
         argvs += [[command, file, "--format", "json"] for command in ("analyze", "classify")]
@@ -317,11 +410,19 @@ def command_lines(
 
 def write_inputs(
     tmp: Path,
-) -> tuple[list[Path], list[Path], list[tuple[Path, str]], list[tuple[Path, str]], list[Path]]:
+) -> tuple[
+    list[Path],
+    list[Path],
+    list[tuple[Path, str]],
+    list[tuple[Path, str]],
+    list[Path],
+    dict[str, str],
+]:
     """The committed fixtures and the ``line_star`` inputs, then the corpus
     sample, each written as files into ``tmp``; (file, ``--at`` value) for
     the first redundant point of each of those that has one; (file,
-    ``--at`` value) for the ``WRITTEN`` surfaces; and the ``EDGE`` files."""
+    ``--at`` value) for the ``WRITTEN`` surfaces; the ``EDGE`` files; and
+    the files that ``EDGE_COMMANDS`` names, by name."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from delpezzo import AnticanonicalAnalysis, GeometryError, from_description, to_description
     from delpezzo.corpus import random_surface
@@ -371,7 +472,12 @@ def write_inputs(
         if content is not None:
             path.write_bytes(content)
         edge.append(path)
-    return inputs, sample, blowups, written, edge
+    edge_files = {path.stem: str(path) for path in (ROOT / "fixtures").glob("*.json")}
+    for name, content in EDGE_FILES:
+        path = tmp / f"{name}.json"
+        path.write_bytes(content)
+        edge_files[name] = str(path)
+    return inputs, sample, blowups, written, edge, edge_files
 
 
 def run_side(src: Path, argvs: list[list[str]]) -> list[list]:
