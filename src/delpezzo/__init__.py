@@ -62,7 +62,6 @@ from .surface import (
     BlowUpRecord,
     CurveRecord,
     SurfaceModel,
-    arithmetic_genus,
     blow_up,
     build_base,
     declare_curve,

@@ -10,8 +10,11 @@ decomposition -K = P + N relative to the catalog:
   N-coefficient is <= 1; the witness is N itself.
 
 Every verdict is relative to the declared catalog and says so.  A verdict
-with member=True always carries a witness that was machine-verified before
-being returned.  A surface whose catalog gives no -K = P + N has no verdict:
+with member=True carries its witness.  A nonempty klt witness passes
+``_klt_checks`` before it is returned; the weak witness N has snc support,
+and -(K + N) = P was found nef when -K = P + N was verified.  No witness is
+checked a second time here: ``tests/oracles.py`` checks both from dense
+pairings alone.  A surface whose catalog gives no -K = P + N has no verdict:
 each function below that reads -K raises the decomposition's error.
 
 The decomposition is unique, so ``AnticanonicalAnalysis`` computes it once
@@ -46,7 +49,6 @@ from .zariski import (
     ZariskiDecomposition,
     ample_on_catalog,
     combination_degrees,
-    nef_on_catalog,
     zariski_decompose,
 )
 
@@ -95,34 +97,13 @@ ClassVerdict = namedtuple(
 
 
 # ---------------------------------------------------------------------------
-# boundary validators
-
-# Both read the record's components afresh with make_boundary and decide
-# from the flags it computes, so their verdict depends on (s, components)
-# only: a hand-built record cannot vouch for itself.  The main witness
-# branch builds its record with make_boundary and runs _klt_checks on it
-# directly, so it reads its boundary once.  The weak verdict tests only
-# its record's snc flag: its boundary is N, so -(K + N) is P, whose
-# nefness zariski._verify has already checked.
-
-def validate_klt_del_pezzo(s: SurfaceModel, boundary: BoundaryDivisor) -> tuple[bool, str]:
-    """(X, boundary) is a klt del Pezzo pair relative to the catalog:
-    snc support, all coefficients < 1, -(K + boundary) catalog-ample."""
-    return _klt_checks(s, make_boundary(s, boundary.components))
-
-
-def validate_weak_lc_del_pezzo(s: SurfaceModel, boundary: BoundaryDivisor) -> tuple[bool, str]:
-    """Weak variant: snc support, coefficients <= 1, -(K + boundary) nef."""
-    read = make_boundary(s, boundary.components)
-    if not read.snc:
-        return False, "boundary support is not snc"
-    if not nef_on_catalog(s, s.anticanonical - s.class_of(read.components)):
-        return False, "-(K + boundary) is not nef on the catalog"
-    return True, "validated"
-
+# witness construction
 
 def _klt_checks(s: SurfaceModel, read: BoundaryDivisor) -> tuple[bool, str]:
-    """The klt validator's checks on a record make_boundary has just built."""
+    """The klt witness's one gate, on a record make_boundary has just
+    built: snc support, every coefficient < 1, and -(K + boundary) ample
+    on the catalog.  Returns (True, "validated") or False and the first
+    check that fails."""
     if not read.snc:
         return False, "boundary support is not snc"
     if not read.floor_is_zero:
@@ -132,9 +113,6 @@ def _klt_checks(s: SurfaceModel, read: BoundaryDivisor) -> tuple[bool, str]:
         return False, "-(K + boundary) is not ample on the catalog"
     return True, "validated"
 
-
-# ---------------------------------------------------------------------------
-# witness construction
 
 def _witness(
     analysis: AnticanonicalAnalysis, via_cone: bool

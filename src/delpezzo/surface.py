@@ -310,11 +310,6 @@ class SurfaceModel(Frozen):
         return _reduced(self.lattice, tuple(total), den)
 
 
-def arithmetic_genus(s: SurfaceModel, divisor_class: DivisorClass) -> Q:
-    """(C^2 + K.C)/2 + 1, the adjunction genus of a class."""
-    return (divisor_class.square + s.canonical.dot(divisor_class)) / 2 + 1
-
-
 def build_base(kind: str, e: int = 0, genus: int = 0) -> SurfaceModel:
     """A fresh model of the named minimal surface with its seed catalog."""
     return _Stage(BaseSurface(kind, e=e, genus=genus)).model()

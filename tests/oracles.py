@@ -3,8 +3,9 @@
 Deliberately separate from the package internals: determinants are expanded
 by cofactors, linear systems are solved with Cramer's rule or, where that
 is too slow, by Gauss-Jordan reduction over Fractions with a largest-entry
-pivot, and discrepancy systems for exceptional chains are assembled from
-scratch.  Slow is fine here; these exist so the main implementation is
+pivot, discrepancy systems for exceptional chains are assembled from
+scratch, and pairs are judged from dense pairings.  The module imports only
+the standard library.  Slow is fine here; these exist so the main implementation is
 checked against a different algorithm, not against itself.
 """
 from __future__ import annotations
@@ -123,6 +124,54 @@ def dense_gram(kind: str, e: int, blowups: int) -> list[list[Q]]:
     for i in range(len(block), n):
         rows[i][i] = Q(-1)
     return rows
+
+
+def canonical_coords(kind: str, e: int, genus: int, blowups: int) -> tuple[int, ...]:
+    """K's coordinates on a base surface blown up ``blowups`` times, in the
+    basis of ``dense_gram``: K = -3h on P2, K = -2c0 + (2g - 2 - e)f on a
+    Hirzebruch (g = 0) or ruled base (Hartshorne V.2.11), and each blow-up
+    adds its exceptional class, K' = pi^*K + E."""
+    base = (-3,) if kind == "P2" else (-2, 2 * genus - 2 - e)
+    return base + (1,) * blowups
+
+
+def pair_reasons(rows, canonical, curves, boundary) -> tuple[str, str]:
+    """Whether (X, boundary) is a klt and a weak lc del Pezzo pair relative
+    to the catalog, as two reasons, each "validated" or the first check
+    that fails.
+
+    ``rows`` is the dense Gram matrix and ``canonical`` K's coordinates;
+    ``curves`` maps every catalog curve id to (coordinates, smooth), and
+    ``boundary`` holds (curve id, coefficient) pairs.  Both need snc
+    support: smooth components meeting pairwise in 0 or 1.  klt needs every
+    coefficient < 1 and -(K + boundary) ample on the catalog: a positive
+    square and a positive degree on every curve.  Weak lc needs every
+    coefficient <= 1 and -(K + boundary) nef on the catalog.  Every number
+    is a ``dense_pairing``.
+    """
+    ids = [cid for cid, _ in boundary]
+    if not all(curves[cid][1] for cid in ids) or any(
+        dense_pairing(rows, curves[a][0], curves[b][0]) not in (0, 1)
+        for a, b in itertools.combinations(ids, 2)
+    ):
+        return "boundary support is not snc", "boundary support is not snc"
+    target = class_negation(canonical)
+    for cid, c in boundary:
+        target = class_difference(target, class_scaled(curves[cid][0], c))
+    degrees = [dense_pairing(rows, target, coords) for coords, _ in curves.values()]
+    if any(Q(c) >= 1 for _, c in boundary):
+        klt = "boundary has a coefficient >= 1"
+    elif dense_pairing(rows, target, target) <= 0 or any(d <= 0 for d in degrees):
+        klt = "-(K + boundary) is not ample on the catalog"
+    else:
+        klt = "validated"
+    if any(Q(c) > 1 for _, c in boundary):
+        weak = "boundary has a coefficient > 1"
+    elif any(d < 0 for d in degrees):
+        weak = "-(K + boundary) is not nef on the catalog"
+    else:
+        weak = "validated"
+    return klt, weak
 
 
 def dense_coords(rank: int, sparse) -> tuple[int, ...]:

@@ -18,14 +18,13 @@ from delpezzo.pairs import (
     cox_finitely_generated,
     decide_klt_pair_exists,
     decide_weak_lc_pair_exists,
-    make_boundary,
     pushforward_pair,
     redundant_blow_up,
-    validate_klt_del_pezzo,
 )
 from delpezzo.singular import contract
 from delpezzo.surface import BlowUpRecord, blow_up, extend_to
 from delpezzo.zariski import ample_on_catalog, zariski_decompose
+from test_pairs import oracle_reasons
 
 
 def _report(number, description, passed, detail=""):
@@ -117,8 +116,8 @@ def test_criterion_3_corollary_biconditional_on_fixtures():
             details.append(f"{name}: verdict={verdict.member}")
         if expected:
             boundary = construct_klt_boundary(s)
-            valid, why = validate_klt_del_pezzo(s, boundary)
-            if not (valid and boundary.floor_is_zero):
+            why = oracle_reasons(s, boundary.components)[0]
+            if not (why == "validated" and boundary.floor_is_zero):
                 ok = False
                 details.append(f"{name}: witness {why}")
         # the degenerate fixture still carries a weak boundary
@@ -191,7 +190,7 @@ def test_criterion_6_nine_point_configuration():
         (f"l{i}_{j}", Q(1, 10)) for i in range(1, 10) for j in range(1, 4)
     )
     check = check_EP_condition(base, boundary, surfaces.nine_point_records())
-    pair_ok, _ = validate_klt_del_pezzo(base, make_boundary(base, boundary))
+    pair_ok = oracle_reasons(base, boundary)[0] == "validated"
     resolution = surfaces.nine_point_resolution()
     anti = resolution.anticanonical
     ok = (

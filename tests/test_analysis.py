@@ -525,6 +525,41 @@ def test_failed_klt_witness_exits_three(monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "fault,reason",
+    [
+        ("snc", "boundary support is not snc"),
+        ("floor_is_zero", "boundary has a coefficient >= 1"),
+        ("ample", "-(K + boundary) is not ample on the catalog"),
+    ],
+)
+def test_witness_gate_refusal_exits_three(monkeypatch, fault, reason):
+    # on F3 the witness is (1/3 + eps/3) c0 and N is c0/3: plant each fault
+    # of the gate for the witness's record only, so the weak verdict stands
+    s = cli._load(str(FIXTURES / "f3.json"))
+    negative = zariski.zariski_decompose(s, s.anticanonical).negative
+    if fault == "ample":
+        monkeypatch.setattr(pairs, "ample_on_catalog", lambda s, d: False)
+    else:
+        original = pairs.make_boundary
+
+        def planted(s, components):
+            read = original(s, components)
+            return read if tuple(components) == negative else read._replace(**{fault: False})
+
+        monkeypatch.setattr(pairs, "make_boundary", planted)
+    with pytest.raises(CatalogInsufficient) as info:
+        pairs._witness(AnticanonicalAnalysis(s), via_cone=False)
+    assert str(info.value) == f"catalog insufficient: {reason}"
+    assert analyze_failures("f3") == (
+        3,
+        [
+            "klt quintet disagrees: klt_model=True, klt_any_boundary=False, "
+            "klt_snc_boundary=False, klt_log_resolution=False, klt_minimal_resolution=False"
+        ],
+    )
+
+
 def test_failed_weak_witness_exits_three(monkeypatch):
     # the weak verdict reads one flag of its record of N, the snc flag: plant
     # the fault there, and leave the klt witness's records alone
@@ -563,12 +598,7 @@ def test_certify_does_not_revalidate(monkeypatch, name):
     analysis = AnticanonicalAnalysis(cli._load(str(FIXTURES / f"{name}.json")))
     analysis.klt_verdict, analysis.weak_verdict
     called = []
-    for fn in (
-        "check_EP_condition",
-        "validate_klt_del_pezzo",
-        "validate_weak_lc_del_pezzo",
-        "_klt_checks",
-    ):
+    for fn in ("check_EP_condition", "_klt_checks"):
         monkeypatch.setattr(pairs, fn, lambda *args, fn=fn: called.append(fn))
     assert analysis.certify.consistent
     assert called == []

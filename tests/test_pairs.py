@@ -1,8 +1,11 @@
 """Pair-class deciders, witnesses, pushforwards, and redundant blow-ups."""
+import ast
 import functools
 import itertools
 import operator
+import pathlib
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -18,7 +21,6 @@ from delpezzo.errors import (
 )
 from delpezzo.pairs import (
     AnticanonicalAnalysis,
-    BoundaryDivisor,
     RedundantPoint,
     certify_class_equalities,
     check_EP_condition,
@@ -32,8 +34,6 @@ from delpezzo.pairs import (
     make_boundary,
     pushforward_pair,
     redundant_blow_up,
-    validate_klt_del_pezzo,
-    validate_weak_lc_del_pezzo,
     _witness,
 )
 from delpezzo.singular import contract
@@ -51,6 +51,24 @@ from test_analysis import line_star
 NINE_POINT_BOUNDARY = tuple(
     (f"l{i}_{j}", Q(1, 10)) for i in range(1, 10) for j in range(1, 4)
 )
+
+
+VALIDATED = ("validated", "validated")
+
+
+def oracle_reasons(s, components):
+    """``oracles.pair_reasons`` of the boundary ``components`` on s: the
+    oracle's Gram matrix and K, and the catalog's classes and smooth flags."""
+    kind, e, blowups = s.base.kind, s.base.e, len(s.blowups)
+    curves = {
+        r.curve_id: (oracles.dense_coords(s.rank, r.sparse), r.smooth) for r in s.catalog
+    }
+    return oracles.pair_reasons(
+        oracles.dense_gram(kind, e, blowups),
+        oracles.canonical_coords(kind, e, s.base.genus, blowups),
+        curves,
+        components,
+    )
 
 
 def corpus_draws(seed, count, max_rank=12):
@@ -133,8 +151,7 @@ def test_pair_fixture_witness_frozen_values():
         "e7": oracles.PAIR_L_COEFFS[1],
     }
     assert params.epsilon == oracles.PAIR_EPSILON
-    ok, why = validate_klt_del_pezzo(s, boundary)
-    assert ok, why
+    assert oracle_reasons(s, boundary.components) == VALIDATED
 
 
 def test_cone_witness_differs_but_validates():
@@ -145,30 +162,7 @@ def test_cone_witness_differs_but_validates():
     assert p_direct.multipliers != p_cone.multipliers
     assert p_cone.multipliers == (("c0", Q(1)),)
     for boundary in (direct, cone):
-        ok, why = validate_klt_del_pezzo(s, boundary)
-        assert ok, why
-
-
-@pytest.mark.parametrize(
-    "name", ["p2", "f2", "f3", "dp3", "dp8", "pair", "corpus1", "corpus2", "corpus3"]
-)
-def test_both_constructions_validate_on_klt_fixtures(name):
-    # certify derives the snc, log-resolution and minimal-resolution members
-    # from the deciders because every klt witness validates, and so does
-    # every weak witness N
-    if name.startswith("corpus"):
-        models = [a.s for a in corpus_draws(int(name[len("corpus"):]), 20)]
-    else:
-        models = [surfaces.FIXTURES[name]()]
-    for s in models:
-        z = zariski_decompose(s, s.anticanonical)
-        if z.positive_square > 0 and z.max_coefficient < 1:
-            for construct in (construct_klt_boundary, construct_klt_boundary_via_cone):
-                ok, why = validate_klt_del_pezzo(s, construct(s))
-                assert ok, (name, why)
-        if z.max_coefficient <= 1:
-            ok, why = validate_weak_lc_del_pezzo(s, make_boundary(s, z.negative))
-            assert ok, (name, why)
+        assert oracle_reasons(s, boundary.components) == VALIDATED
 
 
 def test_witness_construction_refuses_non_klt():
@@ -190,11 +184,9 @@ def test_klt_decider_iff_floor_zero_iff_witness(name):
     floor_zero = z.max_coefficient < 1 and z.positive_square > 0
     verdict = decide_klt_pair_exists(s)
     assert verdict.member == floor_zero
-    witness_ok = True
     try:
         boundary = construct_klt_boundary(s)
-        ok, _ = validate_klt_del_pezzo(s, boundary)
-        witness_ok = ok
+        witness_ok = oracle_reasons(s, boundary.components)[0] == "validated"
     except Exception:
         witness_ok = False
     assert witness_ok == verdict.member
@@ -218,8 +210,7 @@ def test_nine_point_configuration():
     # ... but the comparison divisor is negative: not in the effective class
     assert not check.effective
     # and the pair on the plane really is a klt del Pezzo pair
-    ok, why = validate_klt_del_pezzo(base, make_boundary(base, NINE_POINT_BOUNDARY))
-    assert ok, why
+    assert oracle_reasons(base, NINE_POINT_BOUNDARY) == VALIDATED
 
 
 # three near= records in a chain over a point of a line in the plane
@@ -407,8 +398,7 @@ _EP_RECORD = BlowUpRecord("p", (("f", 1),), None, "e")
 
 
 def _boundary_entry_points():
-    """The six pair entry points, each as a function of a boundary; the
-    validators get it as a record whose flags say it is fine."""
+    """The four pair entry points, each as a function of a boundary."""
     down = surfaces.hirzebruch(2)
     up = blow_up(down, _EP_RECORD)
     return (
@@ -416,8 +406,6 @@ def _boundary_entry_points():
         lambda b: check_EP_condition(down, b, (_EP_RECORD,)),
         lambda b: make_boundary(up, b),
         lambda b: pushforward_pair(up, ("e",), b),
-        lambda b: validate_klt_del_pezzo(up, BoundaryDivisor(b, True, True)),
-        lambda b: validate_weak_lc_del_pezzo(up, BoundaryDivisor(b, True, True)),
     )
 
 
@@ -802,33 +790,63 @@ def test_negative_part_is_minus_the_discrepancies():
     assert max(len(a.model_set) for a in model_set_analyses()) == 25
 
 
-def test_public_validators_accept_every_witness():
+def test_oracle_accepts_every_witness():
     # the weak verdict tests only N's snc flag, and the klt witness with
-    # Null(P) empty is returned unchecked: the validators still run every
-    # check (snc, floor, ampleness or nefness) on what they return.  The
-    # witness checks neither that Null(P) is snc nor that L is positive, as
-    # exact algebra settles both once P^2 > 0 and max N < 1: both hold here
+    # Null(P) empty is returned unchecked: the oracle still runs every check
+    # (snc, floor, ampleness or nefness) on both routes' klt witnesses and on
+    # N.  The witness checks neither that Null(P) is snc nor that L is
+    # positive, as exact algebra settles both once P^2 > 0 and max N < 1:
+    # both hold here, as each witness's support is all of Null(P).  certify
+    # copies each decider's bit into the snc, log-resolution and
+    # minimal-resolution members because every witness passes
     klt = weak = empty = 0
     nonempty = {False: 0, True: 0}
     for analysis in model_set_analyses():
-        s = analysis.s
-        if analysis.klt_verdict.member:
+        s, z = analysis.s, analysis.decomposition
+        klt_member = z.positive_square > 0 and z.max_coefficient < 1
+        assert analysis.klt_verdict.member == klt_member
+        if klt_member:
             klt += 1
-            null = analysis.decomposition.null
-            empty += not null
-            assert singular.is_snc_configuration(s, null)
-            witness = analysis.klt_verdict.witness
-            assert validate_klt_del_pezzo(s, witness) == (True, "validated")
+            empty += not z.null
             for via_cone in (False, True):
-                _, (_, multipliers) = _witness(analysis, via_cone)
+                boundary, (_, multipliers) = (
+                    _witness(analysis, True) if via_cone else analysis.witness
+                )
+                assert oracle_reasons(s, boundary.components) == VALIDATED
+                assert [cid for cid, _ in boundary.components] == list(z.null)
                 assert all(c > 0 for _, c in multipliers)
                 nonempty[via_cone] += bool(multipliers)
+            assert analysis.klt_verdict.witness == analysis.witness[0]
+        reasons = oracle_reasons(s, z.negative)
+        snc = reasons[1] != "boundary support is not snc"
+        assert analysis.weak_verdict.member == (z.max_coefficient <= 1 and snc)
         if analysis.weak_verdict.member:
             weak += 1
-            witness = analysis.weak_verdict.witness
-            assert validate_weak_lc_del_pezzo(s, witness) == (True, "validated")
+            assert analysis.weak_verdict.witness.components == z.negative
+            assert reasons[1] == "validated"
     assert (klt, weak, empty) == (116, 122, 35)
     assert nonempty == {False: 81, True: 81}
+
+
+def test_oracle_canonical_class_is_the_package_one():
+    for analysis in model_set_analyses():
+        s = analysis.s
+        base = s.base
+        expected = oracles.canonical_coords(base.kind, base.e, base.genus, len(s.blowups))
+        assert expected == s.canonical.nums
+    assert len(model_set_analyses()) == 132
+
+
+def test_oracles_import_only_the_standard_library():
+    tree = ast.parse(pathlib.Path(oracles.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            imported.add(node.module.split(".")[0])
+    assert imported and imported <= sys.stdlib_module_names, imported
 
 
 def test_contracted_canonical_square_is_the_class_route():
@@ -1000,18 +1018,12 @@ def test_certify_on_fixtures(name, klt, weak):
 
 
 def test_weak_validator_demands_snc():
-    s = surfaces.projective_plane()
-    from delpezzo.surface import declare_curve
-
-    s = declare_curve(s, "nodal", (3,), 1, smooth=False)
-    bad = make_boundary(s, (("nodal", Q(1, 2)),))
-    ok, why = validate_weak_lc_del_pezzo(s, bad)
-    assert not ok and "snc" in why
-    # a hand-built record whose flag says snc is read afresh
-    flagged = BoundaryDivisor((("nodal", Q(1, 2)),), True, True)
-    for validate in (validate_klt_del_pezzo, validate_weak_lc_del_pezzo):
-        ok, why = validate(s, flagged)
-        assert not ok and "snc" in why
+    # the oracle's weak check, like its klt check, refuses a nodal curve
+    s = declare_curve(surfaces.projective_plane(), "nodal", (3,), 1, smooth=False)
+    assert oracle_reasons(s, (("nodal", Q(1, 2)),)) == (
+        "boundary support is not snc",
+        "boundary support is not snc",
+    )
 
 
 @pytest.mark.parametrize(
@@ -1031,27 +1043,8 @@ def test_weak_validator_demands_snc():
     ids=["floor", "not ample", "not nef"],
 )
 def test_validator_failure_reasons(name, components, klt, weak):
-    s = surfaces.FIXTURES[name]()
-    boundary = make_boundary(s, components)
-    assert validate_klt_del_pezzo(s, boundary) == (klt == "validated", klt)
-    assert validate_weak_lc_del_pezzo(s, boundary) == (weak == "validated", weak)
-
-
-@pytest.mark.parametrize(
-    "components,message",
-    [
-        ((("h", Q(3, 2)),), "boundary coefficient 3/2 outside [0, 1]"),
-        ((("h", Q(1, 2)), ("h", Q(1, 2))), "boundary curve 'h' listed twice"),
-        ((("nope", Q(1, 2)),), "boundary curve 'nope' not in catalog"),
-    ],
-)
-def test_validators_read_the_components_not_the_flags(components, message):
-    # each record's flags say the boundary is fine; its components say not
-    s = surfaces.projective_plane()
-    for validate in (validate_klt_del_pezzo, validate_weak_lc_del_pezzo):
-        with pytest.raises(InvalidSurfaceData) as info:
-            validate(s, BoundaryDivisor(components, True, True))
-        assert str(info.value) == message
+    # the oracle can say no: each case fails one of its checks
+    assert oracle_reasons(surfaces.FIXTURES[name](), components) == (klt, weak)
 
 
 def test_blow_down_simulation_matches_the_class_oracle():
