@@ -45,7 +45,7 @@ from delpezzo.surface import (
     extend_to,
     from_description,
 )
-from delpezzo.zariski import zariski_decompose
+from delpezzo.zariski import ample_on_catalog, nef_on_catalog, zariski_decompose
 from test_analysis import line_star
 
 NINE_POINT_BOUNDARY = tuple(
@@ -163,6 +163,25 @@ def test_cone_witness_differs_but_validates():
     assert p_cone.multipliers == (("c0", Q(1)),)
     for boundary in (direct, cone):
         assert oracle_reasons(s, boundary.components) == VALIDATED
+
+
+@pytest.mark.parametrize(
+    "name", ["p2", "f2", "f3", "dp3", "dp8", "pair", "corpus1", "corpus2", "corpus3"]
+)
+def test_both_constructions_validate_on_klt_fixtures(name):
+    # the public constructions, not _witness: each klt surface's direct and
+    # cone boundaries, and each weak surface's N, pass the oracle
+    if name.startswith("corpus"):
+        models = [a.s for a in corpus_draws(int(name[len("corpus"):]), 20)]
+    else:
+        models = [surfaces.FIXTURES[name]()]
+    for s in models:
+        z = zariski_decompose(s, s.anticanonical)
+        if z.positive_square > 0 and z.max_coefficient < 1:
+            for construct in (construct_klt_boundary, construct_klt_boundary_via_cone):
+                assert oracle_reasons(s, construct(s).components) == VALIDATED, name
+        if z.max_coefficient <= 1:
+            assert oracle_reasons(s, z.negative)[1] == "validated", name
 
 
 def test_witness_construction_refuses_non_klt():
@@ -826,6 +845,26 @@ def test_oracle_accepts_every_witness():
             assert reasons[1] == "validated"
     assert (klt, weak, empty) == (116, 122, 35)
     assert nonempty == {False: 81, True: 81}
+
+
+def test_public_validators_accept_every_witness():
+    # README's route for testing a boundary B outside the package: the flags
+    # of make_boundary(s, B), then ample_on_catalog (klt) or nef_on_catalog
+    # (weak) of -(K + B); every verdict's witness passes it
+    klt = weak = 0
+    for analysis in model_set_analyses():
+        s = analysis.s
+        for verdict, klt_route in ((analysis.klt_verdict, True), (analysis.weak_verdict, False)):
+            if not verdict.member:
+                continue
+            components = verdict.witness.components
+            record = make_boundary(s, components)
+            assert record.snc and (record.floor_is_zero or not klt_route)
+            positive = ample_on_catalog if klt_route else nef_on_catalog
+            assert positive(s, s.anticanonical - s.class_of(components))
+        klt += analysis.klt_verdict.member
+        weak += analysis.weak_verdict.member
+    assert (klt, weak) == (116, 122)
 
 
 def test_oracle_canonical_class_is_the_package_one():
