@@ -94,7 +94,7 @@ def _random_analysis(rng: random.Random, max_rank: int) -> AnticanonicalAnalysis
     for index in range(rng.randrange(room + 1)):
         rec = _random_record(rng, stage, index + 1)
         if rec is not None:
-            stage.blow_up(rec)
+            stage.blow_up(*rec)
     analysis = AnticanonicalAnalysis(stage.model())
     try:
         return analysis if analysis.big else None

@@ -128,7 +128,9 @@ class PicardLattice(Frozen):
 
     def pair(self, a: "DivisorClass", b: "DivisorClass") -> Q:
         x, y = a.nums, b.nums
-        total = sum(g * y[k] for k, g in dual_entries(self.gram, range(len(x)), x))
+        total = 0
+        for k, g in dual_entries(self.gram, range(len(x)), x):
+            total += g * y[k]
         den = a.den * b.den
         return Fraction(total) if den == 1 else Fraction(total, den)
 

@@ -244,7 +244,7 @@ def check_EP_condition(
     if records:
         stage = _Stage.of(s_down)
         for rec in records:
-            stage.blow_up(rec)
+            stage.blow_up(*rec)
         s_up = stage.model()
     new_ids = [b.exceptional_id for b in s_up.blowups[len(s_down.blowups):]]
     boundary = _as_boundary(s_up, boundary, new_ids)

@@ -231,9 +231,11 @@ class SurfaceModel(Frozen):
         return tuple(r.curve_id for r in self.catalog)
 
     def ordered(self, curve_ids) -> tuple[str, ...]:
-        """The given ids re-listed in catalog order (determinism helper)."""
-        wanted = set(curve_ids)
-        return tuple(r.curve_id for r in self.catalog if r.curve_id in wanted)
+        """The given ids re-listed in catalog order (determinism helper):
+        each catalog id once, however often it is given; others are dropped."""
+        positions, catalog = self._positions, self.catalog
+        wanted = sorted({positions[c] for c in curve_ids if c in positions})
+        return tuple([catalog[p].curve_id for p in wanted])
 
     def position(self, curve_id: str) -> int:
         """The curve's index in catalog order, which indexes table rows."""
@@ -336,7 +338,7 @@ def blow_up(s: SurfaceModel, rec: BlowUpRecord) -> SurfaceModel:
     """Blow up one point; every incident curve is replaced by its strict
     transform and the new exceptional curve joins the catalog."""
     stage = _Stage.of(s)
-    stage.blow_up(rec)
+    stage.blow_up(*rec)
     return stage.model()
 
 
@@ -434,12 +436,13 @@ class _Stage:
         curves[curve_id] = _Curve(len(curves), idx, vals, p_a, smooth, "declared-base-curve")
         self.declarations.append(_CurveDecl(curve_id, coords, p_a, smooth, len(self.blowups)))
 
-    def blow_up(self, rec: BlowUpRecord) -> None:
-        """Apply one blow-up.  Every check runs before the first write, so
-        a rejected record leaves the stage as it was."""
+    def blow_up(self, point_id, incidences=(), near=None, exceptional_id=None) -> None:
+        """Apply one blow-up, given as the fields of a ``BlowUpRecord``.
+        Every check runs before the first write, so a rejected blow-up
+        leaves the stage as it was."""
         curves = self.curves
         seen: dict[str, int] = {}
-        for curve_id, mult in rec.incidences:
+        for curve_id, mult in incidences:
             if curve_id not in curves:
                 raise InvalidSurfaceData(
                     f"blow-up references unknown curve {reprlib.repr(curve_id)}"
@@ -451,30 +454,33 @@ class _Stage:
                     f"curve {reprlib.repr(curve_id)} listed twice in one record"
                 )
             seen[curve_id] = mult
-        if rec.near is not None:
-            if rec.near not in curves:
+        if near is not None:
+            if near not in curves:
                 raise InvalidSurfaceData(
-                    f"infinitely-near target {reprlib.repr(rec.near)} not in catalog"
+                    f"infinitely-near target {reprlib.repr(near)} not in catalog"
                 )
-            if curves[rec.near].provenance != "exceptional":
+            if curves[near].provenance != "exceptional":
                 raise InvalidSurfaceData("infinitely-near points must sit on an exceptional curve")
-            seen.setdefault(rec.near, 1)
-        # catalog order for determinism
-        incident = sorted(seen.items(), key=lambda item: curves[item[0]].position)
-        point_id = rec.point_id or f"p{len(self.blowups) + 1}"
+            seen.setdefault(near, 1)
+        incident = tuple(seen.items())
+        if len(incident) > 1:  # catalog order for determinism
+            incident = tuple(sorted(incident, key=lambda item: curves[item[0]].position))
+        point_id = point_id or f"p{len(self.blowups) + 1}"
         if point_id in self.points:
             raise InvalidSurfaceData(f"point id {reprlib.repr(point_id)} already used")
-        exc_id = rec.exceptional_id or f"e{len(self.blowups) + 1}"
+        exc_id = exceptional_id or f"e{len(self.blowups) + 1}"
         if exc_id in curves:
             raise InvalidSurfaceData(f"exceptional id {reprlib.repr(exc_id)} already in use")
 
         for curve_id, mult in incident:
-            if mult >= 2 and curves[curve_id].smooth:
+            if mult < 2:
+                continue
+            if curves[curve_id].smooth:
                 raise InvalidSurfaceData(
                     f"curve {reprlib.repr(curve_id)} is declared smooth; multiplicity {mult} "
                     "requires a singular point"
                 )
-            if mult >= 2 and curves[curve_id].p_a < mult * (mult - 1) // 2:
+            if curves[curve_id].p_a < mult * (mult - 1) // 2:
                 raise InvalidSurfaceData(
                     f"multiplicity {mult} exceeds what the genus of "
                     f"{reprlib.repr(curve_id)} permits"
@@ -514,14 +520,14 @@ class _Stage:
         # Only a curve and an exceptional curve share a recorded point, with
         # multiplicity 1 on the smooth exceptional side, so a point through
         # both leaves nothing of it
-        for i, (cid_a, _) in enumerate(incident):
+        for i, (cid_a, _) in enumerate(incident[:-1]):
             for cid_b, _ in incident[i + 1:]:
                 incidence.pop((cid_a, cid_b) if cid_a <= cid_b else (cid_b, cid_a), None)
         # every incident curve now meets the new exceptional over this point
         for cid, _ in incident:
             incidence[(cid, exc_id) if cid <= exc_id else (exc_id, cid)] = point_id
 
-        self.blowups.append(BlowUpRecord(point_id, tuple(incident), rec.near, exc_id))
+        self.blowups.append(BlowUpRecord(point_id, incident, near, exc_id))
         self.points.add(point_id)
 
     def dual(self, idx, vals) -> list[int]:
@@ -611,9 +617,9 @@ def input_int(value, where: str) -> int:
     raise InvalidSurfaceData(f"{where} {reprlib.repr(value)} is not an integer")
 
 
-def _input_name(value, where: str, optional: bool = False) -> str | None:
+def _input_name(value, where: str) -> str:
     """A curve or point id read from input."""
-    if isinstance(value, str) or (optional and value is None):
+    if isinstance(value, str):
         return value
     raise InvalidSurfaceData(f"{where} {reprlib.repr(value)} is not a string")
 
@@ -646,6 +652,10 @@ def from_description(data: dict) -> SurfaceModel:
     class is the first ``base + k`` coordinates of its final class.  Each
     check at step k (adjunction and meetings of a curve declared there, the
     multiplicity bounds of the next blow-up) pairs stage-k prefixes.
+
+    Each blow-up record is read once: its fields are checked where they are
+    read and handed to ``_Stage.blow_up`` as they are, so the one
+    ``BlowUpRecord`` built is the one the stage stores.
     """
     data = _input_object(data, "surface description")
     try:
@@ -679,8 +689,8 @@ def from_description(data: dict) -> SurfaceModel:
             raise InvalidSurfaceData(f"curve {reprlib.repr(entry.get('id'))}: {exc}") from None
         pending.setdefault(after, []).append(entry)
 
-    def declare_pending(after: int):
-        for entry in pending.get(after, ()):
+    def declare_pending(entries: list[dict]):
+        for entry in entries:
             try:
                 coords = tuple(
                     input_rational(x, "class coordinate")
@@ -700,31 +710,41 @@ def from_description(data: dict) -> SurfaceModel:
                 raise InvalidSurfaceData(f"curve {reprlib.repr(entry.get('id'))}: {exc}") from None
             stage.declare(curve_id, coords, p_a, smooth)
 
+    # an input helper runs only on a field that is not of the plain JSON
+    # type, to refuse it in its one wording (or to pass a str or int subclass)
     try:
-        declare_pending(0)
+        if 0 in pending:
+            declare_pending(pending[0])
         for i, entry in enumerate(blowups):
             point_id = None
             try:
-                point_id = _input_name(entry.get("point"), "point", True) or f"p{i + 1}"
-                incidences = []
-                for pair in _input_list(entry.get("on", []), "on"):
+                point, on = entry.get("point"), entry.get("on", [])
+                if point is not None and point.__class__ is not str:
+                    _input_name(point, "point")
+                point_id = point or f"p{i + 1}"
+                if on.__class__ is not list:
+                    on = _input_list(on, "on")
+                for pair in on:
                     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                         raise InvalidSurfaceData(
                             f"incidence {reprlib.repr(pair)} is not a [curve, multiplicity] pair"
                         )
                     cid, mult = pair
-                    incidences.append((_input_name(cid, "curve"), input_int(mult, "multiplicity")))
-                rec = BlowUpRecord(
-                    point_id=point_id,
-                    incidences=tuple(incidences),
-                    near=_input_name(entry.get("near"), "near", True),
-                    exceptional_id=_input_name(entry.get("exceptional"), "exceptional", True),
-                )
+                    if cid.__class__ is not str:
+                        _input_name(cid, "curve")
+                    if mult.__class__ is not int:
+                        input_int(mult, "multiplicity")
+                near, exc_id = entry.get("near"), entry.get("exceptional")
+                if near is not None and near.__class__ is not str:
+                    _input_name(near, "near")
+                if exc_id is not None and exc_id.__class__ is not str:
+                    _input_name(exc_id, "exceptional")
             except InvalidSurfaceData as exc:
                 where = i + 1 if point_id is None else reprlib.repr(point_id)
                 raise InvalidSurfaceData(f"blow-up {where}: {exc}") from None
-            stage.blow_up(rec)
-            declare_pending(i + 1)
+            stage.blow_up(point_id, on, near, exc_id)
+            if i + 1 in pending:
+                declare_pending(pending[i + 1])
     except KeyError as exc:
         raise InvalidSurfaceData(f"malformed surface description: missing {exc}") from None
     return stage.model()

@@ -1,5 +1,6 @@
 """Exact linear algebra: class arithmetic, pairing, definiteness, solving."""
 import math
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -111,6 +112,38 @@ def test_dual_vector_pairs_like_dense_gram_oracle(case):
     # writes every one
     assert axes == sorted(set(axes)) and all(0 <= k < lattice.rank for k in axes)
     assert sum(g * y[k] for k, g in entries) == oracles.dense_pairing(rows, x, y)
+
+
+@pytest.mark.parametrize(
+    "kind,e,genus,rank",
+    [("P2", 0, 0, rank) for rank in (1, 2, 12, 63)]
+    + [(kind, 3, genus, rank) for kind, genus in (("hirzebruch", 0), ("ruled", 2))
+       for rank in (2, 12, 63)],
+)
+def test_pair_agrees_with_dense_oracle_on_dense_and_sparse_classes(kind, e, genus, rank):
+    # a dense class has every coordinate nonzero, as -K and P do at any rank;
+    # a sparse one has one to three, as a catalog curve does
+    rng = random.Random(rank)
+    base = build_base(kind, e=e, genus=genus).lattice
+    blowups = rank - base.rank
+    lattice = PicardLattice(base.labels + tuple(f"e{i + 1}" for i in range(blowups)), base.gram)
+    rows = oracles.dense_gram(kind, e, blowups)
+
+    def nonzero():
+        return Q(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    def sparse():
+        coords = [Q(0)] * rank
+        for k in rng.sample(range(rank), min(rank, rng.randint(1, 3))):
+            coords[k] = nonzero()
+        return coords
+
+    for _ in range(5):
+        dense = [[nonzero() for _ in range(rank)] for _ in range(2)]
+        for a, b in [dense, (dense[0], sparse()), (sparse(), dense[1])]:
+            assert lattice.pair(DivisorClass(lattice, a), DivisorClass(lattice, b)) == (
+                oracles.dense_pairing(rows, a, b)
+            )
 
 
 def test_incompatible_bases_rejected():

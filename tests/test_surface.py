@@ -178,10 +178,10 @@ def test_rejected_blow_up_leaves_the_stage_unchanged(rec, message):
     stage.declare("nodal", (Q(3),), 1, False)
     stage.declare("l", (Q(1),), 0, True)
     for point in ("p1", "p2"):
-        stage.blow_up(BlowUpRecord(point, (("nodal", 1), ("l", 1))))
+        stage.blow_up(point, (("nodal", 1), ("l", 1)))
     before = _model_fields(stage.model())
     with pytest.raises(InvalidSurfaceData, match=message):
-        stage.blow_up(rec)
+        stage.blow_up(*rec)
     assert _model_fields(stage.model()) == before
 
 
@@ -515,10 +515,13 @@ def _stepwise_from_description(data):
                     smooth,
                 )
 
+    def optional_name(value, where):
+        return None if value is None else _input_name(value, where)
+
     try:
         declare_pending(0)
         for i, entry in enumerate(blowups):
-            point = _input_name(entry.get("point"), f"blow-up {i + 1}: point", True)
+            point = optional_name(entry.get("point"), f"blow-up {i + 1}: point")
             point_id = point or f"p{i + 1}"
             where = f"blow-up {point_id!r}:"
             incidences = []
@@ -534,10 +537,8 @@ def _stepwise_from_description(data):
             rec = BlowUpRecord(
                 point_id=point_id,
                 incidences=tuple(incidences),
-                near=_input_name(entry.get("near"), f"{where} near", True),
-                exceptional_id=_input_name(
-                    entry.get("exceptional"), f"{where} exceptional", True
-                ),
+                near=optional_name(entry.get("near"), f"{where} near"),
+                exceptional_id=optional_name(entry.get("exceptional"), f"{where} exceptional"),
             )
             s = blow_up(s, rec)
             declare_pending(i + 1)
@@ -601,8 +602,8 @@ def _random_description(seed):
 def _mutated(rng, document):
     """``document`` with one to three fields, at any depth, deleted or
     replaced by a value from a small pool of plausible and implausible ones."""
-    pool = [None, True, 0, 1, 2, -1, 3, 99, 1.5, "h", "c", "l", "e1", "p1", "x", "",
-            "1/2", "1/0", "abc", [], {}, ["l", 2], ["1"], [["h", 1]]]
+    pool = [None, True, False, 0, 1, 2, -1, 3, 99, 1.5, "h", "c", "l", "e1", "p1", "x", "",
+            "1/2", "1/0", "abc", [], {}, ["l", 2], ["l", 1, 1], ["1"], [["h", 1]]]
     document = json.loads(json.dumps(document))
     for _ in range(rng.randint(1, 3)):
         paths = []
@@ -655,16 +656,32 @@ def test_one_pass_loader_matches_stepwise_replay():
 
 
 def test_both_loaders_reject_mutated_fixtures_alike():
+    # the rank-41 and rank-63 members replay dozens of blow-up records, so
+    # every field check of the record loop meets the pool's values there
+    documents = FIXTURE_DOCUMENTS + [line_star(36, 2, 2), line_star(56, 2, 3)]
     rng = random.Random(6)
     messages = set()
     for _ in range(400):
-        data = _mutated(rng, rng.choice(FIXTURE_DOCUMENTS))
+        data = _mutated(rng, rng.choice(documents))
         expected = _outcome(_stepwise_from_description, data)
         assert _outcome(from_description, data) == expected
         if isinstance(expected, str):
             messages.add(expected.split(" ")[0])
     # the mutations reach more than one kind of fault
     assert len(messages) > 5
+
+
+def test_tuples_load_as_lists_do():
+    # a library caller may build a description from tuples: an "on" tuple of
+    # tuple pairs, a class tuple and tuples of entries
+    for data in FIXTURE_DOCUMENTS + [line_star(36, 2, 2)]:
+        tupled = dict(data)
+        tupled["blowups"] = tuple(
+            {**b, "on": tuple(map(tuple, b["on"]))} if "on" in b else b for b in data["blowups"]
+        )
+        tupled["curves"] = tuple({**c, "class": tuple(c["class"])} for c in data["curves"])
+        expected = _model_fields(from_description(data))
+        assert _model_fields(from_description(tupled)) == expected
 
 
 BENCHMARK_LINE_STARS = ((6, 4, 2), (10, 5, 1), (36, 2, 2), (56, 2, 3))
@@ -720,6 +737,18 @@ def test_intersection_table_matches_dense_oracle():
         # the one remembered scan is replaced as the scanned class changes
         for d in (minus_k, positive, minus_k, positive):
             assert degrees(d) == oracle_degrees(d)
+
+
+def test_ordered_matches_a_catalog_scan():
+    rng = random.Random(3)
+    for s in fixture_models() + [from_description(line_star(56, 2, 3))]:
+        ids = list(s.curve_ids())
+        for _ in range(20):
+            # repeats and ids outside the catalog among them
+            given = rng.choices(ids + ["nope", "e99", ""], k=rng.randint(0, 2 * len(ids)))
+            expected = tuple(r.curve_id for r in s.catalog if r.curve_id in set(given))
+            assert s.ordered(given) == expected
+            assert s.ordered(iter(given)) == expected
 
 
 def assert_rows_and_scans_match_dense_oracle(s):
@@ -895,7 +924,7 @@ def _stage_and_stepwise(rng, max_rank):
         rec = corpus._random_record(rng, stage, index)
         assert corpus._random_record(twin, _Stage.of(s), index) == rec
         if rec is not None:
-            stage.blow_up(rec)
+            stage.blow_up(*rec)
             s = blow_up(s, rec)
     assert twin.getstate() == rng.getstate()
     return stage.model(), s

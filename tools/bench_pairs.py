@@ -4,7 +4,8 @@ Run from the root of a checkout:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --out BENCH_N.json
 
-Every report records its own command line under ``"argv"``.
+Every report records its own command line under ``"argv"``, with the
+``--out`` path cut to its file name.
 
 The parent commit (``git archive``) and the change (the working tree's
 tracked and unignored files) are copied into a temporary directory, so
@@ -171,6 +172,23 @@ def layers(traced: dict, timed: set) -> dict:
     return out
 
 
+def recorded_argv(argv: list[str]) -> list[str]:
+    """The command line as a report records it: ``--out`` (or a prefix of
+    it that argparse accepts) keeps only its file name, so a report written
+    outside the checkout names no directory of the machine that wrote it."""
+    recorded, path_next = [], False
+    for item in argv:
+        flag, eq, value = item.partition("=")
+        out = not path_next and len(flag) > 2 and "--out".startswith(flag)
+        if path_next:
+            item = Path(item).name
+        elif out and eq:
+            item = f"{flag}={Path(value).name}"
+        recorded.append(item)
+        path_next = out and not eq
+    return ["tools/bench_pairs.py", *recorded]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
@@ -222,7 +240,7 @@ def main(argv=None) -> int:
                 f"traced_seed{TRACE_SEED}": layers(traced, timed),
             }
         report = {
-            "argv": ["tools/bench_pairs.py", *argv],
+            "argv": recorded_argv(argv),
             "benchmark": "python3 perfbench/run.py --workload W --seed i "
             f"--seconds {SECONDS} --trace 0",
             "machine": f"{os.cpu_count()}-CPU {platform.machine()} machine, Python "
